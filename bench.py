@@ -8,7 +8,10 @@ the operator inventory.
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, "events_per_sec": ...}
+   "queries": {...}, "sf": ..., "num_cpus": N, "host_cpus": H,
+   "events_per_sec": ...}
+
+``num_cpus`` (``$RAY_GRAFT_CPUS``) defaults to the host's CPU count.
 
 ``--scaling`` runs the headline twice in fresh processes at
 RAY_GRAFT_CPUS=8 and =32 on the same input and reports both throughputs
@@ -24,7 +27,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+HOST_CPUS = os.cpu_count() or 1
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", HOST_CPUS))
 # changelog cache on tmpfs when available: this host throttles
 # sustained disk reads (measured 0.4 s -> 5-8 s per identical 30 MB
 # segment within one run), which poisons both the headline and the
@@ -279,6 +283,7 @@ def main() -> None:
         "queries": qtimes,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
+        "host_cpus": HOST_CPUS,
         "events_per_sec": round(headline["events_per_sec"], 1),
         "events_per_sec_best_epoch": round(headline["events_per_sec_best_epoch"], 1),
         "epoch_seconds": headline["epoch_seconds"],
@@ -424,6 +429,7 @@ def scaling() -> None:
         json.dumps(
             {
                 "levels": [lo_n, hi_n],
+                "host_cpus": HOST_CPUS,
                 "acceptance_basis": basis,
                 f"sec_{lo_n}": t_lo,
                 f"sec_{hi_n}": t_hi,

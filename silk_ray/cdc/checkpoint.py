@@ -93,6 +93,18 @@ def read_manifest(root: str) -> Manifest:
         return Manifest.from_dict(json.load(f))
 
 
+def atomic_write_json(path: str, obj) -> None:
+    """Durable write-then-rename of a small JSON record: the content is
+    flushed and fsynced before the ``os.replace`` publishes it."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(obj, f, sort_keys=True)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+
+
 def commit_manifest(root: str, manifest: Manifest, window: tuple[int, int]) -> None:
     """Atomic epoch commit: manifest swap + offset-log append."""
     os.makedirs(root, exist_ok=True)

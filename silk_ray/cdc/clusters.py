@@ -23,21 +23,25 @@ an endpoint in an A-component (or brand-new uris), then splices:
 whose links all vanished drop out (singletons are implicit, as in
 :func:`silk_ray.functions.graph.connected_components`).
 
-Scale shape: seeds and A are delta-sized (driver-held, like
-``update_links``'s own dirty set); the affected-member table and the
-link scan stay distributed — membership filtering broadcasts below the
-standard gate and falls back to disjoint hash-shuffle semi-joins above
-it; the component rebuild itself self-gates between driver union-find
-and the pointer-jumped distributed rounds. Cluster state is written as
-a per-epoch parquet directory with an atomic STATE.json pointer swap
+Scale shape: one driver-side Arrow pass per epoch, no Ray Data. It
+reads the link manifest's files once (this also yields the epoch's new
+links) and the old cluster table once; seeds, A, the member set and
+the subgraph are vectorised ``is_in`` filters; union-find labels the
+subgraph alone (:func:`silk_ray.functions.graph.union_find_labels`).
+The spliced table is written once, sorted by ``uri``, as one parquet
+file under ``clusters/epoch-E/``, followed by an atomic pointer swap
 (same commit idiom as the linkstate), replay-idempotent, with a
-one-epoch rollback window like every other store in the engine.
+one-epoch rollback window like every other store in the engine. Both
+tables are the size of the linked corpus and are held in driver memory
+for the pass (the bound ``links_table`` already assumes); the
+union-find work is delta-sized except on a full rebuild.
 
 Catch-up window: rebuilding epoch N needs N's summary files (the dirty
 uris), which storage GC retains only for the newest epoch — the same
 one-epoch window as the rest of the engine. A lag beyond it triggers a
-loud FULL rebuild (batch CC over the whole current link set), which is
-always correct, and the metrics say it happened.
+loud FULL rebuild — the same pass over an empty old state, with every
+current link counted as new — which is always correct, and the metrics
+say it happened.
 """
 
 from __future__ import annotations
@@ -47,12 +51,12 @@ import os
 import shutil
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
 from silk_ray.cdc.incremental import _links_manifest, read_linkstate
-
-BROADCAST_MAX = 4_000_000
+from silk_ray.functions.graph import union_find_labels
 
 
 def _state_path(root: str) -> str:
@@ -68,20 +72,13 @@ def read_clusterstate(root: str) -> dict:
 
 
 def commit_clusterstate(root: str, state: dict) -> None:
-    tmp = _state_path(root) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, _state_path(root))
+    ckpt.atomic_write_json(_state_path(root), state)
     # per-epoch snapshot for as-of-epoch reads (same idiom as the lake
     # manifests and linkstates); gc_clusters trims with the dirs
-    snap_dir = os.path.join(root, "_clusterstates")
-    os.makedirs(snap_dir, exist_ok=True)
-    snap = os.path.join(snap_dir, f"state-{int(state.get('epoch', 0)):06d}.json")
-    with open(snap + ".tmp", "w") as f:
-        json.dump(state, f, sort_keys=True)
-    os.replace(snap + ".tmp", snap)
+    ckpt.atomic_write_json(
+        os.path.join(root, "_clusterstates", f"state-{int(state.get('epoch', 0)):06d}.json"),
+        state,
+    )
 
 
 def read_clusterstate_at(root: str, epoch: int) -> dict:
@@ -111,165 +108,105 @@ def _epoch_summary_files(root: str, epoch: int) -> list[str]:
     return out
 
 
-def _empty_clusters() -> pa.Table:
-    return pa.table(
-        {"uri": pa.array([], pa.string()), "cluster_id": pa.array([], pa.string())}
-    )
+_CLUSTERS_SCHEMA = pa.schema([("uri", pa.string()), ("cluster_id", pa.string())])
+_LINKS_SCHEMA = pa.schema(
+    [("source", pa.string()), ("target", pa.string()), ("epoch_added", pa.int32())]
+)
+
+
+def _conform(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    return pa.table([t[f.name].cast(f.type) for f in schema], schema=schema)
+
+
+def _read_dir(d: str) -> pa.Table:
+    parts = [
+        _conform(pq.read_table(os.path.join(d, f)), _CLUSTERS_SCHEMA)
+        for f in sorted(os.listdir(d))
+        if f.endswith(".parquet")
+    ]
+    return pa.concat_tables(parts) if parts else _CLUSTERS_SCHEMA.empty_table()
 
 
 def clusters_table(root: str, at_epoch: int | None = None) -> pa.Table:
     """Driver-side snapshot of the cluster state (test/small-lake
-    helper, like ``links_table``; the streaming path is
-    ``read_parquet`` over the state dir). ``at_epoch`` time-travels to
-    a retained earlier commit."""
+    helper, like ``links_table``). ``at_epoch`` time-travels to a
+    retained earlier commit."""
     state = (
         read_clusterstate(root) if at_epoch is None else read_clusterstate_at(root, at_epoch)
     )
     if not state.get("dir"):
-        return _empty_clusters()
-    d = os.path.join(root, state["dir"])
+        return _CLUSTERS_SCHEMA.empty_table()
+    return _read_dir(os.path.join(root, state["dir"]))
+
+
+def _links(root: str) -> pa.Table:
+    """The current link set's ``(source, target, epoch_added)`` columns,
+    one read per manifest file."""
     parts = [
-        pq.read_table(os.path.join(d, f)) for f in sorted(os.listdir(d)) if f.endswith(".parquet")
+        _conform(
+            pq.read_table(os.path.join(root, e["file"]), columns=_LINKS_SCHEMA.names),
+            _LINKS_SCHEMA,
+        )
+        for e in _links_manifest(read_linkstate(root), root)
     ]
-    return pa.concat_tables(parts) if parts else _empty_clusters()
+    return pa.concat_tables(parts) if parts else _LINKS_SCHEMA.empty_table()
 
 
-def _subgraph(links, member_uris, n_members: int):
-    """Links with either endpoint in the membership set — broadcast
-    filter below the gate, disjoint shuffle semi-joins above (the two
-    passes partition the output: source-hits, then target-hits among
-    source-misses — no dedup needed)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from silk_ray.pipelines.relational import (
-        lookup_sorted,
-        shuffle_anti_filter,
-        shuffle_semi_filter,
-    )
-
-    if n_members <= BROADCAST_MAX:
-        import ray
-
-        ref = ray.put(np.asarray(sorted(member_uris.to_pandas()["uri"])))
-
-        def either(b: pa.Table) -> pa.Table:
-            keys = ray.get(ref)
-            if len(keys) == 0:
-                return b.slice(0, 0)
-            s_hit, _ = lookup_sorted(keys, keys, b["source"].to_numpy(zero_copy_only=False))
-            t_hit, _ = lookup_sorted(keys, keys, b["target"].to_numpy(zero_copy_only=False))
-            return b.filter(pa.array(s_hit | t_hit))
-
-        return links.map_batches(either, batch_format="pyarrow")
-    src_hit = shuffle_semi_filter(links, "source", member_uris, "uri")
-    src_miss = shuffle_anti_filter(links, "source", member_uris, "uri")
-    tgt_hit = shuffle_semi_filter(src_miss, "target", member_uris, "uri")
-    return src_hit.union(tgt_hit)
-
-
-def update_clusters(
-    root: str,
-    epoch: int,
-    *,
-    num_partitions: int = 64,
-    local_max_edges: int = 1_000_000,
-) -> dict:
+def update_clusters(root: str, epoch: int) -> dict:
     """Bring the cluster state up to merge/link epoch ``epoch``.
 
     Idempotent: a replayed epoch returns without touching state. A lag
     beyond the one-epoch summary-retention window triggers a full
-    rebuild (see module docstring)."""
-    import ray.data as rd
-
-    from silk_ray.functions.graph import connected_components
-    from silk_ray.pipelines.relational import broadcast_anti_filter, broadcast_semi_filter
-
+    rebuild (see module docstring): the same pass over an empty old
+    state with every current link counted as new."""
     state = read_clusterstate(root)
     if state["epoch"] >= epoch:
         return {"epoch": epoch, "mode": "replay_noop", "rows": _state_rows(root, state)}
-    linkstate = read_linkstate(root)
-    manifest = _links_manifest(linkstate, root)
-    link_files = [os.path.join(root, e["file"]) for e in manifest]
-    links = (
-        rd.read_parquet(link_files, columns=["source", "target", "epoch_added"])
-        if link_files
-        else None
-    )
-
-    full_rebuild = state["epoch"] < epoch - 1  # summaries for the gap are GC'd
-    seeds: set = set()
-    affected: set = set()
-    if not full_rebuild:
-        for f in _epoch_summary_files(root, epoch):
-            t = pq.read_table(f, columns=["uri"])
-            seeds.update(t["uri"].to_pylist())
-        if links is not None:
-            new_entries = [e for e in manifest if e.get("n_new") is None or e.get("n_new")]
-            for e in new_entries:
-                t = pq.read_table(
-                    os.path.join(root, e["file"]),
-                    columns=["source", "target"],
-                    filters=[("epoch_added", "==", epoch)],
-                )
-                seeds.update(t["source"].to_pylist())
-                seeds.update(t["target"].to_pylist())
-
+    links = _links(root)
     old_dir = state.get("dir")
-    mode = "full" if full_rebuild else "delta"
-    if full_rebuild or old_dir is None:
-        mode = "full"
-        if links is None:
-            return _commit(root, state, epoch, None, mode, 0, 0)
-        cc = connected_components(
-            links, "source", "target", node_col="uri", label_col="cluster_id",
-            num_partitions=num_partitions, local_max_edges=local_max_edges,
-        )
-        return _write_and_commit(root, state, epoch, cc, mode, affected=-1, seeds=-1)
-
-    if not seeds:
+    # summaries for a longer gap are GC'd; no old table means no base
+    full = state["epoch"] < epoch - 1 or old_dir is None
+    new = links if full else links.filter(pc.equal(links["epoch_added"], epoch))
+    seed_parts = [new["source"], new["target"]]
+    if not full:
+        seed_parts += [
+            pq.read_table(f, columns=["uri"])["uri"].cast(pa.string())
+            for f in _epoch_summary_files(root, epoch)
+        ]
+    seeds = pc.unique(
+        pa.chunked_array([c for col in seed_parts for c in col.chunks], pa.string())
+    )
+    if not full and len(seeds) == 0:
         # clean epoch: nothing linked or unlinked — pointer moves, data
         # doesn't (the state dir is carried forward verbatim)
         return _commit(root, state, epoch, old_dir, "noop", 0, 0)
 
-    old_ds = rd.read_parquet(os.path.join(root, old_dir))
-    seed_list = sorted(seeds)
-    matched = broadcast_semi_filter(old_ds, "uri", seed_list).to_pandas()
-    # an all-miss filter comes back as a column-less empty frame
-    affected = set(matched["cluster_id"]) if len(matched) else set()
-
-    # membership set for the link scan = affected-component members ∪
-    # seeds (covers brand-new uris with no old cluster); kept as a
-    # Dataset — a single affected component can be corpus-sized
-    seeds_ds = rd.from_arrow(
-        pa.table(
-            {
-                "uri": pa.array(seed_list, pa.string()),
-                "cluster_id": pa.array(seed_list, pa.string()),
-            }
+    old = _CLUSTERS_SCHEMA.empty_table() if full else _read_dir(os.path.join(root, old_dir))
+    hit = pc.unique(old.filter(pc.is_in(old["uri"], value_set=seeds))["cluster_id"])
+    in_affected = pc.is_in(old["cluster_id"], value_set=hit)
+    # members = affected-component members ∪ seeds (covers brand-new
+    # uris with no old cluster); the subgraph is every link touching one
+    members = pa.chunked_array(
+        old["uri"].filter(in_affected).chunks + [seeds], pa.string()
+    ).combine_chunks()
+    sub = links.filter(
+        pc.or_(
+            pc.is_in(links["source"], value_set=members),
+            pc.is_in(links["target"], value_set=members),
         )
     )
-    member_uris = seeds_ds
-    if affected:
-        member_uris = member_uris.union(
-            broadcast_semi_filter(old_ds, "cluster_id", sorted(affected))
-        )
-    member_uris = member_uris.materialize()
-    n_members = member_uris.count()
+    cc = union_find_labels(sub["source"], sub["target"], "uri", "cluster_id")
+    kept = old.filter(pc.invert(in_affected))
+    out = pa.concat_tables([kept, cc]).sort_by("uri")
 
-    sub = _subgraph(links, member_uris, n_members) if links is not None else None
-    cc = (
-        connected_components(
-            sub, "source", "target", node_col="uri", label_col="cluster_id",
-            num_partitions=num_partitions, local_max_edges=local_max_edges,
-        )
-        if sub is not None
-        else None
-    )
-    kept = broadcast_anti_filter(old_ds, "cluster_id", sorted(affected)) if affected else old_ds
-    new_ds = kept.union(cc) if cc is not None else kept
-    return _write_and_commit(
-        root, state, epoch, new_ds, mode, affected=len(affected), seeds=len(seeds)
+    rel = os.path.join("clusters", f"epoch-{epoch:06d}")
+    out_dir = os.path.join(root, rel)
+    if os.path.isdir(out_dir):  # crashed attempt: the pointer is the commit
+        shutil.rmtree(out_dir)
+    ckpt.atomic_write_parquet(out, os.path.join(out_dir, "part-000.parquet"))
+    return _commit(
+        root, state, epoch, rel, "full" if full else "delta",
+        -1 if full else len(hit), -1 if full else len(seeds), rows=out.num_rows,
     )
 
 
@@ -282,29 +219,6 @@ def _state_rows(root: str, state: dict) -> int:
         for f in os.listdir(d)
         if f.endswith(".parquet")
     )
-
-
-def _write_and_commit(root, state, epoch, ds, mode, affected, seeds) -> dict:
-    rel = os.path.join("clusters", f"epoch-{epoch:06d}")
-    out_dir = os.path.join(root, rel)
-    if os.path.isdir(out_dir):  # crashed attempt: the pointer is the commit
-        shutil.rmtree(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    # distributed write — the cluster table is O(linked corpus); only the
-    # pointer swap below is driver-side
-    ds = ds.map_batches(
-        lambda b: pa.table({"uri": b["uri"], "cluster_id": b["cluster_id"]}),
-        batch_format="pyarrow",
-    )
-    ds.write_parquet(out_dir)
-    if not any(f.endswith(".parquet") for f in os.listdir(out_dir)):
-        ckpt.atomic_write_parquet(_empty_clusters(), os.path.join(out_dir, "part-000.parquet"))
-    rows = sum(
-        pq.read_metadata(os.path.join(out_dir, f)).num_rows
-        for f in os.listdir(out_dir)
-        if f.endswith(".parquet")
-    )
-    return _commit(root, state, epoch, rel, mode, affected, seeds, rows=rows)
 
 
 def _commit(root, state, epoch, rel_dir, mode, affected, seeds, rows=None) -> dict:

@@ -90,21 +90,14 @@ def read_linkstate(root: str) -> dict:
 
 
 def commit_linkstate(root: str, state: dict) -> None:
-    tmp = _linkstate_path(root) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, _linkstate_path(root))
+    ckpt.atomic_write_json(_linkstate_path(root), state)
     # per-epoch snapshot for as-of-epoch (time-travel) reads — the same
     # idiom as the lake's manifest snapshots (checkpoint.commit_manifest);
     # _gc_links trims snapshots with the files they reference
-    snap_dir = os.path.join(root, "_linkstates")
-    os.makedirs(snap_dir, exist_ok=True)
-    snap = os.path.join(snap_dir, f"state-{int(state.get('epoch', 0)):06d}.json")
-    with open(snap + ".tmp", "w") as f:
-        json.dump(state, f, sort_keys=True)
-    os.replace(snap + ".tmp", snap)
+    ckpt.atomic_write_json(
+        os.path.join(root, "_linkstates", f"state-{int(state.get('epoch', 0)):06d}.json"),
+        state,
+    )
 
 
 def read_linkstate_at(root: str, epoch: int) -> dict:

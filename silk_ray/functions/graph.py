@@ -201,8 +201,23 @@ def _local_cc(edges, node_type: pa.DataType, node_col: str, label_col: str):
     for b in edges.iter_batches(batch_format="pyarrow"):
         src.append(b["src"].combine_chunks())
         dst.append(b["dst"].combine_chunks())
-    src = pa.chunked_array(src).to_pylist()
-    dst = pa.chunked_array(dst).to_pylist()
+    return rd.from_arrow(
+        union_find_labels(
+            pa.chunked_array(src, node_type), pa.chunked_array(dst, node_type), node_col, label_col
+        )
+    )
+
+
+def union_find_labels(src, dst, node_col: str = "node", label_col: str = "cluster_id") -> pa.Table:
+    """Label every node of the undirected edge list ``src[i]``–``dst[i]``
+    (two Arrow arrays of one id type) with the minimum node id of its
+    component, in one driver-side union-find pass. Null endpoints and
+    self-loops drop, as in :func:`connected_components`; the result
+    covers the remaining edges' nodes, sorted by node."""
+    import pyarrow.compute as pc
+
+    keep = pc.and_(pc.and_(pc.is_valid(src), pc.is_valid(dst)), pc.not_equal(src, dst))
+    node_type = src.type
     parent: dict = {}
 
     def find(x):
@@ -213,7 +228,7 @@ def _local_cc(edges, node_type: pa.DataType, node_col: str, label_col: str):
             parent[x], x = root, parent[x]
         return root
 
-    for a, b in zip(src, dst):
+    for a, b in zip(src.filter(keep).to_pylist(), dst.filter(keep).to_pylist()):
         if a not in parent:
             parent[a] = a
         if b not in parent:
@@ -225,13 +240,11 @@ def _local_cc(edges, node_type: pa.DataType, node_col: str, label_col: str):
                 ra, rb = rb, ra
             parent[rb] = ra
     nodes = sorted(parent)
-    return rd.from_arrow(
-        pa.table(
-            {
-                node_col: pa.array(nodes, node_type),
-                label_col: pa.array([find(n) for n in nodes], node_type),
-            }
-        )
+    return pa.table(
+        {
+            node_col: pa.array(nodes, node_type),
+            label_col: pa.array([find(n) for n in nodes], node_type),
+        }
     )
 
 

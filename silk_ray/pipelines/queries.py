@@ -108,6 +108,31 @@ def _dim_fits_broadcast(sf_dir: str, table: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _q1_partial(batch: pa.Table) -> pa.Table:
+    """Q1's combiner: partial-aggregate INSIDE the batch, so the groupby
+    shuffle carries one row per group per batch, not the table — and
+    the pre-aggregated stream coalesces to one block so the final
+    groupby's range sort has no empty partitions. ``p_n`` counts rows
+    (``count(*)``), nulls included."""
+    batch = batch.filter(pc.less_equal(batch["l_shipdate"], pa.scalar(pd.Timestamp("1998-09-02"))))
+    disc_price = pc.multiply(batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"]))
+    t = pa.table(
+        {
+            "l_returnflag": batch["l_returnflag"],
+            "l_linestatus": batch["l_linestatus"],
+            "l_quantity": batch["l_quantity"],
+            "l_extendedprice": batch["l_extendedprice"],
+            "disc_price": disc_price,
+        }
+    )
+    part = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
+        [("l_quantity", "sum"), ("l_extendedprice", "sum"), ("disc_price", "sum"), ([], "count_all")]
+    )
+    return part.rename_columns(
+        ["l_returnflag", "l_linestatus", "p_qty", "p_base", "p_disc", "p_n"]
+    )
+
+
 def q1_pricing_summary(sf_dir: str):
     """Filter → partial-aggregate combiner → groupby-aggregate → sort
     (TPC-H Q1 shape)."""
@@ -119,31 +144,8 @@ def q1_pricing_summary(sf_dir: str):
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
-    def prep(batch: pa.Table) -> pa.Table:
-        # partial-aggregate INSIDE the batch (combiner): the groupby
-        # shuffle then carries one row per group per batch, not the
-        # table — and the pre-aggregated stream coalesces to one block
-        # so the final groupby's range sort has no empty partitions
-        batch = batch.filter(pc.less_equal(batch["l_shipdate"], pa.scalar(pd.Timestamp("1998-09-02"))))
-        disc_price = pc.multiply(batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"]))
-        t = pa.table(
-            {
-                "l_returnflag": batch["l_returnflag"],
-                "l_linestatus": batch["l_linestatus"],
-                "l_quantity": batch["l_quantity"],
-                "l_extendedprice": batch["l_extendedprice"],
-                "disc_price": disc_price,
-            }
-        )
-        part = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_extendedprice", "sum"), ("disc_price", "sum"), ("l_quantity", "count")]
-        )
-        return part.rename_columns(
-            ["l_returnflag", "l_linestatus", "p_qty", "p_base", "p_disc", "p_n"]
-        )
-
     out = (
-        ds.map_batches(prep, batch_format="pyarrow")
+        ds.map_batches(_q1_partial, batch_format="pyarrow")
         .repartition(1)
         .groupby(["l_returnflag", "l_linestatus"])
         .aggregate(
@@ -738,18 +740,20 @@ LIMIT 20
 """
 
 
+def _mktsegment_partial(batch: pa.Table) -> pa.Table:
+    """Combiner: one row count per segment per batch (a null segment is
+    a group too, as in ``count(*)``); the coalesced stream gives the
+    final groupby a single sort partition."""
+    g = batch.group_by("c_mktsegment").aggregate([([], "count_all")])
+    return g.rename_columns(["c_mktsegment", "p_n"])
+
+
 def mktsegment_counts(sf_dir: str):
     from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        # combiner: one count row per segment per batch; the coalesced
-        # stream gives the final groupby a single sort partition
-        g = batch.group_by("c_mktsegment").aggregate([("c_mktsegment", "count")])
-        return g.rename_columns(["c_mktsegment", "p_n"])
-
     out = (
         _rp(sf_dir, "customer", ["c_mktsegment"])
-        .map_batches(partial, batch_format="pyarrow")
+        .map_batches(_mktsegment_partial, batch_format="pyarrow")
         .repartition(1)
         .groupby("c_mktsegment")
         .aggregate(Sum("p_n", alias_name="n"))
@@ -1283,27 +1287,33 @@ ORDER BY query_id, cosine DESC, neighbor_id
 """
 
 
+def _label_stats_partial(batch: pa.Table) -> pa.Table:
+    """Combiner: one row per label per batch with the row count
+    (``count(*)``), the non-null dim-0 count and the dim-0 sum (the
+    mean's numerator and denominator, as ``avg`` skips nulls)."""
+    dim0 = pc.list_element(batch["embedding"], 0)
+    t = pa.table({"label": batch["label"], "dim0": pc.cast(dim0, pa.float64())})
+    g = t.group_by("label").aggregate([([], "count_all"), ("dim0", "count"), ("dim0", "sum")])
+    return g.rename_columns(["label", "p_n", "p_nn", "p_sum"])
+
+
 def label_stats(sf_dir: str):
     """Per-label count + mean of embedding dim 0 (partial-aggregated)."""
     from ray.data.aggregate import Sum
 
-    ds = _rp(sf_dir, "embeddings", ["label", "embedding"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        # combiner: one (n, sum) row per label per batch
-        dim0 = pc.list_element(batch["embedding"], 0)
-        t = pa.table({"label": batch["label"], "dim0": pc.cast(dim0, pa.float64())})
-        g = t.group_by("label").aggregate([("dim0", "count"), ("dim0", "sum")])
-        return g.rename_columns(["label", "p_n", "p_sum"])
-
     out = (
-        ds.map_batches(prep, batch_format="pyarrow")
+        _rp(sf_dir, "embeddings", ["label", "embedding"])
+        .map_batches(_label_stats_partial, batch_format="pyarrow")
         .repartition(1)
         .groupby("label")
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_sum", alias_name="sum_dim0"))
+        .aggregate(
+            Sum("p_n", alias_name="n"),
+            Sum("p_nn", alias_name="n_dim0"),
+            Sum("p_sum", alias_name="sum_dim0"),
+        )
         .to_pandas()
     )
-    out["avg_dim0"] = (out["sum_dim0"] / out["n"]).round(6)
+    out["avg_dim0"] = (out["sum_dim0"] / out["n_dim0"]).round(6)
     out = out[["label", "n", "avg_dim0"]]
     return out.sort_values("label").reset_index(drop=True)
 

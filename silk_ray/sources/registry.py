@@ -22,6 +22,7 @@ Maps the reference's source/sink inventory (SURVEY.md §2.1;
 
 from __future__ import annotations
 
+import copy
 import os
 
 import pyarrow as pa
@@ -82,7 +83,7 @@ def _read_csv(paths, columns=None, separator: str | None = None, **kw):
             # MERGE into caller-supplied options — the caller asked for
             # detection, so the detected junk-line skip must not be
             # silently discarded by a setdefault
-            ro = kw.get("read_options") or pacsv.ReadOptions()
+            ro = copy.copy(kw.get("read_options") or pacsv.ReadOptions())
             ro.skip_rows = skip
             kw["read_options"] = ro
     if detected and (separator != "," or "parse_options" in kw):
@@ -90,7 +91,7 @@ def _read_csv(paths, columns=None, separator: str | None = None, **kw):
 
         # separator="auto" wins over any delimiter inside caller
         # parse_options (they asked for detection)
-        po = kw.get("parse_options") or pacsv.ParseOptions()
+        po = copy.copy(kw.get("parse_options") or pacsv.ParseOptions())
         po.delimiter = separator
         kw["parse_options"] = po
     elif separator and separator not in (",",):

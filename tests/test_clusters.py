@@ -5,6 +5,7 @@ pass over the current link store — through link additions AND removals
 
 import copy
 
+import pyarrow as pa
 import pytest
 
 from silk_ray.cdc.clusters import (
@@ -15,7 +16,7 @@ from silk_ray.cdc.clusters import (
     update_clusters,
 )
 from silk_ray.cdc.engine import EngineConfig, run
-from silk_ray.cdc.generator import make_base_table, make_changelog
+from silk_ray.cdc.generator import CHANGELOG_SCHEMA, make_base_table, make_changelog
 from silk_ray.cdc.incremental import links_table
 from silk_ray.pipelines.rules import BENCH_RULE
 
@@ -153,3 +154,81 @@ def test_gc_keeps_rollback_window(cluster_run):
         os.path.join("clusters", d) for d in os.listdir(os.path.join(root, "clusters"))
     }
     assert on_disk == live
+
+
+# Hand-written scenario: every document is a 10-token window on a token
+# line, so under JACCARD_RULE (token Jaccard ≥ 0.6) two documents link
+# exactly when their window starts differ by at most 2. Planted twin
+# chains then give controlled components, and each epoch plants one
+# event: a split, a merge, a component whose links all vanish, and
+# the removal of the last link.
+JACCARD_RULE = {
+    "operator": {
+        "metric": "jaccard",
+        "threshold": 0.4,
+        "source": {"transform": "tokenize", "inputs": [{"path": "content"}]},
+        "target": {"transform": "tokenize", "inputs": [{"path": "content"}]},
+    },
+}
+
+EDGE_EPOCHS = [
+    # 1: chain a0–a–c–c0, twins d–e and h–i (e–h is Δ3), twins f–g
+    [("I", "a0", 0), ("I", "a", 2), ("I", "c", 4), ("I", "c0", 6),
+     ("I", "d", 100), ("I", "e", 102), ("I", "h", 105), ("I", "i", 106),
+     ("I", "f", 200), ("I", "g", 201)],
+    # 2: split — c moves off a (Δ3) but stays on c0 (Δ1): bridge a–c gone
+    [("U", "c", 5)],
+    # 3: merge — h moves onto e (Δ2) and keeps i (Δ2)
+    [("U", "h", 104)],
+    # 4: vanish — g's deletion leaves f with no link
+    [("D", "g", None)],
+    # 5: no link left — one end of every remaining link is deleted
+    [("D", "a", None), ("D", "c", None), ("D", "e", None), ("D", "h", None)],
+]
+
+
+def _uri(name: str) -> str:
+    return f"repo-{name}//src/{name}.py"
+
+
+def _edge_changelog(n_epochs: int):
+    rows = []
+    for events in EDGE_EPOCHS[:n_epochs]:
+        for op, name, start in events:
+            content = None if start is None else " ".join(f"w{start + k:03d}" for k in range(10))
+            rows.append(
+                {"offset": len(rows), "op": op, "repo": f"repo-{name}", "path": f"src/{name}.py",
+                 "commit": f"{name}-{len(rows)}", "lang": "py", "content": content, "branch": None}
+            )
+    return pa.Table.from_pylist(rows, schema=CHANGELOG_SCHEMA)
+
+
+def test_edge_cases_split_merge_vanish_empty(tmp_path, ray_session):
+    """One planted event per epoch, each checked against the batch
+    union-find and against the component shape it must produce."""
+    root = str(tmp_path / "lake")
+    cfg = EngineConfig(
+        epoch_size=1_000, num_partitions=2, n_block_partitions=4,
+        rule_spec=JACCARD_RULE, maintain_clusters=True, max_epochs=1,
+    )
+    expected = [
+        [{"a0", "a", "c", "c0"}, {"d", "e"}, {"h", "i"}, {"f", "g"}],
+        [{"a0", "a"}, {"c", "c0"}, {"d", "e"}, {"h", "i"}, {"f", "g"}],
+        [{"a0", "a"}, {"c", "c0"}, {"d", "e", "h", "i"}, {"f", "g"}],
+        [{"a0", "a"}, {"c", "c0"}, {"d", "e", "h", "i"}],
+        [],
+    ]
+    for n, want in enumerate(expected, start=1):
+        (m,) = run(root, _edge_changelog(n), cfg)
+        assert m["clusters"]["mode"] == ("full" if n == 1 else "delta"), m["clusters"]
+        maintained = _maintained(root)
+        assert maintained == _batch_cc(links_table(root)), n
+        groups: dict = {}
+        for uri, cid in maintained.items():
+            groups.setdefault(cid, set()).add(uri)
+        assert sorted(map(sorted, groups.values())) == sorted(
+            sorted(_uri(x) for x in g) for g in want
+        ), n
+    t = clusters_table(root)
+    assert t.num_rows == 0
+    assert t.schema == pa.schema([("uri", pa.string()), ("cluster_id", pa.string())])

@@ -66,6 +66,53 @@ def _tier_sql_builders() -> dict:
     }
 
 
+def test_combiners_count_rows_not_non_null_values():
+    """The partial aggregates count rows, as ``count(*)`` does: a null in
+    the counted column still counts (label_stats' mean still skips it
+    through its separate non-null count)."""
+    import datetime
+
+    import pyarrow as pa
+
+    from silk_ray.pipelines.queries import (
+        _label_stats_partial,
+        _mktsegment_partial,
+        _q1_partial,
+    )
+
+    day = datetime.datetime(1995, 1, 1)
+    q1 = _q1_partial(
+        pa.table(
+            {
+                "l_returnflag": ["A", "A", "R"],
+                "l_linestatus": ["F", "F", "F"],
+                "l_quantity": [1.0, None, 3.0],
+                "l_extendedprice": [10.0, 20.0, 30.0],
+                "l_discount": [0.1, 0.1, 0.0],
+                "l_shipdate": pa.array([day] * 3, pa.timestamp("us")),
+            }
+        )
+    )
+    assert dict(zip(q1["l_returnflag"].to_pylist(), q1["p_n"].to_pylist())) == {"A": 2, "R": 1}
+
+    seg = _mktsegment_partial(pa.table({"c_mktsegment": ["A", None, None, "B"]}))
+    assert dict(zip(seg["c_mktsegment"].to_pylist(), seg["p_n"].to_pylist())) == {
+        "A": 1, None: 2, "B": 1,
+    }
+
+    emb = pa.table(
+        {
+            "label": pa.array([1, 1, 2], pa.int32()),
+            "embedding": pa.array([[1.0, 0.0], None, [3.0]], pa.list_(pa.float32())),
+        }
+    )
+    ls = _label_stats_partial(emb).sort_by("label").to_pylist()
+    assert ls == [
+        {"label": 1, "p_n": 2, "p_nn": 1, "p_sum": 1.0},
+        {"label": 2, "p_n": 1, "p_nn": 1, "p_sum": 3.0},
+    ]
+
+
 def test_every_sql_for_builder_has_a_tier_rebuild():
     """Guard: any oracle built from a *_sql_for(sf_dir) builder is
     tier-pinned at registry time and MUST be in _tier_sql_builders, or

@@ -190,3 +190,34 @@ def test_link_store_default_retention(ray_session, tmp_path):
     assert _links_rows(links_table(root, at_epoch=current - 1)) == last_before
     with pytest.raises(FileNotFoundError, match="retention window"):
         links_table(root, at_epoch=current - 2)
+
+
+@pytest.mark.parametrize("store", ["links", "clusters"])
+def test_state_commit_syncs_pointer_and_snapshot(tmp_path, monkeypatch, store):
+    """A state commit fsyncs both the pointer and its per-epoch
+    snapshot before publishing them: time-travel reads and GC trust the
+    snapshot as much as the pointer."""
+    import os
+
+    from silk_ray.cdc.clusters import commit_clusterstate
+    from silk_ray.cdc.incremental import commit_linkstate
+
+    commit, pointer, snap_dir = {
+        "links": (commit_linkstate, "_linkstate.json", "_linkstates"),
+        "clusters": (commit_clusterstate, "_clusterstate.json", "_clusterstates"),
+    }[store]
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    root = str(tmp_path)
+    commit(root, {"epoch": 3, "dir": None})
+    published = [
+        os.stat(os.path.join(root, pointer)).st_ino,
+        os.stat(os.path.join(root, snap_dir, "state-000003.json")).st_ino,
+    ]
+    assert sorted(synced) == sorted(published)

@@ -568,15 +568,16 @@ def test_csv_autodetect_merges_caller_options(ray_session, tmp_path):
             f.write(f"x{i};{i};z\n")
     # caller supplies read_options (without skip_rows) AND a wrong
     # delimiter in parse_options; detection must win on both fronts
+    ro = pacsv.ReadOptions(block_size=1 << 20)
+    po = pacsv.ParseOptions(delimiter="\t")
     df = read_dataset(
-        p,
-        format="csv",
-        separator="auto",
-        read_options=pacsv.ReadOptions(block_size=1 << 20),
-        parse_options=pacsv.ParseOptions(delimiter="\t"),
+        p, format="csv", separator="auto", read_options=ro, parse_options=po
     ).to_pandas()
     assert list(df.columns) == ["a", "b", "c"]
     assert len(df) == 90
+    # ...on copies: the caller's option objects stay as they were
+    assert (ro.skip_rows, ro.block_size) == (0, 1 << 20)
+    assert po.delimiter == "\t"
 
 
 def test_zip_extraction_atomic_publish(tmp_path):
