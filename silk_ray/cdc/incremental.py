@@ -244,6 +244,7 @@ class DeltaIndexStage:
 
 
 COMPACT_AT = 8  # delta files per blockmap partition before compaction
+SPLIT_ROWS = 1000  # delta rows per loader task before a bp is key-sub-split
 
 
 def _delta_schema(n_leaves: int) -> pa.Schema:
@@ -376,7 +377,6 @@ def _lrs_bundle(
 
     from silk_ray.linking.pipeline import PairScorer
 
-    t_start = time.perf_counter()
     parts = []
     chain_memo: dict[tuple, pa.Table] = {}
     for files, msplit, rsplit in zip(bucket["files"], bucket["msplits"], bucket["rsplits"]):
@@ -395,16 +395,9 @@ def _lrs_bundle(
         parts.append(t)
     loaded = pa.concat_tables(parts) if parts else _exploded_schema(n_leaves).empty_table()
     loaded = loaded.append_column("dirty", pc.is_in(loaded["uri"], value_set=uri_arr))
-    t_mid = time.perf_counter()
     scorer = PairScorer(payload, limit=limit, source_equals_target=True, dirty_col="dirty")
     out = scorer(loaded)
     out = out.append_column("epoch_added", pa.array([epoch] * out.num_rows, pa.int32()))
-    if os.environ.get("SILKRAY_LINK_PROFILE"):
-        print(
-            f"[lrs] load={t_mid - t_start:.2f} score={time.perf_counter() - t_mid:.2f} "
-            f"rows={loaded.num_rows}",
-            flush=True,
-        )
     return out
 
 
@@ -511,7 +504,7 @@ def update_links(
     _t_prev = [time.perf_counter()]
 
     def _mark(name: str) -> None:
-        # per-phase wall clock, printed when SILKRAY_LINK_PHASES is set
+        # per-phase wall clock: the ``phases`` map of the metrics record
         now = time.perf_counter()
         _phases.append((name, now - _t_prev[0]))
         _t_prev[0] = now
@@ -567,6 +560,7 @@ def update_links(
             batch_format="pyarrow",
         )
         summary_batches = list(summary_ds.iter_batches(batch_format="pyarrow"))
+        _mark("delta_index")
 
     import pyarrow.compute as pc
 
@@ -652,7 +646,6 @@ def update_links(
         rows_per_bp = dict(
             zip(bp_counts["bp"].to_pylist(), bp_counts["bp_count"].to_pylist())
         )
-    SPLIT_ROWS = int(os.environ.get("SILKRAY_SPLIT_ROWS", "1000"))
     loader_items = []
     for bp in affected_bps:
         if not bm_files.get(bp):
@@ -839,9 +832,9 @@ def update_links(
         "affected_block_partitions": len(affected_bps),
         "links_total": _count_links(root, state),
     }
+    _mark("metrics")
+    metrics["phases"] = {name: round(sec, 6) for name, sec in _phases}
     _append_link_metrics(root, epoch, metrics)
-    if os.environ.get("SILKRAY_LINK_PHASES"):
-        print(f"[link-phases] epoch={epoch} " + " ".join(f"{n}={d:.2f}" for n, d in _phases), flush=True)
     return metrics
 
 

@@ -150,6 +150,39 @@ def _batch_to_entities(batch: pa.Table, paths: list[str]) -> list[dict]:
     return out
 
 
+def _list_column_to_pylist(col: pa.Array | pa.ChunkedArray) -> list:
+    """``col.to_pylist()`` for a list column of strings or numbers, in one
+    vectorised pass per chunk: the flattened child converts to Python
+    objects at once and each row is a slice of it by the list offsets.
+    ``to_pylist()`` builds one scalar per element (about 1.5 µs per
+    string). Same values: ``None`` for a null list, ``[]`` for an empty
+    list, ``None`` for a null element."""
+    out: list = []
+    for arr in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
+        if not len(arr):
+            continue
+        offs = arr.offsets.to_numpy()
+        lo = int(offs[0])
+        child = arr.values.slice(lo, int(offs[-1]) - lo)
+        flat = child.to_numpy(zero_copy_only=False)
+        if child.null_count and flat.dtype != object:  # numbers: nulls came back as NaN
+            flat = child.fill_null(0).to_numpy(zero_copy_only=False).astype(object)
+            flat[child.is_null().to_numpy(zero_copy_only=False)] = None
+        flat = flat.tolist()
+        bounds = (offs - lo).tolist()
+        rows = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        if arr.null_count:
+            for i in np.flatnonzero(arr.is_null().to_numpy(zero_copy_only=False)).tolist():
+                rows[i] = None
+        out.extend(rows)
+    return out
+
+
+_LINKS_SCHEMA = pa.schema(
+    [("source", pa.string()), ("target", pa.string()), ("confidence", pa.float64())]
+)
+
+
 def _exploded_schema(n_leaves: int) -> pa.Schema:
     fields = [
         pa.field("key", pa.int64()),
@@ -287,7 +320,11 @@ class PairScorer:
     exactly once across all its shared blocks.
 
     ``dirty_col``: when set (incremental re-link), pairs need >=1 dirty
-    side and blocks with no dirty row are skipped entirely."""
+    side and blocks with no dirty row are skipped entirely.
+
+    The ``keys`` and ``vals_*`` list columns reach Python through
+    :func:`_list_column_to_pylist`, one vectorised pass per column:
+    element-wise ``to_pylist()`` was half of the scorer's time."""
 
     def __init__(
         self,
@@ -300,14 +337,6 @@ class PairScorer:
         self.limit = limit
         self.source_equals_target = source_equals_target
         self.dirty_col = dirty_col
-
-    _EMPTY = pa.schema(
-        [
-            pa.field("source", pa.string()),
-            pa.field("target", pa.string()),
-            pa.field("confidence", pa.float64()),
-        ]
-    )
 
     def _score_levenshtein_vectorized(self, part: pa.Table, op) -> pa.Table:
         """Fast path for a single-``levenshteinDistance``-comparison rule
@@ -359,7 +388,7 @@ class PairScorer:
         src = flat.filter(pc.equal(flat["side"], 1)).drop_columns(["side"])
         tgt = flat.filter(pc.equal(flat["side"], 0)).drop_columns(["side"])
         if not src.num_rows or not tgt.num_rows:
-            return self._EMPTY.empty_table()
+            return _LINKS_SCHEMA.empty_table()
         con = _duck()
         con.register("_sr_src", src)
         con.register("_sr_tgt", tgt)
@@ -377,7 +406,7 @@ class PairScorer:
         con.unregister("_sr_src")
         con.unregister("_sr_tgt")
         uris = part["uri"].to_pylist()
-        keysets = part["keys"].to_pylist()
+        keysets = _list_column_to_pylist(part["keys"])
         dirty = part[self.dirty_col].to_numpy(zero_copy_only=False) if self.dirty_col else None
         set_cache: dict[int, frozenset] = {}
 
@@ -430,8 +459,8 @@ class PairScorer:
         keys_col = part["key"].to_numpy(zero_copy_only=False)
         sides = part["side"].to_numpy(zero_copy_only=False)
         uris = part["uri"].to_pylist()
-        key_sets = [frozenset(k) for k in part["keys"].to_pylist()]
-        vals_cols = [part[f"vals_{i}"].to_pylist() for i in range(n_leaves)]
+        key_sets = [frozenset(k) for k in _list_column_to_pylist(part["keys"])]
+        vals_cols = [_list_column_to_pylist(part[f"vals_{i}"]) for i in range(n_leaves)]
         dirty = part[self.dirty_col].to_numpy(zero_copy_only=False) if self.dirty_col else None
         # per-row prepared leaf values, computed lazily once per row
         prepared: list = [None] * len(uris)
@@ -514,9 +543,7 @@ def _score_partitioned(exploded, scorer, score_partitions: int):
         import time as _time
 
         if group.num_rows == 0:
-            return pa.schema(
-                [("source", pa.string()), ("target", pa.string()), ("confidence", pa.float64())]
-            ).empty_table()
+            return _LINKS_SCHEMA.empty_table()
         t0 = _time.perf_counter()
         out = scorer(group)
         dt = _time.perf_counter() - t0
@@ -564,15 +591,22 @@ def apply_link_filter(links, limit_per_source: int, filter_partitions: int = 64)
     def local_prune(df: pd.DataFrame) -> pd.DataFrame:
         return _topk_per_source(df, limit_per_source)
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        return _topk_per_source(g, limit_per_source).drop(columns=["spart"])
-
     return (
         links.map_batches(local_prune, batch_format="pandas")
         .map_batches(_add_spart(filter_partitions), batch_format="pandas")
         .sort("spart")
-        .map_batches(topk, batch_format="pandas", batch_size=None)
+        .map_batches(
+            lambda g: _topk_block(g, limit_per_source), batch_format="pandas", batch_size=None
+        )
     )
+
+
+def _topk_block(g, k: int):
+    """Top-k over one post-exchange block. A zero-row block may arrive
+    schema-less from the sort: it becomes the typed empty links table."""
+    if len(g) == 0:
+        return _LINKS_SCHEMA.empty_table()
+    return _topk_per_source(g, k).drop(columns=["spart"])
 
 
 def _topk_per_source(df, k: int):
@@ -602,18 +636,21 @@ def apply_unambiguous_filter(links, filter_partitions: int = 64):
     URI's single link iff that source has EXACTLY ONE distinct link.
     The scoring pipeline already emits each (source, target) pair once,
     so distinct-link count per source == row count per source."""
-    import pandas as pd
-
-    def keep_unambiguous(g: pd.DataFrame) -> pd.DataFrame:
-        n = g.groupby("source", sort=False)["target"].transform("size")
-        out = g[n == 1]
-        return out.drop(columns=["spart"])
-
     return (
         links.map_batches(_add_spart(filter_partitions), batch_format="pandas")
         .sort("spart")
-        .map_batches(keep_unambiguous, batch_format="pandas", batch_size=None)
+        .map_batches(_unambiguous_block, batch_format="pandas", batch_size=None)
     )
+
+
+def _unambiguous_block(g):
+    """Sources with exactly one link in one post-exchange block (the
+    exchange puts all of a source's links in one block). A zero-row
+    block may arrive schema-less: it becomes the typed empty links table."""
+    if len(g) == 0:
+        return _LINKS_SCHEMA.empty_table()
+    n = g.groupby("source", sort=False)["target"].transform("size")
+    return g[n == 1].drop(columns=["spart"])
 
 
 def include_reference_links(links, positive=None, negative=None):

@@ -3098,11 +3098,18 @@ def _ensure_cdc_tdd_changelog(sf_dir: str) -> tuple[pa.Table, int]:
     binlog (code + docs incl. the docs mid-stream schema evolution)
     tagged with binlog transactions, then deterministically malformed
     — every 17th row cycles op='X' / op=NULL / repo='' / path=NULL.
-    Driver-side row loop is oracle-tier generation only (≤ sf0.1)."""
+    Driver-side row loop is oracle-tier generation only (≤ sf0.1).
+    When the persisted file exists it is returned, so the engine reads
+    the very rows the SQL oracle reads."""
     import pyarrow.parquet as pq
 
     from silk_ray.cdc.generator import assign_txns
 
+    path = _cdc_tdd_changelog_path(sf_dir)
+    if os.path.exists(path):
+        # base_from_documents keeps one row per document
+        n_base = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+        return pq.read_table(path), n_base
     combined, n_base = _ensure_cdc_multi_changelog(sf_dir)
     tagged = assign_txns(combined, seed=23, mean_size=6, untagged_frac=0.2)
     rows = tagged.to_pylist()
@@ -3117,12 +3124,10 @@ def _ensure_cdc_tdd_changelog(sf_dir: str) -> tuple[pa.Table, int]:
         else:
             rows[i]["path"] = None
     bad = pa.Table.from_pylist(rows, schema=tagged.schema)
-    path = _cdc_tdd_changelog_path(sf_dir)
-    if not os.path.exists(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp-{os.getpid()}"
-        pq.write_table(bad, tmp)
-        os.replace(tmp, path)  # atomic: concurrent writers both win
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.tmp-{os.getpid()}"
+    pq.write_table(bad, tmp)
+    os.replace(tmp, path)  # atomic: concurrent writers both win
     return bad, n_base
 
 

@@ -67,6 +67,42 @@ def test_link_metrics_emitted(engine_run):
         assert "skew_ratio" in m
 
 
+def test_link_phases_in_metrics_record(ray_session, tmp_path):
+    """update_links writes its phase wall times as a ``phases`` map into
+    the epoch's ``_metrics/links-E.json`` record and its return value,
+    and the phases account for the wall time of the call."""
+    import json
+    import os
+    import time
+
+    import pyarrow.compute as pc
+
+    from silk_ray.cdc.incremental import update_links
+    from silk_ray.cdc.merge import run_epoch
+
+    base = make_base_table(60, seed=81, near_dup_frac=0.2)
+    log = make_changelog(base, 300, seed=82)
+    root = str(tmp_path / "lake")
+    cfg = EngineConfig(
+        epoch_size=150, num_partitions=4, n_block_partitions=16, rule_spec=UNFILTERED_RULE
+    )
+    run(root, log.filter(pc.less(log["offset"], 150)), cfg)
+    epoch = run_epoch(
+        root, log, epoch_size=150, num_partitions=4,
+        link_spec=UNFILTERED_RULE, n_block_partitions=16,
+    )["epoch"]
+    t0 = time.perf_counter()
+    metrics = update_links(root, UNFILTERED_RULE, epoch, n_block_partitions=16)
+    wall = time.perf_counter() - t0
+    with open(os.path.join(root, "_metrics", f"links-{epoch:06d}.json")) as f:
+        record = json.load(f)
+    phases = record["phases"]
+    assert phases == metrics["phases"]
+    assert {"read_summaries", "plan_build", "score_and_write", "commit_gc"} <= set(phases)
+    assert all(v >= 0 for v in phases.values())
+    assert abs(sum(phases.values()) - wall) <= 0.1 * wall
+
+
 def test_second_epoch_is_delta_sized(engine_run):
     """Epoch 2 must re-score only dirty-adjacent entities, not the lake."""
     _root, _log, metrics = engine_run

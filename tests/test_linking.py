@@ -361,3 +361,177 @@ def test_topk_per_source_matches_pandas_contract():
             )
         ), k
     assert len(_topk_per_source(df.head(0), 3)) == 0
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        pa.array([["é", None, "x"], None, [], ["ß🙂", ""], None, ["a"]], pa.list_(pa.string())),
+        pa.array([[1, None, 3], None, [], [2**62, -(2**63)], [None], [-5]], pa.list_(pa.int64())),
+    ],
+    ids=["list_string", "list_int64"],
+)
+def test_list_column_to_pylist_matches_to_pylist(arr):
+    """The scorer's vectorised list conversion returns exactly what
+    to_pylist() returns: None for a null list, [] for an empty list,
+    None for a null element, the same Python types — on chunked and
+    sliced inputs, whose offsets do not start at zero."""
+    from silk_ray.linking.pipeline import _list_column_to_pylist
+
+    cases = [
+        arr,
+        arr.slice(1),
+        arr.slice(2, 3),
+        arr.slice(len(arr)),
+        pa.chunked_array([], arr.type),
+        pa.chunked_array([arr.slice(0, 0), arr.slice(1, 2), arr.slice(3)]),
+        pa.chunked_array([arr, arr.slice(4)]),
+    ]
+
+    def types(rows):
+        return [type(x) for r in rows if r for x in r]
+
+    for col in cases:
+        got, want = _list_column_to_pylist(col), col.to_pylist()
+        assert got == want
+        assert types(got) == types(want)
+
+
+@pytest.mark.parametrize("dirty_col", [None, "dirty"])
+def test_pair_scorer_generic_path_matches_brute_force(dirty_col):
+    """PairScorer's generic path over a hand-built exploded table (null
+    and empty value lists, per-side key sets, an asymmetric rule whose
+    source and target values differ per side, two record batches) equals
+    a brute-force reference: every side-1 × side-0 entity pair sharing
+    a key, scored once with ``score_from_leaf_values``, kept when
+    s < t (triangular), when a side is dirty, and when score >= limit."""
+    import random
+
+    from silk_ray.linking.pipeline import PairScorer, _exploded_schema
+
+    rule_spec = {
+        "operator": {
+            "aggregator": "average",
+            "operators": [
+                {
+                    "metric": "levenshteinDistance",
+                    "threshold": 2.0,
+                    "source": {"path": "s_name"},
+                    "target": {"path": "t_name"},
+                },
+                {
+                    "metric": "jaccard",
+                    "threshold": 0.7,
+                    "source": {"path": "s_tok"},
+                    "target": {"path": "t_tok"},
+                },
+            ],
+        },
+    }
+    rule = rule_from_dict(rule_spec)
+    limit = 0.2
+    rng = random.Random(11)
+
+    def name():
+        r = rng.random()
+        if r < 0.1:
+            return None
+        return [] if r < 0.2 else ["".join(rng.choices("abé", k=rng.randint(2, 4)))]
+
+    def toks():
+        return [] if rng.random() < 0.1 else sorted(set(rng.choices("xyzw", k=3)))
+
+    ents = []
+    for e in range(40):
+        ents.append({
+            "uri": f"u{e:03d}",
+            "dirty": rng.random() < 0.3,
+            # side -> (keys, [vals_0, vals_1])
+            1: (set(rng.sample(range(6), rng.randint(1, 3))), [name(), toks()]),
+            0: (set(rng.sample(range(6), rng.randint(1, 3))), [name(), toks()]),
+        })
+    rows = []
+    for ent in ents:
+        for side in (1, 0):
+            keys, vals = ent[side]
+            for k in sorted(keys):
+                rows.append({
+                    "key": k, "side": side, "uri": ent["uri"], "keys": sorted(keys),
+                    "vals_0": vals[0], "vals_1": vals[1], "dirty": ent["dirty"],
+                })
+    rng.shuffle(rows)
+    schema = _exploded_schema(2).append(pa.field("dirty", pa.bool_()))
+    half = len(rows) // 2
+    part = pa.Table.from_batches([
+        pa.RecordBatch.from_pylist(rows[:half], schema=schema),
+        pa.RecordBatch.from_pylist(rows[half:], schema=schema),
+    ])
+
+    got = PairScorer(rule_spec, limit=limit, source_equals_target=True, dirty_col=dirty_col)(part)
+    assert got.schema.names == ["source", "target", "confidence"]
+    got_rows = sorted(zip(*(got[c].to_pylist() for c in got.schema.names)))
+
+    want = []
+    for s in ents:
+        for t in ents:
+            if s["uri"] >= t["uri"] or not (s[1][0] & t[0][0]):
+                continue
+            if dirty_col and not (s["dirty"] or t["dirty"]):
+                continue
+            score = rule.score_from_leaf_values(s[1][1], t[0][1], limit)
+            if score is not None and score >= limit:
+                want.append((s["uri"], t["uri"], score))
+    want.sort()
+    assert len(want) > 5
+    assert [(s, t) for s, t, _ in got_rows] == [(s, t) for s, t, _ in want]
+    assert [c for *_, c in got_rows] == pytest.approx([c for *_, c in want])
+
+
+@pytest.mark.parametrize("blocks", [0, 3])
+def test_link_filters_empty_and_multi_block(ray_session, blocks):
+    """Top-k and unambiguous filters on an empty links dataset return no
+    rows; with one source's links spread over several blocks they see
+    that source as a whole. Each filter's post-exchange block step turns
+    a zero-row, schema-less block into the typed empty links table."""
+    import pandas as pd
+    import ray.data as rd
+
+    from silk_ray.linking.pipeline import (
+        _topk_block,
+        _unambiguous_block,
+        apply_link_filter,
+        apply_unambiguous_filter,
+    )
+
+    schema = pa.schema(
+        [("source", pa.string()), ("target", pa.string()), ("confidence", pa.float64())]
+    )
+    assert _topk_block(pd.DataFrame(), 2).equals(schema.empty_table())
+    assert _unambiguous_block(pd.DataFrame()).equals(schema.empty_table())
+
+    links = [
+        ("s1", "t1", 0.9), ("s1", "t2", 0.5), ("s2", "t3", 0.7),
+        ("s1", "t3", 0.8), ("s3", "t1", 0.4), ("s1", "t4", 0.95),
+    ]
+    tables = [
+        pa.Table.from_pylist(
+            [dict(zip(schema.names, r)) for r in links[i::blocks]], schema=schema
+        )
+        for i in range(blocks)
+    ] or [schema.empty_table()]
+    ds = rd.from_arrow(tables)
+    assert ds.num_blocks() == max(blocks, 1)
+
+    def rows(out):
+        df = out.to_pandas()
+        return sorted(zip(*(df[c] for c in schema.names))) if len(df) else []
+
+    top2 = rows(apply_link_filter(ds, 2, filter_partitions=4))
+    unamb = rows(apply_unambiguous_filter(ds, filter_partitions=4))
+    if not blocks:
+        assert top2 == [] and unamb == []
+        return
+    assert top2 == [
+        ("s1", "t1", 0.9), ("s1", "t4", 0.95), ("s2", "t3", 0.7), ("s3", "t1", 0.4)
+    ]
+    assert unamb == [("s2", "t3", 0.7), ("s3", "t1", 0.4)]

@@ -113,6 +113,34 @@ def test_combiners_count_rows_not_non_null_values():
     ]
 
 
+def test_tdd_changelog_reads_its_cache_back(tmp_path):
+    """The txn × DLQ × demux engine run reads the persisted changelog
+    (the rows its DuckDB oracle reads), not a fresh in-memory copy."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from silk_ray.pipelines.queries import (
+        _cdc_tdd_changelog_path,
+        _ensure_cdc_tdd_changelog,
+    )
+
+    sf_dir = str(tmp_path / "sf")
+    os.makedirs(sf_dir)
+    pq.write_table(pa.table({"doc_id": list(range(7))}), os.path.join(sf_dir, "documents.parquet"))
+    cached = pa.table({"offset": pa.array([3, 1], pa.int64()), "op": ["I", "X"]})
+    path = _cdc_tdd_changelog_path(sf_dir)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(cached, path)
+    try:
+        log, n_base = _ensure_cdc_tdd_changelog(sf_dir)
+    finally:
+        os.unlink(path)
+    assert log.equals(cached)
+    assert n_base == 7
+
+
 def test_every_sql_for_builder_has_a_tier_rebuild():
     """Guard: any oracle built from a *_sql_for(sf_dir) builder is
     tier-pinned at registry time and MUST be in _tier_sql_builders, or

@@ -23,10 +23,10 @@ This script discriminates them with three in-run controls:
    curve; throttling predicts run 2 STARTS at run 1's final (hot)
    pace.
 
-3. **Per-epoch link-phase splits.** ``SILKRAY_LINK_PHASES=1`` phase
-   lines are captured and emitted per epoch, plus the merge residual
-   (epoch_seconds - link total): whichever phase carries the ramp is
-   named, so a state-growth bug cannot hide inside an aggregate.
+3. **Per-epoch link-phase splits.** The ``phases`` map of each epoch's
+   ``_metrics/links-E.json`` record is emitted per epoch, plus the merge
+   residual (epoch_seconds - link total): whichever phase carries the
+   ramp is named, so a state-growth bug cannot hide inside an aggregate.
 
 Usage (defaults match the bench --scaling deep-catch-up workload):
 
@@ -37,10 +37,8 @@ Prints one JSON line; findings land in BASELINE.md.
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import re
 import sys
 import tempfile
 import time
@@ -49,7 +47,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 os.environ.setdefault("SILKRAY_SCALE_EVENTS", "4800000")
 os.environ.setdefault("SILKRAY_SCALE_CORPUS", "12")
-os.environ["SILKRAY_LINK_PHASES"] = "1"
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -77,27 +74,18 @@ def _probe_proc(out_path: str, stop_path: str) -> None:
         f.writelines(buf)
 
 
-class _Tee(io.TextIOBase):
-    """stdout tee that records [link-phases] lines and forwards all."""
-
-    def __init__(self, real):
-        self.real = real
-        self.phase_lines: list[str] = []
-        self._buf = ""
-
-    def write(self, s: str) -> int:
-        self._buf += s
-        while "\n" in self._buf:
-            line, self._buf = self._buf.split("\n", 1)
-            if "[link-phases]" in line:
-                self.phase_lines.append(line.strip())
-        return self.real.write(s)
-
-    def flush(self):
-        self.real.flush()
+def _link_phases(root: str) -> list[dict]:
+    """Per-epoch link-phase seconds from the lake's metrics records."""
+    d = os.path.join(root, "_metrics")
+    out = []
+    for name in sorted(os.listdir(d)):
+        if name.startswith("links-") and name.endswith(".json"):
+            with open(os.path.join(d, name)) as f:
+                out.append(json.load(f)["phases"])
+    return out
 
 
-def _one_run(seg_dir: str, corpus_x: int, tee: _Tee) -> dict:
+def _one_run(seg_dir: str, corpus_x: int) -> dict:
     import shutil
 
     from silk_ray.cdc.engine import EngineConfig, run
@@ -113,11 +101,11 @@ def _one_run(seg_dir: str, corpus_x: int, tee: _Tee) -> dict:
         n_block_partitions=64 * corpus_x,
         rule_spec=spec,
     )
-    mark = len(tee.phase_lines)
     t0_wall = time.time()
     t0 = time.perf_counter()
     metrics = run(root, seg_dir, cfg)
     dt = time.perf_counter() - t0
+    phases = _link_phases(root)
     shutil.rmtree(root, ignore_errors=True)
 
     # reconstruct epoch wall windows: epochs run sequentially; scale
@@ -129,14 +117,6 @@ def _one_run(seg_dir: str, corpus_x: int, tee: _Tee) -> dict:
         bounds.append((t0_wall + dt * acc / total_ep, t0_wall + dt * (acc + e) / total_ep))
         acc += e
 
-    # per-epoch link-phase splits from the captured stdout lines
-    phases: list[dict] = []
-    for line in tee.phase_lines[mark:]:
-        d = dict(
-            (m.group(1), float(m.group(2)))
-            for m in re.finditer(r"(\w+)=([0-9.]+)", line)
-        )
-        phases.append(d)
     return {
         "seconds": round(dt, 2),
         "events_applied": sum(m["events_applied"] for m in metrics),
@@ -144,7 +124,7 @@ def _one_run(seg_dir: str, corpus_x: int, tee: _Tee) -> dict:
         "epoch_windows": bounds,
         "link_phase_seconds": phases,
         "merge_residual_seconds": [
-            round(e - sum(v for k, v in p.items() if k != "epoch"), 2)
+            round(e - sum(p.values()), 2)
             for e, p in zip(eps, phases)
         ]
         if len(phases) == len(eps)
@@ -176,14 +156,9 @@ def main() -> None:
     proc.start()
     time.sleep(3)  # a few unloaded-baseline samples before the run
 
-    tee = _Tee(sys.stdout)
-    old_stdout, sys.stdout = sys.stdout, tee
-    try:
-        runs = [_one_run(seg_dir, corpus_x, tee)]
-        if "--double" in sys.argv:
-            runs.append(_one_run(seg_dir, corpus_x, tee))
-    finally:
-        sys.stdout = old_stdout
+    runs = [_one_run(seg_dir, corpus_x)]
+    if "--double" in sys.argv:
+        runs.append(_one_run(seg_dir, corpus_x))
     with open(stop_file, "w") as f:
         f.write("stop")
     proc.join(timeout=30)
