@@ -386,30 +386,20 @@ def cmd_status(args) -> int:
                       "skew_ratio", "dirty_total")
             if k in last
         }
+    from silk_ray.cdc.egress import consumer_lag
+
+    extras = {
+        "links": lambda st: {"links_total": st.get("links_total")},
+        "windows": lambda st: {"watermark_us": st.get("watermark_us")},
+        "egress": lambda st: {"next_seq": st["next_seq"],
+                              "consumer_lag": consumer_lag(args.root)},
+    }
     stores: dict = {}
-    from silk_ray.cdc.incremental import read_linkstate
-    links = read_linkstate(args.root)
-    if links.get("epoch", 0):
-        stores["links"] = {"epoch": links["epoch"],
-                           "links_total": links.get("links_total")}
-    from silk_ray.cdc.clusters import read_clusterstate
-    cl = read_clusterstate(args.root)
-    if cl.get("epoch", 0):
-        stores["clusters"] = {"epoch": cl["epoch"]}
-    from silk_ray.cdc.matview import read_aggstate
-    agg = read_aggstate(args.root)
-    if agg.get("epoch", 0):
-        stores["agg_view"] = {"epoch": agg["epoch"]}
-    from silk_ray.cdc.windows import read_winstate
-    win = read_winstate(args.root)
-    if win.get("epoch", 0):
-        stores["windows"] = {"epoch": win["epoch"],
-                             "watermark_us": win.get("watermark_us")}
-    from silk_ray.cdc.egress import consumer_lag, read_egressstate
-    eg = read_egressstate(args.root)
-    if eg.get("epoch", 0):
-        stores["egress"] = {"epoch": eg["epoch"], "next_seq": eg["next_seq"],
-                            "consumer_lag": consumer_lag(args.root)}
+    for store in ckpt.STORES:
+        st = store.read(args.root)
+        if store is not ckpt.LAKE and st["epoch"]:  # the lake is reported above
+            stores[store.name] = {"epoch": st["epoch"],
+                                  **extras.get(store.name, lambda st: {})(st)}
     out["stores"] = stores
     # a store lagging the lake by >1 epoch points at a crashed catch-up
     out["store_lag_epochs"] = {

@@ -244,21 +244,10 @@ def export_snapshot(root: str, out_dir: str, at_epoch: int | None = None) -> dic
         "files": files,
         "num_partitions": manifest.num_partitions,
     }
-    import json
-
-    tmp = f"{marker_path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(marker, f, sort_keys=True)
-    os.replace(tmp, marker_path)
+    ckpt.atomic_write_json(marker_path, marker)
     return marker
 
 
 def read_snapshot_marker(path: str) -> dict | None:
     """The _SNAPSHOT.json of an exported snapshot directory, if any."""
-    import json
-
-    p = os.path.join(path, "_SNAPSHOT.json") if os.path.isdir(path) else None
-    if p is None or not os.path.exists(p):
-        return None
-    with open(p) as f:
-        return json.load(f)
+    return ckpt.read_json(os.path.join(path, "_SNAPSHOT.json")) if os.path.isdir(path) else None

@@ -1,31 +1,52 @@
-"""Lake-table checkpointing: atomic manifest + offset log.
+"""Epoch stores: one commit, as-of read and retention-GC protocol for
+every state store of the engine (:class:`EpochStore`).
 
-Exactly-once design (north_rule; SURVEY.md §7.1 step 5):
+A store is a JSON state *pointer* swapped atomically once per epoch,
+optionally a per-epoch *snapshot* of that state (as-of-epoch reads),
+and a *data dir* whose files the committed states reference. GC keeps
+what the pointer, its one-epoch rollback set ("prev") and the retained
+snapshots reference (E = pointer epoch, K = ``retain_epochs`` ≥ 1)
+and trims snapshots at or below the floor E-K-1:
 
-- lake layout::
+========  ==================  ===========================  ===========  =======================================
+store     pointer             snapshots                    data dir     GC keeps
+========  ==================  ===========================  ===========  =======================================
+lake      _manifest.json      _manifests/manifest-E.json   partitions/  pointer, prev_files, snapshots E-K..E-1
+links     _linkstate.json     _linkstates/state-E.json     links/       pointer, links_files_prev, snapshots
+clusters  _clusterstate.json  _clusterstates/state-E.json  clusters/    pointer, dir_prev, snapshots
+agg_view  _aggstate.json      _aggstates/state-E.json      aggview/     pointer, snapshots
+windows   _winstate.json      none                         windows/     pointer, files of epochs > E-K
+egress    _egressstate.json   none                         none         no sweep (consumers truncate)
+========  ==================  ===========================  ===========  =======================================
 
-    lake_root/
-      _manifest.json                 # current epoch + per-partition file & HWM (atomic swap)
-      _checkpoints/offsets-{E}.json  # append-only commit log (one per epoch)
-      _metrics/epoch-{E}.json        # per-epoch lineage + metrics
-      partitions/p={P}/epoch-{E}.parquet    # per-epoch DELTA (upserts + tombstones)
-      partitions/p={P}/compact-{E}.parquet  # compacted chain (LSM)
-      dirty/p={P}/epoch-{E}.parquet  # changed-entity delta (incremental linking)
-      links/...                      # maintained link table
+Stores without snapshots answer as-of reads at the pointer epoch
+only. Windows declare the floor E-K (``floor_lag=0``); egress
+retention is consumer-driven (``egress.truncate_egress``).
 
-- an epoch commit = all partition files written (deterministic content,
-  so task retries / re-runs are idempotent) → manifest written to a
-  temp file → ``os.replace`` (atomic on POSIX) → offset-log append.
-  A crash before the swap leaves the old manifest: replaying the epoch
-  rewrites byte-identical files and commits once.
-- per-partition high-water marks: events with ``offset <= hwm[p]`` are
-  skipped inside the merge task, making duplicate delivery a no-op.
+Commit order (exactly-once; SURVEY.md §7.1 step 5): the epoch's data
+files (deterministic content, so retries and re-runs are idempotent),
+then the snapshot, then the pointer, each via :func:`atomic_write_json`
+(fsync + ``os.replace``); the lake writes its offset-log entry
+``_checkpoints/offsets-E.json`` first. The pointer swap is the commit
+point: a crash before it leaves the previous state plus at most an
+orphan snapshot, which ``read_at`` refuses (newer than the pointer)
+and the replay overwrites byte-identically. Per-partition high-water
+marks make duplicate delivery a no-op inside the merge.
+
+Also under the lake root: ``_metrics/{epoch,links}-E.json``
+(:func:`write_metrics`), ``dirty/`` + ``summaries/``
+(``merge.gc_link_inputs``) and ``blockmap/`` (``incremental.gc_blockmap``).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import re
+import shutil
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 
 class Manifest:
@@ -54,10 +75,6 @@ class Manifest:
         # only sanctioned way to change it. None on pre-pinning lakes.
         self.num_partitions = num_partitions
 
-    @staticmethod
-    def empty() -> "Manifest":
-        return Manifest(epoch=0, next_offset=0, partitions={})
-
     def chain_files(self) -> list[str]:
         return [f for info in self.partitions.values() for f in info.get("files", [])]
 
@@ -81,23 +98,12 @@ class Manifest:
         )
 
 
-def manifest_path(root: str) -> str:
-    return os.path.join(root, "_manifest.json")
-
-
-def read_manifest(root: str) -> Manifest:
-    p = manifest_path(root)
-    if not os.path.exists(p):
-        return Manifest.empty()
-    with open(p) as f:
-        return Manifest.from_dict(json.load(f))
-
-
 def atomic_write_json(path: str, obj) -> None:
     """Durable write-then-rename of a small JSON record: the content is
-    flushed and fsynced before the ``os.replace`` publishes it."""
+    flushed and fsynced before the ``os.replace`` publishes it. The tmp
+    name is pid-suffixed, so concurrent writers never share one."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
+    tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w") as f:
         json.dump(obj, f, sort_keys=True)
         f.flush()
@@ -105,76 +111,240 @@ def atomic_write_json(path: str, obj) -> None:
     os.replace(tmp, path)
 
 
-def commit_manifest(root: str, manifest: Manifest, window: tuple[int, int]) -> None:
-    """Atomic epoch commit: manifest swap + offset-log append."""
-    os.makedirs(root, exist_ok=True)
-    tmp = manifest_path(root) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest.to_dict(), f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, manifest_path(root))
+def read_json(path: str, default=None):
+    """A JSON record, or a copy of ``default`` when the file is absent."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        return copy.deepcopy(default)
 
-    ckpt_dir = os.path.join(root, "_checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
-    log_entry = {
-        "epoch": manifest.epoch,
-        "window": list(window),
-        "next_offset": manifest.next_offset,
-        "hwm": {str(k): v["hwm"] for k, v in manifest.partitions.items()},
-    }
-    log_tmp = os.path.join(ckpt_dir, f"offsets-{manifest.epoch:06d}.json.tmp")
-    with open(log_tmp, "w") as f:
-        json.dump(log_entry, f, sort_keys=True)
-    os.replace(log_tmp, os.path.join(ckpt_dir, f"offsets-{manifest.epoch:06d}.json"))
 
-    # per-epoch manifest snapshot: enables as-of-epoch (time-travel)
-    # reads within the GC retention window. Delta-sized metadata (a few
-    # KB of file names per epoch); gc_lake trims snapshots outside the
-    # retention window together with the chain files they reference.
-    snap_dir = os.path.join(root, "_manifests")
-    os.makedirs(snap_dir, exist_ok=True)
-    snap_tmp = os.path.join(snap_dir, f"manifest-{manifest.epoch:06d}.json.tmp")
-    with open(snap_tmp, "w") as f:
-        json.dump(manifest.to_dict(), f, sort_keys=True)
-    os.replace(snap_tmp, os.path.join(snap_dir, f"manifest-{manifest.epoch:06d}.json"))
+_EPOCH_IN_NAME = re.compile(r"(?:epoch|compact|delta)-(\d+)")
+
+
+def file_epoch(name: str) -> int | None:
+    """The epoch a data file's name embeds (``epoch-E``/``compact-E``/…)."""
+    m = _EPOCH_IN_NAME.search(name)
+    return int(m.group(1)) if m else None
+
+
+def _state_epoch(state: dict) -> int:
+    return int(state.get("epoch", 0))
+
+
+@dataclass(frozen=True)
+class EpochStore:
+    """One state store: see the module table. Paths are relative to
+    the lake root; files named by ``live_files`` / ``prev_files`` may
+    be files or directories under ``data_dir``."""
+
+    name: str
+    pointer: str
+    # per-epoch snapshot path prefix ("<dir>/<prefix>"; + "%06d.json"),
+    # None = the store keeps no snapshots (as-of reads at its epoch only)
+    snapshot: str | None
+    empty: dict
+    # files a committed state references
+    live_files: Callable[[dict], Iterable[str]]
+    # directory gc sweeps; None = no sweep
+    data_dir: str | None
+    # the pointer's one-epoch rollback set (kept for the pointer only)
+    prev_files: Callable[[dict], Iterable[str]] = lambda state: ()
+    # gc floor = epoch − max(1, retain_epochs) − floor_lag
+    floor_lag: int = 1
+
+    def read(self, root: str) -> dict:
+        return read_json(os.path.join(root, self.pointer), self.empty)
+
+    def _snapshot_path(self, root: str, epoch: int) -> str:
+        return os.path.join(root, f"{self.snapshot}{epoch:06d}.json")
+
+    def _read_snapshot(self, root: str, epoch: int) -> dict:
+        with open(self._snapshot_path(root, epoch)) as f:
+            return json.load(f)
+
+    def read_at(self, root: str, epoch: int) -> dict:
+        """The state as committed at ``epoch`` (time-travel read). Raises
+        when the epoch is newer than the pointer, never committed, or
+        fell out of the GC retention window."""
+        current = self.read(root)
+        cur = _state_epoch(current)
+        if 0 < epoch == cur:
+            return current
+        if self.snapshot is not None and 0 < epoch < cur:
+            try:
+                return self._read_snapshot(root, epoch)
+            except FileNotFoundError:
+                pass
+        raise FileNotFoundError(
+            f"no {self.name} snapshot for epoch {epoch} under {root!r} "
+            f"(current {self.name} epoch {cur}): the epoch never committed or "
+            "its snapshot was GC'd outside the retention window "
+            "(EngineConfig.retain_epochs)"
+        )
+
+    def commit(self, root: str, state: dict) -> None:
+        """Snapshot first, then the pointer swap (the commit point)."""
+        if self.snapshot is not None:
+            atomic_write_json(self._snapshot_path(root, _state_epoch(state)), state)
+        atomic_write_json(os.path.join(root, self.pointer), state)
+
+    def gc(self, root: str, retain_epochs: int = 1, state: dict | None = None) -> int:
+        """Delete data files no retained state references and trim
+        snapshots at or below the floor. Run only after a commit (a
+        crash mid-GC leaves only unreferenced garbage). ``state`` is the
+        committed pointer state when the caller already holds it.
+        Returns files removed (snapshots included)."""
+        if state is None:
+            state = self.read(root)
+        epoch = _state_epoch(state)
+        floor = epoch - max(1, retain_epochs) - self.floor_lag
+        live = {*self.live_files(state), *self.prev_files(state)}
+        removed = 0
+        if self.snapshot is not None:
+            for e in range(max(1, floor + 1), epoch):
+                try:
+                    live.update(self.live_files(self._read_snapshot(root, e)))
+                except FileNotFoundError:  # pre-snapshot state or already trimmed
+                    continue
+            snap_dir, prefix = os.path.split(self.snapshot)
+            for f in _listdir(os.path.join(root, snap_dir)):
+                e = f[len(prefix):-len(".json")]
+                if f.startswith(prefix) and f.endswith(".json") and e.isdigit() and int(e) <= floor:
+                    removed += _remove(os.path.join(root, snap_dir, f))
+        if self.data_dir is not None:
+            removed += self._sweep(root, {os.path.normpath(f) for f in live if f}, floor)
+        return removed
+
+    def _sweep(self, root: str, live: set[str], floor: int) -> int:
+        """Remove ``*.parquet`` files under ``data_dir`` that no live
+        path names (a live directory keeps its files); a store without
+        snapshots cannot tell which files its window's states named, so
+        it keeps every file an epoch above the floor wrote. Emptied
+        subdirectories go too."""
+        base = os.path.join(root, self.data_dir)
+        removed = 0
+        for dirpath, subdirs, files in os.walk(base, topdown=False):
+            rel_dir = os.path.relpath(dirpath, root)
+            if rel_dir in live:
+                continue
+            left = 0
+            for f in files:
+                if not f.endswith(".parquet"):
+                    continue
+                e = file_epoch(f)
+                newer = self.snapshot is None and (e is None or e > floor)
+                if os.path.join(rel_dir, f) in live or newer or not _remove(os.path.join(dirpath, f)):
+                    left += 1
+                else:
+                    removed += 1
+            if dirpath != base and not left and not subdirs:
+                shutil.rmtree(dirpath, ignore_errors=True)
+        return removed
+
+
+def _listdir(d: str) -> list[str]:
+    try:
+        return os.listdir(d)
+    except FileNotFoundError:
+        return []
+
+
+def _remove(path: str) -> int:
+    try:
+        os.remove(path)
+        return 1
+    except OSError:
+        return 0
+
+
+def _lake_files(m: dict) -> list[str]:
+    return [f for info in m["partitions"].values() for f in info.get("files", [])]
+
+
+def _links_files(s: dict) -> list[str]:
+    # a legacy ``links_dir`` state names its whole directory
+    return [e["file"] for e in s.get("links_files") or []] + [s.get("links_dir")]
+
+
+def _agg_files(s: dict) -> list[str]:
+    out = list((s.get("shards") or {}).values())
+    for m in (s.get("support") or {}).values():
+        out += m.values()
+    return out
+
+
+LAKE = EpochStore(
+    "lake", "_manifest.json", "_manifests/manifest-", Manifest(0, 0, {}).to_dict(),
+    _lake_files, "partitions", prev_files=lambda m: m.get("prev_files", []),
+)
+LINKS = EpochStore(
+    "links", "_linkstate.json", "_linkstates/state-",
+    {"epoch": 0, "blockmap": {}, "links_dir": None}, _links_files, "links",
+    prev_files=lambda s: [e["file"] for e in s.get("links_files_prev", [])],
+)
+CLUSTERS = EpochStore(
+    "clusters", "_clusterstate.json", "_clusterstates/state-",
+    {"epoch": 0, "dir": None, "dir_prev": None}, lambda s: [s.get("dir")], "clusters",
+    prev_files=lambda s: [s.get("dir_prev")],
+)
+AGG_VIEW = EpochStore(
+    "agg_view", "_aggstate.json", "_aggstates/state-",
+    {"epoch": 0, "shards": {}, "spec": None}, _agg_files, "aggview",
+)
+# finalized and late outputs are the product: the state names them, so
+# only superseded open-partial files are ever swept
+WINDOWS = EpochStore(
+    "windows", "_winstate.json", None,
+    {"epoch": 0, "watermark_us": None, "open": None, "final": {}, "late": {},
+     "flushed": False, "spec": None},
+    lambda s: [s.get("open"), *s["final"].values(), *s["late"].values()], "windows",
+    floor_lag=0,
+)
+EGRESS = EpochStore(
+    "egress", "_egressstate.json", None,
+    {"epoch": 0, "next_seq": 0, "files": {}, "num_shards": None},
+    lambda s: [f for fs in s["files"].values() for f in fs], None,
+)
+STORES = (LAKE, LINKS, CLUSTERS, AGG_VIEW, WINDOWS, EGRESS)
+
+
+def read_manifest(root: str) -> Manifest:
+    return Manifest.from_dict(LAKE.read(root))
 
 
 def read_manifest_at(root: str, epoch: int) -> Manifest:
-    """The manifest as committed at ``epoch`` (time-travel read).
-
-    Raises a loud error when the snapshot is gone — either the epoch
-    never committed or it fell out of the GC retention window
-    (``gc_lake(retain_epochs=K)`` keeps the last K+1 snapshots)."""
-    p = os.path.join(root, "_manifests", f"manifest-{epoch:06d}.json")
-    if not os.path.exists(p):
-        current = read_manifest(root).epoch
-        raise FileNotFoundError(
-            f"no manifest snapshot for epoch {epoch} under {root!r} "
-            f"(current epoch {current}): the epoch never committed or its "
-            "snapshot was GC'd outside the retention window "
-            "(EngineConfig.retain_epochs / gc_lake(retain_epochs=...))"
-        )
-    with open(p) as f:
-        return Manifest.from_dict(json.load(f))
+    return Manifest.from_dict(LAKE.read_at(root, epoch))
 
 
-def write_metrics(root: str, epoch: int, metrics: dict) -> None:
-    d = os.path.join(root, "_metrics")
-    os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, f"epoch-{epoch:06d}.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(metrics, f, sort_keys=True)
-    os.replace(tmp, os.path.join(d, f"epoch-{epoch:06d}.json"))
+def commit_manifest(root: str, manifest: Manifest, window: tuple[int, int]) -> None:
+    """Atomic epoch commit: offset-log entry, then the lake store's
+    snapshot + manifest swap."""
+    atomic_write_json(
+        os.path.join(root, "_checkpoints", f"offsets-{manifest.epoch:06d}.json"),
+        {
+            "epoch": manifest.epoch,
+            "window": list(window),
+            "next_offset": manifest.next_offset,
+            "hwm": {str(k): v["hwm"] for k, v in manifest.partitions.items()},
+        },
+    )
+    LAKE.commit(root, manifest.to_dict())
+
+
+def write_metrics(root: str, epoch: int, metrics: dict, kind: str = "epoch") -> None:
+    """The per-epoch metrics record ``_metrics/{kind}-E.json``: ``epoch``
+    for the merge (one per lake epoch), ``links`` for ``update_links``."""
+    atomic_write_json(os.path.join(root, "_metrics", f"{kind}-{epoch:06d}.json"), metrics)
 
 
 def read_metrics(root: str) -> list[dict]:
+    """The merge's per-epoch metrics records, oldest first."""
     d = os.path.join(root, "_metrics")
-    if not os.path.isdir(d):
-        return []
     out = []
-    for name in sorted(os.listdir(d)):
-        if name.endswith(".json"):
+    for name in sorted(_listdir(d)):
+        if name.startswith("epoch-") and name.endswith(".json"):
             with open(os.path.join(d, name)) as f:
                 out.append(json.load(f))
     return out

@@ -46,7 +46,6 @@ say it happened.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 
@@ -59,42 +58,9 @@ from silk_ray.cdc.incremental import _links_manifest, read_linkstate
 from silk_ray.functions.graph import union_find_labels
 
 
-def _state_path(root: str) -> str:
-    return os.path.join(root, "_clusterstate.json")
-
-
-def read_clusterstate(root: str) -> dict:
-    p = _state_path(root)
-    if not os.path.exists(p):
-        return {"epoch": 0, "dir": None, "dir_prev": None}
-    with open(p) as f:
-        return json.load(f)
-
-
-def commit_clusterstate(root: str, state: dict) -> None:
-    ckpt.atomic_write_json(_state_path(root), state)
-    # per-epoch snapshot for as-of-epoch reads (same idiom as the lake
-    # manifests and linkstates); gc_clusters trims with the dirs
-    ckpt.atomic_write_json(
-        os.path.join(root, "_clusterstates", f"state-{int(state.get('epoch', 0)):06d}.json"),
-        state,
-    )
-
-
-def read_clusterstate_at(root: str, epoch: int) -> dict:
-    """The cluster state as committed at ``epoch`` (time-travel read);
-    loud error outside the retention window."""
-    p = os.path.join(root, "_clusterstates", f"state-{epoch:06d}.json")
-    if not os.path.exists(p):
-        current = read_clusterstate(root)["epoch"]
-        raise FileNotFoundError(
-            f"no cluster-state snapshot for epoch {epoch} under {root!r} "
-            f"(current cluster epoch {current}): the epoch never committed "
-            "or its snapshot was GC'd outside the retention window "
-            "(EngineConfig.retain_epochs)"
-        )
-    with open(p) as f:
-        return json.load(f)
+read_clusterstate = ckpt.CLUSTERS.read
+commit_clusterstate = ckpt.CLUSTERS.commit
+read_clusterstate_at = ckpt.CLUSTERS.read_at
 
 
 def _epoch_summary_files(root: str, epoch: int) -> list[str]:
@@ -240,40 +206,7 @@ def _commit(root, state, epoch, rel_dir, mode, affected, seeds, rows=None) -> di
     }
 
 
-def gc_clusters(root: str, retain_epochs: int = 1) -> int:
-    """Delete cluster epoch dirs outside the pointer + retention window
-    (``dir`` / ``dir_prev`` always survive; ``retain_epochs`` past
-    snapshots stay readable via ``clusters_table(at_epoch=)``)."""
-    state = read_clusterstate(root)
-    live = {state.get("dir"), state.get("dir_prev")} - {None}
-    epoch = int(state.get("epoch", 0))
-    floor = epoch - max(1, retain_epochs) - 1
-    for e in range(max(1, floor + 1), epoch):
-        try:
-            live.add(read_clusterstate_at(root, e).get("dir"))
-        except FileNotFoundError:
-            continue
-    live -= {None}
-    n = 0
-    snap_dir = os.path.join(root, "_clusterstates")
-    if os.path.isdir(snap_dir):
-        for f in os.listdir(snap_dir):
-            if f.startswith("state-") and f.endswith(".json"):
-                try:
-                    e = int(f[len("state-") : -len(".json")])
-                except ValueError:
-                    continue
-                if e <= floor:
-                    try:
-                        os.remove(os.path.join(snap_dir, f))
-                    except OSError:
-                        pass
-    base = os.path.join(root, "clusters")
-    if not os.path.isdir(base):
-        return 0
-    for d in os.listdir(base):
-        rel = os.path.join("clusters", d)
-        if rel not in live:
-            shutil.rmtree(os.path.join(base, d), ignore_errors=True)
-            n += 1
-    return n
+# delete cluster epoch dirs outside the pointer + retention window
+# (``dir`` / ``dir_prev`` always survive; ``retain_epochs`` past
+# snapshots stay readable via ``clusters_table(at_epoch=)``)
+gc_clusters = ckpt.CLUSTERS.gc

@@ -39,7 +39,6 @@ they cannot be routed, and dropping them silently would violate the
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
@@ -47,6 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from silk_ray.cdc import checkpoint as ckpt
 from silk_ray.cdc.merge import (
     _next_existing_offset,
     _window_fragments,
@@ -60,18 +60,13 @@ def _state_path(out_dir: str) -> str:
 
 
 def read_demux_state(out_dir: str) -> dict:
-    p = _state_path(out_dir)
-    if not os.path.exists(p):
-        return {"window": 0, "next_offset": 0}
-    with open(p) as f:
-        return json.load(f)
+    return ckpt.read_json(_state_path(out_dir), {"window": 0, "next_offset": 0})
 
 
 def _commit_demux_state(out_dir: str, window: int, next_offset: int) -> None:
-    tmp = f"{_state_path(out_dir)}.tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump({"window": int(window), "next_offset": int(next_offset)}, f, sort_keys=True)
-    os.replace(tmp, _state_path(out_dir))
+    ckpt.atomic_write_json(
+        _state_path(out_dir), {"window": int(window), "next_offset": int(next_offset)}
+    )
 
 
 def table_dir(out_dir: str, tbl: str) -> str:
@@ -281,7 +276,6 @@ def gc_demux(root: str, tables: list[str] | None = None, force: bool = False) ->
     table with NO lake under the root is protected: its whole stream
     is retained for a future consumer unless ``force`` drops it.
     Returns the number of files removed. Footer-statistics only."""
-    from silk_ray.cdc import checkpoint as ckpt
     from silk_ray.cdc.merge import _MAX_OFF_CACHE
 
     demux_dir = os.path.join(root, "demux")

@@ -62,7 +62,6 @@ CDC tier, not a port.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -81,25 +80,8 @@ _SEP = "\x1f"
 # ------------------------------------------------------------------ state
 
 
-def _state_path(root: str) -> str:
-    return os.path.join(root, "_egressstate.json")
-
-
-def read_egressstate(root: str) -> dict:
-    p = _state_path(root)
-    if not os.path.exists(p):
-        return {"epoch": 0, "next_seq": 0, "files": {}, "num_shards": None}
-    with open(p) as f:
-        return json.load(f)
-
-
-def commit_egressstate(root: str, state: dict) -> None:
-    tmp = _state_path(root) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, _state_path(root))
+read_egressstate = ckpt.EGRESS.read
+commit_egressstate = ckpt.EGRESS.commit
 
 
 def _shard_rel(epoch: int, shard: int) -> str:
@@ -442,11 +424,7 @@ def _consumer_path(root: str, group: str) -> str:
 
 
 def read_consumer(root: str, group: str) -> dict:
-    p = _consumer_path(root, group)
-    if not os.path.exists(p):
-        return {"group": group, "seq": -1}
-    with open(p) as f:
-        return json.load(f)
+    return ckpt.read_json(_consumer_path(root, group), {"group": group, "seq": -1})
 
 
 def commit_consumer(root: str, group: str, seq: int) -> None:
@@ -458,12 +436,7 @@ def commit_consumer(root: str, group: str, seq: int) -> None:
             f"{seq} would move it backwards — redeliver by just consuming "
             "again, never by regressing the commit"
         )
-    p = _consumer_path(root, group)
-    os.makedirs(os.path.dirname(p), exist_ok=True)
-    tmp = f"{p}.tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump({"group": group, "seq": int(seq)}, f, sort_keys=True)
-    os.replace(tmp, p)
+    ckpt.atomic_write_json(_consumer_path(root, group), {"group": group, "seq": int(seq)})
 
 
 def consumer_groups(root: str) -> dict[str, int]:
@@ -474,8 +447,7 @@ def consumer_groups(root: str) -> dict[str, int]:
     out = {}
     for f in sorted(os.listdir(d)):
         if f.endswith(".json"):
-            with open(os.path.join(d, f)) as fh:
-                st = json.load(fh)
+            st = ckpt.read_json(os.path.join(d, f))
             out[st["group"]] = int(st["seq"])
     return out
 

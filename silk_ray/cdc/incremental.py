@@ -58,7 +58,6 @@ set.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -73,47 +72,13 @@ DEFAULT_BLOCK_PARTITIONS = 64
 
 
 # ---------------------------------------------------------------------------
-# link state pointer
+# link state: the checkpoint.LINKS epoch store
 # ---------------------------------------------------------------------------
 
 
-def _linkstate_path(root: str) -> str:
-    return os.path.join(root, "_linkstate.json")
-
-
-def read_linkstate(root: str) -> dict:
-    p = _linkstate_path(root)
-    if not os.path.exists(p):
-        return {"epoch": 0, "blockmap": {}, "links_dir": None}
-    with open(p) as f:
-        return json.load(f)
-
-
-def commit_linkstate(root: str, state: dict) -> None:
-    ckpt.atomic_write_json(_linkstate_path(root), state)
-    # per-epoch snapshot for as-of-epoch (time-travel) reads — the same
-    # idiom as the lake's manifest snapshots (checkpoint.commit_manifest);
-    # _gc_links trims snapshots with the files they reference
-    ckpt.atomic_write_json(
-        os.path.join(root, "_linkstates", f"state-{int(state.get('epoch', 0)):06d}.json"),
-        state,
-    )
-
-
-def read_linkstate_at(root: str, epoch: int) -> dict:
-    """The link state as committed at ``epoch`` (time-travel read);
-    loud error outside the retention window."""
-    p = os.path.join(root, "_linkstates", f"state-{epoch:06d}.json")
-    if not os.path.exists(p):
-        current = read_linkstate(root)["epoch"]
-        raise FileNotFoundError(
-            f"no linkstate snapshot for epoch {epoch} under {root!r} "
-            f"(current link epoch {current}): the epoch never committed or "
-            "its snapshot was GC'd outside the retention window "
-            "(EngineConfig.retain_epochs)"
-        )
-    with open(p) as f:
-        return json.load(f)
+read_linkstate = ckpt.LINKS.read
+commit_linkstate = ckpt.LINKS.commit
+read_linkstate_at = ckpt.LINKS.read_at
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +782,7 @@ def update_links(
     }
     _mark("manifest_post")
     commit_linkstate(root, state)
-    _gc_links(root, state, retain_epochs=retain_epochs)
+    ckpt.LINKS.gc(root, retain_epochs, state)
     _mark("commit_gc")
 
     metrics = {
@@ -834,7 +799,7 @@ def update_links(
     }
     _mark("metrics")
     metrics["phases"] = {name: round(sec, 6) for name, sec in _phases}
-    _append_link_metrics(root, epoch, metrics)
+    ckpt.write_metrics(root, epoch, metrics, kind="links")
     return metrics
 
 
@@ -895,61 +860,6 @@ def _links_manifest(state: dict, root: str | None = None) -> list[dict]:
     return out
 
 
-def _gc_links(root: str, state: dict, retain_epochs: int = 1) -> None:
-    """Delete link files no retained manifest references (files replaced
-    by a rewrite). Runs after the commit point, so a crash mid-GC leaves
-    only unreferenced garbage. ``retain_epochs`` = as-of-epoch read
-    depth (``links_table(at_epoch=)``); the default keeps exactly the
-    crash-replay window (``links_files_prev``), identical to the
-    pre-time-travel behavior."""
-    live = {
-        os.path.normpath(e["file"])
-        for e in state.get("links_files", []) + state.get("links_files_prev", [])
-    }
-    epoch = int(state.get("epoch", 0))
-    floor = epoch - max(1, retain_epochs) - 1
-    for e in range(max(1, floor + 1), epoch):
-        try:
-            snap = read_linkstate_at(root, e)
-        except FileNotFoundError:  # pre-snapshot state or already trimmed
-            continue
-        live.update(
-            os.path.normpath(entry["file"]) for entry in _links_manifest(snap, root)
-        )
-    snap_dir = os.path.join(root, "_linkstates")
-    if os.path.isdir(snap_dir):
-        for f in os.listdir(snap_dir):
-            if f.startswith("state-") and f.endswith(".json"):
-                try:
-                    e = int(f[len("state-") : -len(".json")])
-                except ValueError:
-                    continue
-                if e <= floor:
-                    try:
-                        os.remove(os.path.join(snap_dir, f))
-                    except OSError:
-                        pass
-    base = os.path.join(root, "links")
-    if not os.path.isdir(base):
-        return
-    for d in os.listdir(base):
-        full = os.path.join(base, d)
-        if not os.path.isdir(full):
-            continue
-        for f in os.listdir(full):
-            rel = os.path.normpath(os.path.join("links", d, f))
-            if f.endswith(".parquet") and rel not in live:
-                try:
-                    os.remove(rel if os.path.isabs(rel) else os.path.join(root, rel))
-                except OSError:
-                    pass
-        if not os.listdir(full):
-            try:
-                os.rmdir(full)
-            except OSError:
-                pass
-
-
 def gc_blockmap(root: str, state: dict | None = None) -> int:
     """Delete blockmap files neither the committed linkstate nor its
     one-epoch rollback window (``blockmap_prev``) references:
@@ -1006,15 +916,6 @@ def _count_links(root: str, state: dict) -> int:
         if f.endswith(".parquet"):
             total += pq.read_metadata(os.path.join(d, f)).num_rows
     return total
-
-
-def _append_link_metrics(root: str, epoch: int, metrics: dict) -> None:
-    d = os.path.join(root, "_metrics")
-    os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, f"links-{epoch:06d}.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(metrics, f, sort_keys=True)
-    os.replace(tmp, os.path.join(d, f"links-{epoch:06d}.json"))
 
 
 # ---------------------------------------------------------------------------

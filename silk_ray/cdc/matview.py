@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import zlib
 from dataclasses import dataclass, field
 
@@ -132,44 +131,9 @@ class AggViewSpec:
         )
 
 
-def _state_path(root: str) -> str:
-    return os.path.join(root, "_aggstate.json")
-
-
-def read_aggstate(root: str) -> dict:
-    p = _state_path(root)
-    if not os.path.exists(p):
-        return {"epoch": 0, "shards": {}, "spec": None}
-    with open(p) as f:
-        return json.load(f)
-
-
-def read_aggstate_at(root: str, epoch: int) -> dict:
-    p = os.path.join(root, "_aggstates", f"state-{epoch:06d}.json")
-    if not os.path.exists(p):
-        current = read_aggstate(root)["epoch"]
-        raise FileNotFoundError(
-            f"no agg-view snapshot for epoch {epoch} under {root!r} (current agg "
-            f"epoch {current}): the epoch never committed or its snapshot was "
-            "GC'd outside the retention window (EngineConfig.retain_epochs)"
-        )
-    with open(p) as f:
-        return json.load(f)
-
-
-def commit_aggstate(root: str, state: dict) -> None:
-    tmp = _state_path(root) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, _state_path(root))
-    snap_dir = os.path.join(root, "_aggstates")
-    os.makedirs(snap_dir, exist_ok=True)
-    snap = os.path.join(snap_dir, f"state-{int(state.get('epoch', 0)):06d}.json")
-    with open(snap + ".tmp", "w") as f:
-        json.dump(state, f, sort_keys=True)
-    os.replace(snap + ".tmp", snap)
+read_aggstate = ckpt.AGG_VIEW.read
+read_aggstate_at = ckpt.AGG_VIEW.read_at
+commit_aggstate = ckpt.AGG_VIEW.commit
 
 
 def _epoch_dirty_files(root: str, epoch: int) -> list[str]:
@@ -693,52 +657,7 @@ def agg_table(root: str, at_epoch: int | None = None) -> pa.Table:
     return out.sort_by([(g, "ascending") for g in group_by])
 
 
-def gc_aggview(root: str, retain_epochs: int = 1) -> int:
-    """Delete shard files not referenced by the live state or any
-    retained snapshot; trim snapshots past the window. Carried-forward
-    shard files are referenced by many epochs and survive as long as
-    any retained manifest points at them."""
-    state = read_aggstate(root)
-    epoch = int(state.get("epoch", 0))
-    floor = epoch - max(1, retain_epochs) - 1
-
-    def _live_rels(st: dict) -> set[str]:
-        rels = set((st.get("shards") or {}).values())
-        for m in (st.get("support") or {}).values():
-            rels.update(m.values())
-        return rels
-
-    live: set[str] = _live_rels(state)
-    for e in range(max(1, floor + 1), epoch):
-        try:
-            live.update(_live_rels(read_aggstate_at(root, e)))
-        except FileNotFoundError:
-            continue
-    n = 0
-    snap_dir = os.path.join(root, "_aggstates")
-    if os.path.isdir(snap_dir):
-        for f in os.listdir(snap_dir):
-            if f.startswith("state-") and f.endswith(".json"):
-                try:
-                    e = int(f[len("state-") : -len(".json")])
-                except ValueError:
-                    continue
-                if e <= floor:
-                    try:
-                        os.remove(os.path.join(snap_dir, f))
-                    except OSError:
-                        pass
-    base = os.path.join(root, "aggview")
-    if not os.path.isdir(base):
-        return 0
-    for f in os.listdir(base):
-        rel = os.path.join("aggview", f)
-        if f.endswith(".parquet") and rel not in live:
-            try:
-                os.remove(os.path.join(base, f))
-                n += 1
-            except OSError:
-                pass
-        elif f.endswith((".tmp",)) or ".tmp-" in f:
-            shutil.rmtree(os.path.join(base, f), ignore_errors=True)
-    return n
+# delete shard and support files no live or retained state references
+# and trim snapshots past the window; carried-forward shard files are
+# referenced by many epochs and survive while any retained state does
+gc_aggview = ckpt.AGG_VIEW.gc

@@ -46,7 +46,6 @@ State is never authoritative in RAM: everything reconstructs from
 from __future__ import annotations
 
 import os
-import re
 import shutil
 import time
 import zlib
@@ -1219,71 +1218,17 @@ def run_epoch(
     return metrics
 
 
-_EPOCH_IN_NAME = re.compile(r"(?:epoch|compact|delta)-(\d+)")
+_file_epoch = ckpt.file_epoch
 
-
-def _file_epoch(name: str) -> int | None:
-    m = _EPOCH_IN_NAME.search(name)
-    return int(m.group(1)) if m else None
-
-
-def gc_lake(root: str, retain_epochs: int = 1) -> int:
-    """Delete lake partition files no retained manifest references —
-    pre-compaction chain members past the retention window, partial
-    files of a crashed in-flight epoch (harmless, replay rewrites them
-    byte-identically). Run only AFTER a manifest commit; a crash mid-GC
-    leaves only unreferenced garbage. Returns files removed.
-
-    ``retain_epochs`` is the as-of-epoch (time-travel) depth: the last
-    ``retain_epochs`` committed manifests BEFORE the current one stay
-    readable via ``snapshot_dataset(root, at_epoch=...)``; their
-    snapshots and chain files survive GC. The default (1) is the
-    engine's one-epoch rollback/crash window. ``prev_files`` of the
-    current manifest is always retained regardless (crash-replay
-    correctness does not depend on the time-travel setting).
-
-    Without this, a continuously-tailing engine grows storage without
-    bound: every compaction supersedes a chain but the old delta files
-    stay on disk forever."""
-    manifest = ckpt.read_manifest(root)
-    live = {os.path.normpath(f) for f in manifest.chain_files() + manifest.prev_files}
-    floor = manifest.epoch - max(1, retain_epochs) - 1
-    for e in range(max(1, floor + 1), manifest.epoch):
-        try:
-            m = ckpt.read_manifest_at(root, e)
-        except FileNotFoundError:  # pre-snapshot lake or already trimmed
-            continue
-        live.update(os.path.normpath(f) for f in m.chain_files())
-    base = os.path.join(root, "partitions")
-    removed = 0
-    if os.path.isdir(base):
-        for d in os.listdir(base):
-            full = os.path.join(base, d)
-            if not os.path.isdir(full):
-                continue
-            for f in os.listdir(full):
-                if not f.endswith(".parquet"):
-                    continue
-                rel = os.path.normpath(os.path.join("partitions", d, f))
-                if rel not in live:
-                    try:
-                        os.remove(os.path.join(root, rel))
-                        removed += 1
-                    except OSError:
-                        pass
-    # trim manifest snapshots outside the retention window so a
-    # time-travel read can never resolve a manifest whose files are gone
-    snap_dir = os.path.join(root, "_manifests")
-    if os.path.isdir(snap_dir):
-        for f in os.listdir(snap_dir):
-            e = _file_epoch(f.replace("manifest-", "epoch-"))
-            if f.endswith(".json") and e is not None and e <= floor:
-                try:
-                    os.remove(os.path.join(snap_dir, f))
-                    removed += 1
-                except OSError:
-                    pass
-    return removed
+# Delete lake partition files no retained manifest references (chain
+# members superseded by compaction past the retention window, partial
+# files of a crashed in-flight epoch) and trim manifest snapshots past
+# the window, so a time-travel read never resolves a manifest whose
+# files are gone. ``retain_epochs`` is the as-of-epoch depth
+# (``snapshot_dataset(root, at_epoch=...)``); the current manifest's
+# ``prev_files`` are kept regardless (crash replay). Returns files
+# removed. Without it a tailing engine grows storage without bound.
+gc_lake = ckpt.LAKE.gc
 
 
 def gc_link_inputs(root: str, link_epoch: int) -> int:

@@ -99,28 +99,8 @@ class WindowSpec:
 # ------------------------------------------------------------------ state
 
 
-def _state_path(root: str) -> str:
-    return os.path.join(root, "_winstate.json")
-
-
-def read_winstate(root: str) -> dict:
-    p = _state_path(root)
-    if not os.path.exists(p):
-        return {
-            "epoch": 0, "watermark_us": None, "open": None,
-            "final": {}, "late": {}, "flushed": False, "spec": None,
-        }
-    with open(p) as f:
-        return json.load(f)
-
-
-def commit_winstate(root: str, state: dict) -> None:
-    tmp = _state_path(root) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, _state_path(root))
+read_winstate = ckpt.WINDOWS.read
+commit_winstate = ckpt.WINDOWS.commit
 
 
 # --------------------------------------------------------------- kernels
@@ -443,25 +423,6 @@ def late_table(root: str) -> pa.Table:
     )
 
 
-def gc_windows(root: str, retain_epochs: int = 1) -> int:
-    """Delete superseded open-partial files outside the rollback
-    window (finalized/late outputs are the product — never GC'd)."""
-    state = read_winstate(root)
-    keep = {state["open"]} if state["open"] else set()
-    floor = int(state["epoch"]) - max(1, retain_epochs)
-    base = os.path.join(root, "windows")
-    n = 0
-    if not os.path.isdir(base):
-        return 0
-    for f in os.listdir(base):
-        if not f.startswith("open-epoch-") or not f.endswith(".parquet"):
-            continue
-        rel = os.path.join("windows", f)
-        e = int(f[len("open-epoch-"):-len(".parquet")])
-        if rel not in keep and e <= floor:
-            try:
-                os.remove(os.path.join(base, f))
-                n += 1
-            except OSError:
-                pass
-    return n
+# delete superseded open-partial files outside the rollback window
+# (finalized/late outputs are the product — never GC'd)
+gc_windows = ckpt.WINDOWS.gc

@@ -224,6 +224,30 @@ def test_cli_status(ray_session, tmp_path, capsys):
     assert out["store_lag_epochs"]["egress"] == 0
 
 
+def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):
+    """With links on, `status`'s last_epoch is the last MERGE record
+    (``_metrics/epoch-E.json``), not the link record written after it."""
+    import json
+
+    from silk_ray.__main__ import main
+    from silk_ray.cdc.engine import EngineConfig, run
+    from silk_ray.cdc.generator import make_base_table, make_changelog
+    from silk_ray.pipelines.rules import BENCH_RULE
+
+    rule = {k: v for k, v in BENCH_RULE.items() if k != "filter_limit"}
+    log = make_changelog(make_base_table(50, seed=9, near_dup_frac=0.3), 200, seed=10)
+    root = str(tmp_path / "lake")
+    ms = run(root, log, EngineConfig(epoch_size=100, num_partitions=2,
+                                     n_block_partitions=4, rule_spec=rule))
+    assert len(ms) == 2 and all("links" in m for m in ms)
+    capsys.readouterr()
+    assert main(["status", "--root", root]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["last_epoch"]["epoch"] == ms[-1]["epoch"]
+    assert out["last_epoch"]["events_applied"] == ms[-1]["events_applied"]
+    assert out["stores"]["links"]["epoch"] == 2
+
+
 def test_cli_status_schema(ray_session, tmp_path, capsys):
     """`status --schema` reports the unified payload schema from
     parquet footers, and the evolution history across retained epochs

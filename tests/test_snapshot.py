@@ -192,19 +192,30 @@ def test_link_store_default_retention(ray_session, tmp_path):
         links_table(root, at_epoch=current - 2)
 
 
-@pytest.mark.parametrize("store", ["links", "clusters"])
+@pytest.mark.parametrize("store", ["links", "clusters", "lake", "agg_view", "windows", "egress"])
 def test_state_commit_syncs_pointer_and_snapshot(tmp_path, monkeypatch, store):
-    """A state commit fsyncs both the pointer and its per-epoch
-    snapshot before publishing them: time-travel reads and GC trust the
-    snapshot as much as the pointer."""
+    """A state commit fsyncs the pointer and its per-epoch snapshot
+    (the lake also its offset-log entry) before publishing them:
+    time-travel reads and GC trust the snapshot as much as the pointer."""
     import os
 
     from silk_ray.cdc.clusters import commit_clusterstate
+    from silk_ray.cdc.egress import commit_egressstate
     from silk_ray.cdc.incremental import commit_linkstate
+    from silk_ray.cdc.matview import commit_aggstate
+    from silk_ray.cdc.windows import commit_winstate
 
-    commit, pointer, snap_dir = {
-        "links": (commit_linkstate, "_linkstate.json", "_linkstates"),
-        "clusters": (commit_clusterstate, "_clusterstate.json", "_clusterstates"),
+    def commit_lake(root, state):
+        ckpt.commit_manifest(root, ckpt.Manifest(state["epoch"], 10, {}), window=(0, 10))
+
+    commit, published = {
+        "links": (commit_linkstate, ["_linkstate.json", "_linkstates/state-000003.json"]),
+        "clusters": (commit_clusterstate, ["_clusterstate.json", "_clusterstates/state-000003.json"]),
+        "lake": (commit_lake, ["_manifest.json", "_manifests/manifest-000003.json",
+                               "_checkpoints/offsets-000003.json"]),
+        "agg_view": (commit_aggstate, ["_aggstate.json", "_aggstates/state-000003.json"]),
+        "windows": (commit_winstate, ["_winstate.json"]),
+        "egress": (commit_egressstate, ["_egressstate.json"]),
     }[store]
     synced = []
     real_fsync = os.fsync
@@ -216,8 +227,4 @@ def test_state_commit_syncs_pointer_and_snapshot(tmp_path, monkeypatch, store):
     monkeypatch.setattr(os, "fsync", spy)
     root = str(tmp_path)
     commit(root, {"epoch": 3, "dir": None})
-    published = [
-        os.stat(os.path.join(root, pointer)).st_ino,
-        os.stat(os.path.join(root, snap_dir, "state-000003.json")).st_ino,
-    ]
-    assert sorted(synced) == sorted(published)
+    assert sorted(synced) == sorted(os.stat(os.path.join(root, p)).st_ino for p in published)

@@ -284,3 +284,52 @@ def test_engine_window_crash_catchup(root, ray_session, tmp_path):
     catch_up_windows(lake, log, cfg)
     assert read_winstate(lake) == final_state
     assert windows_table(lake).equals(final_fin)
+
+
+def test_engine_crash_at_manifest_snapshot_recovers(ray_session, tmp_path, monkeypatch):
+    """A crash inside the lake's epoch-3 commit, at the rename of its
+    ``_manifests/`` snapshot, must leave a lake the engine restarts
+    from: the manifest swap comes after the snapshot, so epoch 3 is
+    simply replayed and the run reaches the uninterrupted end state."""
+    import os
+
+    from silk_ray.cdc import checkpoint as ckpt
+    from silk_ray.cdc.engine import EngineConfig, run
+    from silk_ray.cdc.merge import state_sha256
+
+    log = _ts_changelog(seed=23)
+    spec = WindowSpec(ts_col="ts", width_s=WIDTH_S, allowed_lateness_s=120,
+                      group_by=("lang",), count_col="n", sums={})
+
+    def cfg(**kw):
+        return EngineConfig(epoch_size=100, num_partitions=3, window_spec=spec, **kw)
+
+    ref = str(tmp_path / "ref")
+    run(ref, log, cfg())
+    lake = str(tmp_path / "lake")
+    run(lake, log, cfg(max_epochs=2))
+
+    real_replace = os.replace
+    snap_dir = os.path.join(lake, "_manifests") + os.sep
+
+    def crash_in_epoch_3(src, dst):
+        if str(dst).startswith(snap_dir) and str(dst).endswith("manifest-000003.json"):
+            raise OSError("injected crash at the manifest snapshot")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_in_epoch_3)
+    with pytest.raises(OSError, match="injected crash"):
+        run(lake, log, cfg())
+    monkeypatch.setattr(os, "replace", real_replace)
+
+    for store in ckpt.STORES:
+        if store.snapshot is not None:
+            nxt = store.read(lake)["epoch"] + 1
+            with pytest.raises(FileNotFoundError, match=store.name):
+                store.read_at(lake, nxt)
+    run(lake, log, cfg())
+    assert ckpt.read_manifest(lake).epoch == ckpt.read_manifest(ref).epoch
+    assert state_sha256(lake) == state_sha256(ref)
+    assert read_winstate(lake) == read_winstate(ref)
+    assert windows_table(lake).equals(windows_table(ref))
+    assert late_table(lake).equals(late_table(ref))
