@@ -13,19 +13,20 @@ The source material is free: the merge stage already writes a per-
 (partition, epoch) *dirty delta* file with exactly this content
 (merge.py ``_dirty_table`` — change ∈ {I,U,D}, typed old/new payload
 images, keys inserted-then-deleted within the epoch excluded). Egress
-is therefore an O(delta) reshape, never a state scan:
+is therefore an O(delta) reshape, never a state scan, done in one
+plain pyarrow pass on the driver with no Ray task:
 
-    wave 1  — one Ray task per dirty file: add ``op``, split rows by
-              key-hash shard (md5-lower-64 of ``repo\\x1fpath`` mod
-              num_shards — the interpreter-stable, *SQL-reproducible*
-              hash the oracle suite standardizes on);
-    wave 2  — one Ray task per touched shard: concat the shard's
-              parts, cast to the epoch's canonical union schema, sort
-              by key, assign the global sequence number, atomic-write
-              ``egress/shard-SSSSS-epoch-EEEEEE.parquet``.
+- read each dirty file, rename ``change`` to ``op`` and split its rows
+  by key-hash shard (md5-lower-64 of ``repo\\x1fpath`` mod num_shards —
+  the interpreter-stable, *SQL-reproducible* hash the oracle suite
+  standardizes on);
+- per touched shard: concat the shard's parts, cast to the epoch's
+  canonical union schema, sort by key, assign the global sequence
+  number, atomic-write ``egress/shard-SSSSS-epoch-EEEEEE.parquet``.
 
-Only object refs cross the driver (the two-wave raw-task exchange idiom
-incremental.py already uses); per-epoch cost is O(delta).
+Every emitted row passes through the driver once; the epoch's dirty
+rows are delta-sized (a few files of delta/P rows), so holding them
+costs less than starting a task wave per epoch would.
 
 **Determinism / exactly-once.** Egress output is byte-identical across
 partition counts, replays and crash recoveries:
@@ -71,7 +72,7 @@ import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
 from silk_ray.cdc.matview import _epoch_dirty_files
-from silk_ray.kernel.index import md5_lower64
+from silk_ray.kernel.index import md5_lower64_batch
 
 KEY_COLS = ("repo", "path")
 _SEP = "\x1f"
@@ -92,16 +93,11 @@ def _shard_rel(epoch: int, shard: int) -> str:
 
 
 def _shard_ids(t: pa.Table, num_shards: int) -> np.ndarray:
-    """md5-lower-64 of ``repo\\x1fpath`` mod num_shards. Per-row Python
-    md5 — acceptable because dirty tables are delta-sized (delta/P rows
-    per task), never state-sized; the hash choice buys SQL
-    reproducibility (DuckDB ``md5_number_lower``)."""
-    repo = t["repo"].to_pylist()
-    path = t["path"].to_pylist()
-    return np.array(
-        [md5_lower64(f"{r}{_SEP}{p}") % num_shards for r, p in zip(repo, path)],
-        dtype=np.int64,
-    )
+    """md5-lower-64 of ``repo\\x1fpath`` mod num_shards, hashing each
+    distinct key once; the hash choice buys SQL reproducibility (DuckDB
+    ``md5_number_lower``)."""
+    keys = pc.binary_join_element_wise(t["repo"], t["path"], _SEP)
+    return (md5_lower64_batch(keys) % np.uint64(num_shards)).astype(np.int64)
 
 
 def _canonical_fields(schemas: list[pa.Schema]) -> list[pa.Field]:
@@ -112,8 +108,6 @@ def _canonical_fields(schemas: list[pa.Schema]) -> list[pa.Field]:
     merged: dict[str, pa.Field] = {}
     for s in schemas:
         for f in s:
-            if f.name == "change":
-                continue
             prev = merged.get(f.name)
             if prev is None or pa.types.is_null(prev.type):
                 merged[f.name] = f
@@ -123,19 +117,6 @@ def _canonical_fields(schemas: list[pa.Schema]) -> list[pa.Field]:
     fields += [pa.field(k, pa.string()) for k in KEY_COLS]
     fields += [merged[n] for n in news + olds]
     return fields
-
-
-def _reshape_dirty(dirty: pa.Table, num_shards: int) -> tuple[dict[int, pa.Table], pa.Schema]:
-    """One dirty file → {shard: rows-with-op}; also returns the file's
-    contribution to the epoch schema union."""
-    t = dirty.rename_columns(
-        ["op" if c == "change" else c for c in dirty.column_names]
-    )
-    sid = _shard_ids(t, num_shards)
-    out: dict[int, pa.Table] = {}
-    for s in np.unique(sid):
-        out[int(s)] = t.filter(pa.array(sid == s))
-    return out, t.schema
 
 
 def _finalize_shard(
@@ -163,6 +144,28 @@ def _finalize_shard(
     return out
 
 
+def _write_epoch(
+    root: str, epoch: int, tables: list[pa.Table], num_shards: int, seq: int
+) -> tuple[list[str], int]:
+    """Split the epoch's op-tagged tables by key-hash shard and write
+    one key-sorted, seq-stamped file per touched shard, numbering rows
+    from ``seq`` in shard order. The column set is the union over all
+    ``tables``, empty ones included. Returns (files written, next seq)."""
+    by_shard: dict[int, list[pa.Table]] = {}
+    for t in tables:
+        sid = _shard_ids(t, num_shards)
+        for s in np.unique(sid):
+            by_shard.setdefault(int(s), []).append(t.filter(pa.array(sid == s)))
+    fields = _canonical_fields([t.schema for t in tables])
+    rels = []
+    for s in sorted(by_shard):
+        out = _finalize_shard(by_shard[s], fields, epoch, seq)
+        rels.append(_shard_rel(epoch, s))
+        ckpt.atomic_write_parquet(out, os.path.join(root, rels[-1]))
+        seq += out.num_rows
+    return rels, seq
+
+
 # ---------------------------------------------------------------- update
 
 
@@ -175,8 +178,6 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
     larger gap means the dirty inputs were GC'd — refuse loudly and
     point at :func:`egress_resync`.
     """
-    import ray
-
     state = read_egressstate(root)
     if state["num_shards"] not in (None, num_shards):
         raise ValueError(
@@ -199,61 +200,21 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
             "egress_resync(root) and have consumers re-snapshot."
         )
 
-    dirty_files = _epoch_dirty_files(root, epoch)
+    tables = [
+        t.rename_columns(["op" if c == "change" else c for c in t.column_names])
+        for t in map(pq.read_table, _epoch_dirty_files(root, epoch))
+    ]
+    start = int(state["next_seq"])
+    rels, seq = _write_epoch(root, epoch, tables, num_shards, start)
     new_files = dict(state["files"])
-
-    @ray.remote
-    def _w1(path: str, ns: int):
-        parts, schema = _reshape_dirty(pq.read_table(path), ns)
-        return {s: (t, t.num_rows) for s, t in parts.items()}, schema
-
-    wave1 = ray.get([_w1.remote(f, num_shards) for f in dirty_files])
-    schemas = [schema for _, schema in wave1]
-    by_shard: dict[int, list[pa.Table]] = {}
-    for parts, _ in wave1:
-        for s, (t, _n) in parts.items():
-            by_shard.setdefault(s, []).append(t)
-    if not by_shard:
-        new_state = {
-            **state,
-            "epoch": epoch,
-            "next_seq": state["next_seq"],
-            "files": new_files,
-            "num_shards": num_shards,
-        }
-        commit_egressstate(root, new_state)
-        return {"epoch": epoch, "mode": "delta", "rows": 0, "files": 0,
-                "next_seq": state["next_seq"]}
-
-    fields = _canonical_fields(schemas)
-    # seq bases: epoch-major, then shard-id order (deterministic)
-    seq = int(state["next_seq"])
-    bases: dict[int, int] = {}
-    for s in sorted(by_shard):
-        bases[s] = seq
-        seq += sum(t.num_rows for t in by_shard[s])
-
-    @ray.remote
-    def _w2(parts: list[pa.Table], shard: int, base: int, out_abs: str) -> int:
-        out = _finalize_shard(parts, fields, epoch, base)
-        ckpt.atomic_write_parquet(out, out_abs)
-        return out.num_rows
-
-    refs = []
-    rels = []
-    for s in sorted(by_shard):
-        rel = _shard_rel(epoch, s)
-        rels.append(rel)
-        refs.append(_w2.remote(by_shard[s], s, bases[s], os.path.join(root, rel)))
-    rows = ray.get(refs)
-    new_files[str(epoch)] = rels
-    new_state = {
+    if rels:
+        new_files[str(epoch)] = rels
+    commit_egressstate(root, {
         **state,
         "epoch": epoch, "next_seq": seq, "files": new_files, "num_shards": num_shards,
-    }
-    commit_egressstate(root, new_state)
+    })
     return {
-        "epoch": epoch, "mode": "delta", "rows": int(sum(rows)),
+        "epoch": epoch, "mode": "delta", "rows": seq - start,
         "files": len(rels), "next_seq": seq,
     }
 
@@ -265,10 +226,9 @@ def egress_resync(root: str, num_shards: int = 16) -> dict:
     "the binlog was purged": consumers re-snapshot, then resume.
 
     Scale note: this is the ONE egress path that scans state — it runs
-    as a streaming Dataset over the lake snapshot with per-batch shard
-    splits, executed once per resync, never per epoch."""
-    import ray
-
+    as a streaming Dataset over the lake snapshot, reshaped per batch
+    inside the scan and iterated on the driver, executed once per
+    resync, never per epoch."""
     from silk_ray.cdc.merge import snapshot_dataset
 
     state = read_egressstate(root)
@@ -290,42 +250,14 @@ def egress_resync(root: str, num_shards: int = 16) -> dict:
             cols[f"old_{c}"] = pa.nulls(n, batch[c].type)
         return pa.table(cols)
 
+    scan = snapshot_dataset(root).map_batches(contrib, batch_format="pyarrow")
     parts = [
-        t for t in ray.get(
-            snapshot_dataset(root).map_batches(
-                contrib, batch_format="pyarrow"
-            ).to_arrow_refs()
-        )
+        t for t in scan.iter_batches(batch_format="pyarrow", batch_size=None)
         if t.num_rows
     ]
-    by_shard: dict[int, list[pa.Table]] = {}
-    schemas = []
-    for t in parts:
-        schemas.append(t.schema)
-        sid = _shard_ids(t, num_shards)
-        for s in np.unique(sid):
-            by_shard.setdefault(int(s), []).append(t.filter(pa.array(sid == s)))
-    fields = _canonical_fields(schemas)
-    seq = int(state["next_seq"])
+    start = int(state["next_seq"])
+    rels, seq = _write_epoch(root, merge_epoch, parts, num_shards, start)
     new_files = dict(state["files"])
-    rels = []
-    refs = []
-
-    @ray.remote
-    def _w2(shard_parts: list[pa.Table], base: int, out_abs: str) -> int:
-        out = _finalize_shard(shard_parts, fields, merge_epoch, base)
-        ckpt.atomic_write_parquet(out, out_abs)
-        return out.num_rows
-
-    bases = {}
-    for s in sorted(by_shard):
-        bases[s] = seq
-        seq += sum(t.num_rows for t in by_shard[s])
-    for s in sorted(by_shard):
-        rel = _shard_rel(merge_epoch, s)
-        rels.append(rel)
-        refs.append(_w2.remote(by_shard[s], bases[s], os.path.join(root, rel)))
-    rows = ray.get(refs)
     new_files[str(merge_epoch)] = rels
     commit_egressstate(
         root,
@@ -337,7 +269,7 @@ def egress_resync(root: str, num_shards: int = 16) -> dict:
         },
     )
     return {"epoch": merge_epoch, "mode": "snapshot_resync",
-            "rows": int(sum(rows)), "files": len(rels), "next_seq": seq}
+            "rows": seq - start, "files": len(rels), "next_seq": seq}
 
 
 # --------------------------------------------------------------- readers

@@ -118,14 +118,11 @@ def _scan_matching(root: str, changelog_dir: str, where, columns):
         drop = [c for c in ("_offset", "_kh") if c in hit.column_names]
         return hit.drop_columns(drop)
 
-    refs = (
-        snapshot_dataset(root)
-        .map_batches(match, batch_format="pyarrow")
-        .to_arrow_refs()
-    )
-    import ray
-
-    parts = [t for t in ray.get(refs) if t.num_rows]
+    scan = snapshot_dataset(root).map_batches(match, batch_format="pyarrow")
+    parts = [
+        t for t in scan.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_rows
+    ]
     if not parts:
         return manifest, None
     # schema union: evolution-added columns exist only where touched

@@ -19,9 +19,10 @@ needs:
     I → +new      U → +new −old      D → −old
 
 so per epoch the view update reads ONLY the dirty files (O(delta)),
-pre-aggregates contributions inside ``map_batches`` (one partial row
-per distinct touched group per batch), and merges the combined group
-delta into the stored view. Sum measures are **exact-integer sums**
+pre-aggregates each file's contributions (one partial row per distinct
+touched group, plus the min/max support partials below, from one read
+of the file), and merges the combined group delta into the stored
+view. Sum measures are **exact-integer sums**
 (``sum`` of an int column, ``sum_strlen`` of a string column) — order-
 independent and replay-byte-identical, unlike float accumulation;
 count-0 groups must zero out exactly and are dropped (enforced: a
@@ -47,10 +48,16 @@ file retention window triggers a loud FULL rebuild (one streaming pass
 over ``snapshot_dataset``), which is always correct, and the metrics
 say it happened.
 
-Multi-node: dirty reads, contribution partials and the full-rebuild
-scan are Dataset stages; only the combined per-epoch group delta
-(O(touched groups)) and the manifest are driver-held. Shard rewrites
-fan out as one Ray task per affected shard.
+Execution: the per-epoch delta path is one plain pyarrow pass on the
+driver — read each dirty file once, pre-aggregate, merge each affected
+shard with its committed file and write it — with no Ray Data
+execution and no Ray task. Its input is O(delta): a few dirty files of
+delta/P rows, the same rows the egress stage already brings to the
+driver, so a fixed executor start per epoch would cost far more than
+the work. The full rebuild stays a streaming Ray Data scan of
+``snapshot_dataset`` (one reconcile task per partition); its batches
+are pre-aggregated one at a time as the driver iterates them, so the
+driver holds group partials, never the state.
 """
 
 from __future__ import annotations
@@ -160,23 +167,6 @@ def _measure_values(t: pa.Table, col_name: str | None, fn: str, n: int) -> pa.Ar
     return pc.fill_null(vals, 0)
 
 
-def _group_arrays(t: pa.Table, spec: AggViewSpec, prefix: str, n: int) -> dict[str, pa.Array]:
-    """Group columns for one event side. Key columns (never renamed by
-    the dirty writer) read bare; payload columns read ``{prefix}_{g}``;
-    a column missing from this dirty file's schema (schema evolution:
-    the group column didn't exist yet) is all-null — the SQL GROUP BY
-    NULL group."""
-    out = {}
-    for g in spec.group_by:
-        if g in t.column_names:  # key column (repo/path)
-            out[g] = t[g].combine_chunks()
-        elif f"{prefix}_{g}" in t.column_names:
-            out[g] = t[f"{prefix}_{g}"].combine_chunks()
-        else:
-            out[g] = pa.nulls(n, pa.string())
-    return out
-
-
 def _partial_agg(t: pa.Table, spec: AggViewSpec) -> pa.Table:
     """Combine contribution rows: one row per distinct group."""
     keys = list(spec.group_by)
@@ -187,24 +177,94 @@ def _partial_agg(t: pa.Table, spec: AggViewSpec) -> pa.Table:
     return g.rename_columns([renames.get(c, c) for c in g.column_names])
 
 
-def _contributions(dirty: pa.Table, spec: AggViewSpec) -> pa.Table:
-    """±1 contribution rows for one dirty delta table, pre-aggregated."""
-    parts = []
-    for prefix, changes, w in (("new", ("I", "U"), 1), ("old", ("U", "D"), -1)):
-        sub = dirty.filter(pc.is_in(dirty["change"], value_set=pa.array(list(changes))))
-        n = sub.num_rows
+def _dirty_sides(dirty: pa.Table) -> list[tuple[pa.Table, str, int]]:
+    """A dirty delta's event sides: I → +new, U → +new −old, D → −old."""
+    return [
+        (dirty.filter(pc.is_in(dirty["change"], value_set=pa.array(list(changes)))), prefix, w)
+        for prefix, changes, w in (("new", ("I", "U"), 1), ("old", ("U", "D"), -1))
+    ]
+
+
+def _side_col(t: pa.Table, name: str, prefix: str | None) -> str:
+    """Column holding ``name`` on one event side. Key columns (never
+    renamed by the dirty writer) and snapshot rows (``prefix`` None)
+    read the bare column, dirty payload columns ``{prefix}_{name}``."""
+    return name if prefix is None or name in t.column_names else f"{prefix}_{name}"
+
+
+def _contribute(
+    sides: list[tuple[pa.Table, str | None, int]], spec: AggViewSpec
+) -> tuple[pa.Table | None, dict[str, pa.Table | None]]:
+    """±1 contributions of event sides ``(rows, prefix, weight)``,
+    pre-aggregated: the view partial and, per min/max source, the
+    support partial (None when empty). A column missing from the
+    side's schema (schema evolution) puts its rows in the NULL group,
+    adds 0 to sums and no support; null values add no support (SQL
+    MIN/MAX ignore nulls)."""
+    view: list[pa.Table] = []
+    support: dict[str, list[pa.Table]] = {src: [] for src in spec.support_srcs}
+    for t, prefix, w in sides:
+        n = t.num_rows
         if not n:
             continue
-        cols = _group_arrays(sub, spec, prefix, n)
-        cols[spec.count_col] = pa.array(np.full(n, w, dtype=np.int64), pa.int64())
+        groups = {}
+        for g in spec.group_by:
+            c = _side_col(t, g, prefix)
+            groups[g] = t[c].combine_chunks() if c in t.column_names else pa.nulls(n, pa.string())
+        weight = pa.array(np.full(n, w, dtype=np.int64), pa.int64())
+        cols = {**groups, spec.count_col: weight}
         for out, (fn, src) in spec.sum_measures.items():
-            src_col = src if src in sub.column_names else f"{prefix}_{src}"
-            vals = _measure_values(sub, src_col, fn, n)
-            cols[out] = vals if w > 0 else pc.multiply(vals, pa.scalar(-1, pa.int64()))
-        parts.append(pa.table(cols))
+            vals = _measure_values(t, _side_col(t, src, prefix), fn, n)
+            cols[out] = vals if w > 0 else pc.negate(vals)
+        view.append(pa.table(cols))
+        for src, parts in support.items():
+            c = _side_col(t, src, prefix)
+            if c not in t.column_names:
+                continue
+            v = t[c].combine_chunks()
+            keep = pc.is_valid(v)
+            if pc.any(keep).as_py():
+                parts.append(pa.table({**groups, _SUP_V: v, _SUP_N: weight}).filter(keep))
+    return _combine(view, _partial_agg, spec), {
+        src: _combine(parts, _support_partial, spec) for src, parts in support.items()
+    }
+
+
+def _combine(parts: list, reduce, spec: AggViewSpec) -> pa.Table | None:
+    """Concat the non-empty partials and ``reduce`` them to one row per
+    key; None when there are none. A column that is all-null in one
+    input may be null-typed there, so each column takes the first
+    non-null type among the partials."""
+    parts = [p for p in parts if p is not None and p.num_rows]
     if not parts:
-        return _empty_view(spec)
-    return _partial_agg(pa.concat_tables(parts, promote_options="default"), spec)
+        return None
+    types: dict[str, pa.DataType] = {}
+    for p in parts:
+        for f in p.schema:
+            if pa.types.is_null(types.get(f.name, pa.null())):
+                types[f.name] = f.type
+    parts = [
+        p.cast(pa.schema([f.with_type(types[f.name]) for f in p.schema]))
+        if any(f.type != types[f.name] for f in p.schema) else p
+        for p in parts
+    ]
+    return reduce(pa.concat_tables(parts, promote_options="default"), spec)
+
+
+def _epoch_delta(
+    inputs, spec: AggViewSpec
+) -> tuple[pa.Table, dict[str, pa.Table | None]]:
+    """The view delta and per-source support deltas of an iterable of
+    inputs, each a list of event sides: a dirty file's two sides, or
+    one snapshot batch as a +1 side. Each input is pre-aggregated on
+    its own, so a full scan holds partials, never the state."""
+    parts = [_contribute(sides, spec) for sides in inputs]
+    view = _combine([v for v, _ in parts], _partial_agg, spec)
+    support = {
+        src: _combine([s[src] for _, s in parts], _support_partial, spec)
+        for src in spec.support_srcs
+    }
+    return (_empty_view(spec) if view is None else view), support
 
 
 def _empty_view(spec: AggViewSpec) -> pa.Table:
@@ -275,98 +335,6 @@ def _support_partial(t: pa.Table, spec: AggViewSpec) -> pa.Table:
     )
 
 
-def _support_contributions(
-    dirty: pa.Table, spec: AggViewSpec, src: str
-) -> pa.Table | None:
-    """±1 support rows for one dirty table and one min/max source
-    column; null values contribute nothing (SQL MIN/MAX ignore nulls),
-    a pre-evolution dirty file without the column contributes nothing."""
-    parts = []
-    for prefix, changes, w in (("new", ("I", "U"), 1), ("old", ("U", "D"), -1)):
-        sub = dirty.filter(pc.is_in(dirty["change"], value_set=pa.array(list(changes))))
-        n = sub.num_rows
-        if not n:
-            continue
-        src_col = src if src in sub.column_names else f"{prefix}_{src}"
-        if src_col not in sub.column_names:
-            continue
-        v = sub[src_col].combine_chunks()
-        keep = pc.fill_null(pc.is_valid(v), False)
-        if not pc.any(keep).as_py():
-            continue
-        cols = _group_arrays(sub, spec, prefix, n)
-        cols[_SUP_V] = v
-        cols[_SUP_N] = pa.array(np.full(n, w, dtype=np.int64), pa.int64())
-        parts.append(pa.table(cols).filter(keep))
-    if not parts:
-        return None
-    return _support_partial(pa.concat_tables(parts, promote_options="default"), spec)
-
-
-def _dirty_support(dirty_files: list[str], spec: AggViewSpec, src: str) -> pa.Table | None:
-    """Per-epoch support delta from the dirty files (O(delta); separate
-    cheap pass per min/max source — dirty files are delta/P sized)."""
-    import ray
-    import ray.data as rd
-
-    if not dirty_files:
-        return None
-
-    def load(batch: pa.Table) -> pa.Table:
-        parts = [
-            _support_contributions(pq.read_table(row["file"]), spec, src)
-            for row in batch.to_pylist()
-        ]
-        parts = [p for p in parts if p is not None]
-        if not parts:
-            return pa.table({})
-        return parts[0] if len(parts) == 1 else _support_partial(
-            pa.concat_tables(parts, promote_options="default"), spec
-        )
-
-    ds = rd.from_items([{"file": f} for f in dirty_files]).map_batches(
-        load, batch_format="pyarrow", batch_size=1
-    )
-    partials = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not partials:
-        return None
-    return _support_partial(pa.concat_tables(partials, promote_options="default"), spec)
-
-
-def _full_scan_support(root: str, spec: AggViewSpec, src: str) -> pa.Table | None:
-    """Full-rebuild support: +1 per live row with a non-null value."""
-    import ray
-    from silk_ray.cdc.merge import snapshot_dataset
-
-    def contrib(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if not n or src not in batch.column_names:
-            return pa.table({})
-        v = batch[src].combine_chunks()
-        keep = pc.fill_null(pc.is_valid(v), False)
-        if not pc.any(keep).as_py():
-            return pa.table({})
-        cols = {
-            g: (batch[g].combine_chunks() if g in batch.column_names
-                else pa.nulls(n, pa.string()))
-            for g in spec.group_by
-        }
-        cols[_SUP_V] = v
-        cols[_SUP_N] = pa.array(np.ones(n, dtype=np.int64), pa.int64())
-        return _support_partial(pa.table(cols).filter(keep), spec)
-
-    ds = snapshot_dataset(root).map_batches(contrib, batch_format="pyarrow")
-    partials = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not partials:
-        return None
-    ref = next((t for t in partials if not any(
-        pa.types.is_null(f.type) for f in t.schema)), partials[0])
-    partials = [
-        t.cast(ref.schema) if t.schema != ref.schema else t for t in partials
-    ]
-    return _support_partial(pa.concat_tables(partials, promote_options="default"), spec)
-
-
 def _merge_support(old: pa.Table | None, delta: pa.Table, spec: AggViewSpec) -> pa.Table:
     """old support ⊕ delta → new shard support; count-0 value rows drop,
     negative counts raise (same invariants as the view merge)."""
@@ -400,8 +368,6 @@ def update_aggregates(root: str, epoch: int, spec: AggViewSpec) -> dict:
 
     Idempotent (a replayed epoch is a no-op); a catch-up lag beyond the
     one-epoch dirty retention window triggers a loud full rebuild."""
-    import ray
-
     state = read_aggstate(root)
     if state.get("spec") not in (None, spec.fingerprint()):
         raise ValueError(
@@ -415,33 +381,32 @@ def update_aggregates(root: str, epoch: int, spec: AggViewSpec) -> dict:
         state["epoch"] > 0 and not state.get("shards")
     )
     if full_rebuild or state["epoch"] == 0:
-        delta = _full_scan_delta(root, spec)
+        from silk_ray.cdc.merge import snapshot_dataset
+
         mode = "full"
+        inputs = (
+            [(batch, None, 1)]
+            for batch in snapshot_dataset(root).iter_batches(
+                batch_format="pyarrow", batch_size=None
+            )
+        )
         old_shards: dict[str, str] = {}
         old_support: dict[str, dict[str, str]] = {}
-        support_deltas = {
-            src: _full_scan_support(root, spec, src) for src in spec.support_srcs
-        }
     else:
-        dirty_files = _epoch_dirty_files(root, epoch)
-        delta = _dirty_delta(dirty_files, spec)
         mode = "delta"
+        inputs = (_dirty_sides(pq.read_table(f)) for f in _epoch_dirty_files(root, epoch))
         old_shards = dict(state.get("shards") or {})
         old_support = {
             src: dict(m) for src, m in (state.get("support") or {}).items()
         }
-        support_deltas = {
-            src: _dirty_support(dirty_files, spec, src) for src in spec.support_srcs
-        }
+    delta, support_deltas = _epoch_delta(inputs, spec)
 
     sid = _shard_ids(delta, spec)
     affected = set(int(s) for s in sid)
-    support_sharded: dict[str, pa.Table] = {}
-    for src, sd in support_deltas.items():
-        if sd is None or sd.num_rows == 0:
-            continue
-        ssid = _shard_ids(sd, spec)
-        support_sharded[src] = sd.append_column("_shard", pa.array(ssid, pa.int64()))
+    support_sids = {
+        src: _shard_ids(sd, spec) for src, sd in support_deltas.items() if sd is not None
+    }
+    for ssid in support_sids.values():
         affected.update(int(s) for s in ssid)
     affected = sorted(affected)
     if mode == "delta" and not affected:
@@ -455,60 +420,20 @@ def update_aggregates(root: str, epoch: int, spec: AggViewSpec) -> dict:
             "affected_shards": 0, "delta_groups": 0,
         }
 
-    delta = delta.append_column("_shard", pa.array(sid, pa.int64()))
-
-    @ray.remote
-    def _write_shard(old_abs: str | None, shard_delta: pa.Table, out_abs: str) -> int:
-        old = pq.read_table(old_abs) if old_abs else None
-        merged = _merge_shard(old, shard_delta.drop_columns(["_shard"]), spec)
-        ckpt.atomic_write_parquet(merged, out_abs)
-        return merged.num_rows
-
-    @ray.remote
-    def _write_support_shard(
-        old_abs: str | None, shard_delta: pa.Table, out_abs: str
-    ) -> int:
-        old = pq.read_table(old_abs) if old_abs else None
-        merged = _merge_support(old, shard_delta.drop_columns(["_shard"]), spec)
-        ckpt.atomic_write_parquet(merged, out_abs)
-        return merged.num_rows
-
-    refs = {}
     new_shards = dict(old_shards)
     for s in affected:
-        shard_delta = delta.filter(pc.equal(delta["_shard"], s))
+        shard_delta = delta.filter(pa.array(sid == s))
         if shard_delta.num_rows == 0 and mode == "delta":
             continue  # shard touched only by a support delta
-        old_rel = old_shards.get(str(s))
-        rel = _shard_rel(epoch, s)
-        refs[s] = _write_shard.remote(
-            os.path.join(root, old_rel) if old_rel else None,
-            shard_delta,
-            os.path.join(root, rel),
-        )
-        new_shards[str(s)] = rel
-    sup_refs: dict[tuple[str, int], object] = {}
+        _rewrite_shard(root, new_shards, s, _shard_rel(epoch, s), shard_delta,
+                       _merge_shard, spec)
     new_support = {src: dict(m) for src, m in old_support.items()}
-    for src, sd in support_sharded.items():
-        new_support.setdefault(src, {})
-        for s in sorted(set(int(x) for x in sd["_shard"].to_pylist())):
-            shard_delta = sd.filter(pc.equal(sd["_shard"], s))
-            old_rel = (old_support.get(src) or {}).get(str(s))
-            rel = _support_rel(src, epoch, s)
-            sup_refs[(src, s)] = _write_support_shard.remote(
-                os.path.join(root, old_rel) if old_rel else None,
-                shard_delta,
-                os.path.join(root, rel),
-            )
-            new_support[src][str(s)] = rel
-    rows = ray.get(list(refs.values()))
-    # drop shards that emptied out entirely
-    for s, n in zip(refs.keys(), rows):
-        if n == 0:
-            new_shards.pop(str(s), None)
-    for (src, s), n in zip(sup_refs.keys(), ray.get(list(sup_refs.values()))):
-        if n == 0:
-            new_support[src].pop(str(s), None)
+    for src, ssid in support_sids.items():
+        files = new_support.setdefault(src, {})
+        for s in np.unique(ssid):
+            _rewrite_shard(root, files, int(s), _support_rel(src, epoch, int(s)),
+                           support_deltas[src].filter(pa.array(ssid == s)),
+                           _merge_support, spec)
     new_state = {
         "epoch": epoch, "shards": new_shards, "support": new_support,
         "spec": spec.fingerprint(),
@@ -523,64 +448,21 @@ def update_aggregates(root: str, epoch: int, spec: AggViewSpec) -> dict:
     }
 
 
-def _dirty_delta(dirty_files: list[str], spec: AggViewSpec) -> pa.Table:
-    """Combined per-group contribution delta for one epoch: contribution
-    partials computed inside Dataset tasks (one per dirty file — each is
-    delta/P sized), only group-level partials reach the driver."""
-    import ray
-    import ray.data as rd
-
-    if not dirty_files:
-        return _empty_view(spec)
-
-    def load(batch: pa.Table) -> pa.Table:
-        parts = [
-            _contributions(pq.read_table(row["file"]), spec) for row in batch.to_pylist()
-        ]
-        return parts[0] if len(parts) == 1 else _partial_agg(
-            pa.concat_tables(parts, promote_options="default"), spec
-        )
-
-    ds = rd.from_items([{"file": f} for f in dirty_files]).map_batches(
-        load, batch_format="pyarrow", batch_size=1
-    )
-    partials = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not partials:
-        return _empty_view(spec)
-    return _partial_agg(pa.concat_tables(partials, promote_options="default"), spec)
-
-
-def _full_scan_delta(root: str, spec: AggViewSpec) -> pa.Table:
-    """Full-rebuild path: one streaming pass over the current lake
-    state; every row is a +1 contribution."""
-    import ray
-    from silk_ray.cdc.merge import snapshot_dataset
-
-    def contrib(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if not n:
-            return _empty_view(spec)
-        cols = {}
-        for g in spec.group_by:
-            cols[g] = (
-                batch[g].combine_chunks() if g in batch.column_names else pa.nulls(n, pa.string())
-            )
-        cols[spec.count_col] = pa.array(np.ones(n, dtype=np.int64), pa.int64())
-        for out, (fn, src) in spec.sum_measures.items():
-            cols[out] = _measure_values(batch, src, fn, n)
-        return _partial_agg(pa.table(cols), spec)
-
-    ds = snapshot_dataset(root).map_batches(contrib, batch_format="pyarrow")
-    partials = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not partials:
-        return _empty_view(spec)
-    # schema drift across partials (all-null group inferred as null type)
-    ref = next((t for t in partials if not any(
-        pa.types.is_null(f.type) for f in t.schema)), partials[0])
-    partials = [
-        t.cast(ref.schema) if t.schema != ref.schema else t for t in partials
-    ]
-    return _partial_agg(pa.concat_tables(partials, promote_options="default"), spec)
+def _rewrite_shard(
+    root: str, files: dict[str, str], shard: int, rel: str, delta: pa.Table, merge,
+    spec: AggViewSpec,
+) -> None:
+    """Merge one shard's delta into its committed file (``files``
+    still maps the shard to it), write the result to ``rel`` and point
+    ``files`` at it; a shard that emptied out leaves ``files``."""
+    old_rel = files.get(str(shard))
+    old = pq.read_table(os.path.join(root, old_rel)) if old_rel else None
+    merged = merge(old, delta, spec)
+    ckpt.atomic_write_parquet(merged, os.path.join(root, rel))
+    if merged.num_rows:
+        files[str(shard)] = rel
+    else:
+        files.pop(str(shard), None)
 
 
 def _state_rows(root: str, state: dict) -> int:

@@ -346,3 +346,23 @@ def test_truncate_force_strands_explicitly(lake, ray_session):
     commit_consumer(lake, "doomed", b["seq"][-1].as_py())
     removed = truncate_egress(lake, epochs[0], force=True)
     assert removed > 0
+
+
+def test_shard_ids_match_per_row_md5():
+    """The vectorised shard ids equal md5-lower-64 of ``repo\\x1fpath``
+    per row, over duplicate, unicode and empty keys and a chunked
+    column."""
+    from silk_ray.cdc.egress import _shard_ids
+    from silk_ray.kernel.index import md5_lower64
+
+    repo = ["r1", "r1", "r2", "", "", "ré/pö", "日本", "r1", "a\x1fb", ""]
+    path = ["a.py", "a.py", "a.py", "", "x", "ü.md", "語/ファイル", "b", "c", "\x1f"]
+    t = pa.Table.from_batches([
+        pa.record_batch({"repo": repo[:4], "path": path[:4]}),
+        pa.record_batch({"repo": repo[4:], "path": path[4:]}),
+    ])
+    for ns in (1, 7, 16):
+        want = [md5_lower64(f"{r}\x1f{p}") % ns for r, p in zip(repo, path)]
+        got = _shard_ids(t, ns)
+        assert got.dtype.kind == "i" and got.tolist() == want
+    assert _shard_ids(t.slice(0, 0), 16).tolist() == []

@@ -382,3 +382,102 @@ def test_minmax_gc_keeps_support(lake, ray_session):
     assert agg_table(lake).equals(final)
     state = read_aggstate(lake)
     assert state.get("support"), "support mapping missing from committed state"
+
+
+def _derived_bytes(root: str) -> dict[str, str]:
+    """sha256 of every agg view and egress file and of both state
+    pointers, keyed by path relative to the lake root."""
+    import glob
+    import hashlib
+
+    out = {}
+    for pat in ("aggview/*.parquet", "_aggstate.json", "_aggstates/*.json",
+                "egress/*.parquet", "_egressstate.json"):
+        for p in sorted(glob.glob(os.path.join(root, pat))):
+            with open(p, "rb") as f:
+                out[os.path.relpath(p, root)] = hashlib.sha256(f.read()).hexdigest()
+    return out
+
+
+def _raise(*_a, **_k):
+    raise AssertionError("patched Ray entry point called")
+
+
+def test_delta_path_starts_no_ray_work(tmp_path, monkeypatch, ray_session):
+    """The per-epoch agg view and egress updates are one driver-side
+    pyarrow pass: with Ray's task and Ray Data entry points patched to
+    raise, the epoch-E catch-up of a lake whose merge is at E and whose
+    derived stores are at E-1 writes the same bytes as an unpatched
+    twin."""
+    import ray
+
+    from silk_ray.cdc import checkpoint as ckpt
+    from silk_ray.cdc.egress import update_egress
+
+    lake = str(tmp_path / "a" / "lake")
+    log = _changelog(seed=27)
+    cfg = EngineConfig(epoch_size=150, num_partitions=4, agg_spec=MM_SPEC,
+                       egress=True, egress_shards=8, max_epochs=2)
+    run(lake, log, cfg)
+    # merge alone advances to E; the agg view and egress stay at E-1
+    run(lake, log, EngineConfig(epoch_size=150, num_partitions=4, max_epochs=1))
+    e = ckpt.read_manifest(lake).epoch
+    assert e == 3 and read_aggstate(lake)["epoch"] == e - 1
+    shutil.copytree(str(tmp_path / "a"), str(tmp_path / "b"))
+    twin = str(tmp_path / "b" / "lake")
+
+    want_agg = update_aggregates(twin, e, MM_SPEC)
+    want_eg = update_egress(twin, e, num_shards=8)
+    with monkeypatch.context() as m:
+        m.setattr(ray, "remote", _raise)
+        m.setattr(ray, "get", _raise)
+        m.setattr(ray.data, "from_items", _raise)
+        got_agg = update_aggregates(lake, e, MM_SPEC)
+        got_eg = update_egress(lake, e, num_shards=8)
+    assert got_agg["mode"] == "delta" and got_agg["delta_groups"] > 0
+    assert got_eg["rows"] > 0
+    assert (got_agg, got_eg) == (want_agg, want_eg)
+    assert _derived_bytes(lake) == _derived_bytes(twin)
+    assert read_aggstate(lake)["support"], "min/max support not maintained"
+
+
+def test_rebuild_resync_and_erase_skip_to_arrow_refs(tmp_path, monkeypatch, ray_session):
+    """The state-scanning paths (lag-triggered full rebuild of a sum +
+    min/max view, egress resync, the erase match scan) iterate their
+    scan instead of collecting it with ``Dataset.to_arrow_refs()``,
+    whose schema re-fetch can race a cancellation and abort the
+    driver; with it patched to raise they match an unpatched twin."""
+    import json
+
+    import ray
+
+    from silk_ray.cdc.egress import egress_resync
+    from silk_ray.cdc.erase import erase_where
+    from silk_ray.cdc.generator import write_changelog_segments
+
+    cl = str(tmp_path / "a" / "cl")
+    write_changelog_segments(_changelog(seed=29), cl, segment_size=250)
+    lake = str(tmp_path / "a" / "lake")
+    run(lake, cl, EngineConfig(epoch_size=150, num_partitions=4, agg_spec=MM_SPEC))
+    state = read_aggstate(lake)
+    lagged = {**state, "epoch": state["epoch"] - 2}
+    with open(os.path.join(lake, "_aggstate.json"), "w") as f:
+        json.dump(lagged, f)
+    shutil.copytree(str(tmp_path / "a"), str(tmp_path / "b"))
+
+    def drive(root: str, changelog: str) -> tuple:
+        agg = update_aggregates(root, state["epoch"], MM_SPEC)
+        assert agg["mode"] == "full"
+        resync = egress_resync(root, num_shards=8)
+        erased = erase_where(root, changelog, {"column": "lang", "op": "==", "value": "py"})
+        with open(erased.pop("segment"), "rb") as f:
+            segment = f.read()
+        return agg, resync, erased, segment, _derived_bytes(root)
+
+    want = drive(str(tmp_path / "b" / "lake"), str(tmp_path / "b" / "cl"))
+    with monkeypatch.context() as m:
+        m.setattr(ray.data.Dataset, "to_arrow_refs", _raise)
+        got = drive(lake, cl)
+    assert got == want
+    assert want[1]["rows"] > 0 and want[2]["events"] > 0
+    assert_view_equals_batch(lake, MM_SPEC)
