@@ -6,8 +6,11 @@ rule/execution/methods/MultiBlock.scala applied delta-wise):
 
 Persisted link state under ``lake_root/`` (LSM-style)::
 
-    blockmap/bp={B}/delta-{E}-*.parquet    # per-epoch delta shards:
-                                           # (action, key, side, uri, keys, vals_0..m)
+    blockmap/bp={B}/delta-{E}-*.parquet    # per-epoch delta shards, one
+                                           # row per (side, uri) entity:
+                                           # (action, side, uri, keys,
+                                           # vals_0..m), sorted by
+                                           # (side, uri)
     blockmap/bp={B}/compact-{E}.parquet    # compacted chain (all 'add')
     links/epoch-{E}/part-*.parquet         # UNFILTERED link set as a file
                                            # MANIFEST: the linkstate lists
@@ -18,29 +21,44 @@ Persisted link state under ``lake_root/`` (LSM-style)::
     _linkstate.json                        # atomic pointer {epoch, per-bp
                                            # file chains, links manifest}
 
+An entity's row sits in every block partition ``k % B`` of its blocking
+keys ``k`` and carries its FULL sorted key set; its blocks in partition
+``b`` are ``{k ∈ keys : k % B == b}``, exploded at read time. A blockmap
+file with a ``key`` column (the older one-row-per-key layout) is
+refused: the link store must be rebuilt.
+
 Per merge epoch E (consuming ``dirty/p=*/epoch-{E}.parquet`` deltas):
 
-1. **delta index + shard write** (``map_batches``, no shuffle): for
-   every changed key, compute the OLD payload's blocking keys
-   (tombstones) and the NEW payload's keys + leaf-comparison values,
-   for both link sides; each task writes its per-bp shard files
-   directly (same-epoch shards of one bp touch disjoint uris, so
-   reconciliation order among them is irrelevant) and returns only a
-   small ``(bp, file, key, uri)`` summary. O(delta) writes; the K-fold
-   exploded payload never enters the object store.
+1. **delta index + shard write** (fused into the merge tasks, or its
+   own ``map_batches`` pass; no shuffle): for every changed key and
+   link side, compute the OLD payload's blocking keys and the NEW
+   payload's keys + leaf-comparison values; write one 'add' entity row
+   per partition of the new keys and one payload-less 'del' row per
+   partition only the old keys had.
+   Each task writes its per-bp shard files directly (same-epoch shards
+   of one bp touch disjoint uris, so reconciliation order among them is
+   irrelevant) and returns only a small ``(bp, file, key, uri)``
+   summary, one row per old and new key. O(delta) writes.
 2. **compaction**: partitions whose delta chain exceeds ``COMPACT_AT``
-   are reconciled and rewritten to one file (amortized O(lake/K)).
+   are reconciled and rewritten to one file of entity rows (amortized
+   O(lake/K)).
 3. **delta re-score** (raw-task wave 1): per cost-balanced loader
-   bucket, reconcile the chain (newest-file-wins per uri), keep rows
-   in affected blocks (vectorized ``is_in``), key-sub-split hot bps,
-   score fused with min-common-key dedup; pairs need ≥1 dirty side
-   (clean∩clean pairs keep their stored links).
+   bucket, reconcile each chain once (newest-file-wins per uri), keep
+   the affected blocks (vectorized ``is_in``), key-sub-split hot bps,
+   dedupe entities by (uri, side) across the bucket's partitions and
+   score them with :meth:`PairScorer.score_entities`: each entity is
+   converted and prepared once, pairs need ≥1 dirty side (clean∩clean
+   pairs keep their stored links) and are scored in their smallest
+   shared block. Work is O(entities touched by the delta), not
+   O(rows in the affected blocks).
 4. **links merge** (wave 1 drop-dirty tasks + wave 2 bundle-write
    tasks over the AFFECTED manifest files only): drop stored links
    touching a dirty uri, add the recomputed ones; each write task
    computes its own manifest entry (rows, uri sketch, n_new);
    unaffected files carry over by reference — O(delta + affected
-   files) per epoch, not O(total links). Raw Ray tasks, not a
+   files) per epoch, not O(total links). Every wave-1 and write task
+   times its own steps; the sums and task counts are the ``task_s``
+   map of ``_metrics/links-E.json``. Raw Ray tasks, not a
    Dataset: per-epoch deltas are small and the streaming-executor
    startup (~1.5 s/epoch) dominated the useful work (measured, see
    BASELINE.md); the batch-linking path stays a Dataset pipeline.
@@ -61,12 +79,13 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
 from silk_ray.kernel.rule import LinkageRule
-from silk_ray.linking.pipeline import _compile_rule, _exploded_schema
+from silk_ray.linking.pipeline import _compile_rule
 
 DEFAULT_BLOCK_PARTITIONS = 64
 
@@ -87,18 +106,23 @@ read_linkstate_at = ckpt.LINKS.read_at
 
 
 class DeltaIndexStage:
-    """Turn dirty rows into blockmap add/del delta rows (both link sides).
+    """Turn dirty rows into blockmap entity delta rows (both link sides).
 
-    With ``shard_root`` set, each task writes its per-bp delta shard
-    files DIRECTLY (no shuffle: every (uri, bp) pair is produced by
-    exactly one task because the merge stage emits one dirty row per
-    key per epoch, so same-epoch shards of one bp touch disjoint uris
-    and their reconciliation order is irrelevant) and returns only a
-    small summary ``(bp, file, key, uri)`` — the driver registers the
-    shards and collects affected keys / dirty uris from it. This keeps
-    the ~K-fold exploded payload out of the object-store shuffle."""
+    Per dirty row and side: one ``add`` row — the entity's full sorted
+    ``keys`` and its leaf values — in every block partition
+    ``{k % B : k ∈ new keys}``, and one payload-less ``del`` row in
+    every partition ``{k % B : k ∈ old keys}`` the entity left.
 
-    def __init__(self, rule_spec, n_block_partitions: int, shard_root: str | None = None, epoch: int = 0):
+    Each task writes its per-bp delta shard files DIRECTLY (no shuffle:
+    every (uri, bp) pair is produced by exactly one task because the
+    merge stage emits one dirty row per key per epoch, so same-epoch
+    shards of one bp touch disjoint uris and their reconciliation order
+    is irrelevant) and returns only a small summary ``(bp, file, key,
+    uri)``, one row per old and new key and side — ``update_links``
+    registers the shards and collects affected keys / dirty uris from
+    it."""
+
+    def __init__(self, rule_spec, n_block_partitions: int, shard_root: str, epoch: int = 0):
         from silk_ray.linking.pipeline import _spec_symmetric
 
         self.rule = _compile_rule(rule_spec)
@@ -106,9 +130,7 @@ class DeltaIndexStage:
         self.shard_root = shard_root
         self.epoch = epoch
         self.n_leaves = len(self.rule.leaf_comparisons())
-        base = _exploded_schema(self.n_leaves)
-        fields = [pa.field("bp", pa.int32()), pa.field("action", pa.string())] + list(base)
-        self.schema = pa.schema(fields)
+        self.schema = _delta_schema(self.n_leaves)
         # symmetric rules (every leaf's source == target spec): side-1
         # and side-0 evaluations coincide, so transforms/index hashing
         # run once per entity instead of per side
@@ -128,8 +150,21 @@ class DeltaIndexStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         from silk_ray.cdc.generator import make_uri
 
-        out: dict[str, list] = {f.name: [] for f in self.schema}
-        rule = self.rule
+        rows: dict[str, list] = {f.name: [] for f in self.schema}
+        row_bp: list[int] = []
+        sum_key, sum_uri = [], []
+        rule, nbp = self.rule, self.nbp
+        no_vals = [None] * self.n_leaves
+
+        def emit(bp, action, side, uri, keys, vals):
+            row_bp.append(bp)
+            rows["action"].append(action)
+            rows["side"].append(side)
+            rows["uri"].append(uri)
+            rows["keys"].append(keys)
+            for i, v in enumerate(vals):
+                rows[f"vals_{i}"].append(v)
+
         for row in batch.to_pylist():
             uri = make_uri(row["repo"], row["path"])
             old_ent = self._payload_entity(row, "old_")
@@ -137,68 +172,48 @@ class DeltaIndexStage:
             old_keys = new_keys = new_vals = None
             for side in (1, 0):
                 sot = side == 1
-                if old_ent is not None:
-                    if old_keys is None or not self.symmetric:
-                        old_keys = sorted(rule.index_keys(old_ent, sot))
-                    for key in old_keys:
-                        out["bp"].append(key % self.nbp)
-                        out["action"].append("del")
-                        out["key"].append(key)
-                        out["side"].append(side)
-                        out["uri"].append(uri)
-                        out["keys"].append(None)
-                        for i in range(self.n_leaves):
-                            out[f"vals_{i}"].append(None)
-                if new_ent is not None:
-                    if new_keys is None or not self.symmetric:
-                        new_vals = rule.leaf_values(new_ent, sot)
-                        new_keys = sorted(rule.index_keys(new_ent, sot))
-                    for key in new_keys:
-                        out["bp"].append(key % self.nbp)
-                        out["action"].append("add")
-                        out["key"].append(key)
-                        out["side"].append(side)
-                        out["uri"].append(uri)
-                        out["keys"].append(new_keys)
-                        for i, v in enumerate(new_vals):
-                            out[f"vals_{i}"].append(v)
-        arrays = [pa.array(out[f.name], type=f.type) for f in self.schema]
-        table = pa.Table.from_arrays(arrays, schema=self.schema)
-        if self.shard_root is None:
-            return table
-        return self._write_shards(table)
+                if old_ent is not None and (old_keys is None or not self.symmetric):
+                    old_keys = sorted(rule.index_keys(old_ent, sot))
+                if new_ent is not None and (new_keys is None or not self.symmetric):
+                    new_vals = rule.leaf_values(new_ent, sot)
+                    new_keys = sorted(rule.index_keys(new_ent, sot))
+                touched = (old_keys or []) + (new_keys or [])
+                sum_key.extend(touched)
+                sum_uri.extend([uri] * len(touched))
+                new_bps = sorted({k % nbp for k in new_keys or ()})
+                for bp in new_bps:
+                    emit(bp, "add", side, uri, new_keys, new_vals)
+                for bp in sorted({k % nbp for k in old_keys or ()}.difference(new_bps)):
+                    emit(bp, "del", side, uri, None, no_vals)
+        table = pa.Table.from_arrays(
+            [pa.array(rows[f.name], type=f.type) for f in self.schema], schema=self.schema
+        )
+        return self._write_shards(table, np.asarray(row_bp, np.int64), sum_key, sum_uri)
 
-    def _write_shards(self, table: pa.Table) -> pa.Table:
-        """Write per-bp shard files locally; return the summary rows."""
+    def _write_shards(self, table: pa.Table, row_bp: np.ndarray, sum_key, sum_uri) -> pa.Table:
+        """Write one shard file per touched bp locally, rows sorted by
+        (side, uri); return the summary rows, grouped by bp in order of
+        first appearance."""
         import uuid
 
-        import pyarrow.compute as pc
-
-        delta_schema = _delta_schema(self.n_leaves)
-        sum_bp, sum_file, sum_key, sum_uri = [], [], [], []
-        if table.num_rows:
-            for bp in pc.unique(table["bp"]).to_pylist():
-                sub = table.filter(pc.equal(table["bp"], bp))
-                shard = sub.select(delta_schema.names).cast(delta_schema).sort_by(
-                    [("key", "ascending"), ("side", "ascending"), ("uri", "ascending"), ("action", "ascending")]
-                )
-                rel = os.path.join(
-                    "blockmap", f"bp={bp:05d}",
-                    f"delta-{self.epoch:06d}-{uuid.uuid4().hex[:8]}.parquet",
-                )
-                ckpt.atomic_write_parquet(shard, os.path.join(self.shard_root, rel))
-                keys = sub["key"].to_pylist()
-                uris = sub["uri"].to_pylist()
-                sum_bp.extend([bp] * len(keys))
-                sum_file.extend([rel] * len(keys))
-                sum_key.extend(keys)
-                sum_uri.extend(uris)
+        sum_bp = [k % self.nbp for k in sum_key]
+        rel_of: dict[int, str] = {}
+        for bp in dict.fromkeys(sum_bp):
+            shard = table.filter(pa.array(row_bp == bp)).sort_by(_ENTITY_ORDER)
+            rel = os.path.join(
+                "blockmap", f"bp={bp:05d}",
+                f"delta-{self.epoch:06d}-{uuid.uuid4().hex[:8]}.parquet",
+            )
+            ckpt.atomic_write_parquet(shard, os.path.join(self.shard_root, rel))
+            rel_of[bp] = rel
+        rank = {bp: i for i, bp in enumerate(rel_of)}
+        order = np.argsort([rank[bp] for bp in sum_bp], kind="stable").tolist()
         return pa.table(
             {
-                "bp": pa.array(sum_bp, pa.int32()),
-                "file": pa.array(sum_file, pa.string()),
-                "key": pa.array(sum_key, pa.int64()),
-                "uri": pa.array(sum_uri, pa.string()),
+                "bp": pa.array([sum_bp[r] for r in order], pa.int32()),
+                "file": pa.array([rel_of[sum_bp[r]] for r in order], pa.string()),
+                "key": pa.array([sum_key[r] for r in order], pa.int64()),
+                "uri": pa.array([sum_uri[r] for r in order], pa.string()),
             }
         )
 
@@ -211,29 +226,51 @@ class DeltaIndexStage:
 COMPACT_AT = 8  # delta files per blockmap partition before compaction
 SPLIT_ROWS = 1000  # delta rows per loader task before a bp is key-sub-split
 
+# blockmap row order within a file: newest-file-wins reconcile keeps it,
+# so a block's entities come out in (file, side, uri) order
+_ENTITY_ORDER = [("side", "ascending"), ("uri", "ascending"), ("action", "ascending")]
+
+
+def _entity_schema(n_leaves: int) -> pa.Schema:
+    """One blockmap entity: link side, uri, its full sorted blocking
+    key set, and its leaf-comparison values."""
+    fields = [
+        pa.field("side", pa.int8()),
+        pa.field("uri", pa.string()),
+        pa.field("keys", pa.list_(pa.int64())),
+    ]
+    return pa.schema(fields + [pa.field(f"vals_{i}", pa.list_(pa.string())) for i in range(n_leaves)])
+
 
 def _delta_schema(n_leaves: int) -> pa.Schema:
-    return pa.schema([pa.field("action", pa.string())] + list(_exploded_schema(n_leaves)))
+    return pa.schema([pa.field("action", pa.string())] + list(_entity_schema(n_leaves)))
 
 
 def read_bp_reconciled(root: str, files: list[str], n_leaves: int) -> pa.Table:
     """Reconcile a blockmap partition from its ordered delta files
-    (LSM-style): for every uri, only the NEWEST file mentioning it is
-    authoritative (it contains the uri's full current 'add' rows for
-    this partition; 'del' rows are pure tombstone markers — a uri whose
-    newest mention is del-only has left this partition)."""
+    (LSM-style) into its entity rows ``(side, uri, keys, vals_*)``: for
+    every uri, only the NEWEST file mentioning it is authoritative (it
+    holds the uri's current 'add' rows, one per side, for this
+    partition; a 'del' row is a pure tombstone — a uri whose newest
+    mention is del-only has left this partition)."""
     import pyarrow.compute as pc
 
-    import numpy as np
-
-    schema = _exploded_schema(n_leaves)
+    schema = _entity_schema(n_leaves)
     if not files:
         return schema.empty_table()
-    tables = [pq.read_table(os.path.join(root, f)) for f in files]
+    tables = []
+    for f in files:
+        t = pq.read_table(os.path.join(root, f))
+        if "key" in t.column_names:
+            raise ValueError(
+                f"blockmap file {f} has the old per-key layout (a 'key' column); "
+                "the link store must be rebuilt: remove blockmap/, links/ and "
+                "_linkstate.json and re-link the lake"
+            )
+        tables.append(t)
     if len(tables) == 1:
         t = tables[0]
-        keep = pc.equal(t["action"], "add")
-        return t.filter(keep).select(schema.names).cast(schema)
+        return t.filter(pc.equal(t["action"], "add")).select(schema.names).cast(schema)
     # vectorized newest-file-wins (the reconcile_tables shape,
     # merge.py): dictionary-encode uris across the chain, take the max
     # file index per code, keep each file's 'add' rows only where that
@@ -255,6 +292,19 @@ def read_bp_reconciled(root: str, files: list[str], n_leaves: int) -> pa.Table:
     return allt.filter(pa.array(mask)).select(schema.names).cast(schema)
 
 
+def _bp_blocks(ents: pa.Table, bp: int, n_block_partitions: int):
+    """The block index ``(key, entity row)`` of one partition's entity
+    rows: an entity sits in its blocks ``k ∈ keys`` with ``k % B == bp``
+    (its other keys live in other partitions)."""
+    import pyarrow.compute as pc
+
+    keys = ents["keys"].combine_chunks()
+    flat = pc.list_flatten(keys).to_numpy(zero_copy_only=False)
+    parent = pc.list_parent_indices(keys).to_numpy(zero_copy_only=False)
+    mine = flat % n_block_partitions == bp
+    return flat[mine], parent[mine]
+
+
 def _consolidate_bundle(root: str, bps: list[int], shard_lists: list[list[str]], epoch: int):
     """Merge each bp's SAME-EPOCH shard files (one per merge task that
     touched the bp; disjoint uris, so concat order is irrelevant) into
@@ -270,9 +320,7 @@ def _consolidate_bundle(root: str, bps: list[int], shard_lists: list[list[str]],
         # may already be GC'd)
         if not os.path.exists(os.path.join(root, rel)):
             tables = [pq.read_table(os.path.join(root, f)) for f in sorted(files)]
-            merged = pa.concat_tables(tables).sort_by(
-                [("key", "ascending"), ("side", "ascending"), ("uri", "ascending"), ("action", "ascending")]
-            )
+            merged = pa.concat_tables(tables).sort_by(_ENTITY_ORDER)
             ckpt.atomic_write_parquet(merged, os.path.join(root, rel))
         out.append((bp, rel))
     return out
@@ -281,10 +329,10 @@ def _consolidate_bundle(root: str, bps: list[int], shard_lists: list[list[str]],
 def _compact_bundle(root: str, bps: list[int], chains: list[list[str]], n_leaves: int, epoch: int):
     out = []
     for bp, files in zip(bps, chains):
-        merged = read_bp_reconciled(root, files, n_leaves).sort_by(
-            [("key", "ascending"), ("side", "ascending"), ("uri", "ascending")]
-        )
-        merged = merged.add_column(0, "action", pa.array(["add"] * merged.num_rows, pa.string()))
+        merged = read_bp_reconciled(root, files, n_leaves)
+        merged = merged.add_column(
+            0, "action", pa.array(["add"] * merged.num_rows, pa.string())
+        ).sort_by(_ENTITY_ORDER)
         rel = os.path.join("blockmap", f"bp={bp:05d}", f"compact-{epoch:06d}.parquet")
         ckpt.atomic_write_parquet(merged, os.path.join(root, rel))
         out.append((bp, rel))
@@ -334,42 +382,70 @@ def _lrs_bundle(
     n_leaves: int,
     n_block_partitions: int,
     epoch: int,
-) -> pa.Table:
-    """One cost-balanced loader bucket: reconcile delta chains, keep
-    rows in affected blocks, key-sub-split hot bps, score fused (no
-    shuffle — bp co-locates every row of a key; see update_links)."""
+) -> tuple[pa.Table, dict]:
+    """One cost-balanced loader bucket: reconcile each chain once, keep
+    the blocks that are affected (vectorized ``is_in``) and in the
+    item's key sub-split, dedupe entities by (uri, side) across the
+    bucket's partitions — every partition's newest 'add' row for a uri
+    comes from the same write, so the payload is identical — and score
+    (no shuffle — bp co-locates every row of a key; see update_links).
+    Returns the links and the task's seconds per step."""
+    import itertools
+    import time
+
     import pyarrow.compute as pc
 
     from silk_ray.linking.pipeline import PairScorer
 
-    parts = []
-    chain_memo: dict[tuple, pa.Table] = {}
-    for files, msplit, rsplit in zip(bucket["files"], bucket["msplits"], bucket["rsplits"]):
-        memo_key = tuple(files)
-        t = chain_memo.get(memo_key)
-        if t is None:
-            t = read_bp_reconciled(root, files, n_leaves)
-            t = t.filter(pc.is_in(t["key"], value_set=key_arr))
-            if len(chain_memo) >= 4:
-                chain_memo.clear()
-            chain_memo[memo_key] = t
-        if msplit > 1 and t.num_rows:
-            keys_np = t["key"].to_numpy(zero_copy_only=False)
-            mask = (keys_np // n_block_partitions) % msplit == rsplit
-            t = t.filter(pa.array(mask))
-        parts.append(t)
-    loaded = pa.concat_tables(parts) if parts else _exploded_schema(n_leaves).empty_table()
-    loaded = loaded.append_column("dirty", pc.is_in(loaded["uri"], value_set=uri_arr))
+    t0 = time.perf_counter()
+    items = zip(bucket["bps"], bucket["files"], bucket["msplits"], bucket["rsplits"])
+    parts, blk_key, blk_ent = [], [], []
+    n_ents = 0
+    # a bucket is sorted by (bp, rsplit): one chain's items are adjacent
+    for bp, group in itertools.groupby(items, key=lambda it: it[0]):
+        group = list(group)
+        ents = read_bp_reconciled(root, group[0][1], n_leaves)
+        key, parent = _bp_blocks(ents, bp, n_block_partitions)
+        hit = pc.is_in(pa.array(key), value_set=key_arr).to_numpy(zero_copy_only=False)
+        key, parent = key[hit], parent[hit]
+        keys_in, ents_in = [], []
+        for _bp, _files, msplit, rsplit in group:
+            mine = (key // n_block_partitions) % msplit == rsplit
+            keys_in.append(key[mine])
+            ents_in.append(parent[mine])
+        key, parent = np.concatenate(keys_in), np.concatenate(ents_in)
+        used, parent = np.unique(parent, return_inverse=True)
+        parts.append(ents.take(pa.array(used)))
+        blk_key.append(key)
+        blk_ent.append(parent + n_ents)
+        n_ents += len(used)
+    ents = pa.concat_tables(parts) if parts else _entity_schema(n_leaves).empty_table()
+    key = np.concatenate(blk_key) if blk_key else np.zeros(0, np.int64)
+    ent = np.concatenate(blk_ent) if blk_ent else np.zeros(0, np.int64)
+    if len(parts) > 1:
+        codes = pc.dictionary_encode(ents["uri"].combine_chunks()).indices.to_numpy(
+            zero_copy_only=False
+        ).astype(np.int64)
+        ident = codes * 2 + ents["side"].to_numpy(zero_copy_only=False)
+        _u, first, inverse = np.unique(ident, return_index=True, return_inverse=True)
+        ents = ents.take(pa.array(first))
+        ent = inverse[ent]
+    ents = ents.append_column("dirty", pc.is_in(ents["uri"], value_set=uri_arr))
+    timings = {"load_s": time.perf_counter() - t0}
     scorer = PairScorer(payload, limit=limit, source_equals_target=True, dirty_col="dirty")
-    out = scorer(loaded)
-    out = out.append_column("epoch_added", pa.array([epoch] * out.num_rows, pa.int32()))
-    return out
+    out = scorer.score_entities(ents, key, ent, timings)
+    out = out.append_column("epoch_added", pa.array(np.full(out.num_rows, epoch, np.int32)))
+    return out, timings
 
 
-def _drop_dirty_files(root: str, files: list[str], uri_arr: pa.Array) -> pa.Table:
-    """Stored link files minus links touching a dirty uri."""
+def _drop_dirty_files(root: str, files: list[str], uri_arr: pa.Array) -> tuple[pa.Table, dict]:
+    """Stored link files minus links touching a dirty uri, and the
+    task's seconds."""
+    import time
+
     import pyarrow.compute as pc
 
+    t0 = time.perf_counter()
     parts = []
     for f in files:
         t = pq.read_table(os.path.join(root, f))
@@ -380,31 +456,40 @@ def _drop_dirty_files(root: str, files: list[str], uri_arr: pa.Array) -> pa.Tabl
             pc.invert(pc.is_in(t["target"], value_set=uri_arr)),
         )
         parts.append(t.filter(keep))
-    return pa.concat_tables(parts) if parts else _links_empty_table()
+    out = pa.concat_tables(parts) if parts else _links_empty_table()
+    return out, {"drop_s": time.perf_counter() - t0}
 
 
 LINK_FILE_ROWS = 500_000  # target rows per manifest file
 
 
-def _write_links_bundle(root: str, dir_new: str, name: str, epoch: int, *bundle) -> list[dict]:
-    """Concat a bundle of link tables and write size-bounded manifest
-    files (≤ ``LINK_FILE_ROWS`` rows each — an oversized input file
-    re-splits here, keeping per-epoch rewrite cost bounded per file),
-    returning their entries + this epoch's recomputed counts (sketch
-    computed here, not re-read driver-side). An empty bundle writes
-    nothing. The wave-1 outputs arrive as DIRECT ObjectRef args so
-    Ray's locality-aware scheduler runs each write task where most of
-    its bundle's bytes already live (multi-node: mostly node-local
-    reads, remainder via plasma transfer)."""
+def _write_links_bundle(
+    root: str, dir_new: str, name: str, epoch: int, *bundle
+) -> tuple[list[dict], dict]:
+    """Concat a bundle of wave-1 ``(links, seconds)`` results and write
+    size-bounded manifest files (≤ ``LINK_FILE_ROWS`` rows each — an
+    oversized input file re-splits here, keeping per-epoch rewrite cost
+    bounded per file), returning their entries + this epoch's
+    recomputed counts (sketch computed here, not re-read by the caller)
+    and the bundle's summed task seconds, this write included. An empty
+    bundle writes nothing. The wave-1 outputs arrive as DIRECT
+    ObjectRef args so Ray's locality-aware scheduler runs each write
+    task where most of its bundle's bytes already live (multi-node:
+    mostly node-local reads, remainder via plasma transfer)."""
+    import time
+
     import pyarrow.compute as pc
 
-    tables = [t for t in bundle if t.num_rows]
-    if not tables:
-        return []
-    merged = pa.concat_tables(tables)
+    t0 = time.perf_counter()
+    seconds: dict[str, float] = {}
+    for _t, task_s in bundle:
+        for k, v in task_s.items():
+            seconds[k] = seconds.get(k, 0.0) + v
+    tables = [t for t, _s in bundle if t.num_rows]
+    merged = pa.concat_tables(tables) if tables else _links_empty_table()
     out = []
     n_chunks = -(-merged.num_rows // LINK_FILE_ROWS)
-    per = -(-merged.num_rows // n_chunks)
+    per = -(-merged.num_rows // max(1, n_chunks))
     for j in range(n_chunks):
         chunk = merged.slice(j * per, per)
         if not chunk.num_rows:
@@ -422,7 +507,8 @@ def _write_links_bundle(root: str, dir_new: str, name: str, epoch: int, *bundle)
                 "n_new": n_new,
             }
         )
-    return out
+    seconds["write_s"] = time.perf_counter() - t0
+    return out, seconds
 
 
 _LINK_TASKS: dict[str, object] = {}
@@ -739,6 +825,12 @@ def update_links(
     os.makedirs(links_dir_new, exist_ok=True)
     _mark("plan_build")
     written: list[dict] = []
+    # worker-side seconds per step, summed over the wave-1 and write
+    # tasks, and the task counts (a map of its own: ``phases`` sums to
+    # the wall time of this call)
+    task_s = dict.fromkeys(("load_s", "enumerate_s", "score_s", "drop_s", "write_s"), 0.0)
+    task_s.update(lrs_tasks=len(loader_buckets), drop_tasks=len(refs) - len(loader_buckets),
+                  write_tasks=0)
     if refs:
         write = _link_task("write")
         n_out = min(n_link_blocks, len(refs))
@@ -747,12 +839,15 @@ def update_links(
             write.remote(root, links_dir_new, f"part-{i:05d}", epoch, *b)
             for i, b in enumerate(bundles)
         ]
+        task_s["write_tasks"] = len(write_refs)
         # release the driver's pins on wave-1 outputs: each write task
         # holds its own bundle's refs, so blocks free as writes finish
         # instead of all living until update_links returns
         del refs, bundles
-        for entry_list in ray.get(write_refs):
+        for entry_list, seconds in ray.get(write_refs):
             written.extend(entry_list)
+            for k, v in seconds.items():
+                task_s[k] += v
     # no refs at all (no loader buckets, no affected files) → nothing
     # written this epoch; the manifest simply carries existing entries
     _mark("score_and_write")
@@ -799,6 +894,7 @@ def update_links(
     }
     _mark("metrics")
     metrics["phases"] = {name: round(sec, 6) for name, sec in _phases}
+    metrics["task_s"] = {k: round(v, 6) for k, v in task_s.items()}
     ckpt.write_metrics(root, epoch, metrics, kind="links")
     return metrics
 

@@ -320,10 +320,12 @@ def _distinct_pairs(pairs, id_type, min_col: str | None = None, coalesce: int | 
     )
 
 
-def _candidate_pairs(band_rows, id_col: str, hot_cap: int = 4096, n_salt_max: int = 64, n_rows: int | None = None, id_type=None):
+def _candidate_pairs(band_rows, id_col: str, id_type: pa.DataType, hot_cap: int = 4096, n_salt_max: int = 64, n_rows: int | None = None):
     """(bucket, id) rows → distinct (left_id, right_id) candidate pairs
-    with left < right. Only ids move through both shuffles. Buckets
-    above ``hot_cap`` rows are triangle-salted (see :func:`_salt_triangle`)
+    with left < right, typed ``id_type`` (the id column's type, which
+    also types the empty blocks of the pair stream). Only ids move
+    through both shuffles. Buckets above ``hot_cap`` rows are
+    triangle-salted (see :func:`_salt_triangle`)
     so one degenerate bucket (e.g. all-empty docs sharing MinHash
     signature 0) cannot become a single O(n²) straggler task; pair
     emission is vectorized (np.triu_indices / repeat+tile).
@@ -339,7 +341,6 @@ def _candidate_pairs(band_rows, id_col: str, hot_cap: int = 4096, n_salt_max: in
         hot = _find_hot_buckets(band_rows, hot_cap, n_salt_max)
 
     def emit_pairs(group: pa.Table) -> pa.Table:
-        id_type = group[id_col].type
         uniq_idx, li, ri = _group_sides(group, id_col)
         if li is None:
             return pa.schema([("left_id", id_type), ("right_id", id_type)]).empty_table()
@@ -356,7 +357,7 @@ def _candidate_pairs(band_rows, id_col: str, hot_cap: int = 4096, n_salt_max: in
     else:  # no salting needed: single-key shuffle, no extra map stage
         pairs = band_rows.groupby("bucket").map_groups(emit_pairs, batch_format="pyarrow")
     # same pair can surface from several buckets → distinct
-    return _distinct_pairs(pairs, id_type or pa.int64(), coalesce=_pair_blocks(n_rows))
+    return _distinct_pairs(pairs, id_type, coalesce=_pair_blocks(n_rows))
 
 
 def _attach_sketch(pairs, sketches, id_col: str, pair_key: str, carry: list[str], out_name: str):
@@ -554,7 +555,8 @@ def minhash_lsh_pairs(
 
     band_rows = sketched.map_batches(explode_bands, batch_format="pyarrow")
     cand = _candidate_pairs(
-        band_rows, id_col, hot_cap=hot_cap, n_salt_max=n_salt_max, n_rows=sketched.count()
+        band_rows, id_col, hot_cap=hot_cap, n_salt_max=n_salt_max, n_rows=sketched.count(),
+        id_type=sketched.schema().base_schema.field(id_col).type,
     )
     return _verify_adaptive(cand, sketched, id_col, jaccard_threshold, "jaccard")
 
@@ -757,6 +759,7 @@ def ngram_jaccard_pairs(
 
     band_rows = sketched.map_batches(explode_prefix, batch_format="pyarrow")
     cand = _candidate_pairs(
-        band_rows, id_col, hot_cap=hot_cap, n_salt_max=n_salt_max, n_rows=sketched.count()
+        band_rows, id_col, hot_cap=hot_cap, n_salt_max=n_salt_max, n_rows=sketched.count(),
+        id_type=sketched.schema().base_schema.field(id_col).type,
     )
     return _verify_adaptive(cand, sketched, id_col, threshold, "jaccard")

@@ -188,6 +188,7 @@ class LinkageRule:
     filter_limit: int | None = None  # per-source top-k (LinkFilter.scala:26)
     filter_unambiguous: bool = False
     index_crop: int = DEFAULT_INDEX_CROP
+    _leaves: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def apply(self, source: Entity, target: Entity, limit: float = 0.0) -> float | None:
         return self.operator.apply(source, target, limit)
@@ -213,7 +214,10 @@ class LinkageRule:
     # post-shuffle group stage from those carried values alone.
 
     def leaf_comparisons(self) -> list[Comparison]:
-        """Leaf comparisons in stable depth-first order."""
+        """Leaf comparisons in stable depth-first order, walked once per
+        rule (the pair scorer asks for them once per entity)."""
+        if self._leaves is not None:
+            return self._leaves
         out: list[Comparison] = []
 
         def walk(op: SimilarityOperator):
@@ -224,6 +228,7 @@ class LinkageRule:
                     walk(child)
 
         walk(self.operator)
+        self._leaves = out
         return out
 
     def leaf_values(self, entity: Entity, source_or_target: bool) -> list[list[str]]:

@@ -313,18 +313,31 @@ class IndexStage:
 
 
 class PairScorer:
-    """Post-shuffle scoring over one coarse shuffle partition holding
-    MANY block groups (shuffling on ``part = key % P`` instead of the
-    raw key avoids per-tiny-group map_groups overhead; blocks are
-    re-grouped in-memory here). Min-common-key dedup: each pair scored
-    exactly once across all its shared blocks.
+    """Blocked pair scoring with one core, :meth:`score_entities`, over
+    an *entity table* (``side, uri, keys, vals_0..m`` and optionally the
+    ``dirty_col`` flag, one row per entity) and a *block index*: parallel
+    ``(key, entity row)`` arrays, one entry per block an entity sits in.
 
-    ``dirty_col``: when set (incremental re-link), pairs need >=1 dirty
-    side and blocks with no dirty row are skipped entirely.
+    The core enumerates candidate pairs from ``uri`` and ``keys`` alone,
+    block by block in ascending key order: side-1 × side-0 entities of
+    one block, ``source < target`` when ``source_equals_target``, and
+    min-common-key dedup (a pair is kept only in the smallest block its
+    two key sets share, so each pair is scored exactly once across its
+    shared blocks). With ``dirty_col`` set (incremental re-link) a pair
+    needs ≥1 dirty side: blocks without a dirty entity are skipped, a
+    clean source pairs only with the block's dirty targets, and a dirty
+    source with all of them. Only then are ``vals_*`` converted and
+    leaf values prepared, once per entity that appears in a candidate
+    pair; pairs are kept iff confidence >= limit. A single
+    ``levenshteinDistance`` rule scores the candidates in one DuckDB
+    query instead (see :meth:`_levenshtein_scores`).
 
-    The ``keys`` and ``vals_*`` list columns reach Python through
-    :func:`_list_column_to_pylist`, one vectorised pass per column:
-    element-wise ``to_pylist()`` was half of the scorer's time."""
+    ``__call__(part)`` keeps the exploded-row signature of the batch
+    pipeline (``key, side, uri, keys, vals_*``, one row per (block,
+    entity)): every row is its own entity there, because batch input
+    does not guarantee unique uris. Shuffling on a coarse partition
+    instead of the raw key avoids per-tiny-group ``map_groups``
+    overhead; blocks are re-grouped in memory here."""
 
     def __init__(
         self,
@@ -338,183 +351,177 @@ class PairScorer:
         self.source_equals_target = source_equals_target
         self.dirty_col = dirty_col
 
-    def _score_levenshtein_vectorized(self, part: pa.Table, op) -> pa.Table:
-        """Fast path for a single-``levenshteinDistance``-comparison rule
-        (the reference's own benchmark shape, names corpus): the whole
-        partition's block cross-products run as ONE DuckDB join with a
+    def __call__(self, part: pa.Table) -> pa.Table:
+        key = part["key"].to_numpy(zero_copy_only=False)
+        return self.score_entities(part, key, np.arange(part.num_rows))
+
+    def score_entities(
+        self, ents: pa.Table, key: np.ndarray, ent: np.ndarray, timings: dict | None = None
+    ) -> pa.Table:
+        """Score the candidate pairs of the blocks in ``(key, ent)``.
+        ``timings``, when given, accumulates ``enumerate_s`` and
+        ``score_s`` (convert, prepare and score)."""
+        import time
+
+        t0 = time.perf_counter()
+        pi, pj = self._candidates(ents, key, ent)
+        t1 = time.perf_counter()
+        out = self._score_pairs(ents, pi, pj)
+        if timings is not None:
+            timings["enumerate_s"] = timings.get("enumerate_s", 0.0) + t1 - t0
+            timings["score_s"] = timings.get("score_s", 0.0) + time.perf_counter() - t1
+        return out
+
+    def _candidates(self, ents: pa.Table, key: np.ndarray, ent: np.ndarray):
+        """Candidate pairs as parallel (source row, target row) lists,
+        in block order, then source order, then target order."""
+        if not len(key):
+            return [], []
+        order = np.argsort(key, kind="stable")
+        key, ent = key[order], ent[order]
+        sides = ents["side"].to_numpy(zero_copy_only=False)
+        is_src = sides[ent] == 1
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        # blocks with a source and a target (and a dirty entity)
+        keep = np.logical_or.reduceat(is_src, starts) & np.logical_or.reduceat(~is_src, starts)
+        dirty = None
+        if self.dirty_col:
+            dirty_np = ents[self.dirty_col].to_numpy(zero_copy_only=False)
+            keep &= np.logical_or.reduceat(dirty_np[ent], starts)
+            dirty = dirty_np.tolist()
+        bounds = np.r_[starts, len(key)]
+        uris = ents["uri"].to_pylist()
+        key_lists = _list_column_to_pylist(ents["keys"])
+        # an entity in the block of its smallest key needs no key-set
+        # intersection there: every key it shares is >= that block's key
+        kmin = [min(k) if k else None for k in key_lists]
+        key_sets: dict[int, frozenset] = {}
+
+        def kset(e: int) -> frozenset:
+            ks = key_sets.get(e)
+            if ks is None:
+                ks = key_sets[e] = frozenset(key_lists[e])
+            return ks
+
+        side_l, ent_l, key_l = sides.tolist(), ent.tolist(), key.tolist()
+        pi, pj = [], []
+        for b in np.flatnonzero(keep).tolist():
+            lo, hi = int(bounds[b]), int(bounds[b + 1])
+            gk = key_l[lo]
+            src, tgt, tgt_dirty = [], [], []
+            for e in ent_l[lo:hi]:
+                if side_l[e] == 1:
+                    src.append(e)
+                else:
+                    tgt.append(e)
+                    if dirty is not None and dirty[e]:
+                        tgt_dirty.append(e)
+            for i in src:
+                cand = tgt if dirty is None or dirty[i] else tgt_dirty
+                if self.source_equals_target:
+                    s_uri = uris[i]
+                    cand = [j for j in cand if s_uri < uris[j]]
+                if kmin[i] != gk:
+                    # keep a pair only in its smallest shared block
+                    s_keys = kset(i)
+                    cand = [j for j in cand if kmin[j] == gk or min(s_keys & kset(j)) == gk]
+                pi.extend([i] * len(cand))
+                pj.extend(cand)
+        return pi, pj
+
+    def _score_pairs(self, ents: pa.Table, pi: list, pj: list) -> pa.Table:
+        if not pi:
+            return _LINKS_SCHEMA.empty_table()
+        rule = _compile_rule(self.rule_spec)
+        op = rule.operator
+        limit = self.limit
+        scored = None
+        if (
+            isinstance(op, Comparison)
+            and getattr(type(op.metric), "id", None) == "levenshteinDistance"
+            and op.threshold > 0
+        ):
+            # None = non-ASCII values, byte-level kernel unsafe
+            scored = self._levenshtein_scores(ents, pi, pj, op)
+        if scored is None:
+            # convert and prepare each entity of a candidate pair once
+            needed = sorted(set(pi) | set(pj))
+            n_leaves = len(rule.leaf_comparisons())
+            sub = ents.select([f"vals_{k}" for k in range(n_leaves)]).take(
+                pa.array(needed, pa.int64())
+            )
+            cols = [_list_column_to_pylist(sub[f"vals_{k}"]) for k in range(n_leaves)]
+            prepared = {
+                e: rule.prepare_leaf_values([c[r] for c in cols]) for r, e in enumerate(needed)
+            }
+            kept, conf = [], []
+            for n, (i, j) in enumerate(zip(pi, pj)):
+                score = rule.score_from_prepared(prepared[i], prepared[j], limit)
+                if score is not None and score >= limit:
+                    kept.append(n)
+                    conf.append(score)
+            scored = (np.asarray(kept, np.int64), conf)
+        kept, conf = scored
+        return pa.table(
+            {
+                "source": ents["uri"].take(np.asarray(pi, np.int64)[kept]).cast(pa.string()),
+                "target": ents["uri"].take(np.asarray(pj, np.int64)[kept]).cast(pa.string()),
+                "confidence": pa.array(conf, pa.float64()),
+            }
+        )
+
+    def _levenshtein_scores(self, ents: pa.Table, pi: list, pj: list, op):
+        """Scoring kernel for a single-``levenshteinDistance`` rule (the
+        reference's own benchmark shape, names corpus): the candidate
+        pairs' value cross-products run as ONE DuckDB query with a
         native levenshtein kernel (~20x the per-pair Python loop;
         identical output — min over the value cross-product, 1-d/θ
-        confidence, min-common-key dedup and triangular/dirty filters
-        applied over the surviving candidates). Returns ``None`` when
-        any value is non-ASCII (the native kernel is byte-level, the
-        kernel library character-level) — caller falls back to the
-        generic per-pair path."""
+        confidence). Returns ``(kept pair positions, confidences)``, or
+        ``None`` when any value is non-ASCII (the native kernel is
+        byte-level, the kernel library character-level) — the caller
+        then takes the generic path."""
         import pyarrow.compute as pc
 
         theta = op.threshold
         d_max = theta * (1.0 - self.limit) + 1e-9
-        sides = part["side"].to_numpy(zero_copy_only=False)
-        rid = pa.array(np.arange(part.num_rows, dtype=np.int64))
-        vals = part["vals_0"].combine_chunks() if part.num_rows else part["vals_0"]
-        parent = pc.list_parent_indices(vals)
+        vals = ents["vals_0"].combine_chunks()
         flat_v = pc.list_flatten(vals)
-        # the native kernel computes BYTE-level edit distance; the
-        # kernel library is character-level. Identical only for pure
-        # ASCII — any multi-byte value sends the whole part to the
-        # generic per-pair path.
+        # identical to the character-level kernel only for pure ASCII:
+        # any multi-byte value sends the whole table to the generic path
         non_null = pc.drop_null(flat_v)
         if len(non_null) and not pc.all(
             pc.equal(pc.binary_length(pc.cast(non_null, pa.binary())), pc.utf8_length(non_null))
         ).as_py():
             return None
-        cols = {
-            "rid": pc.take(rid, parent),
-            "key": pc.take(part["key"].combine_chunks(), parent),
-            "side": pa.array(np.asarray(sides)[parent.to_numpy(zero_copy_only=False)]),
-            "v": flat_v,
-        }
-        dirty_filter = ""
-        if self.dirty_col:
-            dcol = pa.array(
-                part[self.dirty_col].to_numpy(zero_copy_only=False)[
-                    parent.to_numpy(zero_copy_only=False)
-                ]
-            )
-            cols["dirty"] = dcol
-            # clean∩clean pairs keep their stored links — skip them
-            # BEFORE the native scoring, like the generic path does
-            dirty_filter = " AND (s.dirty OR t.dirty)"
-        flat = pa.table(cols)
-        src = flat.filter(pc.equal(flat["side"], 1)).drop_columns(["side"])
-        tgt = flat.filter(pc.equal(flat["side"], 0)).drop_columns(["side"])
-        if not src.num_rows or not tgt.num_rows:
-            return _LINKS_SCHEMA.empty_table()
+        ev = pa.table({"e": pc.list_parent_indices(vals), "v": flat_v})
+        pairs = pa.table(
+            {
+                "n": pa.array(np.arange(len(pi), dtype=np.int64)),
+                "i": pa.array(pi, pa.int64()),
+                "j": pa.array(pj, pa.int64()),
+            }
+        )
         con = _duck()
-        con.register("_sr_src", src)
-        con.register("_sr_tgt", tgt)
-        cand = con.execute(
-            f"""
-            SELECT s.key AS k, s.rid AS i, t.rid AS j,
-                   min(levenshtein(s.v, t.v)) AS d
-            FROM _sr_src s JOIN _sr_tgt t ON s.key = t.key
-            WHERE s.v IS NOT NULL AND t.v IS NOT NULL{dirty_filter}
-            GROUP BY 1, 2, 3
+        con.register("_sr_ev", ev)
+        con.register("_sr_pairs", pairs)
+        res = con.execute(
+            """
+            SELECT p.n AS n, min(levenshtein(s.v, t.v)) AS d
+            FROM _sr_pairs p
+            JOIN _sr_ev s ON s.e = p.i
+            JOIN _sr_ev t ON t.e = p.j
+            WHERE s.v IS NOT NULL AND t.v IS NOT NULL
+            GROUP BY 1
             HAVING min(levenshtein(s.v, t.v)) <= ?
+            ORDER BY 1
             """,
             [d_max],
         ).arrow()
-        con.unregister("_sr_src")
-        con.unregister("_sr_tgt")
-        uris = part["uri"].to_pylist()
-        keysets = _list_column_to_pylist(part["keys"])
-        dirty = part[self.dirty_col].to_numpy(zero_copy_only=False) if self.dirty_col else None
-        set_cache: dict[int, frozenset] = {}
-
-        def kset(i: int) -> frozenset:
-            s = set_cache.get(i)
-            if s is None:
-                s = frozenset(keysets[i])
-                set_cache[i] = s
-            return s
-
-        out_s, out_t, out_c = [], [], []
-        for k, i, j, d in zip(
-            cand["k"].to_pylist(), cand["i"].to_pylist(), cand["j"].to_pylist(), cand["d"].to_pylist()
-        ):
-            s_uri, t_uri = uris[i], uris[j]
-            if self.source_equals_target and s_uri >= t_uri:
-                continue
-            if dirty is not None and not (dirty[i] or dirty[j]):
-                continue
-            common = kset(i) & kset(j)
-            if min(common) != k:
-                continue  # scored in a smaller shared block
-            out_s.append(s_uri)
-            out_t.append(t_uri)
-            out_c.append(1.0 - d / theta)
-        return pa.table(
-            {
-                "source": pa.array(out_s, pa.string()),
-                "target": pa.array(out_t, pa.string()),
-                "confidence": pa.array(out_c, pa.float64()),
-            }
-        )
-
-    def __call__(self, part: pa.Table) -> pa.Table:
-        rule = _compile_rule(self.rule_spec)
-        n_leaves = len(rule.leaf_comparisons())
-        op = rule.operator
-        if (
-            part.num_rows
-            and isinstance(op, Comparison)
-            and getattr(type(op.metric), "id", None) == "levenshteinDistance"
-            and op.threshold > 0
-        ):
-            fast = self._score_levenshtein_vectorized(part, op)
-            if fast is not None:  # None = non-ASCII values, byte-level kernel unsafe
-                return fast
-        if part.num_rows:
-            order = pa.compute.sort_indices(part["key"])
-            part = part.take(order)
-        keys_col = part["key"].to_numpy(zero_copy_only=False)
-        sides = part["side"].to_numpy(zero_copy_only=False)
-        uris = part["uri"].to_pylist()
-        key_sets = [frozenset(k) for k in _list_column_to_pylist(part["keys"])]
-        vals_cols = [_list_column_to_pylist(part[f"vals_{i}"]) for i in range(n_leaves)]
-        dirty = part[self.dirty_col].to_numpy(zero_copy_only=False) if self.dirty_col else None
-        # per-row prepared leaf values, computed lazily once per row
-        prepared: list = [None] * len(uris)
-
-        def prep(i: int):
-            p = prepared[i]
-            if p is None:
-                p = rule.prepare_leaf_values([vals_cols[k][i] for k in range(n_leaves)])
-                prepared[i] = p
-            return p
-        out_s, out_t, out_c = [], [], []
-        limit = self.limit
-        n = len(keys_col)
-        run_start = 0
-        while run_start < n:
-            run_end = run_start
-            gk = keys_col[run_start]
-            while run_end < n and keys_col[run_end] == gk:
-                run_end += 1
-            idx = range(run_start, run_end)
-            run_start, lo = run_end, idx[0]
-            if dirty is not None and not dirty[lo : idx[-1] + 1].any():
-                continue
-            src_idx = [i for i in idx if sides[i] == 1]
-            tgt_idx = [i for i in idx if sides[i] == 0]
-            if not src_idx or not tgt_idx:
-                continue
-            for i in src_idx:
-                s_uri = uris[i]
-                s_keys = key_sets[i]
-                s_dirty = dirty[i] if dirty is not None else True
-                s_prep = None
-                for j in tgt_idx:
-                    t_uri = uris[j]
-                    if self.source_equals_target and s_uri >= t_uri:
-                        continue
-                    if dirty is not None and not (s_dirty or dirty[j]):
-                        continue
-                    common = s_keys & key_sets[j]
-                    if min(common) != gk:
-                        continue  # scored in a smaller shared block
-                    if s_prep is None:
-                        s_prep = prep(i)
-                    score = rule.score_from_prepared(s_prep, prep(j), limit)
-                    if score is not None and score >= limit:
-                        out_s.append(s_uri)
-                        out_t.append(t_uri)
-                        out_c.append(score)
-        return pa.table(
-            {
-                "source": pa.array(out_s, pa.string()),
-                "target": pa.array(out_t, pa.string()),
-                "confidence": pa.array(out_c, pa.float64()),
-            }
+        con.unregister("_sr_ev")
+        con.unregister("_sr_pairs")
+        return (
+            res["n"].to_numpy(zero_copy_only=False),
+            [1.0 - d / theta for d in res["d"].to_pylist()],
         )
 
 

@@ -123,6 +123,42 @@ def test_ngram_jaccard_exact_pairs(doc_ds):
     assert got[(0, 3)] == pytest.approx(len(s0 & s3) / len(s0 | s3))
 
 
+@pytest.mark.parametrize("method", ["ngram_jaccard_pairs", "minhash_lsh_pairs"])
+def test_string_id_pair_stream_keeps_id_type(ray_session, monkeypatch, method):
+    """Both candidate-pair callers pass the sketched dataset's id type to
+    the pair dedup, so a string-id corpus gets a (string, string) pair
+    schema — also where the pair stream has empty blocks (coalesced to
+    four sort blocks for one pair), which the dedup types with
+    ``id_type`` instead of falling back to int64."""
+    import ray
+    import ray.data as rd
+
+    from silk_ray.functions import dedup
+
+    seen = []
+    real = dedup._distinct_pairs
+
+    def spy(pairs, id_type, **kw):
+        out = real(pairs, id_type, **kw)
+        seen.append((id_type, out))
+        return out
+
+    monkeypatch.setattr(dedup, "_distinct_pairs", spy)
+    monkeypatch.setattr(dedup, "_pair_blocks", lambda n_rows: 4)
+    rows = [
+        {"doc_id": f"d{j}", "text": f"unrelated document {j} alpha{j} beta{j} gamma{j} delta{j}"}
+        for j in range(12)
+    ] + [{"doc_id": f"x{j}", "text": "the same text twice over here"} for j in (1, 2)]
+    getattr(dedup, method)(rd.from_items(rows, override_num_blocks=4)).materialize()
+    (id_type, cand), = seen
+    assert id_type == pa.string()
+    blocks = [ray.get(r) for r in cand.materialize().get_internal_block_refs()]
+    assert any(b.num_rows == 0 for b in blocks)
+    pair_schema = pa.schema([("left_id", pa.string()), ("right_id", pa.string())])
+    assert [b.schema for b in blocks if b.num_rows] == [pair_schema]
+    assert cand.schema().base_schema == pair_schema
+
+
 def test_quality_and_langid(ray_session):
     import ray.data as rd
 

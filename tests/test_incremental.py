@@ -101,6 +101,15 @@ def test_link_phases_in_metrics_record(ray_session, tmp_path):
     assert {"read_summaries", "plan_build", "score_and_write", "commit_gc"} <= set(phases)
     assert all(v >= 0 for v in phases.values())
     assert abs(sum(phases.values()) - wall) <= 0.1 * wall
+    # worker-side seconds of the score_and_write waves and their task counts
+    task_s = record["task_s"]
+    assert task_s == metrics["task_s"]
+    assert set(task_s) == {
+        "load_s", "enumerate_s", "score_s", "drop_s", "write_s",
+        "lrs_tasks", "drop_tasks", "write_tasks",
+    }
+    assert all(v >= 0 for v in task_s.values())
+    assert task_s["lrs_tasks"] >= 1 and task_s["write_tasks"] >= 1
 
 
 def test_second_epoch_is_delta_sized(engine_run):
@@ -203,3 +212,217 @@ def test_incremental_equals_batch_single_levenshtein(tmp_path_factory, ray_sessi
     )
     assert incremental == batch
     assert len(incremental) > 0
+
+
+def _blockmap_files(root):
+    import os
+
+    base = os.path.join(root, "blockmap")
+    return sorted(
+        os.path.join(base, d, f)
+        for d in os.listdir(base)
+        for f in os.listdir(os.path.join(base, d))
+        if f.endswith(".parquet")
+    )
+
+
+def test_blockmap_has_one_row_per_entity(engine_run):
+    """A blockmap file holds one row per (side, uri) — no per-key rows and
+    no ``key`` column — sorted by (side, uri); an 'add' row carries the
+    entity's full sorted key set, of which at least one key falls in
+    the file's block partition."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    root = engine_run[0]
+    files = _blockmap_files(root)
+    assert files
+    for f in files:
+        t = pq.read_table(f)
+        assert "key" not in t.column_names
+        assert t.column_names[:4] == ["action", "side", "uri", "keys"]
+        ids = list(zip(t["side"].to_pylist(), t["uri"].to_pylist()))
+        assert ids == sorted(ids) and len(ids) == len(set(ids))
+        bp = int(os.path.basename(os.path.dirname(f)).split("=")[1])
+        for action, keys in zip(t["action"].to_pylist(), t["keys"].to_pylist()):
+            if action == "add":
+                assert keys == sorted(keys) and any(k % 16 == bp for k in keys)
+            else:
+                assert keys is None
+
+
+def test_per_key_blockmap_layout_is_refused(tmp_path):
+    """A blockmap file in the old per-key layout (a ``key`` column) raises
+    one clear error naming the file and asking for a link-store rebuild."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from silk_ray.cdc.incremental import read_bp_reconciled
+
+    rel = os.path.join("blockmap", "bp=00003", "delta-000002-0a1b2c3d.parquet")
+    os.makedirs(os.path.dirname(tmp_path / rel))
+    pq.write_table(
+        pa.table({
+            "action": ["add"], "key": pa.array([7], pa.int64()), "side": pa.array([1], pa.int8()),
+            "uri": ["r//a"], "keys": pa.array([[7]], pa.list_(pa.int64())),
+            "vals_0": pa.array([["a"]], pa.list_(pa.string())),
+        }),
+        tmp_path / rel,
+    )
+    for files in ([rel], [rel, rel]):
+        with pytest.raises(ValueError, match=r"delta-000002-0a1b2c3d\.parquet.*must be rebuilt"):
+            read_bp_reconciled(str(tmp_path), files, 1)
+
+
+def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
+    """One loader task converts and prepares each (uri, side) entity at
+    most once, although the entity sits in several blocks and block
+    partitions and one partition is key-sub-split into two items of
+    the task — and its links equal the scorer run over the same blocks
+    as exploded rows, one row per (block, entity)."""
+    import pyarrow.compute as pc
+
+    from silk_ray.cdc import incremental
+    from silk_ray.kernel.rule import LinkageRule
+    from silk_ray.linking.pipeline import PairScorer
+
+    root = engine_run[0]
+    state = incremental.read_linkstate(root)
+    bps = sorted(int(b) for b in state["blockmap"])
+    chains = {int(b): v for b, v in state["blockmap"].items()}
+    ents = {b: incremental.read_bp_reconciled(root, chains[b], 3) for b in bps}
+    all_keys = pa.array(sorted({k for t in ents.values() for ks in t["keys"].to_pylist() for k in ks}),
+                        pa.int64())
+    uris = pa.concat_tables(ents.values())["uri"]
+    dirty = pc.unique(uris).filter(pa.array([i % 3 == 0 for i in range(len(pc.unique(uris)))]))
+    items = [(bps[0], 2, 0), (bps[0], 2, 1)] + [(b, 1, 0) for b in bps[1:]]
+    bucket = {
+        "bps": [b for b, _, _ in items],
+        "files": [chains[b] for b, _, _ in items],
+        "msplits": [m for _, m, _ in items],
+        "rsplits": [r for _, _, r in items],
+    }
+    calls = []
+    real = LinkageRule.prepare_leaf_values
+
+    def counting(self, vals):
+        calls.append(repr(vals))
+        return real(self, vals)
+
+    monkeypatch.setattr(LinkageRule, "prepare_leaf_values", counting)
+    out, timings = incremental._lrs_bundle(
+        root, bucket, all_keys, dirty, UNFILTERED_RULE, 0.0, 3, 16, 9
+    )
+    # entities by their leaf values (a symmetric rule's two sides share
+    # them): no value list may be prepared more often than entities hold it
+    holders: dict[str, set] = {}
+    for t in ents.values():
+        vals = zip(*(t[f"vals_{i}"].to_pylist() for i in range(3)))
+        for s, u, v in zip(t["side"].to_pylist(), t["uri"].to_pylist(), vals):
+            holders.setdefault(repr(list(v)), set()).add((s, u))
+    n_entities = sum(len(h) for h in holders.values())
+    n_blocks = sum(len(incremental._bp_blocks(t, b, 16)[0]) for b, t in ents.items())
+    assert 0 < len(calls) <= n_entities < n_blocks
+    assert all(calls.count(v) <= len(holders[v]) for v in set(calls))
+    assert set(timings) == {"load_s", "enumerate_s", "score_s"}
+    assert out.num_rows and set(out["epoch_added"].to_pylist()) == {9}
+
+    # the same blocks as exploded rows, each row its own entity
+    parts = []
+    for b, t in ents.items():
+        key, ent = incremental._bp_blocks(t, b, 16)
+        parts.append(t.take(pa.array(ent)).add_column(0, "key", pa.array(key)))
+    exploded = pa.concat_tables(parts)
+    exploded = exploded.append_column("dirty", pc.is_in(exploded["uri"], value_set=dirty))
+    calls.clear()
+    want = PairScorer(UNFILTERED_RULE, source_equals_target=True, dirty_col="dirty")(exploded)
+    assert len(calls) > n_entities
+
+    def rows(t):
+        return sorted(zip(*(t[c].to_pylist() for c in ("source", "target", "confidence"))))
+
+    assert rows(out) == rows(want)
+
+
+def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch):
+    """Incremental links equal batch ``generate_links`` after EVERY epoch
+    of a changelog that moves entities out of block partitions
+    (tombstones), deletes entities and re-inserts them an epoch later,
+    crosses ``COMPACT_AT`` (set low, so chains compact twice and later
+    deltas stack on a compacted file) and runs with ``SPLIT_ROWS`` small
+    enough that loader items are key-sub-split (``msplit > 1``)."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    from silk_ray.cdc import incremental
+
+    monkeypatch.setattr(incremental, "SPLIT_ROWS", 12)
+    monkeypatch.setattr(incremental, "COMPACT_AT", 3)
+    base = make_base_table(32, seed=93, near_dup_frac=0.5).to_pylist()
+    assert len(base) == 48  # 32 rows and 16 planted twins
+    events = []
+
+    def emit(op, row, content=None):
+        ev = {"offset": len(events), "op": op, "repo": row["repo"], "path": row["path"],
+              "commit": None, "lang": None, "content": None, "branch": None}
+        if op != "D":
+            ev.update(commit=f"c{len(events)}", lang=row["lang"],
+                      content=row["content"] if content is None else content)
+        events.append(ev)
+
+    for r in base:  # epochs 1-2: inserts
+        emit("I", r)
+    for i in range(12):  # epoch 3: every band key moves; twelve deletes
+        emit("U", base[i], content=base[24 + i]["content"])
+    for r in base[36:]:
+        emit("D", r)
+    for r in base[36:]:  # epoch 4: re-inserts; the moved entities move back
+        emit("I", r)
+    for r in base[:12]:
+        emit("U", r)
+    for e in range(3):  # epochs 5-7: token edits
+        for i in range(24):
+            r = base[(7 * i + 5 * e) % 48]
+            toks = r["content"].split(" ")
+            toks[(i * 13 + e) % len(toks)] = f"edit{e}x{i}"
+            emit("U", r, content=" ".join(toks))
+    log = pa.Table.from_pylist(events, schema=pa.schema([
+        ("offset", pa.int64()), ("op", pa.string()), ("repo", pa.string()), ("path", pa.string()),
+        ("commit", pa.string()), ("lang", pa.string()), ("content", pa.string()),
+        ("branch", pa.string()),
+    ]))
+    root = str(tmp_path / "lake")
+    cfg = EngineConfig(epoch_size=24, num_partitions=2, n_block_partitions=16,
+                       rule_spec=UNFILTERED_RULE, max_epochs=1)
+    seen = {"tombstone": False, "compacted": False, "stacked": False, "msplit": False}
+    for epoch in range(1, 8):
+        assert run(root, log, cfg)
+        links = links_table(root)
+        assert links.num_rows == len(_as_set(links))  # each pair once
+        assert _as_set(links) == _as_set(_batch_links(root)), epoch
+        state = incremental.read_linkstate(root)
+        assert state["epoch"] == epoch
+        for chain in state["blockmap"].values():
+            if os.path.basename(chain[0]).startswith("compact-"):
+                seen["compacted"] = True
+                seen["stacked"] |= len(chain) > 1
+        # this epoch's rows: an entity with a 'del' row in one partition
+        # and an 'add' row in another moved out of the first
+        actions: dict[str, set] = {}
+        for chain in state["blockmap"].values():
+            for f in chain:
+                if f"delta-{epoch:06d}" in f:
+                    t = pq.read_table(os.path.join(root, f))
+                    for u, a in zip(t["uri"].to_pylist(), t["action"].to_pylist()):
+                        actions.setdefault(u, set()).add(a)
+        seen["tombstone"] |= any(a == {"add", "del"} for a in actions.values())
+        summ = glob.glob(os.path.join(root, "summaries", "*", f"epoch-{epoch:06d}.parquet"))
+        counts = pa.concat_tables(map(pq.read_table, summ)).group_by("bp").aggregate(
+            [("bp", "count")]
+        )
+        seen["msplit"] |= max(counts["bp_count"].to_pylist()) > incremental.SPLIT_ROWS
+    assert all(seen.values()), seen

@@ -487,6 +487,107 @@ def test_pair_scorer_generic_path_matches_brute_force(dirty_col):
     assert [c for *_, c in got_rows] == pytest.approx([c for *_, c in want])
 
 
+@pytest.mark.parametrize("dirty_col", [None, "dirty"])
+@pytest.mark.parametrize("all_blocks", [True, False])
+def test_pair_scorer_entity_core_matches_brute_force(dirty_col, all_blocks):
+    """The scoring core over an entity table (one row per (uri, side))
+    and a ``(key, entity)`` block index, laid out as a loader builds it
+    — one partition after another, each entity in several blocks and
+    partitions — equals a brute-force reference: every side-1 × side-0
+    pair, scored once with ``score_from_leaf_values``, kept when s < t,
+    when a side is dirty, when the pair's smallest shared key is among
+    the indexed blocks (``all_blocks=False`` indexes only some keys, as
+    a loader holds only the affected ones) and when score >= limit.
+    Null and empty value lists and an asymmetric rule are covered."""
+    import random
+
+    import numpy as np
+
+    from silk_ray.linking.pipeline import PairScorer
+
+    rule_spec = {
+        "operator": {
+            "aggregator": "average",
+            "operators": [
+                {
+                    "metric": "levenshteinDistance",
+                    "threshold": 2.0,
+                    "source": {"path": "s_name"},
+                    "target": {"path": "t_name"},
+                },
+                {
+                    "metric": "jaccard",
+                    "threshold": 0.7,
+                    "source": {"path": "s_tok"},
+                    "target": {"path": "t_tok"},
+                },
+            ],
+        },
+    }
+    rule = rule_from_dict(rule_spec)
+    limit, n_bp = 0.2, 3
+    rng = random.Random(5)
+
+    def name():
+        r = rng.random()
+        if r < 0.1:
+            return None
+        return [] if r < 0.2 else ["".join(rng.choices("abé", k=rng.randint(2, 4)))]
+
+    def toks():
+        return [] if rng.random() < 0.1 else sorted(set(rng.choices("xyzw", k=3)))
+
+    ents = []
+    for e in range(40):
+        for side in (1, 0):
+            ents.append({
+                "side": side, "uri": f"u{e:03d}",
+                "keys": sorted(rng.sample(range(9), rng.randint(1, 4))),
+                "vals_0": name(), "vals_1": toks(), "dirty": e % 3 == 0,
+            })
+    rng.shuffle(ents)
+    indexed = set(range(9)) if all_blocks else {0, 2, 3, 5, 7}
+    key, ent = [], []
+    for bp in range(n_bp):
+        for i, x in enumerate(ents):
+            for k in x["keys"]:
+                if k % n_bp == bp and k in indexed:
+                    key.append(k)
+                    ent.append(i)
+    assert len(key) > len(ents)
+    table = pa.Table.from_pylist(ents, schema=pa.schema([
+        ("side", pa.int8()), ("uri", pa.string()), ("keys", pa.list_(pa.int64())),
+        ("vals_0", pa.list_(pa.string())), ("vals_1", pa.list_(pa.string())),
+        ("dirty", pa.bool_()),
+    ]))
+    timings = {}
+    got = PairScorer(rule_spec, limit=limit, source_equals_target=True, dirty_col=dirty_col) \
+        .score_entities(table, np.asarray(key, np.int64), np.asarray(ent, np.int64), timings)
+    assert got.schema.names == ["source", "target", "confidence"]
+    assert set(timings) == {"enumerate_s", "score_s"}
+    got_rows = sorted(zip(*(got[c].to_pylist() for c in got.schema.names)))
+
+    want = []
+    for s in ents:
+        for t in ents:
+            common = set(s["keys"]) & set(t["keys"])
+            if s["side"] != 1 or t["side"] != 0 or s["uri"] >= t["uri"] or not common:
+                continue
+            if min(common) not in indexed:
+                continue
+            if dirty_col and not (s["dirty"] or t["dirty"]):
+                continue
+            score = rule.score_from_leaf_values(
+                [s["vals_0"], s["vals_1"]], [t["vals_0"], t["vals_1"]], limit
+            )
+            if score is not None and score >= limit:
+                want.append((s["uri"], t["uri"], score))
+    want.sort()
+    assert len(want) > 5
+    assert [(s, t) for s, t, _ in got_rows] == [(s, t) for s, t, _ in want]
+    assert [c for *_, c in got_rows] == pytest.approx([c for *_, c in want])
+
+
 @pytest.mark.parametrize("blocks", [0, 3])
 def test_link_filters_empty_and_multi_block(ray_session, blocks):
     """Top-k and unambiguous filters on an empty links dataset return no

@@ -141,6 +141,17 @@ def test_tdd_changelog_reads_its_cache_back(tmp_path):
     assert n_base == 7
 
 
+def test_late_oracle_queries_sit_above_the_cdc_block():
+    """``source_xml_stream`` and ``sample_stratified`` come before the
+    cdc block, inside the first 50 entries that conformance runs check."""
+    names = list(QUERIES)
+    first_cdc = min(i for i, n in enumerate(names) if n.startswith("cdc_"))
+    for name in ("source_xml_stream", "sample_stratified"):
+        assert name in ORACLES
+        assert names.index(name) < min(first_cdc, 50)
+    assert names[first_cdc - 2 : first_cdc] == ["source_xml_stream", "sample_stratified"]
+
+
 def test_every_sql_for_builder_has_a_tier_rebuild():
     """Guard: any oracle built from a *_sql_for(sf_dir) builder is
     tier-pinned at registry time and MUST be in _tier_sql_builders, or

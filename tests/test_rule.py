@@ -83,6 +83,19 @@ def test_paths_collection():
     assert len(rule.leaf_comparisons()) == 2
 
 
+def test_leaf_comparisons_walked_once_per_rule():
+    """The leaf list is computed once per compiled rule and reused (the
+    pair scorer asks for it once per entity); it stays out of the
+    rule's repr."""
+    rule = rule_from_dict(RULE_SPEC)
+    leaves = rule.leaf_comparisons()
+    assert rule.leaf_comparisons() is leaves
+    assert [type(c.metric) for c in leaves] == [
+        type(c.metric) for c in rule_from_dict(RULE_SPEC).leaf_comparisons()
+    ]
+    assert "_leaves" not in repr(rule)
+
+
 def test_nested_aggregation():
     spec = {
         "operator": {
