@@ -388,8 +388,18 @@ def cmd_status(args) -> int:
         }
     from silk_ray.cdc.egress import consumer_lag
 
+    def links_extras(st: dict) -> dict:
+        # the committed links epoch's phase and task-wave record
+        out = {"links_total": st.get("links_total")}
+        path = ckpt.metrics_path(args.root, int(st["epoch"]), kind="links")
+        if os.path.exists(path):
+            with open(path) as f:
+                record = json.load(f)
+            out.update({k: record[k] for k in ("phases", "task_s") if k in record})
+        return out
+
     extras = {
-        "links": lambda st: {"links_total": st.get("links_total")},
+        "links": links_extras,
         "windows": lambda st: {"watermark_us": st.get("watermark_us")},
         "egress": lambda st: {"next_seq": st["next_seq"],
                               "consumer_lag": consumer_lag(args.root)},

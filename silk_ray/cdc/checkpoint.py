@@ -333,10 +333,14 @@ def commit_manifest(root: str, manifest: Manifest, window: tuple[int, int]) -> N
     LAKE.commit(root, manifest.to_dict())
 
 
-def write_metrics(root: str, epoch: int, metrics: dict, kind: str = "epoch") -> None:
+def metrics_path(root: str, epoch: int, kind: str = "epoch") -> str:
     """The per-epoch metrics record ``_metrics/{kind}-E.json``: ``epoch``
     for the merge (one per lake epoch), ``links`` for ``update_links``."""
-    atomic_write_json(os.path.join(root, "_metrics", f"{kind}-{epoch:06d}.json"), metrics)
+    return os.path.join(root, "_metrics", f"{kind}-{epoch:06d}.json")
+
+
+def write_metrics(root: str, epoch: int, metrics: dict, kind: str = "epoch") -> None:
+    atomic_write_json(metrics_path(root, epoch, kind), metrics)
 
 
 def read_metrics(root: str) -> list[dict]:

@@ -46,18 +46,22 @@ Per merge epoch E (consuming ``dirty/p=*/epoch-{E}.parquet`` deltas):
    bucket, reconcile each chain once (newest-file-wins per uri), keep
    the affected blocks (vectorized ``is_in``), key-sub-split hot bps,
    dedupe entities by (uri, side) across the bucket's partitions and
-   score them with :meth:`PairScorer.score_entities`: each entity is
-   converted and prepared once, pairs need ≥1 dirty side (clean∩clean
-   pairs keep their stored links) and are scored in their smallest
-   shared block. Work is O(entities touched by the delta), not
-   O(rows in the affected blocks).
+   score them with :meth:`PairScorer.score_entities`: candidate pairs
+   are enumerated in numpy over the sorted block index — pairs need ≥1
+   dirty side (clean∩clean pairs keep their stored links) and are
+   scored in their smallest shared block — then scored column-at-a-time,
+   one batch kernel per leaf comparison and a columnar fold of the
+   aggregation tree (:meth:`LinkageRule.score_pairs`). Work is
+   O(entities touched by the delta), not O(rows in the affected
+   blocks).
 4. **links merge** (wave 1 drop-dirty tasks + wave 2 bundle-write
    tasks over the AFFECTED manifest files only): drop stored links
    touching a dirty uri, add the recomputed ones; each write task
    computes its own manifest entry (rows, uri sketch, n_new);
    unaffected files carry over by reference — O(delta + affected
    files) per epoch, not O(total links). Every wave-1 and write task
-   times its own steps; the sums and task counts are the ``task_s``
+   times its own steps; the sums, the task counts and the candidate
+   pairs scored and kept (``pairs``, ``pairs_kept``) are the ``task_s``
    map of ``_metrics/links-E.json``. Raw Ray tasks, not a
    Dataset: per-epoch deltas are small and the streaming-executor
    startup (~1.5 s/epoch) dominated the useful work (measured, see
@@ -175,8 +179,8 @@ class DeltaIndexStage:
                 if old_ent is not None and (old_keys is None or not self.symmetric):
                     old_keys = sorted(rule.index_keys(old_ent, sot))
                 if new_ent is not None and (new_keys is None or not self.symmetric):
-                    new_vals = rule.leaf_values(new_ent, sot)
-                    new_keys = sorted(rule.index_keys(new_ent, sot))
+                    new_keys, new_vals = rule.index_keys_and_values(new_ent, sot)
+                    new_keys = sorted(new_keys)
                 touched = (old_keys or []) + (new_keys or [])
                 sum_key.extend(touched)
                 sum_uri.extend([uri] * len(touched))
@@ -389,7 +393,7 @@ def _lrs_bundle(
     bucket's partitions — every partition's newest 'add' row for a uri
     comes from the same write, so the payload is identical — and score
     (no shuffle — bp co-locates every row of a key; see update_links).
-    Returns the links and the task's seconds per step."""
+    Returns the links and the task's seconds per step and pair counts."""
     import itertools
     import time
 
@@ -484,7 +488,7 @@ def _write_links_bundle(
     seconds: dict[str, float] = {}
     for _t, task_s in bundle:
         for k, v in task_s.items():
-            seconds[k] = seconds.get(k, 0.0) + v
+            seconds[k] = seconds.get(k, 0) + v
     tables = [t for t, _s in bundle if t.num_rows]
     merged = pa.concat_tables(tables) if tables else _links_empty_table()
     out = []
@@ -826,11 +830,11 @@ def update_links(
     _mark("plan_build")
     written: list[dict] = []
     # worker-side seconds per step, summed over the wave-1 and write
-    # tasks, and the task counts (a map of its own: ``phases`` sums to
-    # the wall time of this call)
+    # tasks, the task counts and the candidate pairs scored and kept (a
+    # map of its own: ``phases`` sums to the wall time of this call)
     task_s = dict.fromkeys(("load_s", "enumerate_s", "score_s", "drop_s", "write_s"), 0.0)
     task_s.update(lrs_tasks=len(loader_buckets), drop_tasks=len(refs) - len(loader_buckets),
-                  write_tasks=0)
+                  write_tasks=0, pairs=0, pairs_kept=0)
     if refs:
         write = _link_task("write")
         n_out = min(n_link_blocks, len(refs))

@@ -10,12 +10,19 @@ scaffolding under ``silk-rules/.../rule/similarity/``:
 - ``combine_indexes`` merges child blocking indices: **disjunction**
   for average/max, **conjunction** for min/geometricMean/quadraticMean,
   pass-through for scale, ``Index.default`` for negate and
-  handleMissingValues (which disable blocking below them).
+  handleMissingValues (which disable blocking below them);
+- ``evaluate_columns`` is the pair scorer's batch form of ``evaluate``:
+  child scores arrive as arrays over many pairs, each with a
+  missing-value mask. The default calls ``evaluate`` per row; average,
+  min and max fold the arrays left to right in ``evaluate``'s own order,
+  so the scores are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from silk_ray.kernel.index import Index
 
@@ -32,6 +39,9 @@ def get_aggregator(plugin_id: str, **params) -> "Aggregator":
 
 
 WeightedScore = tuple  # (score: float | None, weight: int)
+# (scores, present, weight): one child's float64 scores over n pairs and
+# the mask of pairs where it is not missing (scores there are arbitrary)
+WeightedColumn = tuple
 
 
 class Aggregator:
@@ -40,6 +50,28 @@ class Aggregator:
     def evaluate(self, values: list[WeightedScore], limit: float = 0.0) -> float | None:
         """Combine child (score, weight) pairs into one score or None."""
         raise NotImplementedError
+
+    def evaluate_columns(
+        self, columns: list[WeightedColumn], n: int, limit: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` over ``n`` pairs at once: child columns in, one
+        ``(scores, present)`` column out. Default: ``evaluate`` per row.
+        An override must return the same scores bit for bit."""
+        rows = [(s.tolist(), p.tolist(), w) for s, p, w in columns]
+        out = [
+            self.evaluate([(s[r] if p[r] else None, w) for s, p, w in rows], limit)
+            for r in range(n)
+        ]
+        present = np.array([v is not None for v in out], dtype=bool)
+        return np.array([0.0 if v is None else v for v in out], np.float64), present
+
+    def unreachable(
+        self, done: list[WeightedColumn], todo_weights: list, limit: float
+    ) -> np.ndarray | None:
+        """Mask of pairs whose score can no longer be ``>= limit`` once
+        the children in ``done`` are known, the ``todo`` ones still to
+        come (child scores lie in [-1, 1]) — or None: no bound."""
+        return None
 
     # -- index combination (Aggregator.scala:30-45) ---------------------
     def pre_process_indexes(self, indexes: list[Index]) -> list[Index]:
@@ -77,6 +109,30 @@ class AverageAggregator(Aggregator):
             sum_values += weight * score
         return sum_values / sum_weights
 
+    def evaluate_columns(self, columns, n, limit=0.0):
+        if not columns or sum(w for *_, w in columns) == 0:
+            return super().evaluate_columns(columns, n, limit)
+        sum_weights = 0
+        sum_values = np.zeros(n)
+        present = np.ones(n, dtype=bool)
+        for score, mask, weight in columns:
+            sum_weights += weight
+            sum_values = sum_values + weight * score
+            present &= mask
+        return sum_values / sum_weights, present
+
+    def unreachable(self, done, todo_weights, limit):
+        weights = [w for *_, w in done] + list(todo_weights)
+        if not done or min(weights) <= 0:
+            return None
+        best = np.full(len(done[0][0]), float(sum(todo_weights)))
+        missing = np.zeros(len(best), dtype=bool)
+        for score, mask, weight in done:
+            best += weight * score
+            missing |= ~mask
+        # the margin absorbs rounding between this bound and the fold
+        return missing | (best / sum(weights) < limit - 1e-9)
+
     def combine_indexes(self, i1, i2):
         return i1.disjunction(i2)
 
@@ -98,6 +154,24 @@ class MinimumAggregator(Aggregator):
             min_score = min(min_score, score)
         return min_score
 
+    def evaluate_columns(self, columns, n, limit=0.0):
+        if not columns:
+            return super().evaluate_columns(columns, n, limit)
+        fail = np.zeros(n, dtype=bool)
+        min_score = np.full(n, math.inf)
+        for score, mask, _weight in columns:
+            fail |= ~mask | (score < limit)
+            min_score = np.where(score < min_score, score, min_score)  # min(): first wins ties
+        return np.where(fail, -1.0, min_score), np.ones(n, dtype=bool)
+
+    def unreachable(self, done, todo_weights, limit):
+        if not done or limit <= -1.0:  # a failed child scores -1.0, which then reaches
+            return None
+        out = np.zeros(len(done[0][0]), dtype=bool)
+        for score, mask, _weight in done:
+            out |= ~mask | (score < limit)
+        return out
+
     def combine_indexes(self, i1, i2):
         return i1.conjunction(i2)
 
@@ -113,6 +187,15 @@ class MaximumAggregator(Aggregator):
         if not values:
             return None
         return max((s if s is not None else -1.0) for s, _w in values)
+
+    def evaluate_columns(self, columns, n, limit=0.0):
+        if not columns:
+            return super().evaluate_columns(columns, n, limit)
+        best = None
+        for score, mask, _weight in columns:
+            score = np.where(mask, score, -1.0)
+            best = score if best is None else np.where(score > best, score, best)
+        return best, np.ones(n, dtype=bool)
 
     def combine_indexes(self, i1, i2):
         return i1.disjunction(i2)

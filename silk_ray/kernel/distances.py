@@ -11,7 +11,13 @@ Semantics mirror the reference's ``DistanceMeasure`` hierarchy
 - ``SimpleDistanceMeasure.apply`` is the min over the cross product of
   the two value lists with early exit at 0
   (SimpleDistanceMeasure.scala:47-59); its ``index`` merges the
-  ``index_value`` of each distinct value (:61-67).
+  ``index_value`` of each distinct value (:61-67);
+- ``apply_pairs(column, pi, pj, limit)`` is the pair scorer's batch
+  form: one distance array over many candidate pairs of a
+  :class:`ValueColumn`. The default prepares each entity once and calls
+  ``apply_prepared`` per pair; ``equality``, ``jaccard`` (and
+  ``jaccardMinhashLSH``) and ``levenshteinDistance`` override it with
+  array kernels that return bit-identical distances.
 
 Every measure documents the reference file it matches.
 """
@@ -22,6 +28,8 @@ import math
 import re
 import unicodedata
 from math import inf
+
+import numpy as np
 
 from silk_ray.kernel.index import Index, stable_str_hash
 
@@ -73,9 +81,173 @@ class DistanceMeasure:
     def apply_prepared(self, p1, p2, limit: float = inf) -> float:
         return self.apply(p1, p2, limit)
 
+    def apply_pairs(
+        self, column: "ValueColumn", pi: np.ndarray, pj: np.ndarray, limit: float = inf
+    ) -> np.ndarray:
+        """Distances of the candidate pairs ``(pi[n], pj[n])`` — entity
+        rows of ``column``, whose value lists are both non-empty — as
+        one float64 array. Default: prepare each entity of the pairs
+        once, then ``apply_prepared`` per pair. An override must return
+        the same distances bit for bit."""
+        prep = column.prepared(self, np.union1d(pi, pj))
+        fn = self.apply_prepared
+        return np.array(
+            [fn(prep[i], prep[j], limit) for i, j in zip(pi.tolist(), pj.tolist())],
+            dtype=np.float64,
+        )
+
     # convenience for tests
     def __call__(self, values1, values2, limit=inf):
         return self.apply(values1, values2, limit)
+
+
+def list_column_to_pylist(col) -> list:
+    """``col.to_pylist()`` for a list column of strings or numbers, in one
+    vectorised pass per chunk: the flattened child converts to Python
+    objects at once and each row is a slice of it by the list offsets.
+    ``to_pylist()`` builds one scalar per element (about 1.5 µs per
+    string). Same values: ``None`` for a null list, ``[]`` for an empty
+    list, ``None`` for a null element."""
+    import pyarrow as pa
+
+    out: list = []
+    for arr in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
+        if not len(arr):
+            continue
+        offs = arr.offsets.to_numpy()
+        lo = int(offs[0])
+        child = arr.values.slice(lo, int(offs[-1]) - lo)
+        flat = child.to_numpy(zero_copy_only=False)
+        if child.null_count and flat.dtype != object:  # numbers: nulls came back as NaN
+            flat = child.fill_null(0).to_numpy(zero_copy_only=False).astype(object)
+            flat[child.is_null().to_numpy(zero_copy_only=False)] = None
+        flat = flat.tolist()
+        bounds = (offs - lo).tolist()
+        rows = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        if arr.null_count:
+            for i in np.flatnonzero(arr.is_null().to_numpy(zero_copy_only=False)).tolist():
+                rows[i] = None
+        out.extend(rows)
+    return out
+
+
+_ROWSORT_CELLS = 1 << 20  # row-sort matrix cells per chunk of pairs
+
+
+def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``range(starts[r], starts[r] + counts[r])`` over rows
+    ``r``, and the row of each element."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return np.asarray(starts, np.int64)[owner] + np.arange(len(owner)) - first[owner], owner
+
+
+class ValueColumn:
+    """One value list per entity — a leaf comparison's values (or an
+    entity's blocking keys): row ``e`` of an Arrow list array holds
+    entity ``e``'s values; a null list counts as empty. The forms the
+    pair kernels share are built on first use, once per column: the
+    flat values and each entity's span of them, character lengths,
+    Python lists and the leaf metric's prepared values."""
+
+    def __init__(self, arr):
+        import pyarrow as pa
+
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
+        if pa.types.is_large_list(arr.type):
+            arr = arr.cast(pa.list_(arr.type.value_type))
+        if pa.types.is_large_string(arr.type.value_type):
+            arr = arr.cast(pa.list_(pa.string()))
+        self.arr = arr
+        offs = arr.offsets.to_numpy().astype(np.int64)
+        self.flat = arr.values.slice(int(offs[0]), int(offs[-1] - offs[0]))
+        self.starts = offs[:-1] - offs[0]
+        self.spans = np.diff(offs)
+        self.lengths = self.spans.copy()
+        if arr.null_count:
+            self.lengths[arr.is_null().to_numpy(zero_copy_only=False)] = 0
+        self._char_lengths = None
+        self._prepared: dict = {}
+
+    def cross(self, pi: np.ndarray, pj: np.ndarray):
+        """Every (value of ``pi[n]``, value of ``pj[n]``) as flat value
+        indices, pair-major in list order, and the first value pair of
+        each pair."""
+        n1, n2 = self.lengths[pi], self.lengths[pj]
+        k, owner = ragged_arange(np.zeros(len(pi), np.int64), n1 * n2)
+        a = self.starts[pi][owner] + k // n2[owner]
+        b = self.starts[pj][owner] + k % n2[owner]
+        return a, b, np.cumsum(n1 * n2) - n1 * n2
+
+    def intersections(self, pi: np.ndarray, pj: np.ndarray):
+        """Per pair: ``|S_i ∩ S_j|``, ``|S_i|`` and ``|S_j|`` over the two
+        entities' distinct values ``S`` (a null value is a value). The
+        values of the entities in the pairs get dictionary codes ``c``;
+        each pair is one row holding ``2c`` for every value of ``i`` and
+        ``2c + 1`` for every value of ``j``, padded with negative even
+        numbers that match nothing. Sorted, a row has a shared value
+        wherever ``2c`` is followed by ``2c + 1``, and a distinct value
+        wherever a code differs from its left neighbour — duplicates
+        inside one list count once."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        ents, local = np.unique(np.concatenate([pi, pj]), return_inverse=True)
+        li, lj = local[: len(pi)], local[len(pi) :]
+        idx, _ = ragged_arange(self.starts[ents], self.lengths[ents])
+        enc = pc.dictionary_encode(self.flat.take(pa.array(idx)), null_encoding="encode")
+        dtype = np.int32 if len(enc.dictionary) < 2**30 else np.int64
+        codes = 2 * enc.indices.to_numpy(zero_copy_only=False).astype(dtype)
+        starts = np.cumsum(self.lengths[ents]) - self.lengths[ents]
+        n1, n2 = self.lengths[ents][li], self.lengths[ents][lj]
+        inter, d1, d2 = (np.empty(len(pi), np.int64) for _ in range(3))
+        width = int((n1 + n2).max()) if len(pi) else 0
+        pad = -2 - 2 * np.arange(width, dtype=dtype)
+        step = max(1, _ROWSORT_CELLS // max(1, width))
+        for lo in range(0, len(pi), step):
+            sl = slice(lo, lo + step)
+            c1, f1, f2 = n1[sl], starts[li[sl]], starts[lj[sl]]
+            rows = np.tile(pad, (len(c1), 1))
+            at, r = ragged_arange(f1, c1)
+            rows[r, at - f1[r]] = codes[at]
+            at, r = ragged_arange(f2, n2[sl])
+            rows[r, c1[r] + at - f2[r]] = codes[at] + 1
+            rows.sort(axis=1)
+            left, right = rows[:, :-1], rows[:, 1:]
+            inter[sl] = np.count_nonzero((right == left + 1) & (left % 2 == 0), axis=1)
+            new = np.ones(rows.shape, bool)
+            new[:, 1:] = right != left
+            new &= rows >= 0
+            odd = (rows % 2).astype(bool)
+            d1[sl] = np.count_nonzero(new & ~odd, axis=1)
+            d2[sl] = np.count_nonzero(new & odd, axis=1)
+        return inter, d1, d2
+
+    def char_lengths(self) -> np.ndarray:
+        """Length in characters of each flat value (0 for a null)."""
+        if self._char_lengths is None:
+            import pyarrow.compute as pc
+
+            n = pc.utf8_length(self.flat).fill_null(0)
+            self._char_lengths = n.to_numpy(zero_copy_only=False).astype(np.int64)
+        return self._char_lengths
+
+    def pylists(self, rows) -> list:
+        """The value lists of entity ``rows`` as Python lists."""
+        import pyarrow as pa
+
+        return list_column_to_pylist(self.arr.take(pa.array(rows, pa.int64())))
+
+    def prepared(self, metric: "DistanceMeasure", rows: np.ndarray) -> dict:
+        """``metric.prepare`` of each entity in ``rows``, each computed
+        once per column."""
+        cache = self._prepared
+        todo = [r for r in rows.tolist() if r not in cache]
+        if todo:
+            for r, v in zip(todo, self.pylists(todo)):
+                cache[r] = metric.prepare(v)
+        return cache
 
 
 class SimpleDistanceMeasure(DistanceMeasure):
@@ -135,6 +307,10 @@ class EqualityMetric(SimpleDistanceMeasure):
 
     def apply_prepared(self, p1, p2, limit=inf):
         return 0.0 if not p1.isdisjoint(p2) else 1.0
+
+    def apply_pairs(self, column, pi, pj, limit=inf):
+        inter = column.intersections(pi, pj)[0]
+        return np.where(inter > 0, 0.0, 1.0)
 
     def evaluate(self, v1, v2, limit=inf):
         return 0.0 if v1 == v2 else 1.0
@@ -332,6 +508,60 @@ def levenshtein_bounded(s1: str, s2: str, k: int) -> int:
     return d if d <= k else big
 
 
+MYERS_MAX_LEN = 64  # pattern bits per machine word
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+_MYERS_CHUNK = 8192  # value pairs per bit-table (pairs × alphabet × 8 bytes)
+
+
+def levenshtein_myers(data: np.ndarray, p_off, p_len, t_off, t_len) -> np.ndarray:
+    """Exact edit distances of byte-string pairs, pattern ``data[p_off:
+    p_off + p_len]`` (1..64 bytes) against text ``data[t_off: t_off +
+    t_len]``: Myers' bit-parallel algorithm in Hyyrö's edit-distance
+    form, one text position per step over every pair at once. Pairs run
+    in descending text length, so the pairs still active at a step are a
+    prefix of the arrays."""
+    out = np.empty(len(p_len), np.int64)
+    for lo in range(0, len(p_len), _MYERS_CHUNK):
+        sl = slice(lo, lo + _MYERS_CHUNK)
+        order = np.argsort(-t_len[sl], kind="stable")
+        po, pl, to, tl = (a[sl][order] for a in (p_off, p_len, t_off, t_len))
+        n = len(pl)
+        # chunk-local dense alphabet keeps the bit table small
+        pidx, prow = ragged_arange(po, pl)
+        tidx, trow = ragged_arange(to, tl)
+        pbytes, tbytes = data[pidx], data[tidx]
+        seen = (np.bincount(pbytes, minlength=256) + np.bincount(tbytes, minlength=256)) > 0
+        lut = np.cumsum(seen) - 1
+        width = int(seen.sum())
+        # peq[r * width + c]: bit i set iff pattern r's byte i is c
+        peq = np.zeros(n * width, np.uint64)
+        np.bitwise_or.at(peq, prow * width + lut[pbytes], _BITS[pidx - po[prow]])
+        # text[j, r]: where pair r's text byte j sits in peq
+        text = np.zeros((int(tl[0]), n), np.int64)
+        text[tidx - to[trow], trow] = trow * width + lut[tbytes]
+        pv = np.full(n, ~np.uint64(0))
+        mv = np.zeros(n, np.uint64)
+        score = pl.astype(np.int64)
+        high = _BITS[pl - 1]
+        active = np.searchsorted(-tl, -np.arange(int(tl[0])), side="left")
+        for j, a in enumerate(active.tolist()):
+            eq = peq[text[j, :a]]
+            p, m = pv[:a], mv[:a]
+            xv = eq | m
+            xh = (((eq & p) + p) ^ p) | eq
+            ph = m | ~(xh | p)
+            mh = p & xh
+            h = high[:a]
+            score[:a] += (ph & h) != 0
+            score[:a] -= (mh & h) != 0
+            ph = (ph << np.uint64(1)) | np.uint64(1)
+            mh = mh << np.uint64(1)
+            pv[:a] = mh | ~(xv | ph)
+            mv[:a] = ph & xv
+        out[lo : lo + len(pl)][order] = score
+    return out
+
+
 @register_distance
 class LevenshteinDistance(SimpleDistanceMeasure):
     """Absolute edit distance with q-gram blocking index
@@ -357,6 +587,49 @@ class LevenshteinDistance(SimpleDistanceMeasure):
             return float(d) if d <= k else inf
         return float(levenshtein(v1, v2))
 
+    def apply_pairs(self, column, pi, pj, limit=inf):
+        """``apply`` over every pair: the min over each pair's value
+        cross product of the exact distance when it is ≤ ``⌊limit⌋`` and
+        ∞ past it — what ``evaluate`` returns whichever of its branches
+        runs. Value pairs of pure-ASCII strings whose shorter side fits
+        :data:`MYERS_MAX_LEN` run through :func:`levenshtein_myers`,
+        others through ``evaluate``. A null value anywhere takes the
+        default path."""
+        a, b, first = column.cross(pi, pj)
+        flat = column.flat
+        if flat.null_count:
+            null = flat.is_null().to_numpy(zero_copy_only=False)
+            if null[a].any() or null[b].any():
+                return super().apply_pairs(column, pi, pj, limit)
+        chars = column.char_lengths()
+        la, lb = chars[a], chars[b]
+        dist = np.full(len(a), inf)
+        near = np.flatnonzero(np.abs(la - lb) <= limit)
+        offs = np.frombuffer(flat.buffers()[1], np.int32)[flat.offset : flat.offset + len(flat) + 1]
+        offs = offs.astype(np.int64)
+        nbytes = np.diff(offs)
+        short, long = np.minimum(la, lb), np.maximum(la, lb)
+        fast = (nbytes[a] == la) & (nbytes[b] == lb) & (short <= MYERS_MAX_LEN)
+        f = near[fast[near]]
+        if len(f):
+            swap = la[f] > lb[f]
+            pat, txt = np.where(swap, b[f], a[f]), np.where(swap, a[f], b[f])
+            d = long[f].astype(np.float64)  # an empty pattern's distance is the text length
+            hit = short[f] > 0
+            if hit.any():
+                data = np.frombuffer(flat.buffers()[2], np.uint8)
+                d[hit] = levenshtein_myers(
+                    data, offs[pat[hit]], short[f][hit], offs[txt[hit]], long[f][hit]
+                )
+            k = math.floor(limit) if limit != inf else inf
+            dist[f] = np.where(d <= k, d, inf)
+        slow = near[~fast[near]]
+        if len(slow):
+            vals = flat.take(np.concatenate([a[slow], b[slow]])).to_pylist()
+            ev = self.evaluate
+            dist[slow] = [ev(x, y, limit) for x, y in zip(vals[: len(slow)], vals[len(slow) :])]
+        return np.minimum.reduceat(dist, first) if len(first) else dist
+
     def _index_qgram(self, gram: str) -> int:
         idx = 0
         span = self.max_char - self.min_char + 1
@@ -380,6 +653,7 @@ class LevenshteinMetric(LevenshteinDistance):
     """Normalized [0,1] Levenshtein (LevenshteinMetric.scala)."""
 
     id = "levenshtein"
+    apply_pairs = DistanceMeasure.apply_pairs  # normalised: no batch kernel
 
     def evaluate(self, v1, v2, limit=inf):
         m = max(len(v1), len(v2))
@@ -800,6 +1074,10 @@ class JaccardDistance(DistanceMeasure):
             return 0.0
         inter = len(p1 & p2)
         return 1.0 - inter / (len(p1) + len(p2) - inter)
+
+    def apply_pairs(self, column, pi, pj, limit=inf):
+        inter, n1, n2 = column.intersections(pi, pj)
+        return 1.0 - inter / (n1 + n2 - inter)
 
     def index(self, values, limit, source_or_target):
         import math

@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from silk_ray.kernel.aggregators import Aggregator, get_aggregator
 from silk_ray.kernel.distances import DistanceMeasure, get_distance
 from silk_ray.kernel.index import Index
@@ -137,6 +139,19 @@ class Comparison(SimilarityOperator):
             return 1.0 - distance / self.threshold
         return -1.0
 
+    def confidences(self, distances):
+        """The distance → confidence map of :meth:`apply` over a float64
+        array of distances."""
+        theta = self.threshold
+        if theta == 0.0 and (distances < 0.0).any():
+            # apply's 1 - d/θ at θ = 0: a negative (rounded) distance fails
+            raise ZeroDivisionError("float division by zero")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(distances <= 2.0 * theta, 1.0 - distances / theta, -1.0)
+        if theta == 0.0:
+            out[distances == 0.0] = 1.0
+        return out
+
     def index(self, entity, source_or_target, limit=0.0):
         inp = self.source_input if source_or_target else self.target_input
         try:
@@ -242,41 +257,90 @@ class LinkageRule:
                 vals.append([])
         return vals
 
-    def prepare_leaf_values(self, vals: list[list[str]]) -> list:
-        """Convert per-leaf value lists into the metrics' prepared forms
-        (e.g. frozensets) — done once per ROW by the pair scorer so the
-        per-pair hot loop skips repeated conversions."""
-        return [
-            comp.metric.prepare(v) for comp, v in zip(self.leaf_comparisons(), vals)
-        ]
-
-    def score_from_prepared(
-        self,
-        source_prepared: list,
-        target_prepared: list,
-        limit: float = 0.0,
-    ) -> float | None:
-        """Like :meth:`score_from_leaf_values` over prepared leaf values."""
+    def index_keys_and_values(
+        self, entity: Entity, source_or_target: bool, limit: float = 0.0
+    ) -> tuple[set[int], list[list[str]]]:
+        """:meth:`index_keys` and :meth:`leaf_values` of one entity from
+        ONE evaluation of each leaf's input transforms."""
+        vals = self.leaf_values(entity, source_or_target)
         pos = [0]
 
-        def walk(op: SimilarityOperator) -> float | None:
+        def walk(op: SimilarityOperator) -> Index:
             if isinstance(op, Comparison):
-                i = pos[0]
+                v = vals[pos[0]]
                 pos[0] += 1
-                p1, p2 = source_prepared[i], target_prepared[i]
-                if not p1 or not p2:
-                    return None
-                distance = op.metric.apply_prepared(p1, p2, op.threshold * (1.0 - limit))
-                if distance == 0.0 and op.threshold == 0.0:
-                    return 1.0
-                if distance <= 2.0 * op.threshold:
-                    return 1.0 - distance / op.threshold
-                return -1.0
-            assert isinstance(op, Aggregation)
-            weighted = [(walk(child), child.weight) for child in op.operators]
-            return op.aggregator.evaluate(weighted, limit)
+                return op.metric.index(v, op.threshold * (1.0 - limit), source_or_target)
+            indexes = []
+            for child in op.operators:
+                if child.indexing:
+                    indexes.append(walk(child))
+                else:  # skipped by Aggregation.index: step over its leaves
+                    pos[0] += _count_leaves(child)
+            return op.aggregator.aggregate_indexes(indexes)
 
-        return walk(self.operator)
+        keys = walk(self.operator).crop(self.index_crop).flatten()
+        return keys, vals
+
+    def score_pairs(self, columns: list, pi, pj, limit: float = 0.0):
+        """Score candidate pairs column-at-a-time: ``columns[k]`` is leaf
+        ``k``'s :class:`~silk_ray.kernel.distances.ValueColumn` (one
+        value list per entity) and pair ``n`` is entities ``(pi[n],
+        pj[n])``. Each leaf turns its column into one distance array
+        (``DistanceMeasure.apply_pairs``) and one confidence array; each
+        aggregation folds its children's arrays
+        (``Aggregator.evaluate_columns``). The root aggregator drops the
+        pairs that can no longer reach ``limit`` after each child
+        (``Aggregator.unreachable``), so later, costlier leaves see
+        fewer pairs. Returns ``(kept, confidence)``: positions of the
+        pairs scoring ``>= limit`` and their scores, equal bit for bit
+        to :meth:`score_from_leaf_values` per pair."""
+        leaf_of: list = []
+
+        def number(op):  # leaf index of each Comparison, depth-first
+            if isinstance(op, Comparison):
+                leaf_of.append(op)
+                return len(leaf_of) - 1
+            return [number(child) for child in op.operators]
+
+        plan = number(self.operator)
+
+        def leaf(k: int, rows: np.ndarray):
+            op, col = leaf_of[k], columns[k]
+            i, j = pi[rows], pj[rows]
+            present = (col.lengths[i] > 0) & (col.lengths[j] > 0)
+            score = np.zeros(len(rows))
+            sel = np.flatnonzero(present)
+            if len(sel):
+                d = op.metric.apply_pairs(col, i[sel], j[sel], op.threshold * (1.0 - limit))
+                score[sel] = op.confidences(d)
+            return score, present
+
+        def node(op, sub, rows: np.ndarray):
+            if isinstance(op, Comparison):
+                return leaf(sub, rows)
+            children = [(*node(c, s, rows), c.weight) for c, s in zip(op.operators, sub)]
+            return op.aggregator.evaluate_columns(children, len(rows), limit)
+
+        rows = np.arange(len(pi))
+        op = self.operator
+        if isinstance(op, Comparison):
+            score, present = leaf(plan, rows)
+        else:
+            # evaluate the root's children one by one over the pairs
+            # still alive, then fold them over the survivors
+            done: list = []
+            for n, (child, sub) in enumerate(zip(op.operators, plan)):
+                done.append((*node(child, sub, rows), child.weight))
+                drop = op.aggregator.unreachable(
+                    done, [c.weight for c in op.operators[n + 1 :]], limit
+                )
+                if drop is not None and drop.any():
+                    keep = ~drop
+                    rows = rows[keep]
+                    done = [(sc[keep], pr[keep], w) for sc, pr, w in done]
+            score, present = op.aggregator.evaluate_columns(done, len(rows), limit)
+        ok = present & (score >= limit)
+        return rows[ok], score[ok]
 
     def score_from_leaf_values(
         self,
@@ -310,6 +374,12 @@ class LinkageRule:
             return op.aggregator.evaluate(weighted, limit)
 
         return walk(self.operator)
+
+
+def _count_leaves(op: SimilarityOperator) -> int:
+    if isinstance(op, Comparison):
+        return 1
+    return sum(_count_leaves(child) for child in op.operators)
 
 
 # ---------------------------------------------------------------------------

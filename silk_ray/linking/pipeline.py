@@ -34,22 +34,9 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
+from silk_ray.kernel.distances import ValueColumn, ragged_arange
 from silk_ray.kernel.index import _mix64, stable_str_hash
-from silk_ray.kernel.rule import Comparison, LinkageRule, rule_from_dict
-
-_DUCK = None
-
-
-def _duck():
-    """Per-process DuckDB connection for vectorized scoring kernels
-    (threads=1: each Ray task owns one CPU)."""
-    global _DUCK
-    if _DUCK is None:
-        import duckdb
-
-        _DUCK = duckdb.connect()
-        _DUCK.execute("SET threads TO 1")
-    return _DUCK
+from silk_ray.kernel.rule import LinkageRule, rule_from_dict
 
 _RULE_CACHE: dict[str, LinkageRule] = {}
 _STAGE_CACHE: dict[str, Any] = {}
@@ -150,34 +137,6 @@ def _batch_to_entities(batch: pa.Table, paths: list[str]) -> list[dict]:
     return out
 
 
-def _list_column_to_pylist(col: pa.Array | pa.ChunkedArray) -> list:
-    """``col.to_pylist()`` for a list column of strings or numbers, in one
-    vectorised pass per chunk: the flattened child converts to Python
-    objects at once and each row is a slice of it by the list offsets.
-    ``to_pylist()`` builds one scalar per element (about 1.5 µs per
-    string). Same values: ``None`` for a null list, ``[]`` for an empty
-    list, ``None`` for a null element."""
-    out: list = []
-    for arr in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
-        if not len(arr):
-            continue
-        offs = arr.offsets.to_numpy()
-        lo = int(offs[0])
-        child = arr.values.slice(lo, int(offs[-1]) - lo)
-        flat = child.to_numpy(zero_copy_only=False)
-        if child.null_count and flat.dtype != object:  # numbers: nulls came back as NaN
-            flat = child.fill_null(0).to_numpy(zero_copy_only=False).astype(object)
-            flat[child.is_null().to_numpy(zero_copy_only=False)] = None
-        flat = flat.tolist()
-        bounds = (offs - lo).tolist()
-        rows = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        if arr.null_count:
-            for i in np.flatnonzero(arr.is_null().to_numpy(zero_copy_only=False)).tolist():
-                rows[i] = None
-        out.extend(rows)
-    return out
-
-
 _LINKS_SCHEMA = pa.schema(
     [("source", pa.string()), ("target", pa.string()), ("confidence", pa.float64())]
 )
@@ -229,29 +188,29 @@ class IndexStage:
             and _spec_symmetric(rule_spec)
         )
 
-    def _pre(self, ent):
-        """One shared (keys, vals) evaluation for a symmetric self-link
-        row (side-1 == side-0 by construction)."""
-        keys = self.rule.index_keys(ent, True, self.limit)
-        vals = None if self.keys_only else self.rule.leaf_values(ent, True)
-        return (keys, vals)
+    def _pre(self, ent, source_or_target: bool = True):
+        """One (keys, vals) evaluation of a row's side: each leaf input
+        runs once for both. A symmetric self-link row shares it between
+        side 1 and side 0."""
+        if self.keys_only:
+            return self.rule.index_keys(ent, source_or_target, self.limit), None
+        return self.rule.index_keys_and_values(ent, source_or_target, self.limit)
 
     def _emit(self, ent, uri, side, out, pre=None):
-        rule = self.rule
         source_or_target = side == 1
-        if pre is not None:
-            keys = pre[0]
-        elif self.execution_method is not None:
+        if pre is None and self.execution_method is not None:
             keys = self.execution_method.index_keys(ent, source_or_target)
+            vals = None
         else:
-            keys = rule.index_keys(ent, source_or_target, self.limit)
+            keys, vals = pre if pre is not None else self._pre(ent, source_or_target)
         if not keys:
             return
         if self.keys_only:
             for key in keys:
                 out["key"].append(key)
             return
-        vals = pre[1] if pre is not None else rule.leaf_values(ent, source_or_target)
+        if vals is None:
+            vals = self.rule.leaf_values(ent, source_or_target)
         emitted: list[int] = []
         for key in sorted(keys):
             if key in self.hot_keys:
@@ -312,25 +271,28 @@ class IndexStage:
         return pa.Table.from_arrays(arrays, schema=self.schema)
 
 
+PAIR_CHUNK = 1 << 15  # candidate pairs enumerated and scored per step
+
+
 class PairScorer:
     """Blocked pair scoring with one core, :meth:`score_entities`, over
     an *entity table* (``side, uri, keys, vals_0..m`` and optionally the
     ``dirty_col`` flag, one row per entity) and a *block index*: parallel
     ``(key, entity row)`` arrays, one entry per block an entity sits in.
 
-    The core enumerates candidate pairs from ``uri`` and ``keys`` alone,
-    block by block in ascending key order: side-1 × side-0 entities of
-    one block, ``source < target`` when ``source_equals_target``, and
-    min-common-key dedup (a pair is kept only in the smallest block its
-    two key sets share, so each pair is scored exactly once across its
-    shared blocks). With ``dirty_col`` set (incremental re-link) a pair
-    needs ≥1 dirty side: blocks without a dirty entity are skipped, a
-    clean source pairs only with the block's dirty targets, and a dirty
-    source with all of them. Only then are ``vals_*`` converted and
-    leaf values prepared, once per entity that appears in a candidate
-    pair; pairs are kept iff confidence >= limit. A single
-    ``levenshteinDistance`` rule scores the candidates in one DuckDB
-    query instead (see :meth:`_levenshtein_scores`).
+    The core enumerates candidate pairs in numpy from ``uri``, ``keys``
+    and the sorted block index alone, block by block in ascending key
+    order: side-1 × side-0 entities of one block, ``source < target``
+    when ``source_equals_target``, and min-common-key dedup (a pair is
+    kept only in the smallest block its two full key sets share, so each
+    pair is scored exactly once across its shared blocks). With
+    ``dirty_col`` set (incremental re-link) a pair needs ≥1 dirty side:
+    a clean source pairs only with the block's dirty targets, a dirty
+    source with all of them. Pairs come in ``PAIR_CHUNK``-sized steps,
+    each scored column-at-a-time by :meth:`LinkageRule.score_pairs`
+    (one batch kernel per leaf comparison, a columnar fold of the
+    aggregation tree) and kept iff confidence >= limit — one scoring
+    path for every rule, in bounded memory.
 
     ``__call__(part)`` keeps the exploded-row signature of the batch
     pipeline (``key, side, uri, keys, vals_*``, one row per (block,
@@ -359,170 +321,135 @@ class PairScorer:
         self, ents: pa.Table, key: np.ndarray, ent: np.ndarray, timings: dict | None = None
     ) -> pa.Table:
         """Score the candidate pairs of the blocks in ``(key, ent)``.
-        ``timings``, when given, accumulates ``enumerate_s`` and
-        ``score_s`` (convert, prepare and score)."""
+        ``timings``, when given, accumulates ``enumerate_s``,
+        ``score_s`` (convert and score) and the counts ``pairs``
+        (candidates scored) and ``pairs_kept``."""
         import time
 
+        rule = _compile_rule(self.rule_spec)
         t0 = time.perf_counter()
-        pi, pj = self._candidates(ents, key, ent)
-        t1 = time.perf_counter()
-        out = self._score_pairs(ents, pi, pj)
+        columns = [ValueColumn(ents[f"vals_{k}"]) for k in range(len(rule.leaf_comparisons()))]
+        parts = []
+        spent = {"enumerate_s": 0.0, "score_s": time.perf_counter() - t0,
+                 "pairs": 0, "pairs_kept": 0}
+        t0 = time.perf_counter()
+        for pi, pj in self._candidates(ents, key, ent):
+            t1 = time.perf_counter()
+            spent["enumerate_s"] += t1 - t0
+            kept, conf = rule.score_pairs(columns, pi, pj, self.limit)
+            parts.append(
+                pa.table(
+                    {
+                        "source": ents["uri"].take(pi[kept]).cast(pa.string()),
+                        "target": ents["uri"].take(pj[kept]).cast(pa.string()),
+                        "confidence": pa.array(conf, pa.float64()),
+                    }
+                )
+            )
+            spent["pairs"] += len(pi)
+            spent["pairs_kept"] += len(kept)
+            t0 = time.perf_counter()
+            spent["score_s"] += t0 - t1
+        spent["enumerate_s"] += time.perf_counter() - t0
         if timings is not None:
-            timings["enumerate_s"] = timings.get("enumerate_s", 0.0) + t1 - t0
-            timings["score_s"] = timings.get("score_s", 0.0) + time.perf_counter() - t1
-        return out
+            for k, v in spent.items():
+                timings[k] = timings.get(k, 0) + v
+        return pa.concat_tables(parts) if parts else _LINKS_SCHEMA.empty_table()
 
     def _candidates(self, ents: pa.Table, key: np.ndarray, ent: np.ndarray):
-        """Candidate pairs as parallel (source row, target row) lists,
-        in block order, then source order, then target order."""
-        if not len(key):
-            return [], []
-        order = np.argsort(key, kind="stable")
-        key, ent = key[order], ent[order]
-        sides = ents["side"].to_numpy(zero_copy_only=False)
-        is_src = sides[ent] == 1
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        # blocks with a source and a target (and a dirty entity)
-        keep = np.logical_or.reduceat(is_src, starts) & np.logical_or.reduceat(~is_src, starts)
-        dirty = None
-        if self.dirty_col:
-            dirty_np = ents[self.dirty_col].to_numpy(zero_copy_only=False)
-            keep &= np.logical_or.reduceat(dirty_np[ent], starts)
-            dirty = dirty_np.tolist()
-        bounds = np.r_[starts, len(key)]
-        uris = ents["uri"].to_pylist()
-        key_lists = _list_column_to_pylist(ents["keys"])
-        # an entity in the block of its smallest key needs no key-set
-        # intersection there: every key it shares is >= that block's key
-        kmin = [min(k) if k else None for k in key_lists]
-        key_sets: dict[int, frozenset] = {}
-
-        def kset(e: int) -> frozenset:
-            ks = key_sets.get(e)
-            if ks is None:
-                ks = key_sets[e] = frozenset(key_lists[e])
-            return ks
-
-        side_l, ent_l, key_l = sides.tolist(), ent.tolist(), key.tolist()
-        pi, pj = [], []
-        for b in np.flatnonzero(keep).tolist():
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            gk = key_l[lo]
-            src, tgt, tgt_dirty = [], [], []
-            for e in ent_l[lo:hi]:
-                if side_l[e] == 1:
-                    src.append(e)
-                else:
-                    tgt.append(e)
-                    if dirty is not None and dirty[e]:
-                        tgt_dirty.append(e)
-            for i in src:
-                cand = tgt if dirty is None or dirty[i] else tgt_dirty
-                if self.source_equals_target:
-                    s_uri = uris[i]
-                    cand = [j for j in cand if s_uri < uris[j]]
-                if kmin[i] != gk:
-                    # keep a pair only in its smallest shared block
-                    s_keys = kset(i)
-                    cand = [j for j in cand if kmin[j] == gk or min(s_keys & kset(j)) == gk]
-                pi.extend([i] * len(cand))
-                pj.extend(cand)
-        return pi, pj
-
-    def _score_pairs(self, ents: pa.Table, pi: list, pj: list) -> pa.Table:
-        if not pi:
-            return _LINKS_SCHEMA.empty_table()
-        rule = _compile_rule(self.rule_spec)
-        op = rule.operator
-        limit = self.limit
-        scored = None
-        if (
-            isinstance(op, Comparison)
-            and getattr(type(op.metric), "id", None) == "levenshteinDistance"
-            and op.threshold > 0
-        ):
-            # None = non-ASCII values, byte-level kernel unsafe
-            scored = self._levenshtein_scores(ents, pi, pj, op)
-        if scored is None:
-            # convert and prepare each entity of a candidate pair once
-            needed = sorted(set(pi) | set(pj))
-            n_leaves = len(rule.leaf_comparisons())
-            sub = ents.select([f"vals_{k}" for k in range(n_leaves)]).take(
-                pa.array(needed, pa.int64())
-            )
-            cols = [_list_column_to_pylist(sub[f"vals_{k}"]) for k in range(n_leaves)]
-            prepared = {
-                e: rule.prepare_leaf_values([c[r] for c in cols]) for r, e in enumerate(needed)
-            }
-            kept, conf = [], []
-            for n, (i, j) in enumerate(zip(pi, pj)):
-                score = rule.score_from_prepared(prepared[i], prepared[j], limit)
-                if score is not None and score >= limit:
-                    kept.append(n)
-                    conf.append(score)
-            scored = (np.asarray(kept, np.int64), conf)
-        kept, conf = scored
-        return pa.table(
-            {
-                "source": ents["uri"].take(np.asarray(pi, np.int64)[kept]).cast(pa.string()),
-                "target": ents["uri"].take(np.asarray(pj, np.int64)[kept]).cast(pa.string()),
-                "confidence": pa.array(conf, pa.float64()),
-            }
-        )
-
-    def _levenshtein_scores(self, ents: pa.Table, pi: list, pj: list, op):
-        """Scoring kernel for a single-``levenshteinDistance`` rule (the
-        reference's own benchmark shape, names corpus): the candidate
-        pairs' value cross-products run as ONE DuckDB query with a
-        native levenshtein kernel (~20x the per-pair Python loop;
-        identical output — min over the value cross-product, 1-d/θ
-        confidence). Returns ``(kept pair positions, confidences)``, or
-        ``None`` when any value is non-ASCII (the native kernel is
-        byte-level, the kernel library character-level) — the caller
-        then takes the generic path."""
+        """Candidate pairs as (source rows, target rows) arrays of at most
+        about ``PAIR_CHUNK`` pairs each, in block order, then source
+        order, then target order (block-index order within a block)."""
         import pyarrow.compute as pc
 
-        theta = op.threshold
-        d_max = theta * (1.0 - self.limit) + 1e-9
-        vals = ents["vals_0"].combine_chunks()
-        flat_v = pc.list_flatten(vals)
-        # identical to the character-level kernel only for pure ASCII:
-        # any multi-byte value sends the whole table to the generic path
-        non_null = pc.drop_null(flat_v)
-        if len(non_null) and not pc.all(
-            pc.equal(pc.binary_length(pc.cast(non_null, pa.binary())), pc.utf8_length(non_null))
-        ).as_py():
-            return None
-        ev = pa.table({"e": pc.list_parent_indices(vals), "v": flat_v})
-        pairs = pa.table(
-            {
-                "n": pa.array(np.arange(len(pi), dtype=np.int64)),
-                "i": pa.array(pi, pa.int64()),
-                "j": pa.array(pj, pa.int64()),
-            }
+        if not len(key):
+            return
+        is_tgt = ents["side"].to_numpy(zero_copy_only=False)[ent] != 1
+        dirty = None
+        if self.dirty_col:
+            dirty = ents[self.dirty_col].to_numpy(zero_copy_only=False).astype(bool)
+        # per block: its sources, then its dirty targets, then the clean
+        # ones, each in block-index order (lexsort is stable)
+        clean_tgt = is_tgt & ~dirty[ent] if dirty is not None else np.zeros(len(ent), bool)
+        order = np.lexsort((clean_tgt, is_tgt, key))
+        key, ent, is_tgt, clean_tgt = key[order], ent[order], is_tgt[order], clean_tgt[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        block = np.cumsum(np.r_[False, key[1:] != key[:-1]])
+        n_tgt = np.add.reduceat(is_tgt.astype(np.int64), starts)
+        n_src = np.diff(np.r_[starts, len(key)]) - n_tgt
+        n_dirty_tgt = n_tgt - np.add.reduceat(clean_tgt.astype(np.int64), starts)
+        src = np.flatnonzero(~is_tgt)
+        b = block[src]
+        first_tgt = starts[b] + n_src[b]
+        count = n_tgt[b] if dirty is None else np.where(dirty[ent[src]], n_tgt[b], n_dirty_tgt[b])
+        uri_rank = None
+        if self.source_equals_target:
+            uri_rank = pc.rank(ents["uri"], sort_keys="ascending", tiebreaker="dense")
+            uri_rank = uri_rank.to_numpy(zero_copy_only=False)
+        keys = _KeySets(ents["keys"])
+        total = np.cumsum(count)
+        lo = 0
+        while lo < len(src):
+            # the next sources whose pairs fit in one chunk (at least one)
+            end = total[lo] - count[lo] + PAIR_CHUNK
+            hi = max(lo + 1, int(np.searchsorted(total, end, "right")))
+            tpos, owner = ragged_arange(first_tgt[lo:hi], count[lo:hi])
+            i, j, gk = ent[src[lo:hi]][owner], ent[tpos], key[src[lo:hi]][owner]
+            keep = np.ones(len(i), bool)
+            if uri_rank is not None:
+                keep &= uri_rank[i] < uri_rank[j]
+            keep[keep] = ~keys.share_below(i[keep], j[keep], gk[keep])
+            sel = np.flatnonzero(keep)
+            if dirty is not None:
+                # a dirty source sees its block's targets dirty-first:
+                # back to block-index order
+                sel = sel[np.lexsort((order[tpos[sel]], owner[sel]))]
+            if len(sel):
+                yield i[sel], j[sel]
+            lo = hi
+
+
+class _KeySets:
+    """The full blocking-key sets of an entity table (its ``keys`` list
+    column), for the min-common-key dedup."""
+
+    def __init__(self, keys: pa.ChunkedArray | pa.Array):
+        self.col = ValueColumn(keys)
+        flat = self.col.flat.to_numpy(zero_copy_only=False)
+        n = self.col.lengths
+        # smallest key per entity; an entity without keys matches no block
+        self.kmin = np.full(len(n), np.iinfo(np.int64).max)
+        spanned = self.col.spans > 0
+        if spanned.any():
+            self.kmin[spanned] = np.minimum.reduceat(flat, self.col.starts[spanned])
+        self.has = n > 0
+        self.flat = flat
+        self._sorted = None
+
+    def share_below(self, i: np.ndarray, j: np.ndarray, gk: np.ndarray) -> np.ndarray:
+        """Per pair: do entities ``i`` and ``j`` share a key below block
+        key ``gk``? Only an entity whose smallest key is below ``gk``
+        can, so only pairs of two such entities are looked up."""
+        out = np.zeros(len(i), bool)
+        need = np.flatnonzero(
+            ~(self.has[i] & (self.kmin[i] == gk)) & ~(self.has[j] & (self.kmin[j] == gk))
         )
-        con = _duck()
-        con.register("_sr_ev", ev)
-        con.register("_sr_pairs", pairs)
-        res = con.execute(
-            """
-            SELECT p.n AS n, min(levenshtein(s.v, t.v)) AS d
-            FROM _sr_pairs p
-            JOIN _sr_ev s ON s.e = p.i
-            JOIN _sr_ev t ON t.e = p.j
-            WHERE s.v IS NOT NULL AND t.v IS NOT NULL
-            GROUP BY 1
-            HAVING min(levenshtein(s.v, t.v)) <= ?
-            ORDER BY 1
-            """,
-            [d_max],
-        ).arrow()
-        con.unregister("_sr_ev")
-        con.unregister("_sr_pairs")
-        return (
-            res["n"].to_numpy(zero_copy_only=False),
-            [1.0 - d / theta for d in res["d"].to_pylist()],
-        )
+        if not len(need):
+            return out
+        if self._sorted is None:
+            # every (entity, key) as one sortable int64: entity * K + key rank
+            owner = np.repeat(np.arange(len(self.col.spans)), self.col.spans)
+            uniq, rank = np.unique(self.flat, return_inverse=True)
+            self._rank, self._n_keys = rank, len(uniq)
+            self._sorted = np.sort(owner * self._n_keys + rank)
+        idx, own = ragged_arange(self.col.starts[i[need]], self.col.lengths[i[need]])
+        below = self.flat[idx] < gk[need][own]
+        idx, own = idx[below], own[below]
+        probe = j[need][own] * self._n_keys + self._rank[idx]
+        at = np.minimum(np.searchsorted(self._sorted, probe), len(self._sorted) - 1)
+        hit = self._sorted[at] == probe
+        out[need] = np.bincount(own[hit], minlength=len(need)) > 0
+        return out
 
 
 def _score_partitioned(exploded, scorer, score_partitions: int):
@@ -547,20 +474,9 @@ def _score_partitioned(exploded, scorer, score_partitions: int):
     exploded = exploded.repartition(min(score_partitions, 2 * ncpu))
 
     def score_part(group: pa.Table) -> pa.Table:
-        import time as _time
-
         if group.num_rows == 0:
             return _LINKS_SCHEMA.empty_table()
-        t0 = _time.perf_counter()
-        out = scorer(group)
-        dt = _time.perf_counter() - t0
-        if dt > 5.0:
-            # straggler diagnostics (worker log): which key range, how big
-            print(
-                f"[silk_ray] slow score_part: rows={group.num_rows} "
-                f"pairs_out={out.num_rows} took {dt:.1f}s"
-            )
-        return out
+        return scorer(group)
 
     # range-sort directly on the FULL-RANGE blocking key (high
     # cardinality: no duplicate sort boundaries, hence no schema-less

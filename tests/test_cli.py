@@ -248,6 +248,35 @@ def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):
     assert out["stores"]["links"]["epoch"] == 2
 
 
+def test_cli_status_reports_link_metrics(ray_session, tmp_path, capsys):
+    """`status` reports the last links epoch's ``phases`` and ``task_s``
+    (pair counts included) under ``stores.links``, read from that
+    epoch's ``_metrics/links-E.json`` record."""
+    import json
+    import os
+
+    from silk_ray.__main__ import main
+    from silk_ray.cdc.engine import EngineConfig, run
+    from silk_ray.cdc.generator import make_base_table, make_changelog
+    from silk_ray.pipelines.rules import BENCH_RULE
+
+    rule = {k: v for k, v in BENCH_RULE.items() if k != "filter_limit"}
+    log = make_changelog(make_base_table(50, seed=21, near_dup_frac=0.5), 200, seed=22)
+    root = str(tmp_path / "lake")
+    ms = run(root, log, EngineConfig(epoch_size=100, num_partitions=2,
+                                     n_block_partitions=4, rule_spec=rule))
+    capsys.readouterr()
+    assert main(["status", "--root", root]) == 0
+    links = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["stores"]["links"]
+    assert links["epoch"] == ms[-1]["epoch"]
+    with open(os.path.join(root, "_metrics", f"links-{links['epoch']:06d}.json")) as f:
+        record = json.load(f)
+    assert links["phases"] == record["phases"] == ms[-1]["links"]["phases"]
+    assert links["task_s"] == record["task_s"]
+    assert 0 <= links["task_s"]["pairs_kept"] <= links["task_s"]["pairs"]
+    assert links["task_s"]["pairs"] > 0
+
+
 def test_cli_status_schema(ray_session, tmp_path, capsys):
     """`status --schema` reports the unified payload schema from
     parquet footers, and the evolution history across retained epochs

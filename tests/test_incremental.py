@@ -70,7 +70,8 @@ def test_link_metrics_emitted(engine_run):
 def test_link_phases_in_metrics_record(ray_session, tmp_path):
     """update_links writes its phase wall times as a ``phases`` map into
     the epoch's ``_metrics/links-E.json`` record and its return value,
-    and the phases account for the wall time of the call."""
+    and the phases account for the wall time of the call; its ``task_s``
+    map carries the task-wave seconds, task counts and pair counts."""
     import json
     import os
     import time
@@ -106,10 +107,13 @@ def test_link_phases_in_metrics_record(ray_session, tmp_path):
     assert task_s == metrics["task_s"]
     assert set(task_s) == {
         "load_s", "enumerate_s", "score_s", "drop_s", "write_s",
-        "lrs_tasks", "drop_tasks", "write_tasks",
+        "lrs_tasks", "drop_tasks", "write_tasks", "pairs", "pairs_kept",
     }
     assert all(v >= 0 for v in task_s.values())
     assert task_s["lrs_tasks"] >= 1 and task_s["write_tasks"] >= 1
+    # candidate pairs scored and kept: counts, readable from the lake root
+    assert all(type(task_s[k]) is int for k in ("pairs", "pairs_kept"))
+    assert 0 <= task_s["pairs_kept"] <= task_s["pairs"]
 
 
 def test_second_epoch_is_delta_sized(engine_run):
@@ -277,15 +281,17 @@ def test_per_key_blockmap_layout_is_refused(tmp_path):
 
 
 def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
-    """One loader task converts and prepares each (uri, side) entity at
-    most once, although the entity sits in several blocks and block
-    partitions and one partition is key-sub-split into two items of
-    the task — and its links equal the scorer run over the same blocks
-    as exploded rows, one row per (block, entity)."""
+    """With every leaf on the default per-pair path (batch kernels
+    switched off), one loader task converts and prepares each (uri,
+    side) entity at most once per leaf, although the entity sits in
+    several blocks and block partitions and one partition is
+    key-sub-split into two items of the task — and its links equal the
+    scorer run over the same blocks as exploded rows, one row per
+    (block, entity), and the batch kernels' links bit for bit."""
     import pyarrow.compute as pc
 
     from silk_ray.cdc import incremental
-    from silk_ray.kernel.rule import LinkageRule
+    from silk_ray.kernel import distances
     from silk_ray.linking.pipeline import PairScorer
 
     root = engine_run[0]
@@ -304,30 +310,46 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
         "msplits": [m for _, m, _ in items],
         "rsplits": [r for _, _, r in items],
     }
-    calls = []
-    real = LinkageRule.prepare_leaf_values
 
-    def counting(self, vals):
-        calls.append(repr(vals))
-        return real(self, vals)
+    def rows(t):
+        return sorted(zip(*(t[c].to_pylist() for c in ("source", "target", "confidence"))))
 
-    monkeypatch.setattr(LinkageRule, "prepare_leaf_values", counting)
+    kernels, _ = incremental._lrs_bundle(
+        root, bucket, all_keys, dirty, UNFILTERED_RULE, 0.0, 3, 16, 9
+    )
+    # BENCH_RULE's leaves: equality, levenshteinDistance, jaccardMinhashLSH
+    leaf_cls = [distances.EqualityMetric, distances.DistanceMeasure, distances.JaccardDistance]
+    calls: dict[int, list] = {k: [] for k in range(3)}
+    for k, cls in enumerate(leaf_cls):
+        def counting(self, vals, k=k, real=cls.prepare):
+            calls[k].append(repr(vals))
+            return real(self, vals)
+
+        monkeypatch.setattr(cls, "prepare", counting)
+    for cls in (distances.EqualityMetric, distances.JaccardDistance,
+                distances.LevenshteinDistance):
+        monkeypatch.setattr(cls, "apply_pairs", distances.DistanceMeasure.apply_pairs)
     out, timings = incremental._lrs_bundle(
         root, bucket, all_keys, dirty, UNFILTERED_RULE, 0.0, 3, 16, 9
     )
     # entities by their leaf values (a symmetric rule's two sides share
     # them): no value list may be prepared more often than entities hold it
-    holders: dict[str, set] = {}
-    for t in ents.values():
-        vals = zip(*(t[f"vals_{i}"].to_pylist() for i in range(3)))
-        for s, u, v in zip(t["side"].to_pylist(), t["uri"].to_pylist(), vals):
-            holders.setdefault(repr(list(v)), set()).add((s, u))
-    n_entities = sum(len(h) for h in holders.values())
+    n_entities = len({(s, u) for t in ents.values()
+                      for s, u in zip(t["side"].to_pylist(), t["uri"].to_pylist())})
     n_blocks = sum(len(incremental._bp_blocks(t, b, 16)[0]) for b, t in ents.items())
-    assert 0 < len(calls) <= n_entities < n_blocks
-    assert all(calls.count(v) <= len(holders[v]) for v in set(calls))
-    assert set(timings) == {"load_s", "enumerate_s", "score_s"}
+    for k in range(3):
+        holders: dict[str, set] = {}
+        for t in ents.values():
+            for s, u, v in zip(t["side"].to_pylist(), t["uri"].to_pylist(),
+                               t[f"vals_{k}"].to_pylist()):
+                holders.setdefault(repr(v), set()).add((s, u))
+        assert 0 < len(calls[k]) <= n_entities < n_blocks
+        assert all(calls[k].count(v) <= len(holders[v]) for v in set(calls[k]))
+    assert set(timings) == {"load_s", "enumerate_s", "score_s", "pairs", "pairs_kept"}
+    assert timings["pairs_kept"] == out.num_rows <= timings["pairs"]
     assert out.num_rows and set(out["epoch_added"].to_pylist()) == {9}
+    assert [(s, t, c.hex()) for s, t, c in rows(out)] == \
+        [(s, t, c.hex()) for s, t, c in rows(kernels)]
 
     # the same blocks as exploded rows, each row its own entity
     parts = []
@@ -336,13 +358,9 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
         parts.append(t.take(pa.array(ent)).add_column(0, "key", pa.array(key)))
     exploded = pa.concat_tables(parts)
     exploded = exploded.append_column("dirty", pc.is_in(exploded["uri"], value_set=dirty))
-    calls.clear()
+    calls[0].clear()
     want = PairScorer(UNFILTERED_RULE, source_equals_target=True, dirty_col="dirty")(exploded)
-    assert len(calls) > n_entities
-
-    def rows(t):
-        return sorted(zip(*(t[c].to_pylist() for c in ("source", "target", "confidence"))))
-
+    assert len(calls[0]) > n_entities
     assert rows(out) == rows(want)
 
 

@@ -299,9 +299,9 @@ def test_salted_emit_dedups_colliding_keys():
 
 
 def test_levenshtein_fast_path_non_ascii_fallback():
-    """DuckDB levenshtein is byte-level; 'café' vs 'cafe' is char d=1
-    but byte d=2. The fast path must detect non-ASCII and fall back to
-    the character-level generic path."""
+    """The levenshtein batch kernel is byte-level; 'café' vs 'cafe' is
+    char d=1 but byte d=2. Non-ASCII values must take the
+    character-level per-pair path."""
     import pyarrow as pa
 
     from silk_ray.linking.pipeline import PairScorer
@@ -376,7 +376,7 @@ def test_list_column_to_pylist_matches_to_pylist(arr):
     to_pylist() returns: None for a null list, [] for an empty list,
     None for a null element, the same Python types — on chunked and
     sliced inputs, whose offsets do not start at zero."""
-    from silk_ray.linking.pipeline import _list_column_to_pylist
+    from silk_ray.kernel.distances import list_column_to_pylist
 
     cases = [
         arr,
@@ -392,7 +392,7 @@ def test_list_column_to_pylist_matches_to_pylist(arr):
         return [type(x) for r in rows if r for x in r]
 
     for col in cases:
-        got, want = _list_column_to_pylist(col), col.to_pylist()
+        got, want = list_column_to_pylist(col), col.to_pylist()
         assert got == want
         assert types(got) == types(want)
 
@@ -564,7 +564,8 @@ def test_pair_scorer_entity_core_matches_brute_force(dirty_col, all_blocks):
     got = PairScorer(rule_spec, limit=limit, source_equals_target=True, dirty_col=dirty_col) \
         .score_entities(table, np.asarray(key, np.int64), np.asarray(ent, np.int64), timings)
     assert got.schema.names == ["source", "target", "confidence"]
-    assert set(timings) == {"enumerate_s", "score_s"}
+    assert set(timings) == {"enumerate_s", "score_s", "pairs", "pairs_kept"}
+    assert timings["pairs_kept"] == got.num_rows <= timings["pairs"]
     got_rows = sorted(zip(*(got[c].to_pylist() for c in got.schema.names)))
 
     want = []

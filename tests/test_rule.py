@@ -262,3 +262,47 @@ def test_unknown_spec_keys_rejected():
     # annotations pass
     rule_from_dict({"operator": {"metric": "equality", "comment": "x", "_note": 1,
                                  "source": {"path": "a"}, "target": {"path": "b"}}})
+
+
+def test_index_keys_and_values_is_one_evaluation(monkeypatch):
+    """``index_keys_and_values`` returns exactly ``index_keys`` and
+    ``leaf_values`` (non-indexing leaves and subtrees skipped by the
+    index included, both sides, a positive limit), running each leaf's
+    input transforms once."""
+    from silk_ray.kernel.transformers import TRANSFORMERS
+
+    spec = {"operator": {"aggregator": "min", "operators": [
+        {"metric": "equality", "indexing": False,
+         "source": {"path": "lang"}, "target": {"path": "lang"}},
+        {"aggregator": "max", "operators": [
+            {"metric": "levenshteinDistance", "threshold": 1,
+             "source": {"path": "name"},
+             "target": {"transform": "lowerCase", "inputs": [{"path": "name"}]}},
+            {"metric": "jaccard", "threshold": 0.5, "indexing": False,
+             "source": {"transform": "tokenize", "inputs": [{"path": "text"}]},
+             "target": {"transform": "tokenize", "inputs": [{"path": "text"}]}}]},
+        {"aggregator": "negate", "operators": [
+            {"metric": "equality", "source": {"path": "repo"}, "target": {"path": "repo"}}]},
+        {"metric": "equality", "source": {"path": "repo"}, "target": {"path": "repo"}}]}}
+    rule = rule_from_dict(spec)
+    calls = []
+    tokenize = TRANSFORMERS["tokenize"]
+    real = tokenize.apply
+
+    def counting(self, values):
+        calls.append(values)
+        return real(self, values)
+
+    ents = [
+        {"lang": ["py"], "name": ["Hello"], "text": ["a b c"], "repo": ["r1"]},
+        {"lang": [], "name": ["héllo", "x"], "text": [], "repo": ["r2"]},
+        {"name": [""], "text": ["one two"], "repo": []},
+    ]
+    monkeypatch.setattr(tokenize, "apply", counting)
+    for ent in ents:
+        for sot in (True, False):
+            calls.clear()
+            keys, vals = rule.index_keys_and_values(ent, sot, 0.2)
+            assert len(calls) == 1
+            assert keys == rule.index_keys(ent, sot, 0.2)
+            assert vals == rule.leaf_values(ent, sot)
