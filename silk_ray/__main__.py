@@ -326,10 +326,32 @@ def cmd_rewrite(args) -> int:
     return 0
 
 
+# the lake root's top-level data directories, as ``status`` reports them
+_STORAGE_DIRS = ("partitions", "dirty", "summaries", "blockmap", "links", "clusters",
+                 "aggview", "egress", "windows", "_metrics")
+
+
+def _dir_storage(root: str) -> dict:
+    """On-disk bytes and file count under each top-level data directory."""
+    out = {}
+    for d in _STORAGE_DIRS:
+        nbytes = nfiles = 0
+        for dirpath, _dirs, files in os.walk(os.path.join(root, d)):
+            for f in files:
+                try:
+                    nbytes += os.path.getsize(os.path.join(dirpath, f))
+                    nfiles += 1
+                except OSError:  # removed by a concurrent GC
+                    pass
+        out[d] = {"bytes": nbytes, "files": nfiles}
+    return out
+
+
 def cmd_status(args) -> int:
     """One health endpoint over every store: metadata reads only (no
-    Ray session) — manifests, state pointers, file sizes, consumer
-    positions and the last committed epoch's metrics."""
+    Ray session) — manifests, state pointers, file sizes, on-disk bytes
+    and files per data directory, consumer positions and the last
+    committed epoch's metrics."""
     from silk_ray.cdc import checkpoint as ckpt
     from silk_ray.cdc.repartition import lake_stats
 
@@ -411,6 +433,7 @@ def cmd_status(args) -> int:
             stores[store.name] = {"epoch": st["epoch"],
                                   **extras.get(store.name, lambda st: {})(st)}
     out["stores"] = stores
+    out["storage"] = _dir_storage(args.root)
     # a store lagging the lake by >1 epoch points at a crashed catch-up
     out["store_lag_epochs"] = {
         name: manifest.epoch - int(s["epoch"]) for name, s in stores.items()

@@ -21,7 +21,10 @@ malformed snapshot rows, manifest commit — and leaves
 ``next_offset = S+1``, which is the consumer position (window anchoring
 makes per-partition HWMs < S harmless: offsets ≤ S are never read
 again). Incremental linking / cluster / aggregate maintenance then
-initialize from epoch 1's dirty files via the engine's normal catch-up.
+initialize from epoch 1 via the engine's normal catch-up: links from
+the fused index's summaries (or epoch 1's dirty files, which the first
+epoch always writes), the agg view from the snapshot; a store enabled
+after a later epoch starts from the snapshot at the merge epoch.
 
 Scale shape: an in-memory snapshot (tests, small lakes) goes through
 run_epoch as one table; a parquet snapshot (file or directory) is
@@ -42,7 +45,7 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import checkpoint as ckpt
+from silk_ray.cdc import checkpoint as ckpt, remote
 from silk_ray.cdc.merge import DEFAULT_PARTITIONS, run_epoch
 
 KEY_COLS = ("repo", "path")
@@ -170,19 +173,21 @@ def _synth_parquet(root: str, snapshot_path: str, as_of_offset: int) -> str:
     out_dir = os.path.join(root, "_bootstrap_changelog")
     os.makedirs(out_dir, exist_ok=True)
 
-    @ray.remote
-    def convert(src: str, start: int, out: str) -> int:
-        t = _synth_table(pq.read_table(src), start)
-        ckpt.atomic_write_parquet(t, out)
-        return t.num_rows
-
     start = as_of_offset - n + 1
     refs = []
     for i, (f, c) in enumerate(zip(files, counts)):
-        refs.append(convert.remote(f, start, os.path.join(out_dir, f"seg-{i:05d}.parquet")))
+        out = os.path.join(out_dir, f"seg-{i:05d}.parquet")
+        refs.append(remote(_convert_segment).remote(f, start, out))
         start += c
     ray.get(refs)
     return out_dir
+
+
+def _convert_segment(src: str, start: int, out: str) -> int:
+    """One snapshot file → one synthetic changelog segment."""
+    t = _synth_table(pq.read_table(src), start)
+    ckpt.atomic_write_parquet(t, out)
+    return t.num_rows
 
 
 def _export_task(root: str, files: list[str], out_path: str) -> int:
@@ -229,11 +234,10 @@ def export_snapshot(root: str, out_dir: str, at_epoch: int | None = None) -> dic
         raise ValueError(f"lake at {root!r} has no committed epochs to export")
     os.makedirs(out_dir, exist_ok=True)
     chains = partition_chains(root, at_epoch=at_epoch)
-    task = ray.remote(_export_task)
     jobs, parts = [], []
     for pid, files in sorted(chains.items()):
         p = os.path.join(out_dir, f"part-{pid:05d}.parquet")
-        jobs.append(task.remote(root, files, p))
+        jobs.append(remote(_export_task).remote(root, files, p))
         parts.append(p)
     rows = ray.get(jobs)
     files = [os.path.basename(p) for p, n in zip(parts, rows) if n]

@@ -38,10 +38,11 @@ union-find work is delta-sized except on a full rebuild.
 
 Catch-up window: rebuilding epoch N needs N's summary files (the dirty
 uris), which storage GC retains only for the newest epoch — the same
-one-epoch window as the rest of the engine. A lag beyond it triggers a
-loud FULL rebuild — the same pass over an empty old state, with every
-current link counted as new — which is always correct, and the metrics
-say it happened.
+one-epoch window as the rest of the engine. A lag beyond it, or an
+epoch without summaries (the link update ran un-fused, or rebuilt the
+link set from the snapshot), triggers a loud FULL rebuild — the same
+pass over an empty old state, with every current link counted as new —
+which is always correct, and the metrics say it happened.
 """
 
 from __future__ import annotations
@@ -55,23 +56,13 @@ import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
 from silk_ray.cdc.incremental import _links_manifest, read_linkstate
+from silk_ray.cdc.merge import epoch_changed_nothing, epoch_inputs
 from silk_ray.functions.graph import union_find_labels
 
 
 read_clusterstate = ckpt.CLUSTERS.read
 commit_clusterstate = ckpt.CLUSTERS.commit
 read_clusterstate_at = ckpt.CLUSTERS.read_at
-
-
-def _epoch_summary_files(root: str, epoch: int) -> list[str]:
-    base = os.path.join(root, "summaries")
-    out = []
-    if os.path.isdir(base):
-        for pdir in sorted(os.listdir(base)):
-            f = os.path.join(base, pdir, f"epoch-{epoch:06d}.parquet")
-            if os.path.exists(f):
-                out.append(f)
-    return out
 
 
 _CLUSTERS_SCHEMA = pa.schema([("uri", pa.string()), ("cluster_id", pa.string())])
@@ -130,14 +121,19 @@ def update_clusters(root: str, epoch: int) -> dict:
         return {"epoch": epoch, "mode": "replay_noop", "rows": _state_rows(root, state)}
     links = _links(root)
     old_dir = state.get("dir")
-    # summaries for a longer gap are GC'd; no old table means no base
-    full = state["epoch"] < epoch - 1 or old_dir is None
+    # the splice needs the epoch's dirty uris: summaries for a longer
+    # gap are GC'd, and an un-fused or snapshot (full) link update
+    # writes none; no old table means no base
+    summaries = epoch_inputs(root, "summaries", epoch)
+    full = state["epoch"] < epoch - 1 or old_dir is None or not (
+        summaries or epoch_changed_nothing(root, epoch)
+    )
     new = links if full else links.filter(pc.equal(links["epoch_added"], epoch))
     seed_parts = [new["source"], new["target"]]
     if not full:
         seed_parts += [
             pq.read_table(f, columns=["uri"])["uri"].cast(pa.string())
-            for f in _epoch_summary_files(root, epoch)
+            for f in summaries
         ]
     seeds = pc.unique(
         pa.chunked_array([c for col in seed_parts for c in col.chunks], pa.string())

@@ -46,7 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import checkpoint as ckpt
+from silk_ray.cdc import checkpoint as ckpt, remote
 from silk_ray.cdc.merge import (
     _next_existing_offset,
     _window_fragments,
@@ -199,8 +199,7 @@ def demux_window(
     if not fragments:
         return None
     window = state["window"] + 1
-    route = ray.remote(_route_fragment)
-    routed = ray.get([route.remote(f, lo, hi) for f in fragments])
+    routed = ray.get([remote(_route_fragment).remote(f, lo, hi) for f in fragments])
     by_tbl: dict[str, list] = {}
     dead_parts = []
     for m, dead in routed:
@@ -223,7 +222,7 @@ def demux_window(
         dead_lettered = dead.num_rows
     if not by_tbl and not dead_lettered:
         return None
-    write = ray.remote(_write_seg)
+    write = remote(_write_seg)
     os.makedirs(out_dir, exist_ok=True)
     # Writer tasks run in bounded WAVES, and each table's shard refs are
     # RELEASED as its wave completes: a 10^3-live-table deployment would

@@ -9,10 +9,11 @@ the lake's net state delta — one row per changed key carrying the
 change op (I/U/D), the full **after image** (``new_*``) and the full
 **before image** (``old_*``) — the Debezium-style envelope.
 
-The source material is free: the merge stage already writes a per-
-(partition, epoch) *dirty delta* file with exactly this content
-(merge.py ``_dirty_table`` — change ∈ {I,U,D}, typed old/new payload
-images, keys inserted-then-deleted within the epoch excluded). Egress
+The source material is cheap: for a stream that keeps up, the merge
+stage writes a per-(partition, epoch) *dirty delta* file with exactly
+this content (merge.py ``_dirty_table`` — change ∈ {I,U,D}, typed
+old/new payload images, keys inserted-then-deleted within the epoch
+excluded). Egress
 is therefore an O(delta) reshape, never a state scan, done in one
 plain pyarrow pass on the driver with no Ray task:
 
@@ -41,11 +42,12 @@ partition counts, replays and crash recoveries:
   swap is the sole commit point: a crash after file writes but before
   the swap re-derives the *same bytes* on catch-up (writers converge).
 
-**Lag discipline.** Dirty files are inputs with one-epoch rollback
-retention (merge.py ``gc_link_inputs``). Egress commits synchronously
-inside the engine loop, so its lag never exceeds the crash window of
-one epoch. Enabling egress *late* on a lake with history cannot
-reconstruct the missed deltas — :func:`update_egress` then refuses
+**Lag discipline.** Dirty files are written only for a reader at the
+previous epoch and kept only for its next epoch and one-epoch rollback
+(merge.py ``run_epoch``, ``gc_link_inputs``). Egress commits inside the
+engine loop, so its lag never exceeds the crash window of one epoch.
+Enabling egress *late* on a lake with history, or pausing it past one
+epoch, cannot reconstruct the missed deltas — :func:`update_egress` then refuses
 loudly, and :func:`egress_resync` performs the standard CDC-producer
 move: an initial-snapshot epoch (every live row as an ``I`` with null
 before-image) from which the delta stream continues.
@@ -71,7 +73,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
-from silk_ray.cdc.matview import _epoch_dirty_files
+from silk_ray.cdc.merge import epoch_changed_nothing, epoch_inputs
 from silk_ray.kernel.index import md5_lower64_batch
 
 KEY_COLS = ("repo", "path")
@@ -175,8 +177,9 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
     Idempotent: an epoch at or below the committed egress epoch is a
     replay no-op. Sequential: ``epoch`` must be ``state.epoch + 1``
     (the engine loop and :func:`catch_up_egress` guarantee this); a
-    larger gap means the dirty inputs were GC'd — refuse loudly and
-    point at :func:`egress_resync`.
+    larger gap, or an epoch whose dirty delta is absent (the stream
+    was paused), means the inputs are gone — refuse loudly and point
+    at :func:`egress_resync`.
     """
     state = read_egressstate(root)
     if state["num_shards"] not in (None, num_shards):
@@ -193,16 +196,19 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
             "is empty and the missed epochs' dirty inputs are GC'd. Run "
             "egress_resync(root) to emit an initial-snapshot epoch first."
         )
-    if epoch > int(state["epoch"]) + 1:
+    files = epoch_inputs(root, "dirty", epoch)
+    if epoch > int(state["epoch"]) + 1 or not (files or epoch_changed_nothing(root, epoch)):
+        # a stream paused past one epoch: no reader sat at epoch-1 when
+        # this epoch merged, so its dirty delta was never written
         raise RuntimeError(
-            f"egress lag {epoch - int(state['epoch'])} epochs exceeds the one-epoch "
-            "dirty retention window — deltas are unrecoverable. Run "
-            "egress_resync(root) and have consumers re-snapshot."
+            f"egress at epoch {state['epoch']} cannot emit epoch {epoch}: its dirty "
+            "delta is outside the one-epoch retention window — deltas are "
+            "unrecoverable. Run egress_resync(root) and have consumers re-snapshot."
         )
 
     tables = [
         t.rename_columns(["op" if c == "change" else c for c in t.column_names])
-        for t in map(pq.read_table, _epoch_dirty_files(root, epoch))
+        for t in map(pq.read_table, files)
     ]
     start = int(state["next_seq"])
     rels, seq = _write_epoch(root, epoch, tables, num_shards, start)

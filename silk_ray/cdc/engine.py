@@ -8,17 +8,24 @@ One epoch = one atomic unit of progress:
 
 Resume logic: the merge manifest and the linkstate each record their
 epoch; after a crash anywhere, :func:`run` first brings the link state
-up to the merge epoch (dirty files are kept per epoch), then continues
-tailing. Both sub-commits are idempotent, so replays converge.
+up to the merge epoch (from the epoch's retained inputs when one epoch
+behind, from the snapshot when further), then continues tailing. Both
+sub-commits are idempotent, so replays converge.
+
+Epoch inputs: the merge writes epoch E's dirty delta only when a store
+that reads it (agg view, egress, un-fused links) has committed E-1;
+``merge.gc_link_inputs`` keeps of it and of the link summaries only a
+present reader's next epoch plus its one-epoch rollback window. A store
+further behind starts from the snapshot.
 
 Storage GC (per epoch, post-commit; ``EngineConfig.gc``): superseded
 lake/blockmap chain files, orphaned shard-write attempts and consumed
 dirty/summary inputs are deleted — a continuously-tailing engine keeps
 O(live state + in-flight epoch) files, not O(history). Every GC rule
 retains a one-epoch rollback window (``prev_files`` /
-``blockmap_prev`` / newest dirty+summary epoch — the same retention
-the link store's ``links_files_prev`` already used), so crash replay
-and a one-epoch checkpoint rollback are unaffected (tests/test_gc.py).
+``blockmap_prev`` / the readers' dirty+summary epochs — the same
+retention the link store's ``links_files_prev`` already used), so crash
+replay and a one-epoch checkpoint rollback are unaffected (tests/test_gc.py).
 """
 
 from __future__ import annotations
@@ -111,13 +118,14 @@ def catch_up_links(root: str, config: EngineConfig) -> list[dict]:
     if config.rule_spec is None:
         return out
     merge_epoch = ckpt.read_manifest(root).epoch
-    link_epoch = read_linkstate(root)["epoch"]
-    for e in range(link_epoch + 1, merge_epoch + 1):
+    if read_linkstate(root)["epoch"] < merge_epoch:
+        # a store more than one epoch behind re-indexes the snapshot at
+        # the merge epoch in one step (update_links' full mode)
         out.append(
             update_links(
                 root,
                 config.rule_spec,
-                e,
+                merge_epoch,
                 limit=config.limit,
                 n_block_partitions=config.n_block_partitions,
                 retain_epochs=config.retain_epochs,
@@ -250,10 +258,9 @@ def _run_locked(root: str, changelog, config: EngineConfig, results: list) -> li
             # post-commit storage GC: every rule below deletes only
             # files the committed manifests can no longer reference
             n_gc = gc_lake(root, retain_epochs=config.retain_epochs)
+            n_gc += gc_link_inputs(root)
             if config.rule_spec is not None:
-                state = read_linkstate(root)
-                n_gc += gc_blockmap(root, state)
-                n_gc += gc_link_inputs(root, int(state["epoch"]))
+                n_gc += gc_blockmap(root, read_linkstate(root))
                 if config.maintain_clusters:
                     from silk_ray.cdc.clusters import gc_clusters
 
@@ -266,14 +273,6 @@ def _run_locked(root: str, changelog, config: EngineConfig, results: list) -> li
                 from silk_ray.cdc.windows import gc_windows
 
                 n_gc += gc_windows(root, retain_epochs=config.retain_epochs)
-            if config.rule_spec is None and (
-                config.agg_spec is not None or config.egress
-            ):
-                # agg view / egress are the dirty-file consumers here
-                # (they commit synchronously above, so their epoch ==
-                # m["epoch"]): same one-epoch rollback retention the
-                # linker uses
-                n_gc += gc_link_inputs(root, m["epoch"])
             m["gc_files"] = n_gc
         # per-epoch wall time: epochs are identical in shape, so the
         # best epoch is a throttling-robust throughput estimator on

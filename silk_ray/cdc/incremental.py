@@ -25,9 +25,11 @@ An entity's row sits in every block partition ``k % B`` of its blocking
 keys ``k`` and carries its FULL sorted key set; its blocks in partition
 ``b`` are ``{k ∈ keys : k % B == b}``, exploded at read time. A blockmap
 file with a ``key`` column (the older one-row-per-key layout) is
-refused: the link store must be rebuilt.
+refused: the link store must be rebuilt from the snapshot.
 
-Per merge epoch E (consuming ``dirty/p=*/epoch-{E}.parquet`` deltas):
+Per merge epoch E (consuming the fused index's ``summaries/p=*/epoch-{E}``
+files or the ``dirty/p=*/epoch-{E}.parquet`` deltas; a store more than
+one epoch behind consumes the snapshot instead, see :func:`update_links`):
 
 1. **delta index + shard write** (fused into the merge tasks, or its
    own ``map_batches`` pass; no shuffle): for every changed key and
@@ -80,6 +82,7 @@ set.
 
 from __future__ import annotations
 
+import glob
 import os
 import time
 
@@ -87,7 +90,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import checkpoint as ckpt
+from silk_ray.cdc import checkpoint as ckpt, remote
+from silk_ray.cdc.merge import INTERNAL_COLS, KEY_COLS, epoch_changed_nothing, epoch_inputs
 from silk_ray.kernel.rule import LinkageRule
 from silk_ray.linking.pipeline import _compile_rule
 
@@ -269,7 +273,8 @@ def read_bp_reconciled(root: str, files: list[str], n_leaves: int) -> pa.Table:
             raise ValueError(
                 f"blockmap file {f} has the old per-key layout (a 'key' column); "
                 "the link store must be rebuilt: remove blockmap/, links/ and "
-                "_linkstate.json and re-link the lake"
+                "_linkstate.json, then engine.catch_up_links re-indexes the "
+                "snapshot at the merge epoch (update_links' full mode)"
             )
         tables.append(t)
     if len(tables) == 1:
@@ -341,28 +346,6 @@ def _compact_bundle(root: str, bps: list[int], chains: list[list[str]], n_leaves
         ckpt.atomic_write_parquet(merged, os.path.join(root, rel))
         out.append((bp, rel))
     return out
-
-
-_compact_bps_task = None  # ray.remote wrapper, created lazily (no ray at import)
-_consolidate_bps_task = None
-
-
-def _ensure_compact_task():
-    global _compact_bps_task
-    if _compact_bps_task is None:
-        import ray
-
-        _compact_bps_task = ray.remote(num_cpus=1)(_compact_bundle)
-    return _compact_bps_task
-
-
-def _ensure_consolidate_task():
-    global _consolidate_bps_task
-    if _consolidate_bps_task is None:
-        import ray
-
-        _consolidate_bps_task = ray.remote(num_cpus=1)(_consolidate_bundle)
-    return _consolidate_bps_task
 
 
 def _links_empty_table() -> pa.Table:
@@ -515,24 +498,17 @@ def _write_links_bundle(
     return out, seconds
 
 
-_LINK_TASKS: dict[str, object] = {}
-
-
-def _link_task(name: str):
-    """Lazily-created ray.remote wrappers (no ray needed at import)."""
-    task = _LINK_TASKS.get(name)
-    if task is None:
-        import ray
-
-        fn = {"lrs": _lrs_bundle, "drop": _drop_dirty_files, "write": _write_links_bundle}[name]
-        task = ray.remote(num_cpus=1)(fn)
-        _LINK_TASKS[name] = task
-    return task
-
-
 # ---------------------------------------------------------------------------
 # stage 3+4: delta re-score and links merge
 # ---------------------------------------------------------------------------
+
+
+def _as_inserts(t: pa.Table) -> pa.Table:
+    """Snapshot rows as all-insert dirty rows: keys plus ``new_*``."""
+    payload = [c for c in t.column_names if c not in KEY_COLS + INTERNAL_COLS]
+    return t.select([*KEY_COLS, *payload]).rename_columns(
+        [*KEY_COLS, *(f"new_{c}" for c in payload)]
+    )
 
 
 def update_links(
@@ -544,7 +520,15 @@ def update_links(
     n_block_partitions: int = DEFAULT_BLOCK_PARTITIONS,
     retain_epochs: int = 1,
 ) -> dict:
-    """Process merge epoch ``epoch``'s dirty deltas into the link state.
+    """Process merge epoch ``epoch``'s delta into the link state.
+
+    The delta comes from the fused index's summary files, or else from
+    the epoch's dirty files through the delta-index stage. A store more
+    than one epoch behind — or one whose epoch inputs were never written
+    because no store read them — re-indexes the snapshot at ``epoch``
+    through the same stage over an empty index and link set (``mode``
+    ``"full"``; the cluster store then full-rebuilds too). An epoch
+    that changed no key is a no-op commit.
 
     Returns link metrics (links_recomputed, links_removed, ...).
     ``retain_epochs`` = as-of-epoch read depth for the link store
@@ -565,46 +549,46 @@ def update_links(
         _t_prev[0] = now
 
     state = read_linkstate(root)
-    assert state["epoch"] == epoch - 1, (
+    assert state["epoch"] < epoch, (
         f"link state at epoch {state['epoch']}, cannot apply epoch {epoch}"
     )
     rule = _compile_rule(rule_spec)
     n_leaves = len(rule.leaf_comparisons())
     payload = rule_spec if isinstance(rule_spec, dict) else rule
 
-    dirty_dir = os.path.join(root, "dirty")
-    dirty_files = []
-    if os.path.isdir(dirty_dir):
-        for pdir in sorted(os.listdir(dirty_dir)):
-            f = os.path.join(dirty_dir, pdir, f"epoch-{epoch:06d}.parquet")
-            if os.path.exists(f):
-                dirty_files.append(f)
-    if not dirty_files:
-        state["epoch"] = epoch
-        commit_linkstate(root, state)
-        return {"epoch": epoch, "links_recomputed": 0, "links_removed": 0, "links_total": _count_links(root, state)}
+    summary_files = epoch_inputs(root, "summaries", epoch)
+    dirty_files = [] if summary_files else epoch_inputs(root, "dirty", epoch)
+    mode = "delta"
+    if state["epoch"] < epoch - 1 or not (summary_files or dirty_files):
+        if state["epoch"] == epoch - 1 and epoch_changed_nothing(root, epoch):
+            state["epoch"] = epoch
+            commit_linkstate(root, state)
+            return {"epoch": epoch, "mode": "noop", "links_recomputed": 0,
+                    "links_removed": 0, "links_total": _count_links(root, state)}
+        mode = "full"
 
     # -- stage 1+2: delta index + per-bp shard writes --------------------
     # Preferred path: the merge stage already ran the delta index fused
     # into its tasks (MergePartition.link_spec) and left per-partition
     # summary files — read them driver-side, zero extra Ray executions.
-    summary_dir = os.path.join(root, "summaries")
-    summary_files = []
-    if os.path.isdir(summary_dir):
-        for pdir in sorted(os.listdir(summary_dir)):
-            f = os.path.join(summary_dir, pdir, f"epoch-{epoch:06d}.parquet")
-            if os.path.exists(f):
-                summary_files.append(f)
-
-    if summary_files:
+    if mode == "delta" and summary_files:
         summary_batches = [pq.read_table(f) for f in summary_files]
         _mark("read_summaries")
     else:
-        # fallback (e.g. merge ran without link_spec): run the delta
-        # index over the dirty files as its own execution
+        # the delta index as its own execution: over the dirty files
+        # (the merge ran without link_spec), or over the snapshot as
+        # all-insert rows (full mode)
         from silk_ray.linking.pipeline import cached_stage
 
-        summary_ds = rd.read_parquet(dirty_files).map_batches(
+        if mode == "full":
+            from silk_ray.cdc.merge import snapshot_dataset
+
+            src = snapshot_dataset(root, at_epoch=epoch).map_batches(
+                _as_inserts, batch_format="pyarrow"
+            )
+        else:
+            src = rd.read_parquet(dirty_files)
+        summary_ds = src.map_batches(
             cached_stage(
                 DeltaIndexStage,
                 rule_spec=payload,
@@ -619,8 +603,10 @@ def update_links(
 
     import pyarrow.compute as pc
 
+    # full mode indexes into an empty blockmap and link set
+    base = {"blockmap": {}, "links_files": []} if mode == "full" else state
     bm_files: dict[int, list[str]] = {
-        int(k): (list(v) if isinstance(v, list) else [v]) for k, v in state["blockmap"].items()
+        int(k): (list(v) if isinstance(v, list) else [v]) for k, v in base["blockmap"].items()
     }
     # vectorized driver-side collection (these summaries are delta-sized
     # but still ~K× the dirty count; python set loops here were a
@@ -646,7 +632,7 @@ def update_links(
     # sf0.1, growing with state)
     multi = {bp: sorted(set(s)) for bp, s in new_shards.items() if len(set(s)) > 1}
     if multi:
-        task = _ensure_consolidate_task()
+        task = remote(_consolidate_bundle)
         items = sorted(multi.items())
         # one wave across the cluster: the cost is per-small-file IO
         # (~P shards per bp), so spread bps over ~2 tasks per CPU
@@ -673,7 +659,7 @@ def update_links(
     # fixed cost (~0.5-1 s) was a measurable slice of every epoch
     to_compact = [bp for bp in bm_files if len(bm_files[bp]) > COMPACT_AT]
     if to_compact:
-        task = _ensure_compact_task()
+        task = remote(_compact_bundle)
         compacted = ray.get(
             [
                 task.remote(root, to_compact[i : i + 4],
@@ -789,7 +775,7 @@ def update_links(
     # re-read of written files. Same shape as the merge stage's direct
     # exchange (merge.py), which replaced a sort-groupby for the same
     # reason.
-    manifest = _links_manifest(state, root)
+    manifest = _links_manifest(base, root)
     dirty_bits = _uri_bits(sorted(dirty_uris))
     affected, carried = [], []
     for entry in manifest:
@@ -804,14 +790,14 @@ def update_links(
     affected_rows = sum(e["rows"] for e in affected)
     n_link_blocks = max(1, min(64, affected_rows // 500_000 + 1))
 
-    lrs = _link_task("lrs")
+    lrs = remote(_lrs_bundle)
     refs = [
         lrs.remote(root, bucket, keys_ref, uris_ref, payload, limit,
                    n_leaves, n_block_partitions, epoch)
         for bucket in loader_buckets
     ]
     if affected:
-        drop = _link_task("drop")
+        drop = remote(_drop_dirty_files)
         files = [e["file"] for e in affected]
         per = max(1, len(files) // n_link_blocks)
         refs += [
@@ -836,7 +822,7 @@ def update_links(
     task_s.update(lrs_tasks=len(loader_buckets), drop_tasks=len(refs) - len(loader_buckets),
                   write_tasks=0, pairs=0, pairs_kept=0)
     if refs:
-        write = _link_task("write")
+        write = remote(_write_links_bundle)
         n_out = min(n_link_blocks, len(refs))
         bundles = [refs[i::n_out] for i in range(n_out)]
         write_refs = [
@@ -886,6 +872,7 @@ def update_links(
 
     metrics = {
         "epoch": epoch,
+        "mode": mode,
         "links_recomputed": int(n_new),
         # rows in rewritten files minus what survived = stored links
         # dropped this epoch (dirty-uri links; recomputed ones that
@@ -971,8 +958,6 @@ def gc_blockmap(root: str, state: dict | None = None) -> int:
     linkstate epoch are kept: a pending catch-up ``update_links`` will
     register them from the summaries. Run only after
     ``commit_linkstate``. Returns files removed."""
-    from silk_ray.cdc.merge import _file_epoch
-
     if state is None:
         state = read_linkstate(root)
     link_epoch = int(state.get("epoch", 0))
@@ -982,25 +967,11 @@ def gc_blockmap(root: str, state: dict | None = None) -> int:
         for f in (files if isinstance(files, list) else [files])
     }
     live |= {os.path.normpath(f) for f in state.get("blockmap_prev", [])}
-    base = os.path.join(root, "blockmap")
-    if not os.path.isdir(base):
-        return 0
     removed = 0
-    for d in os.listdir(base):
-        full = os.path.join(base, d)
-        if not os.path.isdir(full):
-            continue
-        for f in os.listdir(full):
-            if not f.endswith(".parquet"):
-                continue
-            e = _file_epoch(f)
-            rel = os.path.normpath(os.path.join("blockmap", d, f))
-            if rel not in live and e is not None and e <= link_epoch:
-                try:
-                    os.remove(os.path.join(root, rel))
-                    removed += 1
-                except OSError:
-                    pass
+    for f in glob.glob(os.path.join(root, "blockmap", "*", "*.parquet")):
+        e = ckpt.file_epoch(os.path.basename(f))
+        if os.path.relpath(f, root) not in live and e is not None and e <= link_epoch:
+            removed += ckpt._remove(f)
     return removed
 
 

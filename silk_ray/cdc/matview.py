@@ -73,6 +73,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
+from silk_ray.cdc.merge import epoch_inputs
 
 # measure fns: name -> (evaluate(column) -> int64 array, nulls already 0)
 _NULL_TOKEN = "\x00\x00null"  # group-key serialization marker for shard hashing
@@ -141,17 +142,6 @@ class AggViewSpec:
 read_aggstate = ckpt.AGG_VIEW.read
 read_aggstate_at = ckpt.AGG_VIEW.read_at
 commit_aggstate = ckpt.AGG_VIEW.commit
-
-
-def _epoch_dirty_files(root: str, epoch: int) -> list[str]:
-    base = os.path.join(root, "dirty")
-    out = []
-    if os.path.isdir(base):
-        for pdir in sorted(os.listdir(base)):
-            f = os.path.join(base, pdir, f"epoch-{epoch:06d}.parquet")
-            if os.path.exists(f):
-                out.append(f)
-    return out
 
 
 def _measure_values(t: pa.Table, col_name: str | None, fn: str, n: int) -> pa.Array:
@@ -394,7 +384,7 @@ def update_aggregates(root: str, epoch: int, spec: AggViewSpec) -> dict:
         old_support: dict[str, dict[str, str]] = {}
     else:
         mode = "delta"
-        inputs = (_dirty_sides(pq.read_table(f)) for f in _epoch_dirty_files(root, epoch))
+        inputs = (_dirty_sides(pq.read_table(f)) for f in epoch_inputs(root, "dirty", epoch))
         old_shards = dict(state.get("shards") or {})
         old_support = {
             src: dict(m) for src, m in (state.get("support") or {}).items()

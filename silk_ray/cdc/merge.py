@@ -35,9 +35,10 @@ LSM-style so per-epoch cost is O(delta), not O(state):
   mapped through a Silk-style DirectMapping rename
   (EntitySchema.renameProperty, silk-core/.../entity/EntitySchema.scala:147-153);
 - each epoch also writes a per-partition *dirty delta* (old + new
-  payload per changed key, **typed** per the unified schema) consumed
-  by incremental re-linking, plus lineage metrics (events applied,
-  skew ratio, live rows tracked incrementally).
+  payload per changed key, **typed** per the unified schema) for the
+  stores that read it (agg view, egress, un-fused re-linking; see
+  ``run_epoch``), plus lineage metrics (events applied, skew ratio,
+  live rows tracked incrementally).
 
 State is never authoritative in RAM: everything reconstructs from
 (lake delta chains + offset log) — SURVEY.md §7.3 "actor-state restart".
@@ -45,6 +46,7 @@ State is never authoritative in RAM: everything reconstructs from
 
 from __future__ import annotations
 
+import glob
 import os
 import shutil
 import time
@@ -55,7 +57,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import checkpoint as ckpt
+from silk_ray.cdc import checkpoint as ckpt, remote
 
 KEY_COLS = ("repo", "path")
 META_COLS = ("offset", "op", "txn")  # txn: transaction grouping (snap_txn_boundary), never payload
@@ -305,6 +307,8 @@ class MergePartition:
         link_spec: dict | None = None,
         n_block_partitions: int = 64,
         compact_at: int = LAKE_COMPACT_AT,
+        *,
+        write_dirty: bool,
     ):
         self.root = root
         self.epoch = epoch
@@ -318,6 +322,7 @@ class MergePartition:
         self.link_spec = link_spec
         self.n_block_partitions = n_block_partitions
         self.compact_at = compact_at
+        self.write_dirty = write_dirty
         self._delta_stage = None
 
     def _get_delta_stage(self):
@@ -463,14 +468,19 @@ class MergePartition:
             ckpt.atomic_write_parquet(full, compact_path)
             chain = [os.path.relpath(compact_path, self.root)]
 
-        # -- 6. dirty delta for incremental re-linking (typed) ------------
-        dirty_table = self._dirty_table(
-            net, old, old_pos, is_del, had_old, state_schema, state_cols
-        )
-        ckpt.atomic_write_parquet(dirty_table, ckpt.dirty_file(self.root, pid, self.epoch))
-
-        # fused delta index: write blockmap shards + linker summary now
+        # -- 6. dirty delta (typed): written for the stores that read it,
+        # built for them and for the fused delta index -----------------
+        n_dirty = int((~(is_del & ~had_old)).sum())  # _dirty_table's rows
         delta_stage = self._get_delta_stage()
+        if self.write_dirty or delta_stage is not None:
+            dirty_table = self._dirty_table(
+                net, old, old_pos, is_del, had_old, state_schema, state_cols
+            )
+            if self.write_dirty:
+                ckpt.atomic_write_parquet(
+                    dirty_table, ckpt.dirty_file(self.root, pid, self.epoch)
+                )
+        # fused delta index: write blockmap shards + linker summary now
         if delta_stage is not None:
             summary = delta_stage(dirty_table)
             summary_path = os.path.join(
@@ -490,7 +500,7 @@ class MergePartition:
                 "rows": pa.array([new_rows], pa.int64()),
                 "hwm": pa.array([new_hwm], pa.int64()),
                 "files": pa.array([chain], pa.list_(pa.string())),
-                "dirty": pa.array([dirty_table.num_rows], pa.int64()),
+                "dirty": pa.array([n_dirty], pa.int64()),
             }
         )
 
@@ -1119,10 +1129,16 @@ def run_epoch(
     part_files = {pid: info["files"] for pid, info in manifest.partitions.items()}
     part_rows = {pid: info.get("rows", 0) for pid, info in manifest.partitions.items()}
 
+    # the dirty delta is written only when a store that reads it has
+    # committed epoch E-1 (an absent store reads as epoch 0, so the
+    # first epoch always writes); the fused delta index reads it in
+    # memory, so the link store counts only for an un-fused merge
+    readers = (ckpt.AGG_VIEW, ckpt.EGRESS) + ((ckpt.LINKS,) if link_spec is None else ())
     merger = MergePartition(
         root, epoch, hwm, part_files, part_rows, renames,
         link_spec=link_spec, n_block_partitions=n_block_partitions,
         compact_at=compact_at,
+        write_dirty=any(int(s.read(root)["epoch"]) == epoch - 1 for s in readers),
     )
 
     t0 = time.perf_counter()
@@ -1131,11 +1147,9 @@ def run_epoch(
     # the quarantine is written pre-commit, from the read tasks)
     if os.path.isdir(_dlq_dir(root, epoch)):
         shutil.rmtree(_dlq_dir(root, epoch))
-    read_task = ray.remote(_read_split_task)
-    merge_task = ray.remote(_merge_pid_task)
     results = ray.get(
         [
-            read_task.remote(
+            remote(_read_split_task).remote(
                 f, lo, hi, num_partitions, root, epoch, i, payload_schema,
                 enrich_specs, strict_columns,
             )
@@ -1159,7 +1173,8 @@ def run_epoch(
     if by_pid:
         merger_ref = ray.put(merger)
         metrics_rows = ray.get(
-            [merge_task.remote(merger_ref, *refs) for _, refs in sorted(by_pid.items())]
+            [remote(_merge_pid_task).remote(merger_ref, *refs)
+             for _, refs in sorted(by_pid.items())]
         )
     t_merge = time.perf_counter() - t0 - t_exchange
 
@@ -1231,30 +1246,39 @@ _file_epoch = ckpt.file_epoch
 gc_lake = ckpt.LAKE.gc
 
 
-def gc_link_inputs(root: str, link_epoch: int) -> int:
-    """Delete consumed dirty-delta and linker-summary files older than
-    the one-epoch rollback window (epochs ≤ linkstate epoch − 1): a
-    rolled-back linkstate replays at most the newest committed epoch,
-    whose inputs are retained; anything older can never be read again.
-    Returns files removed."""
-    link_epoch = link_epoch - 1
+def epoch_inputs(root: str, sub: str, epoch: int) -> list[str]:
+    """Merge epoch ``epoch``'s per-partition input files under ``sub``
+    (``dirty`` or ``summaries``), in partition order."""
+    return sorted(glob.glob(os.path.join(root, sub, "*", f"epoch-{epoch:06d}.parquet")))
+
+
+def epoch_changed_nothing(root: str, epoch: int) -> bool:
+    """Merge epoch ``epoch`` changed no key, so it has no inputs to
+    read: no dirty row (a repartition's record has no ``dirty_total``).
+    An absent record counts as a change."""
+    record = ckpt.read_json(ckpt.metrics_path(root, epoch))
+    return record is not None and not record.get("dirty_total")
+
+
+def gc_link_inputs(root: str) -> int:
+    """Delete the dirty-delta and linker-summary files no present
+    reader store (agg view, egress, links) can still read. A reader at
+    epoch s reads s+1 next and s again after a one-epoch rollback; a
+    store further behind rebuilds from the snapshot instead. With no
+    reader, nothing older than the merge epoch is kept. Returns files
+    removed."""
+    merge_epoch = ckpt.read_manifest(root).epoch
+    keep = set()
+    for store in (ckpt.LINKS, ckpt.AGG_VIEW, ckpt.EGRESS):
+        s = int(store.read(root)["epoch"])
+        if s:
+            keep.update((s, s + 1))
     removed = 0
     for sub in ("dirty", "summaries"):
-        base = os.path.join(root, sub)
-        if not os.path.isdir(base):
-            continue
-        for d in os.listdir(base):
-            full = os.path.join(base, d)
-            if not os.path.isdir(full):
-                continue
-            for f in os.listdir(full):
-                e = _file_epoch(f)
-                if f.endswith(".parquet") and e is not None and e <= link_epoch:
-                    try:
-                        os.remove(os.path.join(full, f))
-                        removed += 1
-                    except OSError:
-                        pass
+        for f in glob.glob(os.path.join(root, sub, "*", "*.parquet")):
+            e = _file_epoch(os.path.basename(f))
+            if e is not None and e < merge_epoch and e not in keep:
+                removed += ckpt._remove(f)
     return removed
 
 

@@ -54,7 +54,7 @@ import time
 import numpy as np
 import pyarrow as pa
 
-from silk_ray.cdc import checkpoint as ckpt
+from silk_ray.cdc import checkpoint as ckpt, remote
 from silk_ray.cdc.merge import _read_chain, reconcile_tables
 
 
@@ -210,10 +210,9 @@ def _repartition_locked(root: str, manifest, old_n: int, new_n: int) -> dict:
 
     epoch = manifest.epoch + 1
     t0 = time.perf_counter()
-    read_task = ray.remote(_repart_read_task)
     results = ray.get(
         [
-            read_task.remote(root, info["files"], new_n)
+            remote(_repart_read_task).remote(root, info["files"], new_n)
             for _pid, info in sorted(manifest.partitions.items())
             if info.get("files")
         ]
@@ -223,10 +222,9 @@ def _repartition_locked(root: str, manifest, old_n: int, new_n: int) -> dict:
         for pid, ref in m.items():
             by_new.setdefault(pid, []).append(ref)
 
-    write_task = ray.remote(_repart_write_task)
     stats = ray.get(
         [
-            write_task.remote(root, pid, epoch, *refs)
+            remote(_repart_write_task).remote(root, pid, epoch, *refs)
             for pid, refs in sorted(by_new.items())
         ]
     )

@@ -51,7 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import checkpoint as ckpt
+from silk_ray.cdc import checkpoint as ckpt, remote
 
 _US = 1_000_000
 
@@ -192,6 +192,26 @@ def _sort_keys(spec: WindowSpec) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------- update
 
 
+def _frag_window(frag, lo: int, hi: int, columns=None) -> pa.Table:
+    """One arrival slice's events in ``[lo, hi)``: a table slice is
+    already windowed; a parquet fragment is footer-pruned to candidates."""
+    if isinstance(frag, pa.Table):
+        return frag
+    t = pq.read_table(frag, columns=columns)
+    return t.filter(pc.and_(pc.greater_equal(t["offset"], lo), pc.less(t["offset"], hi)))
+
+
+def _frag_offsets(frag, lo: int, hi: int):
+    return _frag_window(frag, lo, hi, ["offset"])["offset"].combine_chunks().to_numpy()
+
+
+def _frag_contribution(frag, lo: int, hi: int, keep, spec: "WindowSpec", wm_prev):
+    """One slice's window contribution; ``keep`` is its first-occurrence
+    mask, None when the window has no duplicate offsets."""
+    t = _frag_window(frag, lo, hi)
+    return _contribution(t if keep is None else t.filter(pa.array(keep)), spec, wm_prev)
+
+
 def update_windows(
     root: str, changelog, epoch: int, lo: int, hi: int, spec: WindowSpec
 ) -> dict:
@@ -230,31 +250,6 @@ def update_windows(
     else:
         slices = _window_fragments(changelog, lo, hi)
 
-    @ray.remote
-    def _offsets(frag, lo_: int, hi_: int):
-        if isinstance(frag, pa.Table):
-            return frag["offset"].combine_chunks().to_numpy()
-        t = pq.read_table(frag, columns=["offset"])
-        t = t.filter(
-            pc.and_(pc.greater_equal(t["offset"], lo_), pc.less(t["offset"], hi_))
-        )
-        return t["offset"].combine_chunks().to_numpy()
-
-    @ray.remote
-    def _read(frag, lo_: int, hi_: int, keep):
-        if isinstance(frag, pa.Table):
-            t = frag  # already windowed by _window_fragments / slicing
-        else:  # parquet fragment path (footer-pruned to candidates)
-            t = pq.read_table(frag)
-            t = t.filter(
-                pc.and_(
-                    pc.greater_equal(t["offset"], lo_), pc.less(t["offset"], hi_)
-                )
-            )
-        if keep is not None:
-            t = t.filter(pa.array(keep))
-        return _contribution(t, spec, wm_prev)
-
     # exactly-once vs redelivery: a duplicate-offset event must not
     # double-count in the aggregates. Wave A reads only the offset
     # column; global first-occurrence winners are computed in
@@ -266,7 +261,7 @@ def update_windows(
     # producer bug) resolve to the first slice's row; the LAKE is the
     # authority for those (merge.py fingerprint-min), the window store
     # is a derived view.
-    offs = ray.get([_offsets.remote(s, lo, hi) for s in slices])
+    offs = ray.get([remote(_frag_offsets).remote(s, lo, hi) for s in slices])
     lens = [len(o) for o in offs]
     keeps: list = [None] * len(slices)
     if lens:
@@ -279,7 +274,8 @@ def update_windows(
                 keeps[i] = first[pos : pos + n_]
                 pos += n_
     results = ray.get(
-        [_read.remote(s, lo, hi, keeps[i]) for i, s in enumerate(slices)]
+        [remote(_frag_contribution).remote(s, lo, hi, keeps[i], spec, wm_prev)
+         for i, s in enumerate(slices)]
     )
     # deterministic combine order: task-index order (float sums)
     on_time = _merge_partials([r[0] for r in results], spec)

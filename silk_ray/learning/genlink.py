@@ -255,6 +255,10 @@ def _fitness(spec: dict, ref: ReferenceEntities, config: LearningConfig) -> floa
     return max(res.mcc - _count_comparisons(spec["operator"]) * config.size_penalty, 0.0)
 
 
+def _score_chunk(chunk_specs: list[dict], ref, config) -> list[float]:
+    return [_fitness(s, ref, config) for s in chunk_specs]
+
+
 def _evaluate_population(specs: list[dict], ref, config) -> list[float]:
     """Fan the population out as Ray tasks (labeled pairs broadcast
     once); serial fallback without a Ray session."""
@@ -269,6 +273,8 @@ def _evaluate_population(specs: list[dict], ref, config) -> list[float]:
 
     import ray
 
+    from silk_ray.cdc import remote
+
     ref.fingerprint  # compute once driver-side; ships inside the broadcast
     ref_obj = ray.put(ref)
     # fine-grained chunks: spec cost is heterogeneous (a levenshtein rule
@@ -277,12 +283,8 @@ def _evaluate_population(specs: list[dict], ref, config) -> list[float]:
     n_chunks = min(64, len(specs))
     chunk = (len(specs) + n_chunks - 1) // n_chunks
 
-    @ray.remote
-    def score_chunk(chunk_specs, r, cfg):
-        return [_fitness(s, r, cfg) for s in chunk_specs]
-
     futures = [
-        score_chunk.remote(specs[i : i + chunk], ref_obj, config)
+        remote(_score_chunk).remote(specs[i : i + chunk], ref_obj, config)
         for i in range(0, len(specs), chunk)
     ]
     out: list[float] = []

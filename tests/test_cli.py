@@ -224,6 +224,33 @@ def test_cli_status(ray_session, tmp_path, capsys):
     assert out["store_lag_epochs"]["egress"] == 0
 
 
+def test_cli_status_storage_per_directory(ray_session, tmp_path, capsys):
+    """`status` reports on-disk bytes and files under each top-level
+    data directory; a merge-only lake keeps at most one epoch of dirty
+    deltas (no store reads them past the first epoch)."""
+    import glob
+    import json
+    import os
+
+    from silk_ray.__main__ import main
+    from silk_ray.cdc.engine import EngineConfig, run
+    from silk_ray.cdc.generator import make_base_table, make_changelog
+
+    log = make_changelog(make_base_table(40, seed=31), 300, seed=32)
+    root = str(tmp_path / "lake")
+    assert len(run(root, log, EngineConfig(epoch_size=100, num_partitions=3))) == 3
+    assert main(["status", "--root", root]) == 0
+    storage = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["storage"]
+    assert set(storage) == {"partitions", "dirty", "summaries", "blockmap", "links",
+                            "clusters", "aggview", "egress", "windows", "_metrics"}
+    assert storage["partitions"]["files"] > 0 and storage["partitions"]["bytes"] > 0
+    assert storage["_metrics"]["files"] == 3
+    assert storage["dirty"]["files"] <= 3  # one file per partition of one epoch
+    dirty = glob.glob(os.path.join(root, "dirty", "*", "*.parquet"))
+    assert len({os.path.basename(f) for f in dirty}) <= 1
+    assert storage["dirty"]["bytes"] == sum(map(os.path.getsize, dirty))
+
+
 def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):
     """With links on, `status`'s last_epoch is the last MERGE record
     (``_metrics/epoch-E.json``), not the link record written after it."""

@@ -236,6 +236,22 @@ def test_egress_late_enable_refuses_then_resyncs(lake, ray_session):
         shutil.rmtree(consumer, ignore_errors=True)
 
 
+def test_egress_paused_past_one_epoch_refuses(lake, ray_session):
+    """A stream paused for two epochs: the first missed epoch's dirty
+    delta exists (egress sat at the epoch before it), the second's was
+    never written, so catch-up refuses instead of emitting a stream
+    with a silently empty epoch; a resync continues it."""
+    log = _changelog(seed=47)
+    run(lake, log, _cfg(egress_shards=8, max_epochs=1))
+    run(lake, log, _cfg(egress=False, max_epochs=2))
+    with pytest.raises(RuntimeError, match="resync"):
+        catch_up_egress(lake, _cfg(egress_shards=8))
+    assert int(read_egressstate(lake)["epoch"]) == 2
+    egress_resync(lake, num_shards=8)
+    run(lake, log, _cfg(egress_shards=8, max_epochs=1))
+    assert int(read_egressstate(lake)["epoch"]) == 4
+
+
 def test_egress_shard_count_change_refuses(lake, ray_session):
     log = _changelog(seed=43)
     run(lake, log, _cfg(max_epochs=1))

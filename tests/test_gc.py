@@ -119,3 +119,51 @@ def test_gc_resume(tmp_path, ray_session, changelog, nogc_run):
         (r["source"], r["target"], round(r["confidence"], 9)) for r in t.to_pylist()
     }
     assert as_set(links_table(root)) == as_set(links_table(nogc_root))
+
+
+def _epochs_under(root, sub):
+    from silk_ray.cdc.merge import _file_epoch
+
+    return sorted(_file_epoch(os.path.basename(f)) for f in _files_under(root, sub))
+
+
+def test_dirty_delta_written_only_for_its_readers(tmp_path, ray_session, changelog):
+    """One changelog, three reader configurations, one epoch per run:
+    the dirty delta is written for every touched partition only while
+    the agg view or egress reads it (merge-only and fused links write
+    it for the first epoch alone), GC leaves no epoch older than the
+    merge epoch in dirty/ or summaries/, and the lake and its per-epoch
+    dirty_total are the same in all three."""
+    import pyarrow.compute as pc
+
+    from silk_ray.cdc.matview import AggViewSpec
+
+    log = changelog.filter(pc.less(changelog["offset"], 600))
+    spec = AggViewSpec(group_by=("lang",), count_col="n", num_shards=2)
+    configs = {
+        "merge_only": {},
+        "links_fused": {"rule_spec": RULE},
+        "aggview_egress": {"agg_spec": spec, "egress": True, "egress_shards": 2},
+    }
+    seen = {}
+    for name, kw in configs.items():
+        root = str(tmp_path / name)
+        cfg = EngineConfig(epoch_size=100, num_partitions=4, n_block_partitions=16,
+                           max_epochs=1, **kw)
+        per_epoch = []
+        while run(root, log, cfg):
+            epoch = ckpt.read_manifest(root).epoch
+            record = ckpt.read_json(ckpt.metrics_path(root, epoch))
+            dirty = _epochs_under(root, "dirty")
+            per_epoch.append((record["dirty_total"], state_sha256(root)))
+            touched = record["partitions_touched"]
+            written = dirty.count(epoch)
+            if name == "aggview_egress" or epoch == 1:
+                assert written == touched > 0, (name, epoch)
+            else:
+                assert written == 0, (name, epoch)
+            for sub in ("dirty", "summaries"):
+                assert set(_epochs_under(root, sub)) <= {epoch}, (name, sub, epoch)
+        assert len(per_epoch) == 6
+        seen[name] = per_epoch
+    assert seen["merge_only"] == seen["links_fused"] == seen["aggview_egress"]

@@ -444,3 +444,103 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
         )
         seen["msplit"] |= max(counts["bp_count"].to_pylist()) > incremental.SPLIT_ROWS
     assert all(seen.values()), seen
+
+
+# -- late, paused and crashed link stores ------------------------------------
+#
+# The merge writes an epoch's dirty delta only for a reader store that
+# committed the previous epoch, and GC keeps only what a present reader
+# can still read. A link store more than one epoch behind therefore
+# re-indexes the snapshot at the merge epoch ("full" mode), and the
+# cluster store full-rebuilds after it.
+
+LATE_EPOCHS = 4
+
+
+def _late_cfg(**kw):
+    return EngineConfig(epoch_size=100, num_partitions=4, n_block_partitions=16, max_epochs=1, **kw)
+
+
+def _clusters(root):
+    from silk_ray.cdc.clusters import clusters_table
+
+    return clusters_table(root).to_pylist()
+
+
+@pytest.fixture(scope="module")
+def late_log():
+    base = make_base_table(60, seed=111, near_dup_frac=0.3)
+    return make_changelog(base, 100 * LATE_EPOCHS, seed=112, dup_frac=0.03)
+
+
+@pytest.fixture(scope="module")
+def straight_clusters(tmp_path_factory, ray_session, late_log):
+    """Cluster table after each epoch of a run with links and clusters
+    on from the start."""
+    root = str(tmp_path_factory.mktemp("straight"))
+    cfg = _late_cfg(rule_spec=UNFILTERED_RULE, maintain_clusters=True)
+    out = {}
+    for epoch in range(1, LATE_EPOCHS + 1):
+        assert run(root, late_log, cfg)
+        out[epoch] = _clusters(root)
+    return out
+
+
+@pytest.mark.parametrize("before", ["merge_only", "agg_view_only", "paused"])
+def test_late_or_paused_link_store_rebuilds_from_snapshot(
+    tmp_path, late_log, straight_clusters, before
+):
+    """Links enabled after two merge-only or two agg-view-only epochs,
+    or paused for two epochs, catch up in one full re-index of the
+    snapshot: links equal batch linking and clusters equal a straight
+    run's, both at the catch-up and after a later delta epoch."""
+    import json
+    import os
+
+    from silk_ray.cdc.engine import catch_up_links
+    from silk_ray.cdc.matview import AggViewSpec
+
+    root = str(tmp_path / "lake")
+    links_cfg = _late_cfg(rule_spec=UNFILTERED_RULE, maintain_clusters=True)
+    if before == "paused":
+        assert run(root, late_log, links_cfg)
+    other = _late_cfg(agg_spec=AggViewSpec(group_by=("lang",), count_col="n", num_shards=2)
+                      if before == "agg_view_only" else None)
+    for _ in range(2):
+        assert run(root, late_log, other)
+    merge_epoch = 3 if before == "paused" else 2
+
+    (m,) = catch_up_links(root, links_cfg)
+    assert (m["epoch"], m["mode"]) == (merge_epoch, "full")
+    with open(os.path.join(root, "_metrics", f"links-{merge_epoch:06d}.json")) as f:
+        assert json.load(f)["mode"] == "full"
+    assert links_table(root).num_rows > 0
+    assert _as_set(links_table(root)) == _as_set(_batch_links(root))
+    assert _clusters(root) == straight_clusters[merge_epoch]
+
+    (m,) = run(root, late_log, links_cfg)
+    assert m["links"]["mode"] == "delta" and m["clusters"]["mode"] in ("delta", "noop")
+    assert _as_set(links_table(root)) == _as_set(_batch_links(root))
+    assert _clusters(root) == straight_clusters[merge_epoch + 1]
+
+
+def test_fused_crash_window_without_dirty_files(tmp_path, late_log):
+    """Merge E with the fused index commits (no store reads the dirty
+    delta, so none is written) and the link update is lost: the epoch's
+    summaries alone bring the link store up to batch linking."""
+    import glob
+    import os
+
+    from silk_ray.cdc.engine import catch_up_links
+    from silk_ray.cdc.merge import run_epoch
+
+    root = str(tmp_path / "lake")
+    cfg = _late_cfg(rule_spec=UNFILTERED_RULE)
+    assert run(root, late_log, cfg)
+    epoch = run_epoch(root, late_log, epoch_size=100, num_partitions=4,
+                      link_spec=UNFILTERED_RULE, n_block_partitions=16)["epoch"]
+    assert not glob.glob(os.path.join(root, "dirty", "*", f"epoch-{epoch:06d}.parquet"))
+    assert glob.glob(os.path.join(root, "summaries", "*", f"epoch-{epoch:06d}.parquet"))
+    (m,) = catch_up_links(root, cfg)
+    assert (m["epoch"], m["mode"]) == (epoch, "delta")
+    assert _as_set(links_table(root)) == _as_set(_batch_links(root))
