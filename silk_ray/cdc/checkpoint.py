@@ -263,11 +263,6 @@ def _lake_files(m: dict) -> list[str]:
     return [f for info in m["partitions"].values() for f in info.get("files", [])]
 
 
-def _links_files(s: dict) -> list[str]:
-    # a legacy ``links_dir`` state names its whole directory
-    return [e["file"] for e in s.get("links_files") or []] + [s.get("links_dir")]
-
-
 def _agg_files(s: dict) -> list[str]:
     out = list((s.get("shards") or {}).values())
     for m in (s.get("support") or {}).values():
@@ -281,7 +276,8 @@ LAKE = EpochStore(
 )
 LINKS = EpochStore(
     "links", "_linkstate.json", "_linkstates/state-",
-    {"epoch": 0, "blockmap": {}, "links_dir": None}, _links_files, "links",
+    {"epoch": 0, "blockmap": {}, "links_files": []},
+    lambda s: [e["file"] for e in s.get("links_files") or []], "links",
     prev_files=lambda s: [e["file"] for e in s.get("links_files_prev", [])],
 )
 CLUSTERS = EpochStore(

@@ -104,7 +104,7 @@ def _links(root: str) -> pa.Table:
             pq.read_table(os.path.join(root, e["file"]), columns=_LINKS_SCHEMA.names),
             _LINKS_SCHEMA,
         )
-        for e in _links_manifest(read_linkstate(root), root)
+        for e in _links_manifest(read_linkstate(root))
     ]
     return pa.concat_tables(parts) if parts else _LINKS_SCHEMA.empty_table()
 

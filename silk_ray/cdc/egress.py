@@ -176,10 +176,10 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
 
     Idempotent: an epoch at or below the committed egress epoch is a
     replay no-op. Sequential: ``epoch`` must be ``state.epoch + 1``
-    (the engine loop and :func:`catch_up_egress` guarantee this); a
-    larger gap, or an epoch whose dirty delta is absent (the stream
-    was paused), means the inputs are gone — refuse loudly and point
-    at :func:`egress_resync`.
+    (the engine's egress stage applies each missed epoch in turn, per
+    epoch and in ``engine.catch_up``); a larger gap, or an epoch whose
+    dirty delta is absent (the stream was paused), means the inputs are
+    gone — refuse loudly and point at :func:`egress_resync`.
     """
     state = read_egressstate(root)
     if state["num_shards"] not in (None, num_shards):

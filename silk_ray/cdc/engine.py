@@ -1,16 +1,23 @@
-"""Top-level CDC engine: merge-apply + incremental re-link per epoch.
+"""Top-level CDC engine: merge-apply, then the derived stores, per epoch.
 
 One epoch = one atomic unit of progress:
 
     tail changelog window → merge-apply into lake partitions (commit:
-    manifest + offset log) → delta re-link from the dirty files
-    (commit: linkstate) → lineage metrics.
+    manifest + offset log) → each enabled derived store in turn, each
+    with its own commit (links → clusters → agg view → egress →
+    windows) → storage GC → lineage metrics.
 
-Resume logic: the merge manifest and the linkstate each record their
-epoch; after a crash anywhere, :func:`run` first brings the link state
-up to the merge epoch (from the epoch's retained inputs when one epoch
-behind, from the snapshot when further), then continues tailing. Both
-sub-commits are idempotent, so replays converge.
+The derived stores are one list of stages built from
+:class:`EngineConfig`, each ``(name, update(root, epoch), gc(root))``.
+An ``update`` brings its store to ``epoch`` from whatever it last
+committed: a replayed epoch is a no-op, a one-epoch lag applies that
+epoch's delta, and a longer lag re-derives the store from the snapshot
+(links, clusters, agg view) or applies each missed epoch in turn
+(egress, windows). Every derived store is a function of the committed
+log, so "catch up to E" and "apply E" are the same call: crash
+recovery (:func:`catch_up`) is the stage loop at the merge epoch, run
+before :func:`run` tails the next window. Every commit is idempotent,
+so replays converge.
 
 Epoch inputs: the merge writes epoch E's dirty delta only when a store
 that reads it (agg view, egress, un-fused links) has committed E-1;
@@ -34,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 
 from silk_ray.cdc import checkpoint as ckpt
-from silk_ray.cdc.incremental import gc_blockmap, read_linkstate, update_links
+from silk_ray.cdc.incremental import gc_blockmap, update_links
 from silk_ray.cdc.merge import gc_lake, gc_link_inputs, run_epoch
 
 
@@ -112,75 +119,81 @@ class EngineConfig:
     max_epoch_size: int | None = None
 
 
-def catch_up_links(root: str, config: EngineConfig) -> list[dict]:
-    """Apply any merge epochs the link state hasn't processed yet."""
-    out = []
-    if config.rule_spec is None:
-        return out
-    merge_epoch = ckpt.read_manifest(root).epoch
-    if read_linkstate(root)["epoch"] < merge_epoch:
-        # a store more than one epoch behind re-indexes the snapshot at
-        # the merge epoch in one step (update_links' full mode)
-        out.append(
-            update_links(
-                root,
-                config.rule_spec,
-                merge_epoch,
-                limit=config.limit,
-                n_block_partitions=config.n_block_partitions,
-                retain_epochs=config.retain_epochs,
-            )
+def _stages(changelog, config: EngineConfig) -> list[tuple]:
+    """The enabled derived stores in update order, each ``(name,
+    update(root, epoch), gc(root) | None)``; ``name`` keys the store's
+    metrics in the epoch record. ``update`` brings the store to
+    ``epoch`` from whatever it last committed. Every function resolves
+    at call time, never bound here, so a wrapper swapped onto a module
+    attribute (the benchmark tracer) sees each call."""
+    from silk_ray.cdc import clusters, egress, matview, windows
+
+    retain = config.retain_epochs
+
+    def links(root, epoch):
+        return update_links(
+            root,
+            config.rule_spec,
+            epoch,
+            limit=config.limit,
+            n_block_partitions=config.n_block_partitions,
+            retain_epochs=retain,
         )
-    if config.maintain_clusters and merge_epoch > 0:
-        # crash window between link commit and cluster commit: replay is
-        # a no-op when already committed; a >1-epoch lag full-rebuilds
-        from silk_ray.cdc.clusters import update_clusters
 
-        update_clusters(root, merge_epoch)
-    return out
+    def egress_to(root, epoch):
+        m = None
+        for e in range(int(egress.read_egressstate(root)["epoch"]) + 1, epoch + 1):
+            m = egress.update_egress(root, e, num_shards=config.egress_shards)
+        return m
+
+    def windows_to(root, epoch):
+        # an epoch's arrival range comes from the retained manifest
+        # snapshots (a lag is at most the one-epoch crash window)
+        m = None
+        for e in range(int(windows.read_winstate(root)["epoch"]) + 1, epoch + 1):
+            lo = 0 if e == 1 else ckpt.read_manifest_at(root, e - 1).next_offset
+            hi = ckpt.read_manifest_at(root, e).next_offset
+            m = windows.update_windows(root, changelog, e, lo, hi, config.window_spec)
+        return m
+
+    links_on = config.rule_spec is not None
+    table = [
+        (links_on, "links", links, lambda root: gc_blockmap(root)),
+        (
+            links_on and config.maintain_clusters,
+            "clusters",
+            lambda root, epoch: clusters.update_clusters(root, epoch),
+            lambda root: clusters.gc_clusters(root, retain_epochs=retain),
+        ),
+        (
+            config.agg_spec is not None,
+            "aggs",
+            lambda root, epoch: matview.update_aggregates(root, epoch, config.agg_spec),
+            lambda root: matview.gc_aggview(root, retain_epochs=retain),
+        ),
+        # egress and windows are sequential: a lagging store applies
+        # each missed epoch in turn
+        (config.egress, "egress", egress_to, None),
+        (
+            config.window_spec is not None,
+            "windows",
+            windows_to,
+            lambda root: windows.gc_windows(root, retain_epochs=retain),
+        ),
+    ]
+    return [stage[1:] for stage in table if stage[0]]
 
 
-def catch_up_aggs(root: str, config: EngineConfig) -> None:
-    """Bring the aggregate view up to the merge epoch after a crash in
-    the window between merge commit and agg commit (replay is a no-op
-    when already committed; a >1-epoch lag full-rebuilds loudly)."""
-    if config.agg_spec is None:
-        return
-    merge_epoch = ckpt.read_manifest(root).epoch
-    if merge_epoch > 0:
-        from silk_ray.cdc.matview import update_aggregates
-
-        update_aggregates(root, merge_epoch, config.agg_spec)
+def _advance(root: str, stages: list[tuple], epoch: int) -> dict:
+    """Bring every stage to ``epoch``, in order; their metrics by name."""
+    return {name: update(root, epoch) for name, update, _gc in stages}
 
 
-def catch_up_egress(root: str, config: EngineConfig) -> None:
-    """Bring the egress stream up to the merge epoch after a crash in
-    the window between merge commit and egress commit (replay is a
-    no-op when already committed; sequential by construction since
-    egress commits inside the epoch loop)."""
-    if not config.egress:
-        return
-    from silk_ray.cdc.egress import read_egressstate, update_egress
-
-    merge_epoch = ckpt.read_manifest(root).epoch
-    for e in range(int(read_egressstate(root)["epoch"]) + 1, merge_epoch + 1):
-        update_egress(root, e, num_shards=config.egress_shards)
-
-
-def catch_up_windows(root: str, changelog, config: EngineConfig) -> None:
-    """Bring the window store up to the merge epoch after a crash in
-    the window between merge commit and window commit. Arrival ranges
-    are recovered from the retained manifest snapshots (lag is at most
-    the one-epoch crash window, inside ``retain_epochs``)."""
-    if config.window_spec is None:
-        return
-    from silk_ray.cdc.windows import read_winstate, update_windows
-
-    merge_epoch = ckpt.read_manifest(root).epoch
-    for e in range(int(read_winstate(root)["epoch"]) + 1, merge_epoch + 1):
-        lo = 0 if e == 1 else ckpt.read_manifest_at(root, e - 1).next_offset
-        hi = ckpt.read_manifest_at(root, e).next_offset
-        update_windows(root, changelog, e, lo, hi, config.window_spec)
+def catch_up(root: str, changelog, config: EngineConfig) -> None:
+    """Crash recovery: bring every enabled derived store up to the merge
+    epoch (the stage loop at that epoch; a store already there is a
+    no-op)."""
+    _advance(root, _stages(changelog, config), ckpt.read_manifest(root).epoch)
 
 
 def run(root: str, changelog, config: EngineConfig) -> list[dict]:
@@ -198,16 +211,12 @@ def run(root: str, changelog, config: EngineConfig) -> list[dict]:
 
 
 def _run_locked(root: str, changelog, config: EngineConfig, results: list) -> list[dict]:
-    # crash recovery: links / aggregate view / egress / windows may lag
-    catch_up_links(root, config)
-    catch_up_aggs(root, config)
-    catch_up_egress(root, config)
-    catch_up_windows(root, changelog, config)
+    catch_up(root, changelog, config)
+    stages = _stages(changelog, config)
     epochs = 0
     cur_epoch_size = config.epoch_size
     while config.max_epochs is None or epochs < config.max_epochs:
         t_epoch = time.perf_counter()
-        lo_offset = ckpt.read_manifest(root).next_offset
         m = run_epoch(
             root,
             changelog,
@@ -223,57 +232,12 @@ def _run_locked(root: str, changelog, config: EngineConfig, results: list) -> li
         )
         if m is None:
             break
-        if config.rule_spec is not None:
-            link_metrics = update_links(
-                root,
-                config.rule_spec,
-                m["epoch"],
-                limit=config.limit,
-                n_block_partitions=config.n_block_partitions,
-                retain_epochs=config.retain_epochs,
-            )
-            m = {**m, "links": link_metrics}
-            if config.maintain_clusters:
-                from silk_ray.cdc.clusters import update_clusters
-
-                m["clusters"] = update_clusters(root, m["epoch"])
-        if config.agg_spec is not None:
-            from silk_ray.cdc.matview import update_aggregates
-
-            m["aggs"] = update_aggregates(root, m["epoch"], config.agg_spec)
-        if config.egress:
-            from silk_ray.cdc.egress import update_egress
-
-            m["egress"] = update_egress(
-                root, m["epoch"], num_shards=config.egress_shards
-            )
-        if config.window_spec is not None:
-            from silk_ray.cdc.windows import update_windows
-
-            m["windows"] = update_windows(
-                root, changelog, m["epoch"], lo_offset,
-                ckpt.read_manifest(root).next_offset, config.window_spec,
-            )
+        m.update(_advance(root, stages, m["epoch"]))
         if config.gc:
             # post-commit storage GC: every rule below deletes only
             # files the committed manifests can no longer reference
-            n_gc = gc_lake(root, retain_epochs=config.retain_epochs)
-            n_gc += gc_link_inputs(root)
-            if config.rule_spec is not None:
-                n_gc += gc_blockmap(root, read_linkstate(root))
-                if config.maintain_clusters:
-                    from silk_ray.cdc.clusters import gc_clusters
-
-                    n_gc += gc_clusters(root, retain_epochs=config.retain_epochs)
-            if config.agg_spec is not None:
-                from silk_ray.cdc.matview import gc_aggview
-
-                n_gc += gc_aggview(root, retain_epochs=config.retain_epochs)
-            if config.window_spec is not None:
-                from silk_ray.cdc.windows import gc_windows
-
-                n_gc += gc_windows(root, retain_epochs=config.retain_epochs)
-            m["gc_files"] = n_gc
+            n_gc = gc_lake(root, retain_epochs=config.retain_epochs) + gc_link_inputs(root)
+            m["gc_files"] = n_gc + sum(gc(root) for _name, _update, gc in stages if gc)
         # per-epoch wall time: epochs are identical in shape, so the
         # best epoch is a throttling-robust throughput estimator on
         # hosts where sustained-load wall time swings run-to-run

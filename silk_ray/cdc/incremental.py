@@ -273,7 +273,7 @@ def read_bp_reconciled(root: str, files: list[str], n_leaves: int) -> pa.Table:
             raise ValueError(
                 f"blockmap file {f} has the old per-key layout (a 'key' column); "
                 "the link store must be rebuilt: remove blockmap/, links/ and "
-                "_linkstate.json, then engine.catch_up_links re-indexes the "
+                "_linkstate.json, then engine.catch_up re-indexes the "
                 "snapshot at the merge epoch (update_links' full mode)"
             )
         tables.append(t)
@@ -436,8 +436,6 @@ def _drop_dirty_files(root: str, files: list[str], uri_arr: pa.Array) -> tuple[p
     parts = []
     for f in files:
         t = pq.read_table(os.path.join(root, f))
-        if "epoch_added" not in t.column_names:  # pre-tagging layout
-            t = t.append_column("epoch_added", pa.array([0] * t.num_rows, pa.int32()))
         keep = pc.and_(
             pc.invert(pc.is_in(t["source"], value_set=uri_arr)),
             pc.invert(pc.is_in(t["target"], value_set=uri_arr)),
@@ -530,11 +528,16 @@ def update_links(
     ``"full"``; the cluster store then full-rebuilds too). An epoch
     that changed no key is a no-op commit.
 
-    Returns link metrics (links_recomputed, links_removed, ...).
+    Returns link metrics (links_recomputed, links_removed, ...); a
+    store already at or past ``epoch`` is a replay no-op.
     ``retain_epochs`` = as-of-epoch read depth for the link store
     (``links_table(at_epoch=)``); the replaced-file GC keeps that many
     past manifests' files.
     """
+    state = read_linkstate(root)
+    if state["epoch"] >= epoch:
+        return {"epoch": epoch, "mode": "replay_noop"}
+
     import ray
     import ray.data as rd
     import pyarrow.compute as pc
@@ -548,10 +551,6 @@ def update_links(
         _phases.append((name, now - _t_prev[0]))
         _t_prev[0] = now
 
-    state = read_linkstate(root)
-    assert state["epoch"] < epoch, (
-        f"link state at epoch {state['epoch']}, cannot apply epoch {epoch}"
-    )
     rule = _compile_rule(rule_spec)
     n_leaves = len(rule.leaf_comparisons())
     payload = rule_spec if isinstance(rule_spec, dict) else rule
@@ -564,7 +563,7 @@ def update_links(
             state["epoch"] = epoch
             commit_linkstate(root, state)
             return {"epoch": epoch, "mode": "noop", "links_recomputed": 0,
-                    "links_removed": 0, "links_total": _count_links(root, state)}
+                    "links_removed": 0, "links_total": _count_links(state)}
         mode = "full"
 
     # -- stage 1+2: delta index + per-bp shard writes --------------------
@@ -605,9 +604,7 @@ def update_links(
 
     # full mode indexes into an empty blockmap and link set
     base = {"blockmap": {}, "links_files": []} if mode == "full" else state
-    bm_files: dict[int, list[str]] = {
-        int(k): (list(v) if isinstance(v, list) else [v]) for k, v in base["blockmap"].items()
-    }
+    bm_files: dict[int, list[str]] = {int(k): list(v) for k, v in base["blockmap"].items()}
     # vectorized driver-side collection (these summaries are delta-sized
     # but still ~K× the dirty count; python set loops here were a
     # measurable serial chunk per epoch)
@@ -775,11 +772,11 @@ def update_links(
     # re-read of written files. Same shape as the merge stage's direct
     # exchange (merge.py), which replaced a sort-groupby for the same
     # reason.
-    manifest = _links_manifest(base, root)
+    manifest = _links_manifest(base)
     dirty_bits = _uri_bits(sorted(dirty_uris))
     affected, carried = [], []
     for entry in manifest:
-        if len(manifest) > MAX_LINK_FILES or _sketch_hits(entry.get("sketch"), dirty_bits):
+        if len(manifest) > MAX_LINK_FILES or _sketch_hits(entry["sketch"], dirty_bits):
             affected.append(entry)
         else:
             carried.append(entry)
@@ -843,16 +840,8 @@ def update_links(
     _mark("score_and_write")
     n_new = sum(e.pop("n_new") for e in written)
 
-    prev_files = [
-        {"file": e["file"]} for e in _links_manifest(
-            {k: v for k, v in state.items() if k in ("links_files", "links_dir")}, root
-        )
-    ]
-    prev_blockmap = [
-        f
-        for v in state.get("blockmap", {}).values()
-        for f in (v if isinstance(v, list) else [v])
-    ]
+    prev_files = [{"file": e["file"]} for e in _links_manifest(state)]
+    prev_blockmap = [f for v in state.get("blockmap", {}).values() for f in v]
     state = {
         "epoch": epoch,
         "blockmap": {str(k): v for k, v in bm_files.items()},
@@ -881,7 +870,7 @@ def update_links(
         "dirty_uris": len(dirty_uris),
         "affected_keys": len(affected_keys),
         "affected_block_partitions": len(affected_bps),
-        "links_total": _count_links(root, state),
+        "links_total": _count_links(state),
     }
     _mark("metrics")
     metrics["phases"] = {name: round(sec, 6) for name, sec in _phases}
@@ -915,36 +904,16 @@ def _sketch_of_links(t: pa.Table) -> str:
     return base64.b64encode(bits.tobytes()).decode()
 
 
-def _sketch_hits(sketch_b64: str | None, dirty_bits: set[int]) -> bool:
+def _sketch_hits(sketch_b64: str, dirty_bits: set[int]) -> bool:
     import base64
 
-    if sketch_b64 is None:  # legacy entry without a sketch
-        return True
     raw = base64.b64decode(sketch_b64)
     return any(raw[b >> 3] & (1 << (b & 7)) for b in dirty_bits)
 
 
-def _links_manifest(state: dict, root: str | None = None) -> list[dict]:
-    """Manifest entries from the state. Legacy ``links_dir`` states
-    expand to one sketch-less entry PER FILE with real row counts
-    (``sketch: None`` → always treated as affected), so GC retention
-    and block sizing behave identically for upgraded lakes."""
-    if state.get("links_files") is not None:
-        return state["links_files"]
-    if not state.get("links_dir"):
-        return []
-    d = os.path.join(root, state["links_dir"]) if root else state["links_dir"]
-    if not os.path.isdir(d):
-        return []
-    out = []
-    for f in sorted(os.listdir(d)):
-        if f.endswith(".parquet"):
-            p = os.path.join(d, f)
-            rel = os.path.relpath(p, root) if root else p
-            out.append(
-                {"file": rel, "rows": pq.read_metadata(p).num_rows, "sketch": None}
-            )
-    return out
+def _links_manifest(state: dict) -> list[dict]:
+    """The link set's manifest entries (``file``, ``rows``, ``sketch``)."""
+    return state.get("links_files") or []
 
 
 def gc_blockmap(root: str, state: dict | None = None) -> int:
@@ -964,7 +933,7 @@ def gc_blockmap(root: str, state: dict | None = None) -> int:
     live = {
         os.path.normpath(f)
         for files in state.get("blockmap", {}).values()
-        for f in (files if isinstance(files, list) else [files])
+        for f in files
     }
     live |= {os.path.normpath(f) for f in state.get("blockmap_prev", [])}
     removed = 0
@@ -975,18 +944,8 @@ def gc_blockmap(root: str, state: dict | None = None) -> int:
     return removed
 
 
-def _count_links(root: str, state: dict) -> int:
-    files = state.get("links_files")
-    if files is not None:
-        return sum(e["rows"] for e in files)
-    if not state.get("links_dir"):
-        return 0
-    d = os.path.join(root, state["links_dir"])
-    total = 0
-    for f in os.listdir(d):
-        if f.endswith(".parquet"):
-            total += pq.read_metadata(os.path.join(d, f)).num_rows
-    return total
+def _count_links(state: dict) -> int:
+    return sum(e["rows"] for e in _links_manifest(state))
 
 
 # ---------------------------------------------------------------------------
@@ -1002,13 +961,10 @@ def links_table(root: str, at_epoch: int | None = None) -> pa.Table:
     empty = pa.table({"source": pa.array([], pa.string()), "target": pa.array([], pa.string()),
                       "confidence": pa.array([], pa.float64())})
     state = read_linkstate(root) if at_epoch is None else read_linkstate_at(root, at_epoch)
-    entries = _links_manifest(state, root)
     tables = []
-    for e in entries:
+    for e in _links_manifest(state):
         p = os.path.join(root, e["file"])
-        if os.path.isdir(p):  # legacy dir entry
-            tables += [pq.read_table(os.path.join(p, f)) for f in sorted(os.listdir(p)) if f.endswith(".parquet")]
-        elif os.path.exists(p):
+        if os.path.exists(p):
             tables.append(pq.read_table(p))
     tables = [t for t in tables if t.num_rows]
     if not tables:

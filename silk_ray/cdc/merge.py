@@ -64,6 +64,9 @@ META_COLS = ("offset", "op", "txn")  # txn: transaction grouping (snap_txn_bound
 INTERNAL_COLS = ("_offset", "_deleted", "_kh")
 DEFAULT_PARTITIONS = 64
 LAKE_COMPACT_AT = 8  # delta files per lake partition before compaction
+# the stores that read an epoch's dirty delta (the link store through
+# the linker summaries too)
+DIRTY_READERS = (ckpt.LINKS, ckpt.AGG_VIEW, ckpt.EGRESS)
 
 
 def key_partition(repo: str, path: str, num_partitions: int) -> int:
@@ -1133,7 +1136,7 @@ def run_epoch(
     # committed epoch E-1 (an absent store reads as epoch 0, so the
     # first epoch always writes); the fused delta index reads it in
     # memory, so the link store counts only for an un-fused merge
-    readers = (ckpt.AGG_VIEW, ckpt.EGRESS) + ((ckpt.LINKS,) if link_spec is None else ())
+    readers = [s for s in DIRTY_READERS if s is not ckpt.LINKS or link_spec is None]
     merger = MergePartition(
         root, epoch, hwm, part_files, part_rows, renames,
         link_spec=link_spec, n_block_partitions=n_block_partitions,
@@ -1269,7 +1272,7 @@ def gc_link_inputs(root: str) -> int:
     removed."""
     merge_epoch = ckpt.read_manifest(root).epoch
     keep = set()
-    for store in (ckpt.LINKS, ckpt.AGG_VIEW, ckpt.EGRESS):
+    for store in DIRTY_READERS:
         s = int(store.read(root)["epoch"])
         if s:
             keep.update((s, s + 1))

@@ -147,9 +147,12 @@ def test_unfused_link_update_rebuilds_clusters(tmp_path, ray_session):
     """A merge without the fused index writes no summaries, so the
     catch-up's link update runs un-fused and the cluster splice has no
     dirty uris: the cluster store full-rebuilds and equals batch."""
+    import json
+    import os
+
     import pyarrow.compute as pc
 
-    from silk_ray.cdc.engine import catch_up_links
+    from silk_ray.cdc.engine import catch_up
     from silk_ray.cdc.merge import run_epoch
 
     log = make_changelog(make_base_table(120, seed=61, near_dup_frac=0.25), 750, seed=62,
@@ -159,7 +162,9 @@ def test_unfused_link_update_rebuilds_clusters(tmp_path, ray_session):
                        rule_spec=UNFILTERED_RULE, maintain_clusters=True)
     run(root, log.filter(pc.less(log["offset"], 250)), cfg)
     run_epoch(root, log, epoch_size=250, num_partitions=4)
-    (m,) = catch_up_links(root, cfg)
+    catch_up(root, log, cfg)
+    with open(os.path.join(root, "_metrics", "links-000002.json")) as f:
+        m = json.load(f)
     assert m["mode"] == "delta" and m["links_removed"] > 0
     assert read_clusterstate(root)["epoch"] == 2
     assert _maintained(root) == _batch_cc(links_table(root))

@@ -29,7 +29,7 @@ from silk_ray.cdc.egress import (
     truncate_egress,
     update_egress,
 )
-from silk_ray.cdc.engine import EngineConfig, catch_up_egress, run
+from silk_ray.cdc.engine import EngineConfig, catch_up, run
 from silk_ray.cdc.generator import make_base_table, make_changelog
 from silk_ray.cdc.merge import run_to_completion, state_sha256, state_table
 
@@ -141,7 +141,7 @@ def test_egress_replay_noop_and_crash_catchup(lake, ray_session):
         os.remove(os.path.join(lake, rel))
     with open(os.path.join(lake, "_egressstate.json"), "w") as f:
         json.dump(rolled, f)
-    catch_up_egress(lake, cfg)
+    catch_up(lake, log, cfg)
     assert read_egressstate(lake) == final_state
     assert _egress_file_hashes(lake) == final_hashes
 
@@ -245,7 +245,7 @@ def test_egress_paused_past_one_epoch_refuses(lake, ray_session):
     run(lake, log, _cfg(egress_shards=8, max_epochs=1))
     run(lake, log, _cfg(egress=False, max_epochs=2))
     with pytest.raises(RuntimeError, match="resync"):
-        catch_up_egress(lake, _cfg(egress_shards=8))
+        catch_up(lake, log, _cfg(egress_shards=8))
     assert int(read_egressstate(lake)["epoch"]) == 2
     egress_resync(lake, num_shards=8)
     run(lake, log, _cfg(egress_shards=8, max_epochs=1))

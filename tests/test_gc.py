@@ -86,7 +86,7 @@ def test_gc_removes_only_unreferenced(gc_run):
     bm_live = {
         os.path.normpath(f)
         for files in state["blockmap"].values()
-        for f in (files if isinstance(files, list) else [files])
+        for f in files
     }
     bm_prev = {os.path.normpath(f) for f in state.get("blockmap_prev", [])}
     bm_disk = _files_under(root, "blockmap")

@@ -132,10 +132,10 @@ def test_filtered_view_topk(engine_run):
 
 
 def test_state_and_links_survive_link_crash(engine_run, tmp_path):
-    """Merge committed but link update lost → catch_up_links recovers."""
+    """Merge committed but link update lost → catch_up recovers."""
     import pyarrow.compute as pc
 
-    from silk_ray.cdc.engine import catch_up_links
+    from silk_ray.cdc.engine import catch_up
     from silk_ray.cdc.merge import run_epoch
 
     base = make_base_table(60, seed=61, near_dup_frac=0.2)
@@ -149,7 +149,7 @@ def test_state_and_links_survive_link_crash(engine_run, tmp_path):
     # epoch 2: merge commits, "crash" before link update
     run_epoch(root, log, epoch_size=150, num_partitions=4)
     # resume
-    catch_up_links(root, cfg)
+    catch_up(root, log, cfg)
     incremental = _as_set(links_table(root))
     batch = _as_set(_batch_links(root))
     assert incremental == batch
@@ -164,7 +164,7 @@ def test_links_replay_after_lost_linkstate_commit(engine_run, tmp_path):
 
     import pyarrow.compute as pc
 
-    from silk_ray.cdc.engine import catch_up_links
+    from silk_ray.cdc.engine import catch_up
 
     base = make_base_table(60, seed=71, near_dup_frac=0.2)
     log = make_changelog(base, 300, seed=72)
@@ -179,7 +179,7 @@ def test_links_replay_after_lost_linkstate_commit(engine_run, tmp_path):
     with_commit = _as_set(links_table(root))
     # crash simulation: epoch-2 links dir fully on disk, commit lost
     open(linkstate, "w").write(saved)
-    catch_up_links(root, cfg)
+    catch_up(root, log, cfg)
     replayed = _as_set(links_table(root))
     assert replayed == with_commit
     assert replayed == _as_set(_batch_links(root))
@@ -497,7 +497,7 @@ def test_late_or_paused_link_store_rebuilds_from_snapshot(
     import json
     import os
 
-    from silk_ray.cdc.engine import catch_up_links
+    from silk_ray.cdc.engine import catch_up
     from silk_ray.cdc.matview import AggViewSpec
 
     root = str(tmp_path / "lake")
@@ -510,10 +510,10 @@ def test_late_or_paused_link_store_rebuilds_from_snapshot(
         assert run(root, late_log, other)
     merge_epoch = 3 if before == "paused" else 2
 
-    (m,) = catch_up_links(root, links_cfg)
-    assert (m["epoch"], m["mode"]) == (merge_epoch, "full")
+    catch_up(root, late_log, links_cfg)
     with open(os.path.join(root, "_metrics", f"links-{merge_epoch:06d}.json")) as f:
-        assert json.load(f)["mode"] == "full"
+        m = json.load(f)
+    assert (m["epoch"], m["mode"]) == (merge_epoch, "full")
     assert links_table(root).num_rows > 0
     assert _as_set(links_table(root)) == _as_set(_batch_links(root))
     assert _clusters(root) == straight_clusters[merge_epoch]
@@ -529,9 +529,10 @@ def test_fused_crash_window_without_dirty_files(tmp_path, late_log):
     delta, so none is written) and the link update is lost: the epoch's
     summaries alone bring the link store up to batch linking."""
     import glob
+    import json
     import os
 
-    from silk_ray.cdc.engine import catch_up_links
+    from silk_ray.cdc.engine import catch_up
     from silk_ray.cdc.merge import run_epoch
 
     root = str(tmp_path / "lake")
@@ -541,6 +542,8 @@ def test_fused_crash_window_without_dirty_files(tmp_path, late_log):
                       link_spec=UNFILTERED_RULE, n_block_partitions=16)["epoch"]
     assert not glob.glob(os.path.join(root, "dirty", "*", f"epoch-{epoch:06d}.parquet"))
     assert glob.glob(os.path.join(root, "summaries", "*", f"epoch-{epoch:06d}.parquet"))
-    (m,) = catch_up_links(root, cfg)
+    catch_up(root, late_log, cfg)
+    with open(os.path.join(root, "_metrics", f"links-{epoch:06d}.json")) as f:
+        m = json.load(f)
     assert (m["epoch"], m["mode"]) == (epoch, "delta")
     assert _as_set(links_table(root)) == _as_set(_batch_links(root))

@@ -132,7 +132,7 @@ def test_replay_idempotent_and_crash_window(lake, ray_session):
     # with exhausted changelog) replays epoch E byte-identically
     prev_snap = os.path.join(lake, "_aggstates", f"state-{state['epoch'] - 1:06d}.json")
     shutil.copy(prev_snap, os.path.join(lake, "_aggstate.json"))
-    run(lake, log, cfg)  # no new events; catch_up_aggs closes the gap
+    run(lake, log, cfg)  # no new events; catch_up closes the gap
     assert read_aggstate(lake)["epoch"] == state["epoch"]
     assert agg_table(lake).equals(final)
 

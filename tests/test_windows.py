@@ -254,7 +254,7 @@ def test_engine_window_crash_catchup(root, ray_session, tmp_path):
     import json as _json
     import os
 
-    from silk_ray.cdc.engine import EngineConfig, catch_up_windows, run
+    from silk_ray.cdc.engine import EngineConfig, catch_up, run
 
     log = _ts_changelog(seed=19)
     spec = WindowSpec(ts_col="ts", width_s=WIDTH_S, allowed_lateness_s=120,
@@ -281,7 +281,7 @@ def test_engine_window_crash_catchup(root, ray_session, tmp_path):
             os.remove(os.path.join(lake, rel))
     with open(os.path.join(lake, "_winstate.json"), "w") as f:
         _json.dump(mid_state, f)
-    catch_up_windows(lake, log, cfg)
+    catch_up(lake, log, cfg)
     assert read_winstate(lake) == final_state
     assert windows_table(lake).equals(final_fin)
 

@@ -91,7 +91,7 @@ def test_engine_and_repartition_respect_the_lock(ray_session, tmp_path, monkeypa
     def boom(*a, **kw):
         raise RuntimeError("injected engine crash")
 
-    monkeypatch.setattr(eng, "catch_up_links", boom)
+    monkeypatch.setattr(eng, "catch_up", boom)
     with pytest.raises(RuntimeError, match="injected engine crash"):
         run(root, log, EngineConfig(epoch_size=100, num_partitions=2,
                                     rule_spec=None))
