@@ -3,21 +3,25 @@ every state store of the engine (:class:`EpochStore`).
 
 A store is a JSON state *pointer* swapped atomically once per epoch,
 optionally a per-epoch *snapshot* of that state (as-of-epoch reads),
-and a *data dir* whose files the committed states reference. GC keeps
+and *data dirs* whose files the committed states reference. GC keeps
 what the pointer, its one-epoch rollback set ("prev") and the retained
 snapshots reference (E = pointer epoch, K = ``retain_epochs`` ≥ 1)
 and trims snapshots at or below the floor E-K-1:
 
 ========  ==================  ===========================  ===========  =======================================
-store     pointer             snapshots                    data dir     GC keeps
+store     pointer             snapshots                    data dirs    GC keeps
 ========  ==================  ===========================  ===========  =======================================
 lake      _manifest.json      _manifests/manifest-E.json   partitions/  pointer, prev_files, snapshots E-K..E-1
-links     _linkstate.json     _linkstates/state-E.json     links/       pointer, links_files_prev, snapshots
+links     _linkstate.json     _linkstates/state-E.json     links/,      pointer, links_files_prev,
+                                                           blockmap/    blockmap_prev, snapshots
 clusters  _clusterstate.json  _clusterstates/state-E.json  clusters/    pointer, dir_prev, snapshots
 agg_view  _aggstate.json      _aggstates/state-E.json      aggview/     pointer, snapshots
 windows   _winstate.json      none                         windows/     pointer, files of epochs > E-K
 egress    _egressstate.json   none                         none         no sweep (consumers truncate)
 ========  ==================  ===========================  ===========  =======================================
+
+The lake's ``partitions/`` and the link store's ``blockmap/`` hold LSM
+delta chains (``chain.py``); a state names every file of each chain.
 
 Stores without snapshots answer as-of reads at the pointer epoch
 only. Windows declare the floor E-K (``floor_lag=0``); egress
@@ -34,8 +38,8 @@ and the replay overwrites byte-identically. Per-partition high-water
 marks make duplicate delivery a no-op inside the merge.
 
 Also under the lake root: ``_metrics/{epoch,links}-E.json``
-(:func:`write_metrics`), ``dirty/`` + ``summaries/``
-(``merge.gc_link_inputs``) and ``blockmap/`` (``incremental.gc_blockmap``).
+(:func:`write_metrics`) and ``dirty/`` + ``summaries/``
+(``merge.gc_link_inputs``).
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ def _state_epoch(state: dict) -> int:
 class EpochStore:
     """One state store: see the module table. Paths are relative to
     the lake root; files named by ``live_files`` / ``prev_files`` may
-    be files or directories under ``data_dir``."""
+    be files or directories under ``data_dirs``."""
 
     name: str
     pointer: str
@@ -147,8 +151,8 @@ class EpochStore:
     empty: dict
     # files a committed state references
     live_files: Callable[[dict], Iterable[str]]
-    # directory gc sweeps; None = no sweep
-    data_dir: str | None
+    # directories gc sweeps; () = no sweep
+    data_dirs: tuple[str, ...]
     # the pointer's one-epoch rollback set (kept for the pointer only)
     prev_files: Callable[[dict], Iterable[str]] = lambda state: ()
     # gc floor = epoch − max(1, retain_epochs) − floor_lag
@@ -213,17 +217,18 @@ class EpochStore:
                 e = f[len(prefix):-len(".json")]
                 if f.startswith(prefix) and f.endswith(".json") and e.isdigit() and int(e) <= floor:
                     removed += _remove(os.path.join(root, snap_dir, f))
-        if self.data_dir is not None:
-            removed += self._sweep(root, {os.path.normpath(f) for f in live if f}, floor)
+        live = {os.path.normpath(f) for f in live if f}
+        for data_dir in self.data_dirs:
+            removed += self._sweep(root, data_dir, live, floor)
         return removed
 
-    def _sweep(self, root: str, live: set[str], floor: int) -> int:
+    def _sweep(self, root: str, data_dir: str, live: set[str], floor: int) -> int:
         """Remove ``*.parquet`` files under ``data_dir`` that no live
         path names (a live directory keeps its files); a store without
         snapshots cannot tell which files its window's states named, so
         it keeps every file an epoch above the floor wrote. Emptied
         subdirectories go too."""
-        base = os.path.join(root, self.data_dir)
+        base = os.path.join(root, data_dir)
         removed = 0
         for dirpath, subdirs, files in os.walk(base, topdown=False):
             rel_dir = os.path.relpath(dirpath, root)
@@ -259,10 +264,6 @@ def _remove(path: str) -> int:
         return 0
 
 
-def _lake_files(m: dict) -> list[str]:
-    return [f for info in m["partitions"].values() for f in info.get("files", [])]
-
-
 def _agg_files(s: dict) -> list[str]:
     out = list((s.get("shards") or {}).values())
     for m in (s.get("support") or {}).values():
@@ -272,22 +273,26 @@ def _agg_files(s: dict) -> list[str]:
 
 LAKE = EpochStore(
     "lake", "_manifest.json", "_manifests/manifest-", Manifest(0, 0, {}).to_dict(),
-    _lake_files, "partitions", prev_files=lambda m: m.get("prev_files", []),
+    lambda m: Manifest.from_dict(m).chain_files(), ("partitions",),
+    prev_files=lambda m: m.get("prev_files", []),
 )
 LINKS = EpochStore(
     "links", "_linkstate.json", "_linkstates/state-",
     {"epoch": 0, "blockmap": {}, "links_files": []},
-    lambda s: [e["file"] for e in s.get("links_files") or []], "links",
-    prev_files=lambda s: [e["file"] for e in s.get("links_files_prev", [])],
+    lambda s: [e["file"] for e in s.get("links_files") or []]
+    + [f for chain in s.get("blockmap", {}).values() for f in chain],
+    ("links", "blockmap"),
+    prev_files=lambda s: [e["file"] for e in s.get("links_files_prev", [])]
+    + s.get("blockmap_prev", []),
 )
 CLUSTERS = EpochStore(
     "clusters", "_clusterstate.json", "_clusterstates/state-",
-    {"epoch": 0, "dir": None, "dir_prev": None}, lambda s: [s.get("dir")], "clusters",
+    {"epoch": 0, "dir": None, "dir_prev": None}, lambda s: [s.get("dir")], ("clusters",),
     prev_files=lambda s: [s.get("dir_prev")],
 )
 AGG_VIEW = EpochStore(
     "agg_view", "_aggstate.json", "_aggstates/state-",
-    {"epoch": 0, "shards": {}, "spec": None}, _agg_files, "aggview",
+    {"epoch": 0, "shards": {}, "spec": None}, _agg_files, ("aggview",),
 )
 # finalized and late outputs are the product: the state names them, so
 # only superseded open-partial files are ever swept
@@ -295,13 +300,13 @@ WINDOWS = EpochStore(
     "windows", "_winstate.json", None,
     {"epoch": 0, "watermark_us": None, "open": None, "final": {}, "late": {},
      "flushed": False, "spec": None},
-    lambda s: [s.get("open"), *s["final"].values(), *s["late"].values()], "windows",
+    lambda s: [s.get("open"), *s["final"].values(), *s["late"].values()], ("windows",),
     floor_lag=0,
 )
 EGRESS = EpochStore(
     "egress", "_egressstate.json", None,
     {"epoch": 0, "next_seq": 0, "files": {}, "num_shards": None},
-    lambda s: [f for fs in s["files"].values() for f in fs], None,
+    lambda s: [f for fs in s["files"].values() for f in fs], (),
 )
 STORES = (LAKE, LINKS, CLUSTERS, AGG_VIEW, WINDOWS, EGRESS)
 
@@ -350,18 +355,9 @@ def read_metrics(root: str) -> list[dict]:
     return out
 
 
-def partition_dir(root: str, pid: int) -> str:
-    return os.path.join(root, "partitions", f"p={pid:05d}")
-
-
 def partition_file(root: str, pid: int, epoch: int) -> str:
     """Per-epoch DELTA file of a lake partition (LSM chain member)."""
-    return os.path.join(partition_dir(root, pid), f"epoch-{epoch:06d}.parquet")
-
-
-def compact_file(root: str, pid: int, epoch: int) -> str:
-    """Compacted chain of a lake partition (chain resets to this file)."""
-    return os.path.join(partition_dir(root, pid), f"compact-{epoch:06d}.parquet")
+    return os.path.join(root, "partitions", f"p={pid:05d}", f"epoch-{epoch:06d}.parquet")
 
 
 def dirty_file(root: str, pid: int, epoch: int) -> str:

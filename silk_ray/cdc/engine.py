@@ -25,14 +25,16 @@ that reads it (agg view, egress, un-fused links) has committed E-1;
 present reader's next epoch plus its one-epoch rollback window. A store
 further behind starts from the snapshot.
 
-Storage GC (per epoch, post-commit; ``EngineConfig.gc``): superseded
-lake/blockmap chain files, orphaned shard-write attempts and consumed
-dirty/summary inputs are deleted — a continuously-tailing engine keeps
-O(live state + in-flight epoch) files, not O(history). Every GC rule
-retains a one-epoch rollback window (``prev_files`` /
-``blockmap_prev`` / the readers' dirty+summary epochs — the same
-retention the link store's ``links_files_prev`` already used), so crash
-replay and a one-epoch checkpoint rollback are unaffected (tests/test_gc.py).
+Storage GC (per epoch, post-commit; ``EngineConfig.gc``, off = no
+sweep at all): superseded lake/blockmap chain files, orphaned
+shard-write attempts and consumed dirty/summary inputs are deleted —
+the lake's and the link store's (``links/`` + ``blockmap/``, via
+``gc_blockmap``) through one ``EpochStore.gc`` rule. A tailing engine
+keeps O(live state + in-flight epoch) files, not O(history). Every
+rule retains a one-epoch rollback window (``prev_files`` /
+``links_files_prev`` + ``blockmap_prev`` / the readers' dirty+summary
+epochs), so crash replay and a one-epoch checkpoint rollback are
+unaffected (tests/test_gc.py).
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ class EngineConfig:
     limit: float = 0.0
     max_epochs: int | None = None
     # per-epoch storage GC (post-commit): superseded lake/blockmap chain
-    # files, orphaned shard attempts, consumed dirty/summary inputs.
-    # Without it a continuously-tailing engine grows storage without
-    # bound. Disable to inspect every intermediate file in tests.
+    # files, orphaned shard attempts, consumed dirty/summary inputs,
+    # snapshots past retention. Without it a continuously-tailing engine
+    # grows storage without bound. Disable to keep every file.
     gc: bool = True
     # as-of-epoch (time-travel) read depth: GC keeps the last
     # `retain_epochs` committed manifests before the current one
@@ -137,7 +139,6 @@ def _stages(changelog, config: EngineConfig) -> list[tuple]:
             epoch,
             limit=config.limit,
             n_block_partitions=config.n_block_partitions,
-            retain_epochs=retain,
         )
 
     def egress_to(root, epoch):
@@ -158,7 +159,7 @@ def _stages(changelog, config: EngineConfig) -> list[tuple]:
 
     links_on = config.rule_spec is not None
     table = [
-        (links_on, "links", links, lambda root: gc_blockmap(root)),
+        (links_on, "links", links, lambda root: gc_blockmap(root, retain_epochs=retain)),
         (
             links_on and config.maintain_clusters,
             "clusters",

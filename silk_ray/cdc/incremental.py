@@ -11,7 +11,8 @@ Persisted link state under ``lake_root/`` (LSM-style)::
                                            # (action, side, uri, keys,
                                            # vals_0..m), sorted by
                                            # (side, uri)
-    blockmap/bp={B}/compact-{E}.parquet    # compacted chain (all 'add')
+    blockmap/bp={B}/compact-{E}.parquet    # compacted chain (all 'add';
+                                           # chain.py's LSM chain)
     links/epoch-{E}/part-*.parquet         # UNFILTERED link set as a file
                                            # MANIFEST: the linkstate lists
                                            # (file, rows, uri-bitset sketch)
@@ -41,9 +42,11 @@ one epoch behind consumes the snapshot instead, see :func:`update_links`):
    of one bp touch disjoint uris, so reconciliation order among them is
    irrelevant) and returns only a small ``(bp, file, key, uri)``
    summary, one row per old and new key. O(delta) writes.
-2. **compaction**: partitions whose delta chain exceeds ``COMPACT_AT``
-   are reconciled and rewritten to one file of entity rows (amortized
-   O(lake/K)).
+2. **consolidation + compaction**: a bp's same-epoch shards merge into
+   one delta file, so each chain grows one file per epoch; a chain
+   past ``chain.COMPACT_AT`` files is rewritten as one compact file of
+   entity rows by ``chain.write_compact`` (the lake's rule and writer;
+   amortized O(index/COMPACT_AT) per epoch).
 3. **delta re-score** (raw-task wave 1): per cost-balanced loader
    bucket, reconcile each chain once (newest-file-wins per uri), keep
    the affected blocks (vectorized ``is_in``), key-sub-split hot bps,
@@ -82,15 +85,15 @@ set.
 
 from __future__ import annotations
 
-import glob
 import os
 import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import checkpoint as ckpt, remote
+from silk_ray.cdc import chain, checkpoint as ckpt, remote
 from silk_ray.cdc.merge import INTERNAL_COLS, KEY_COLS, epoch_changed_nothing, epoch_inputs
 from silk_ray.kernel.rule import LinkageRule
 from silk_ray.linking.pipeline import _compile_rule
@@ -207,7 +210,7 @@ class DeltaIndexStage:
         sum_bp = [k % self.nbp for k in sum_key]
         rel_of: dict[int, str] = {}
         for bp in dict.fromkeys(sum_bp):
-            shard = table.filter(pa.array(row_bp == bp)).sort_by(_ENTITY_ORDER)
+            shard = table.filter(pa.array(row_bp == bp)).sort_by(list(chain.BLOCKMAP.order))
             rel = os.path.join(
                 "blockmap", f"bp={bp:05d}",
                 f"delta-{self.epoch:06d}-{uuid.uuid4().hex[:8]}.parquet",
@@ -227,16 +230,11 @@ class DeltaIndexStage:
 
 
 # ---------------------------------------------------------------------------
-# stage 2: blockmap partition rewrite
+# stage 2: blockmap chains (chain.BLOCKMAP)
 # ---------------------------------------------------------------------------
 
 
-COMPACT_AT = 8  # delta files per blockmap partition before compaction
 SPLIT_ROWS = 1000  # delta rows per loader task before a bp is key-sub-split
-
-# blockmap row order within a file: newest-file-wins reconcile keeps it,
-# so a block's entities come out in (file, side, uri) order
-_ENTITY_ORDER = [("side", "ascending"), ("uri", "ascending"), ("action", "ascending")]
 
 
 def _entity_schema(n_leaves: int) -> pa.Schema:
@@ -254,18 +252,11 @@ def _delta_schema(n_leaves: int) -> pa.Schema:
     return pa.schema([pa.field("action", pa.string())] + list(_entity_schema(n_leaves)))
 
 
-def read_bp_reconciled(root: str, files: list[str], n_leaves: int) -> pa.Table:
-    """Reconcile a blockmap partition from its ordered delta files
-    (LSM-style) into its entity rows ``(side, uri, keys, vals_*)``: for
-    every uri, only the NEWEST file mentioning it is authoritative (it
-    holds the uri's current 'add' rows, one per side, for this
-    partition; a 'del' row is a pure tombstone — a uri whose newest
-    mention is del-only has left this partition)."""
-    import pyarrow.compute as pc
-
-    schema = _entity_schema(n_leaves)
-    if not files:
-        return schema.empty_table()
+def _read_bp_files(root: str, files: list[str], n_leaves: int) -> list[pa.Table]:
+    """A blockmap chain's tables in the delta schema (a parquet read
+    names list items ``element``, the schema ``item``); a file in the
+    older per-key layout is refused."""
+    schema = _delta_schema(n_leaves)
     tables = []
     for f in files:
         t = pq.read_table(os.path.join(root, f))
@@ -276,37 +267,25 @@ def read_bp_reconciled(root: str, files: list[str], n_leaves: int) -> pa.Table:
                 "_linkstate.json, then engine.catch_up re-indexes the "
                 "snapshot at the merge epoch (update_links' full mode)"
             )
-        tables.append(t)
-    if len(tables) == 1:
-        t = tables[0]
-        return t.filter(pc.equal(t["action"], "add")).select(schema.names).cast(schema)
-    # vectorized newest-file-wins (the reconcile_tables shape,
-    # merge.py): dictionary-encode uris across the chain, take the max
-    # file index per code, keep each file's 'add' rows only where that
-    # file is the uri's newest mention — no Python loop over uri lists
-    allt = pa.concat_tables(
-        [
-            t.append_column("_fidx", pa.array(np.full(t.num_rows, i, np.int32)))
-            for i, t in enumerate(tables)
-        ]
-    )
-    codes_arr = pc.dictionary_encode(allt["uri"].combine_chunks()).indices
-    codes = codes_arr.to_numpy(zero_copy_only=False).astype(np.int64)
-    fidx = allt["_fidx"].to_numpy(zero_copy_only=False)
-    newest = np.full(int(codes.max()) + 1 if codes.size else 0, -1, np.int32)
-    np.maximum.at(newest, codes, fidx)
-    mask = (fidx == newest[codes]) & pc.equal(allt["action"], "add").to_numpy(
-        zero_copy_only=False
-    )
-    return allt.filter(pa.array(mask)).select(schema.names).cast(schema)
+        tables.append(t.cast(schema))
+    return tables
+
+
+def read_bp_reconciled(root: str, files: list[str], n_leaves: int) -> pa.Table:
+    """A blockmap partition's entity rows ``(side, uri, keys, vals_*)``
+    from its ordered chain (``chain.reconcile``: every uri's rows from
+    the newest file that mentions it, one per side; a uri whose newest
+    mention is del-only has left this partition). Rows keep chain
+    order, so a block's entities come out in (file, side, uri) order."""
+    schema = _entity_schema(n_leaves)
+    live = chain.reconcile(_read_bp_files(root, files, n_leaves), chain.BLOCKMAP)
+    return schema.empty_table() if live is None else live.select(schema.names)
 
 
 def _bp_blocks(ents: pa.Table, bp: int, n_block_partitions: int):
     """The block index ``(key, entity row)`` of one partition's entity
     rows: an entity sits in its blocks ``k ∈ keys`` with ``k % B == bp``
     (its other keys live in other partitions)."""
-    import pyarrow.compute as pc
-
     keys = ents["keys"].combine_chunks()
     flat = pc.list_flatten(keys).to_numpy(zero_copy_only=False)
     parent = pc.list_parent_indices(keys).to_numpy(zero_copy_only=False)
@@ -329,23 +308,20 @@ def _consolidate_bundle(root: str, bps: list[int], shard_lists: list[list[str]],
         # may already be GC'd)
         if not os.path.exists(os.path.join(root, rel)):
             tables = [pq.read_table(os.path.join(root, f)) for f in sorted(files)]
-            merged = pa.concat_tables(tables).sort_by(_ENTITY_ORDER)
+            merged = pa.concat_tables(tables).sort_by(list(chain.BLOCKMAP.order))
             ckpt.atomic_write_parquet(merged, os.path.join(root, rel))
         out.append((bp, rel))
     return out
 
 
-def _compact_bundle(root: str, bps: list[int], chains: list[list[str]], n_leaves: int, epoch: int):
-    out = []
-    for bp, files in zip(bps, chains):
-        merged = read_bp_reconciled(root, files, n_leaves)
-        merged = merged.add_column(
-            0, "action", pa.array(["add"] * merged.num_rows, pa.string())
-        ).sort_by(_ENTITY_ORDER)
-        rel = os.path.join("blockmap", f"bp={bp:05d}", f"compact-{epoch:06d}.parquet")
-        ckpt.atomic_write_parquet(merged, os.path.join(root, rel))
-        out.append((bp, rel))
-    return out
+def _compact_bundle(root: str, items: list[tuple[int, list[str]]], n_leaves: int, epoch: int):
+    """One compaction task: each ``(bp, chain)`` item's compact file."""
+    return [
+        (bp, chain.write_compact(
+            root, _read_bp_files(root, files, n_leaves), chain.BLOCKMAP, bp, epoch
+        ))
+        for bp, files in items
+    ]
 
 
 def _links_empty_table() -> pa.Table:
@@ -378,9 +354,6 @@ def _lrs_bundle(
     (no shuffle — bp co-locates every row of a key; see update_links).
     Returns the links and the task's seconds per step and pair counts."""
     import itertools
-    import time
-
-    import pyarrow.compute as pc
 
     from silk_ray.linking.pipeline import PairScorer
 
@@ -428,10 +401,6 @@ def _lrs_bundle(
 def _drop_dirty_files(root: str, files: list[str], uri_arr: pa.Array) -> tuple[pa.Table, dict]:
     """Stored link files minus links touching a dirty uri, and the
     task's seconds."""
-    import time
-
-    import pyarrow.compute as pc
-
     t0 = time.perf_counter()
     parts = []
     for f in files:
@@ -461,10 +430,6 @@ def _write_links_bundle(
     ObjectRef args so Ray's locality-aware scheduler runs each write
     task where most of its bundle's bytes already live (multi-node:
     mostly node-local reads, remainder via plasma transfer)."""
-    import time
-
-    import pyarrow.compute as pc
-
     t0 = time.perf_counter()
     seconds: dict[str, float] = {}
     for _t, task_s in bundle:
@@ -516,7 +481,6 @@ def update_links(
     *,
     limit: float = 0.0,
     n_block_partitions: int = DEFAULT_BLOCK_PARTITIONS,
-    retain_epochs: int = 1,
 ) -> dict:
     """Process merge epoch ``epoch``'s delta into the link state.
 
@@ -529,10 +493,9 @@ def update_links(
     that changed no key is a no-op commit.
 
     Returns link metrics (links_recomputed, links_removed, ...); a
-    store already at or past ``epoch`` is a replay no-op.
-    ``retain_epochs`` = as-of-epoch read depth for the link store
-    (``links_table(at_epoch=)``); the replaced-file GC keeps that many
-    past manifests' files.
+    store already at or past ``epoch`` is a replay no-op. Superseded
+    link and blockmap files stay until the link store's sweep
+    (:data:`gc_blockmap`).
     """
     state = read_linkstate(root)
     if state["epoch"] >= epoch:
@@ -540,7 +503,6 @@ def update_links(
 
     import ray
     import ray.data as rd
-    import pyarrow.compute as pc
 
     _phases: list[tuple[str, float]] = []
     _t_prev = [time.perf_counter()]
@@ -600,8 +562,6 @@ def update_links(
         summary_batches = list(summary_ds.iter_batches(batch_format="pyarrow"))
         _mark("delta_index")
 
-    import pyarrow.compute as pc
-
     # full mode indexes into an empty blockmap and link set
     base = {"blockmap": {}, "links_files": []} if mode == "full" else state
     bm_files: dict[int, list[str]] = {int(k): list(v) for k, v in base["blockmap"].items()}
@@ -622,7 +582,7 @@ def update_links(
             new_shards.setdefault(bp, []).append(f)
     # consolidate same-epoch shards (one per merge task that touched the
     # bp) into ONE delta file per bp: chains then grow O(1) per epoch,
-    # so the full COMPACT_AT reconcile fires every ~COMPACT_AT epochs
+    # so the full chain.COMPACT_AT reconcile fires every ~COMPACT_AT epochs
     # per bp (amortized O(state/COMPACT_AT)) instead of every epoch —
     # without this, ~P shards/bp/epoch tripped compaction into an
     # O(total blockmap) rewrite per epoch (measured 0.6-0.9 s/epoch at
@@ -654,16 +614,12 @@ def update_links(
     # raw Ray tasks, not a Dataset: this is a driver-coordinated chain
     # maintenance op over a known small bp list; the streaming-executor
     # fixed cost (~0.5-1 s) was a measurable slice of every epoch
-    to_compact = [bp for bp in bm_files if len(bm_files[bp]) > COMPACT_AT]
+    to_compact = [(bp, fs) for bp, fs in bm_files.items() if chain.compact_due(len(fs))]
     if to_compact:
         task = remote(_compact_bundle)
         compacted = ray.get(
-            [
-                task.remote(root, to_compact[i : i + 4],
-                            [bm_files[bp] for bp in to_compact[i : i + 4]],
-                            n_leaves, epoch)
-                for i in range(0, len(to_compact), 4)
-            ]
+            [task.remote(root, to_compact[i : i + 4], n_leaves, epoch)
+             for i in range(0, len(to_compact), 4)]
         )
         for bundle in compacted:
             for bp, rel in bundle:
@@ -856,8 +812,7 @@ def update_links(
     }
     _mark("manifest_post")
     commit_linkstate(root, state)
-    ckpt.LINKS.gc(root, retain_epochs, state)
-    _mark("commit_gc")
+    _mark("commit")
 
     metrics = {
         "epoch": epoch,
@@ -895,8 +850,6 @@ def _uri_bits(uris) -> set[int]:
 def _sketch_of_links(t: pa.Table) -> str:
     import base64
 
-    import numpy as np
-
     bits = np.zeros(LINK_SKETCH_BITS // 8, dtype=np.uint8)
     for col in ("source", "target"):
         for b in _uri_bits(t[col].to_pylist()):
@@ -916,32 +869,11 @@ def _links_manifest(state: dict) -> list[dict]:
     return state.get("links_files") or []
 
 
-def gc_blockmap(root: str, state: dict | None = None) -> int:
-    """Delete blockmap files neither the committed linkstate nor its
-    one-epoch rollback window (``blockmap_prev``) references:
-    pre-compaction chain members two commits back and orphaned shards
-    from crashed/retried delta-index attempts (shard names carry a
-    random suffix, so a retry never overwrites its predecessor — the
-    summary file registers exactly one attempt's shards and the rest
-    are garbage). Files whose embedded epoch is NEWER than the
-    linkstate epoch are kept: a pending catch-up ``update_links`` will
-    register them from the summaries. Run only after
-    ``commit_linkstate``. Returns files removed."""
-    if state is None:
-        state = read_linkstate(root)
-    link_epoch = int(state.get("epoch", 0))
-    live = {
-        os.path.normpath(f)
-        for files in state.get("blockmap", {}).values()
-        for f in files
-    }
-    live |= {os.path.normpath(f) for f in state.get("blockmap_prev", [])}
-    removed = 0
-    for f in glob.glob(os.path.join(root, "blockmap", "*", "*.parquet")):
-        e = ckpt.file_epoch(os.path.basename(f))
-        if os.path.relpath(f, root) not in live and e is not None and e <= link_epoch:
-            removed += ckpt._remove(f)
-    return removed
+# The link store's sweep, run once per epoch by the engine's GC loop:
+# links/ and blockmap/ files no retained link state names (chain members
+# superseded by compaction, consolidated shards, orphaned shards of a
+# crashed delta-index attempt), and snapshots past the retention window.
+gc_blockmap = ckpt.LINKS.gc
 
 
 def _count_links(state: dict) -> int:

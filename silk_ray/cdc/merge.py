@@ -6,27 +6,29 @@ LSM-style so per-epoch cost is O(delta), not O(state):
 
 - events for epoch E = offset window ``[next_offset, next_offset+size)``
   read with Parquet row-group pushdown;
-- key partitioning: ``pid = crc32(repo \\x00 path) % P`` added in a
-  ``map_batches`` stage (the crc is also persisted as the ``_kh`` row
-  key-hash used for row-group pruning), then ``groupby("pid")``
-  co-locates every key's events — the shuffle key reused by all lake
-  operations;
-- per-partition merge task (``map_groups``), fully vectorized Arrow:
+- key partitioning: ``pid = crc32(repo \\x00 path) % P``; the crc is
+  also persisted as the ``_kh`` row key-hash used for row-group pruning.
+  A direct two-stage exchange (read-and-split tasks → per-pid
+  object-store shards, see :func:`run_epoch`) co-locates every key's
+  events in one merge task per touched partition;
+- per-partition merge task (:class:`MergePartition`), fully vectorized
+  Arrow:
 
   1. drop events at-or-below the partition HWM and duplicate offsets
      (sort + neighbor-compare masks);
   2. reduce to the **net** last event per key (last-writer-wins within
      the epoch: sort by (key, offset), keep last per key);
   3. look up the pre-epoch payload of just the changed keys from the
-     partition's delta chain (reads filtered on ``_kh`` so Parquet
-     row-group statistics prune untouched row groups);
+     partition's delta chain: reads filtered on ``_kh`` so Parquet
+     row-group statistics prune untouched row groups, then the chain
+     reconcile of ``chain.py`` (newest file wins, tombstones drop out);
   4. write ONE per-epoch **delta file**: net upserts (full payload +
      ``_offset``) and tombstones (``_deleted=true``) — never a rewrite
      of the whole partition;
-  5. when the chain exceeds ``LAKE_COMPACT_AT`` files, reconcile it
-     (newest-file-wins per key, tombstones drop out) and rewrite one
-     compact file — the only O(partition-state) moment, amortized
-     1/LAKE_COMPACT_AT per epoch.
+  5. when the driver marked the partition for compaction (its chain
+     outgrows ``chain.COMPACT_AT`` files), rewrite the chain as one
+     compact file with ``chain.write_compact`` — the only
+     O(partition-state) moment, amortized 1/COMPACT_AT per epoch.
 
   Deterministic bytes ⇒ task retries and epoch replays converge
   (exactly-once = idempotence + atomic manifest swap);
@@ -57,20 +59,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import checkpoint as ckpt, remote
+from silk_ray.cdc import chain, checkpoint as ckpt, remote
+from silk_ray.cdc.chain import SchemaConflictError  # noqa: F401 — callers catch it from here
 
 KEY_COLS = ("repo", "path")
 META_COLS = ("offset", "op", "txn")  # txn: transaction grouping (snap_txn_boundary), never payload
 INTERNAL_COLS = ("_offset", "_deleted", "_kh")
 DEFAULT_PARTITIONS = 64
-LAKE_COMPACT_AT = 8  # delta files per lake partition before compaction
 # the stores that read an epoch's dirty delta (the link store through
 # the linker summaries too)
 DIRTY_READERS = (ckpt.LINKS, ckpt.AGG_VIEW, ckpt.EGRESS)
-
-
-def key_partition(repo: str, path: str, num_partitions: int) -> int:
-    return zlib.crc32(f"{repo}\x00{path}".encode()) % num_partitions
 
 
 def _crc_keys(keys) -> np.ndarray:
@@ -116,11 +114,6 @@ def add_pid_column(num_partitions: int):
         return batch.append_column("pid", pa.array(kh % num_partitions, pa.int32()))
 
     return fn
-
-
-def _key_column(table: pa.Table) -> pa.Array:
-    """repo \\x00 path composite key as a single Array."""
-    return _as_array(pc.binary_join_element_wise(table["repo"], table["path"], "\x00"))
 
 
 def _payload_columns(event_schema: pa.Schema) -> list[str]:
@@ -180,92 +173,17 @@ def _last_occurrence_mask(arr) -> pa.Array:
     return pa.concat_arrays([neq, pa.array([True])])
 
 
-class SchemaConflictError(ValueError):
-    """A payload column arrived with an Arrow type that cannot be
-    safely promoted against what the lake already holds."""
-
-
-def _promote_type(name: str, a: pa.DataType, b: pa.DataType) -> pa.DataType:
-    """Deterministic safe type promotion (Arrow's permissive unify
-    lattice: null→anything, numeric widening int32+int64→int64,
-    int+float→float64). Order-independent, so replay under any epoch
-    shape converges to the same state schema. Incompatible kinds
-    (numeric vs string, …) fail LOUDLY with the remedies named —
-    the alternative is an opaque cast error deep in a merge task."""
-    if a.equals(b):
-        return a
-    try:
-        return pa.unify_schemas(
-            [pa.schema([pa.field(name, a)]), pa.schema([pa.field(name, b)])],
-            promote_options="permissive",
-        ).field(name).type
-    except Exception:
-        raise SchemaConflictError(
-            f"payload column {name!r} arrives as {b} but the lake holds {a} — no "
-            "safe promotion exists. Remedies: fix the producer; migrate the lake "
-            "to the new type through the binlog (rewrite_where with a typed "
-            "transform rule on every live key, then resume); or declare "
-            "payload_schema so lexically-invalid rows quarantine to the DLQ "
-            "instead of changing the column's type."
-        ) from None
-
-
-def _unify_chain_schema(tables: list[pa.Table]) -> pa.Schema:
-    """Union of payload schemas across chain files (insertion order:
-    oldest file first, new columns appended as they appear; same-name
-    fields with different types promote through the safe lattice)."""
-    fields: dict[str, pa.Field] = {}
-    for t in tables:
-        for f in t.schema:
-            prev = fields.get(f.name)
-            if prev is None:
-                fields[f.name] = f
-            elif not prev.type.equals(f.type):
-                fields[f.name] = pa.field(
-                    f.name, _promote_type(f.name, prev.type, f.type)
-                )
-    return pa.schema(list(fields.values()))
-
-
-def _pad_to_schema(t: pa.Table, schema: pa.Schema) -> pa.Table:
-    cols = {}
-    for f in schema:
-        if f.name in t.column_names:
-            col = t[f.name]
-            cols[f.name] = col if col.type == f.type else pc.cast(col, f.type)
-        else:
-            cols[f.name] = pa.nulls(t.num_rows, f.type)
-    return pa.table(cols)
-
-
 def reconcile_tables(tables: list[pa.Table]) -> pa.Table:
-    """Reconcile a delta chain (ordered oldest→newest): for each
-    (repo, path) key only the newest file's row is authoritative;
-    tombstone rows (``_deleted``) drop the key. Output keeps the
+    """Reconcile a lake delta chain (ordered oldest→newest) with
+    ``chain.reconcile``, sorted by (repo, path) key. Output keeps the
     internal ``_offset``/``_kh`` columns, drops ``_deleted``."""
-    tables = [t for t in tables if t.num_rows]
-    if not tables:
+    live = chain.reconcile(tables, chain.LAKE)
+    if live is None:
         return pa.schema(
             [pa.field("repo", pa.string()), pa.field("path", pa.string())]
         ).empty_table()
-    schema = _unify_chain_schema(tables)
-    parts = []
-    for i, t in enumerate(tables):
-        t = _pad_to_schema(t, schema)
-        parts.append(t.append_column("_fidx", pa.array(np.full(t.num_rows, i, np.int32))))
-    allt = pa.concat_tables(parts)
-    allt = allt.append_column("_k", _key_column(allt))
-    order = pc.sort_indices(
-        allt, sort_keys=[("_k", "ascending"), ("_fidx", "descending")]
-    )
-    allt = allt.take(order)
-    mask = _first_occurrence_mask(allt["_k"].combine_chunks())
-    live = allt.filter(mask)
-    if "_deleted" in live.column_names:
-        live = live.filter(
-            pc.invert(pc.fill_null(live["_deleted"], False))
-        ).drop_columns(["_deleted"])
-    return live.drop_columns(["_fidx", "_k"])
+    live = live.drop_columns([c for c in ("_deleted",) if c in live.column_names])
+    return live.take(pc.sort_indices(chain.LAKE.key(live)))
 
 
 def _read_chain(
@@ -309,8 +227,8 @@ class MergePartition:
         renames: dict[str, str] | None = None,
         link_spec: dict | None = None,
         n_block_partitions: int = 64,
-        compact_at: int = LAKE_COMPACT_AT,
         *,
+        compact: frozenset,
         write_dirty: bool,
     ):
         self.root = root
@@ -324,7 +242,7 @@ class MergePartition:
         # saves a whole Ray execution + dirty-file re-read per epoch
         self.link_spec = link_spec
         self.n_block_partitions = n_block_partitions
-        self.compact_at = compact_at
+        self.compact = compact  # pids whose chain this epoch compacts
         self.write_dirty = write_dirty
         self._delta_stage = None
 
@@ -347,7 +265,7 @@ class MergePartition:
             names = [self.renames.get(n, n) for n in events.column_names]
             events = events.rename_columns(names)
 
-        chain = list(self.part_files.get(pid) or [])
+        files = list(self.part_files.get(pid) or [])
         hwm = self.hwm.get(pid, -1)
         prev_rows = int(self.part_rows.get(pid, 0))
 
@@ -391,7 +309,7 @@ class MergePartition:
         )
 
         # -- 2. net last event per key -----------------------------------
-        ev = ev.append_column("_k", _key_column(ev))
+        ev = ev.append_column("_k", chain.LAKE.key(ev))
         order = pc.sort_indices(ev, sort_keys=[("_k", "ascending"), ("offset", "ascending")])
         ev = ev.take(order)
         net = ev.filter(_last_occurrence_mask(ev["_k"].combine_chunks()))
@@ -399,10 +317,10 @@ class MergePartition:
 
         # -- 3. pre-epoch payload of changed keys (pruned chain read) ----
         old = None
-        if net.num_rows and chain:
+        if net.num_rows and files:
             kh_filter = pc.unique(net["_kh"].combine_chunks())
-            old = reconcile_tables(_read_chain(self.root, chain, kh_filter))
-            old = old.append_column("_k", _key_column(old))
+            old = reconcile_tables(_read_chain(self.root, files, kh_filter))
+            old = old.append_column("_k", chain.LAKE.key(old))
             # exact-match (crc is just the prefilter)
             old = old.filter(pc.is_in(old["_k"], value_set=net["_k"].combine_chunks()))
 
@@ -456,20 +374,15 @@ class MergePartition:
         )
         delta_path = ckpt.partition_file(self.root, pid, self.epoch)
         ckpt.atomic_write_parquet(delta_table, delta_path)
-        chain.append(os.path.relpath(delta_path, self.root))
+        files.append(os.path.relpath(delta_path, self.root))
 
-        # -- 5. compaction: bound the chain length ------------------------
-        if len(chain) > self.compact_at:
-            full = reconcile_tables(_read_chain(self.root, chain))
-            full = full.sort_by(
-                [("_kh", "ascending"), ("repo", "ascending"), ("path", "ascending")]
-            )
-            full = full.append_column(
-                "_deleted", pa.array(np.zeros(full.num_rows, dtype=bool))
-            )
-            compact_path = ckpt.compact_file(self.root, pid, self.epoch)
-            ckpt.atomic_write_parquet(full, compact_path)
-            chain = [os.path.relpath(compact_path, self.root)]
+        # -- 5. compaction, when the driver marked this partition ---------
+        if pid in self.compact:
+            files = [
+                chain.write_compact(
+                    self.root, _read_chain(self.root, files), chain.LAKE, pid, self.epoch
+                )
+            ]
 
         # -- 6. dirty delta (typed): written for the stores that read it,
         # built for them and for the fused delta index -----------------
@@ -502,7 +415,7 @@ class MergePartition:
                 "deletes": pa.array([deletes_net], pa.int64()),
                 "rows": pa.array([new_rows], pa.int64()),
                 "hwm": pa.array([new_hwm], pa.int64()),
-                "files": pa.array([chain], pa.list_(pa.string())),
+                "files": pa.array([files], pa.list_(pa.string())),
                 "dirty": pa.array([n_dirty], pa.int64()),
             }
         )
@@ -524,7 +437,7 @@ class MergePartition:
             if prev is None:
                 fields[c] = pa.field(c, etype)
             elif not prev.type.equals(etype):
-                fields[c] = pa.field(c, _promote_type(c, prev.type, etype))
+                fields[c] = pa.field(c, chain.promote_type(c, prev.type, etype))
         return pa.schema(list(fields.values()))
 
     def _dirty_table(
@@ -1077,7 +990,6 @@ def run_epoch(
     renames: dict[str, str] | None = None,
     link_spec: dict | None = None,
     n_block_partitions: int = 64,
-    compact_at: int = LAKE_COMPACT_AT,
     payload_schema: dict[str, str] | None = None,
     enrich_specs: list[dict] | None = None,
     strict_columns: bool = False,
@@ -1140,7 +1052,8 @@ def run_epoch(
     merger = MergePartition(
         root, epoch, hwm, part_files, part_rows, renames,
         link_spec=link_spec, n_block_partitions=n_block_partitions,
-        compact_at=compact_at,
+        # a touched partition's chain grows by this epoch's delta file
+        compact=frozenset(p for p, fs in part_files.items() if chain.compact_due(len(fs) + 1)),
         write_dirty=any(int(s.read(root)["epoch"]) == epoch - 1 for s in readers),
     )
 
@@ -1419,11 +1332,7 @@ def state_table(
     if not chains:
         return pa.table({"repo": pa.array([], pa.string()), "path": pa.array([], pa.string())})
     tables = [_load_partition(files) for files in chains.values()]
-    schema = _unify_chain_schema([t for t in tables if t.num_rows]) if any(
-        t.num_rows for t in tables
-    ) else tables[0].schema
-    aligned = [_pad_to_schema(t, schema) for t in tables]
-    out = pa.concat_tables(aligned).sort_by(
+    out = chain.concat([t for t in tables if t.num_rows] or tables[:1]).sort_by(
         [("repo", "ascending"), ("path", "ascending")]
     )
     drop = [c for c in (("_offset",) if drop_offset else ()) if c in out.column_names]
@@ -1479,15 +1388,13 @@ def lookup_keys(
         )
         if not t.num_rows:
             continue
-        t = t.append_column("_k", _key_column(t))
+        t = t.append_column("_k", chain.LAKE.key(t))
         t = t.filter(pc.is_in(t["_k"], value_set=pa.array(sorted(want["keys"]))))
         if t.num_rows:
             hits.append(t.drop_columns(["_k"]))
     if not hits:
         return pa.table({"repo": pa.array([], pa.string()), "path": pa.array([], pa.string())})
-    schema = _unify_chain_schema(hits)
-    out = pa.concat_tables([_pad_to_schema(t, schema) for t in hits])
-    out = out.sort_by([("repo", "ascending"), ("path", "ascending")])
+    out = chain.concat(hits).sort_by([("repo", "ascending"), ("path", "ascending")])
     return out.drop_columns([c for c in ("_offset", "_kh") if c in out.column_names])
 
 
@@ -1497,20 +1404,12 @@ def lake_schema(root: str, at_epoch: int | None = None) -> list[tuple[str, str]]
     files promote through the same lattice the read path uses, so this
     reports exactly the schema ``state_table``/``scan_dataset`` would
     materialize. Internal columns omitted."""
-    fields: dict[str, pa.Field] = {}
-    for _pid, files in sorted(partition_chains(root, at_epoch).items()):
-        for f in files:
-            for fld in pq.read_metadata(f).schema.to_arrow_schema():
-                if fld.name in INTERNAL_COLS:
-                    continue
-                prev = fields.get(fld.name)
-                if prev is None:
-                    fields[fld.name] = fld
-                elif not prev.type.equals(fld.type):
-                    fields[fld.name] = pa.field(
-                        fld.name, _promote_type(fld.name, prev.type, fld.type)
-                    )
-    return [(f.name, str(f.type)) for f in fields.values()]
+    schema = chain.unify_schema([
+        pq.read_metadata(f).schema.to_arrow_schema()
+        for _pid, files in sorted(partition_chains(root, at_epoch).items())
+        for f in files
+    ])
+    return [(f.name, str(f.type)) for f in schema if f.name not in INTERNAL_COLS]
 
 
 def state_sha256(root: str, at_epoch: int | None = None) -> str:

@@ -8,14 +8,15 @@ sanctioned way to change N that preserves every exactly-once and
 time-travel guarantee. This module is that way:
 
     wave 1 — one Ray task per OLD partition: reconcile its delta chain
-             (the compaction read merge.py already does), split the
+             (``chain.reconcile``, as a compaction does), split the
              live rows by ``_kh % M`` (the key hash is persisted, so no
              re-hashing), ship per-new-pid shards through the object
              store;
-    wave 2 — one Ray task per NEW partition: concat its shards (schema
-             union — evolution-added columns may exist in only some old
-             partitions), sort by (_kh, repo, path) exactly like a
-             compaction, write ``partitions/p={P}/compact-{E}.parquet``.
+    wave 2 — one Ray task per NEW partition: write its shards (disjoint
+             keys; schemas unified — evolution-added columns may exist
+             in only some old partitions) with the chain compact-file
+             writer (``chain.write_compact``) as
+             ``partitions/p={P}/compact-{E}.parquet``.
 
 The commit is an ordinary epoch commit with no events: epoch bumps to
 E+1, ``next_offset`` is unchanged, every new partition's HWM is the max
@@ -54,16 +55,16 @@ import time
 import numpy as np
 import pyarrow as pa
 
-from silk_ray.cdc import checkpoint as ckpt, remote
-from silk_ray.cdc.merge import _read_chain, reconcile_tables
+from silk_ray.cdc import chain, checkpoint as ckpt, remote
+from silk_ray.cdc.merge import _read_chain
 
 
 def _repart_read_task(root: str, files: list[str], new_n: int) -> dict:
     """Wave 1: reconcile one old partition's chain, split by new pid."""
     import ray
 
-    full = reconcile_tables(_read_chain(root, files))
-    if not full.num_rows:
+    full = chain.reconcile(_read_chain(root, files), chain.LAKE)
+    if full is None or not full.num_rows:
         return {}
     kh = full.column("_kh").combine_chunks().to_numpy(zero_copy_only=False)
     pids = kh % new_n
@@ -74,23 +75,13 @@ def _repart_read_task(root: str, files: list[str], new_n: int) -> dict:
 
 
 def _repart_write_task(root: str, pid: int, epoch: int, *shards) -> dict:
-    """Wave 2: concat one new partition's shards, write its compact file.
+    """Wave 2: write one new partition's shards as its compact file.
 
     Shards arrive as direct ObjectRef args (the locality idiom from
     merge._merge_pid_task): Ray places this task on the node holding
     most of the shard bytes."""
-    tables = [t for t in shards if t.num_rows]
-    if len(tables) == 1:
-        t = tables[0]
-    else:
-        # schema union: a column added by evolution exists only in the
-        # old partitions whose keys it touched
-        t = pa.concat_tables(tables, promote_options="default")
-    t = t.sort_by([("_kh", "ascending"), ("repo", "ascending"), ("path", "ascending")])
-    t = t.append_column("_deleted", pa.array(np.zeros(t.num_rows, dtype=bool)))
-    path = ckpt.compact_file(root, pid, epoch)
-    ckpt.atomic_write_parquet(t, path)
-    return {"pid": pid, "rows": t.num_rows, "file": os.path.relpath(path, root)}
+    rel = chain.write_compact(root, list(shards), chain.LAKE, pid, epoch)
+    return {"pid": pid, "rows": sum(t.num_rows for t in shards), "file": rel}
 
 
 def lake_stats(root: str, at_epoch: int | None = None) -> dict:

@@ -175,18 +175,19 @@ def test_manifest_and_offset_log(ray_session, changelog, tmp_path):
     assert all("skew_ratio" in m for m in metrics)
 
 
-def test_lsm_chain_compacts_and_stays_correct(ray_session, changelog, tmp_path):
-    """Many small epochs: delta chains stay bounded by compact_at and the
+def test_lsm_chain_compacts_and_stays_correct(ray_session, changelog, tmp_path, monkeypatch):
+    """Many small epochs: delta chains stay bounded by COMPACT_AT and the
     reconciled state still matches the sequential oracle."""
+    from silk_ray.cdc import chain
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 4)
     root = str(tmp_path / "lake")
-    metrics = run_to_completion(
-        root, changelog, epoch_size=100, num_partitions=2, compact_at=4
-    )
+    metrics = run_to_completion(root, changelog, epoch_size=100, num_partitions=2)
     assert len(metrics) == 12
     manifest = ckpt.read_manifest(root)
     assert manifest.partitions
     for _pid, info in manifest.partitions.items():
-        assert 1 <= len(info["files"]) <= 5  # compact_at + this epoch's delta
+        assert 1 <= len(info["files"]) <= 4  # at most COMPACT_AT files
     assert any(
         any("compact-" in f for f in info["files"])
         for info in manifest.partitions.values()

@@ -137,7 +137,7 @@ def test_gc_retention_window(store, tmp_path, retain):
             with pytest.raises(FileNotFoundError, match=f"no {store.name} snapshot.*retain_epochs"):
                 store.read_at(root, e)
 
-    if store.data_dir is None:
+    if not store.data_dirs:
         kept = range(1, last + 1)  # no sweep
     elif store.snapshot is None:  # windows: floor E-K, later epochs' files stay
         kept = range(last - retain + 1, last + 1)

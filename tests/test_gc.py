@@ -20,8 +20,8 @@ RULE.pop("filter_limit", None)
 
 
 def _cfg(**kw):
-    # 12 epochs of 100 events: past both LAKE_COMPACT_AT and the
-    # blockmap COMPACT_AT, so compaction supersedes chain files
+    # 12 epochs of 100 events: past chain.COMPACT_AT for the lake and
+    # the blockmap, so compaction supersedes chain files
     return EngineConfig(
         epoch_size=100, num_partitions=4, n_block_partitions=16, rule_spec=RULE, **kw
     )
@@ -96,6 +96,23 @@ def test_gc_removes_only_unreferenced(gc_run):
     for sub in ("dirty", "summaries"):
         epochs = {_file_epoch(os.path.basename(f)) for f in _files_under(root, sub)}
         assert epochs <= {last_epoch}
+
+
+def test_gc_off_sweeps_nothing(nogc_run):
+    """With ``gc=False`` nothing is swept: every link epoch keeps its
+    snapshot, and every links/ and blockmap/ file that any snapshot
+    named is still on disk."""
+    root, _metrics = nogc_run
+    snap_dir = os.path.join(root, "_linkstates")
+    names = sorted(os.listdir(snap_dir))
+    last = read_linkstate(root)["epoch"]
+    assert last > 1 and names == [f"state-{e:06d}.json" for e in range(1, last + 1)]
+    on_disk = _files_under(root, "links") | _files_under(root, "blockmap")
+    for name in names:
+        state = ckpt.read_json(os.path.join(snap_dir, name))
+        named = [e["file"] for e in state["links_files"]]
+        named += [f for files in state["blockmap"].values() for f in files]
+        assert {os.path.normpath(f) for f in named} <= on_disk, name
 
 
 def test_gc_bounds_storage(gc_run, nogc_run):

@@ -99,7 +99,7 @@ def test_link_phases_in_metrics_record(ray_session, tmp_path):
         record = json.load(f)
     phases = record["phases"]
     assert phases == metrics["phases"]
-    assert {"read_summaries", "plan_build", "score_and_write", "commit_gc"} <= set(phases)
+    assert {"read_summaries", "plan_build", "score_and_write", "commit"} <= set(phases)
     assert all(v >= 0 for v in phases.values())
     assert abs(sum(phases.values()) - wall) <= 0.1 * wall
     # worker-side seconds of the score_and_write waves and their task counts
@@ -368,7 +368,7 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
     """Incremental links equal batch ``generate_links`` after EVERY epoch
     of a changelog that moves entities out of block partitions
     (tombstones), deletes entities and re-inserts them an epoch later,
-    crosses ``COMPACT_AT`` (set low, so chains compact twice and later
+    crosses ``chain.COMPACT_AT`` (set low, so chains compact twice and later
     deltas stack on a compacted file) and runs with ``SPLIT_ROWS`` small
     enough that loader items are key-sub-split (``msplit > 1``)."""
     import glob
@@ -376,10 +376,10 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
 
     import pyarrow.parquet as pq
 
-    from silk_ray.cdc import incremental
+    from silk_ray.cdc import chain, incremental
 
     monkeypatch.setattr(incremental, "SPLIT_ROWS", 12)
-    monkeypatch.setattr(incremental, "COMPACT_AT", 3)
+    monkeypatch.setattr(chain, "COMPACT_AT", 3)
     base = make_base_table(32, seed=93, near_dup_frac=0.5).to_pylist()
     assert len(base) == 48  # 32 rows and 16 planted twins
     events = []
@@ -424,15 +424,15 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
         assert _as_set(links) == _as_set(_batch_links(root)), epoch
         state = incremental.read_linkstate(root)
         assert state["epoch"] == epoch
-        for chain in state["blockmap"].values():
-            if os.path.basename(chain[0]).startswith("compact-"):
+        for files in state["blockmap"].values():
+            if os.path.basename(files[0]).startswith("compact-"):
                 seen["compacted"] = True
-                seen["stacked"] |= len(chain) > 1
+                seen["stacked"] |= len(files) > 1
         # this epoch's rows: an entity with a 'del' row in one partition
         # and an 'add' row in another moved out of the first
         actions: dict[str, set] = {}
-        for chain in state["blockmap"].values():
-            for f in chain:
+        for files in state["blockmap"].values():
+            for f in files:
                 if f"delta-{epoch:06d}" in f:
                     t = pq.read_table(os.path.join(root, f))
                     for u, a in zip(t["uri"].to_pylist(), t["action"].to_pylist()):

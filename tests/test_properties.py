@@ -5,9 +5,11 @@ contracts:
   share at least one block key (``Index.matches``) — this is THE
   guarantee candidate generation rests on (MultiBlock / Silk indexing,
   ``kernel/index.py``); a violation is a silently dropped link.
-- LSM reconcile: ``reconcile_tables`` (newest-wins + tombstones over
+- LSM reconcile: ``chain.reconcile`` (newest-wins + tombstones over
   delta chains) must equal a sequential one-event-at-a-time dict apply
-  regardless of how events are split into chain tables.
+  regardless of how events are split into chain tables, for both chain
+  formats (lake rows, blockmap entity rows), and a compacted chain
+  reconciles to the same rows.
 - Sketch Jaccard: the crc32-sketch Jaccard used by the dedup verifiers
   equals exact shingle-set Jaccard.
 
@@ -20,7 +22,10 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import assume, given, settings
+
+from silk_ray.cdc import chain
 
 # ---------------------------------------------------------------------------
 # blocking completeness
@@ -126,50 +131,127 @@ event_lists = st.lists(
     min_size=1,
     max_size=40,
 )
+# per chain table: the type of an evolution-added ``extra`` column, or
+# None where that table predates it / lacks it
+extra_types = st.lists(st.sampled_from([None, pa.int32(), pa.int64()]), min_size=5, max_size=5)
 
 
-@settings(max_examples=200, deadline=None)
-@given(event_lists, st.integers(1, 5))
-def test_lsm_reconcile_equals_sequential(events, n_chunks):
-    """Any chunking of the ordered event stream into chain tables
-    reconciles to the sequential newest-wins dict state."""
-    from silk_ray.cdc.merge import reconcile_tables
-
-    # sequential model
-    state: dict[tuple[str, str], int] = {}
-    for k, op, payload in events:
-        key = ("r", f"k{k}")
-        if op == "D":
-            state.pop(key, None)
-        else:
-            state[key] = payload
-
-    # chain tables (oldest→newest): each chunk is itself a reconciled
-    # per-key delta (last event in the chunk wins, deletes as
-    # ``_deleted`` tombstones) — exactly the shape the engine's
-    # per-epoch delta files have
+def _chunks(events, n_chunks):
+    """The ordered event stream split into ``n_chunks`` epochs, each
+    reduced to its net last event per key id."""
     bounds = np.linspace(0, len(events), n_chunks + 1).astype(int)
-    tables = []
+    out = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        chunk = events[lo:hi]
-        if not chunk:
-            continue
         delta: dict[int, tuple[str, int]] = {}
-        for k, op, p in chunk:
+        for k, op, p in events[lo:hi]:
             delta[k] = (op, p)
-        tables.append(
-            pa.table(
-                {
-                    "repo": pa.array(["r"] * len(delta)),
-                    "path": pa.array([f"k{k}" for k in delta]),
-                    "payload": pa.array([p for _, p in delta.values()], pa.int64()),
-                    "_deleted": pa.array([op == "D" for op, _ in delta.values()]),
-                }
-            )
-        )
-    got = reconcile_tables(tables)
-    got_state = {(r["repo"], r["path"]): r["payload"] for r in got.to_pylist()}
-    assert got_state == dict(state), (events, n_chunks)
+        if delta:
+            out.append(delta)
+    return out
+
+
+def _lake_chain(events, n_chunks, extra=(None,) * 5):
+    """Lake delta files: one row per key (payload, ``_deleted``
+    tombstone), rows in file order; the sequential model maps
+    (repo, path) to the payload."""
+    state: dict = {}
+    for k, op, p in events:
+        if op == "D":
+            state.pop(("r", f"k{k}"), None)
+        else:
+            state[("r", f"k{k}")] = p
+    tables = []
+    for i, delta in enumerate(_chunks(events, n_chunks)):
+        cols = {
+            "repo": pa.array(["r"] * len(delta)),
+            "path": pa.array([f"k{k}" for k in delta]),
+            "payload": pa.array([p for _, p in delta.values()], pa.int64()),
+            "_deleted": pa.array([op == "D" for op, _ in delta.values()]),
+            "_kh": pa.array(list(delta), pa.int64()),
+        }
+        if extra[i % len(extra)] is not None:
+            cols["extra"] = pa.array([p for _, p in delta.values()], extra[i % len(extra)])
+        tables.append(pa.table(cols).sort_by(list(chain.LAKE.order)))
+    rows = lambda t: {(r["repo"], r["path"]): r["payload"] for r in t.to_pylist()}
+    return tables, state, rows
+
+
+def _blockmap_chain(events, n_chunks):
+    """Blockmap delta files: per uri, an ``add`` row for each link side
+    it sits on (key id, op → sides: U=both, I=side 1 only) and ``del``
+    rows for the sides it left (a D is del-only); the sequential model
+    maps (uri, side) to the payload of the uri's newest event."""
+    sides_of = {"U": (0, 1), "I": (1,), "D": ()}
+    events = [(k, "I" if op == "U" and p % 3 == 0 else op, p) for k, op, p in events]
+    state: dict = {}
+    for k, op, p in events:
+        state = {key: v for key, v in state.items() if key[0] != f"u{k}"}
+        state.update({(f"u{k}", side): p for side in sides_of[op]})
+    tables = []
+    for delta in _chunks(events, n_chunks):
+        rows = []
+        for k, (op, p) in delta.items():
+            for side in (0, 1):
+                add = side in sides_of[op]
+                rows.append({"action": "add" if add else "del", "side": side, "uri": f"u{k}",
+                             "keys": [p] if add else None, "vals_0": [str(p)] if add else None})
+        t = pa.Table.from_pylist(rows, schema=pa.schema([
+            ("action", pa.string()), ("side", pa.int8()), ("uri", pa.string()),
+            ("keys", pa.list_(pa.int64())), ("vals_0", pa.list_(pa.string())),
+        ]))
+        tables.append(t.sort_by(list(chain.BLOCKMAP.order)))
+    rows = lambda t: {(r["uri"], r["side"]): r["keys"][0] for r in t.to_pylist()}
+    return tables, state, rows
+
+
+CHAINS = {"lake": (_lake_chain, chain.LAKE), "blockmap": (_blockmap_chain, chain.BLOCKMAP)}
+
+
+def _reconciled(tables, fmt):
+    live = chain.reconcile(tables, fmt)
+    return pa.table({}) if live is None else live
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+@settings(max_examples=200, deadline=None)
+@given(events=event_lists, n_chunks=st.integers(1, 5))
+def test_lsm_reconcile_equals_sequential(name, events, n_chunks):
+    """Any chunking of the ordered event stream into chain tables
+    reconciles to the sequential newest-wins dict state, for the lake
+    and the blockmap chain formats (``chain.reconcile``); the lake's
+    key-sorted reconcile agrees."""
+    build, fmt = CHAINS[name]
+    tables, state, rows = build(events, n_chunks)
+    got = _reconciled(tables, fmt)
+    assert rows(got) == state, (events, n_chunks)
+    assert len(rows(got)) == got.num_rows  # one row per key (and side)
+    if name == "lake":
+        from silk_ray.cdc.merge import reconcile_tables
+
+        lake = reconcile_tables(tables)
+        assert rows(lake) == state
+        assert lake["path"].to_pylist() == sorted(lake["path"].to_pylist())
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+@settings(max_examples=200, deadline=None)
+@given(events=event_lists, n_chunks=st.integers(1, 5), extra=extra_types)
+def test_lsm_compacted_chain_reconciles_the_same(name, events, n_chunks, extra):
+    """Reconciling the compact file (``chain.compacted``) equals
+    reconciling the chain it replaces, with the lake's ``extra`` column
+    evolving across the chain (absent, int32 or int64 per file); the
+    compact file holds live rows only, in the chain's file order."""
+    build, fmt = CHAINS[name]
+    tables, _state, _rows = build(events, n_chunks, extra) if name == "lake" else build(
+        events, n_chunks
+    )
+    compact = chain.compacted(tables, fmt)
+    key = lambda r: tuple(sorted((k, str(v)) for k, v in r.items()))
+    assert sorted(_reconciled([compact], fmt).to_pylist(), key=key) == sorted(
+        _reconciled(tables, fmt).to_pylist(), key=key
+    )
+    assert set(compact[fmt.tombstone].to_pylist()) <= {fmt.live}
+    assert compact.equals(compact.sort_by(list(fmt.order)))
 
 
 # ---------------------------------------------------------------------------

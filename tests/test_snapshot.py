@@ -15,7 +15,7 @@ Invariants:
 import pyarrow.compute as pc
 import pytest
 
-from silk_ray.cdc import checkpoint as ckpt
+from silk_ray.cdc import chain, checkpoint as ckpt
 from silk_ray.cdc.generator import make_base_table, make_changelog, sequential_apply
 from silk_ray.cdc.merge import (
     gc_lake,
@@ -44,11 +44,12 @@ def log():
     return make_changelog(base, 1500, seed=62, dup_frac=0.03)
 
 
-def test_time_travel_matches_prefix_oracle(ray_session, log, tmp_path):
+def test_time_travel_matches_prefix_oracle(ray_session, log, tmp_path, monkeypatch):
     """Without GC, every committed epoch is readable and equals the
     oracle over exactly the offsets consumed through that epoch."""
+    monkeypatch.setattr(chain, "COMPACT_AT", 3)
     root = str(tmp_path / "lake")
-    run_to_completion(root, log, epoch_size=300, num_partitions=4, compact_at=3)
+    run_to_completion(root, log, epoch_size=300, num_partitions=4)
     current = ckpt.read_manifest(root).epoch
     assert current == 5
     for e in range(1, current + 1):
@@ -59,11 +60,12 @@ def test_time_travel_matches_prefix_oracle(ray_session, log, tmp_path):
     assert state_sha256(root, at_epoch=current) == state_sha256(root)
 
 
-def test_default_retention_keeps_rollback_window_only(ray_session, log, tmp_path):
+def test_default_retention_keeps_rollback_window_only(ray_session, log, tmp_path, monkeypatch):
+    monkeypatch.setattr(chain, "COMPACT_AT", 3)
     root = str(tmp_path / "lake")
     shas = {}
     while True:
-        m = run_epoch(root, log, epoch_size=300, num_partitions=4, compact_at=3)
+        m = run_epoch(root, log, epoch_size=300, num_partitions=4)
         if m is None:
             break
         shas[m["epoch"]] = state_sha256(root)
@@ -76,11 +78,12 @@ def test_default_retention_keeps_rollback_window_only(ray_session, log, tmp_path
         state_table(root, at_epoch=current - 2)
 
 
-def test_deep_retention_time_travel(ray_session, log, tmp_path):
+def test_deep_retention_time_travel(ray_session, log, tmp_path, monkeypatch):
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
     root = str(tmp_path / "lake")
     shas = {}
     while True:
-        m = run_epoch(root, log, epoch_size=250, num_partitions=4, compact_at=2)
+        m = run_epoch(root, log, epoch_size=250, num_partitions=4)
         if m is None:
             break
         shas[m["epoch"]] = state_sha256(root)

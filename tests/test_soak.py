@@ -40,7 +40,7 @@ def _engine_rows(root):
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303, 404, 505, 606, 707, 909])
-def test_randomized_stream_soak(ray_session, tmp_path, seed):
+def test_randomized_stream_soak(ray_session, tmp_path, seed, monkeypatch):
     rng = np.random.default_rng(seed)
     n_base = int(rng.integers(40, 160))
     n_events = int(rng.integers(500, 1100))
@@ -107,12 +107,14 @@ def test_randomized_stream_soak(ray_session, tmp_path, seed):
     epoch_a = int(rng.integers(80, 400))
     epoch_b = int(rng.integers(80, 400))
     parts = int(rng.integers(2, 9))
-    compact_at = int(rng.integers(2, 7))
+    from silk_ray.cdc import chain
+
+    monkeypatch.setattr(chain, "COMPACT_AT", int(rng.integers(2, 7)))
 
     # run A: straight through
     root_a = str(tmp_path / "a")
     run_to_completion(
-        root_a, log, epoch_size=epoch_a, num_partitions=parts, compact_at=compact_at,
+        root_a, log, epoch_size=epoch_a, num_partitions=parts,
         payload_schema=payload_schema, txn_atomic=txn_atomic,
     )
 
@@ -122,7 +124,7 @@ def test_randomized_stream_soak(ray_session, tmp_path, seed):
     crash_after = int(rng.integers(1, max(2, n_events // epoch_b)))
     for _ in range(crash_after):
         run_epoch(root_b, log, epoch_size=epoch_b, num_partitions=parts,
-                  compact_at=compact_at, payload_schema=payload_schema,
+                  payload_schema=payload_schema,
                   txn_atomic=txn_atomic)
     # redeliver a window that is fully below the committed HWM: no-op.
     # Under txn_atomic the committed next_offset can sit below
@@ -136,7 +138,7 @@ def test_randomized_stream_soak(ray_session, tmp_path, seed):
     redelivered = log.filter(pc.less(log["offset"], lo))
     if redelivered.num_rows:
         m = run_epoch(root_b, redelivered, epoch_size=epoch_b,
-                      num_partitions=parts, compact_at=compact_at,
+                      num_partitions=parts,
                       payload_schema=payload_schema, txn_atomic=txn_atomic)
         if m is not None:
             assert m["events_applied"] == 0
@@ -154,10 +156,10 @@ def test_randomized_stream_soak(ray_session, tmp_path, seed):
     if parts_b2 != parts:
         with pytest.raises(ValueError, match="partitioned"):
             run_epoch(root_b, log, epoch_size=epoch_b, num_partitions=parts,
-                      compact_at=compact_at, payload_schema=payload_schema,
+                      payload_schema=payload_schema,
                       txn_atomic=txn_atomic)
     run_to_completion(root_b, log, epoch_size=epoch_b, num_partitions=parts_b2,
-                      compact_at=compact_at, payload_schema=payload_schema,
+                      payload_schema=payload_schema,
                       txn_atomic=txn_atomic)
 
     # 1) engine state equals the sequential oracle over the valid rows

@@ -50,14 +50,18 @@ def test_int_widening_preserves_values_and_widens_schema(ray_session, tmp_path):
     }
 
 
-def test_promotion_is_replay_stable_and_survives_compaction(ray_session, tmp_path):
+def test_promotion_is_replay_stable_and_survives_compaction(ray_session, tmp_path, monkeypatch):
     """Different epoch shapes interleave int32/int64 chain files
-    differently (and compact_at=2 forces mixed-type reconciles) —
+    differently (and COMPACT_AT=2 forces mixed-type reconciles) —
     promotion is order-independent, so the shas agree."""
+    from silk_ray.cdc import chain
+
     log = _concat(MIXED)
     r1, r2, r3 = (str(tmp_path / n) for n in ("a", "b", "c"))
-    run_to_completion(r1, log, epoch_size=2, num_partitions=2, compact_at=2)
-    run_to_completion(r2, log, epoch_size=3, num_partitions=2, compact_at=2)
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
+    run_to_completion(r1, log, epoch_size=2, num_partitions=2)
+    run_to_completion(r2, log, epoch_size=3, num_partitions=2)
+    monkeypatch.undo()
     run_to_completion(r3, log, epoch_size=100, num_partitions=2)
     assert state_sha256(r1) == state_sha256(r2) == state_sha256(r3)
 
