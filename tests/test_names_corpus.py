@@ -13,6 +13,10 @@ different row; e.g. s1#2000 'Vinnie erardo' truly matches s2#1774
 never asserts against it either — GenerateLinksTest is a manual
 ``main()`` benchmark. On the full corpus our engine finds 446 links,
 exactly the number of rows in links.nt.
+
+The <RestrictTo> rejection test builds its config inline and runs
+without the reference checkout; wherever the shipped names/config.xml
+is present, it checks that file as well.
 """
 
 import os
@@ -184,18 +188,49 @@ def test_lsl_path_and_filter_parsing(tmp_path):
     assert parsed["interlinks"][1]["rule"]["filter_unambiguous"] is True
 
 
+RESTRICTED_LSL = """<?xml version="1.0"?>
+<Silk>
+  <DataSources>
+    <DataSource id="s" type="csv"><Param name="url" value="a.txt"/><Param name="properties" value="label"/></DataSource>
+  </DataSources>
+  <Interlinks>
+    <Interlink id="r">
+      <SourceDataset dataSource="s" var="a"><RestrictTo>{source}</RestrictTo></SourceDataset>
+      <TargetDataset dataSource="s" var="b"><RestrictTo>{target}</RestrictTo></TargetDataset>
+      <LinkageRule><Compare metric="levenshteinDistance" threshold="2">
+        <Input path="?a/label"/><Input path="?b/label"/></Compare></LinkageRule>
+    </Interlink>
+  </Interlinks>
+</Silk>"""
+PATTERN = "?a rdf:type foaf:Person ."
+
+
 def test_lsl_rejects_nonempty_restrict_to(tmp_path):
     """A non-empty <RestrictTo> is a SPARQL restriction we don't
     evaluate — parsing must fail loudly, not silently change the link
-    set (LinkSpecificationLanguage.md RestrictTo)."""
+    set (LinkSpecificationLanguage.md RestrictTo). Both dataset sides
+    are checked; empty <RestrictTo> elements parse. Where the reference
+    checkout is present, its shipped names/config.xml is checked too."""
     import pytest
 
     from silk_ray.sources.lsl import parse_lsl_config
 
-    xml = open(f"{NAMES}/config.xml").read().replace(
-        "<RestrictTo></RestrictTo>", "<RestrictTo>?a rdf:type foaf:Person .</RestrictTo>", 1
-    )
-    p = tmp_path / "config.xml"
-    p.write_text(xml)
-    with pytest.raises(ValueError, match="RestrictTo"):
-        parse_lsl_config(str(p))
+    cases = {
+        "source.xml": RESTRICTED_LSL.format(source=PATTERN, target=""),
+        "target.xml": RESTRICTED_LSL.format(source="", target=PATTERN),
+    }
+    if os.path.isfile(f"{NAMES}/config.xml"):
+        cases["names.xml"] = open(f"{NAMES}/config.xml").read().replace(
+            "<RestrictTo></RestrictTo>", f"<RestrictTo>{PATTERN}</RestrictTo>", 1
+        )
+    for name, xml in cases.items():
+        p = tmp_path / name
+        p.write_text(xml)
+        with pytest.raises(ValueError, match="RestrictTo"):
+            parse_lsl_config(str(p))
+
+    empty = tmp_path / "empty.xml"
+    empty.write_text(RESTRICTED_LSL.format(source="", target=""))
+    parsed = parse_lsl_config(str(empty))
+    assert [i["id"] for i in parsed["interlinks"]] == ["r"]
+    assert parsed["interlinks"][0]["rule"]["operator"]["metric"] == "levenshteinDistance"
