@@ -327,7 +327,7 @@ def cmd_rewrite(args) -> int:
 
 
 # the lake root's top-level data directories, as ``status`` reports them
-_STORAGE_DIRS = ("partitions", "dirty", "summaries", "blockmap", "links", "clusters",
+_STORAGE_DIRS = ("partitions", "summaries", "blockmap", "links", "clusters",
                  "aggview", "egress", "windows", "_metrics")
 
 

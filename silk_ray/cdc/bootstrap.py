@@ -15,15 +15,15 @@ Mechanism: the snapshot is expressed as a synthetic insert-only
 changelog window occupying offsets ``S-n+1 .. S`` (one distinct offset
 per row — the merge stage's duplicate-offset filter must not collapse
 snapshot rows) and pushed through the ordinary :func:`merge.run_epoch`.
-That reuses every tested path unchanged — key partitioning, dirty
-deltas, fused link-index summaries, dead-letter quarantine for
+That reuses every tested path unchanged — key partitioning, change
+sets, fused link-index summaries, dead-letter quarantine for
 malformed snapshot rows, manifest commit — and leaves
 ``next_offset = S+1``, which is the consumer position (window anchoring
 makes per-partition HWMs < S harmless: offsets ≤ S are never read
 again). Incremental linking / cluster / aggregate maintenance then
 initialize from epoch 1 via the engine's normal catch-up: links from
-the fused index's summaries (or epoch 1's dirty files, which the first
-epoch always writes), the agg view from the snapshot; a store enabled
+the fused index's summaries (or epoch 1's change set, derived from
+the lake), the agg view from the snapshot; a store enabled
 after a later epoch starts from the snapshot at the merge epoch.
 
 Scale shape: an in-memory snapshot (tests, small lakes) goes through

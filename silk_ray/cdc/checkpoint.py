@@ -11,7 +11,8 @@ and trims snapshots at or below the floor E-K-1:
 ========  ==================  ===========================  ===========  =======================================
 store     pointer             snapshots                    data dirs    GC keeps
 ========  ==================  ===========================  ===========  =======================================
-lake      _manifest.json      _manifests/manifest-E.json   partitions/  pointer, prev_files, snapshots E-K..E-1
+lake      _manifest.json      _manifests/manifest-E.json   partitions/  pointer, prev_files, snapshots E-K..E-1,
+                                                                        each kept epoch's own delta files
 links     _linkstate.json     _linkstates/state-E.json     links/,      pointer, links_files_prev,
                                                            blockmap/    blockmap_prev, snapshots
 clusters  _clusterstate.json  _clusterstates/state-E.json  clusters/    pointer, dir_prev, snapshots
@@ -38,7 +39,7 @@ and the replay overwrites byte-identically. Per-partition high-water
 marks make duplicate delivery a no-op inside the merge.
 
 Also under the lake root: ``_metrics/{epoch,links}-E.json``
-(:func:`write_metrics`) and ``dirty/`` + ``summaries/``
+(:func:`write_metrics`) and the linker ``summaries/``
 (``merge.gc_link_inputs``).
 """
 
@@ -273,7 +274,13 @@ def _agg_files(s: dict) -> list[str]:
 
 LAKE = EpochStore(
     "lake", "_manifest.json", "_manifests/manifest-", Manifest(0, 0, {}).to_dict(),
-    lambda m: Manifest.from_dict(m).chain_files(), ("partitions",),
+    # the chain files plus the delta files the epoch wrote (a compaction
+    # supersedes them), which merge.epoch_changes reads
+    lambda m: Manifest.from_dict(m).chain_files() + [
+        partition_file("", int(p), m["epoch"])
+        for p, info in m["partitions"].items() if info.get("epoch") == m["epoch"]
+    ],
+    ("partitions",),
     prev_files=lambda m: m.get("prev_files", []),
 )
 LINKS = EpochStore(
@@ -358,11 +365,6 @@ def read_metrics(root: str) -> list[dict]:
 def partition_file(root: str, pid: int, epoch: int) -> str:
     """Per-epoch DELTA file of a lake partition (LSM chain member)."""
     return os.path.join(root, "partitions", f"p={pid:05d}", f"epoch-{epoch:06d}.parquet")
-
-
-def dirty_file(root: str, pid: int, epoch: int) -> str:
-    d = os.path.join(root, "dirty", f"p={pid:05d}")
-    return os.path.join(d, f"epoch-{epoch:06d}.parquet")
 
 
 class WriterLockHeld(RuntimeError):

@@ -56,7 +56,7 @@ import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
 from silk_ray.cdc.incremental import _links_manifest, read_linkstate
-from silk_ray.cdc.merge import epoch_changed_nothing, epoch_inputs
+from silk_ray.cdc.merge import epoch_changed_nothing, epoch_summaries
 from silk_ray.functions.graph import union_find_labels
 
 
@@ -124,7 +124,7 @@ def update_clusters(root: str, epoch: int) -> dict:
     # the splice needs the epoch's dirty uris: summaries for a longer
     # gap are GC'd, and an un-fused or snapshot (full) link update
     # writes none; no old table means no base
-    summaries = epoch_inputs(root, "summaries", epoch)
+    summaries = epoch_summaries(root, epoch)
     full = state["epoch"] < epoch - 1 or old_dir is None or not (
         summaries or epoch_changed_nothing(root, epoch)
     )

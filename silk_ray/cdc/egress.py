@@ -9,15 +9,15 @@ the lake's net state delta — one row per changed key carrying the
 change op (I/U/D), the full **after image** (``new_*``) and the full
 **before image** (``old_*``) — the Debezium-style envelope.
 
-The source material is cheap: for a stream that keeps up, the merge
-stage writes a per-(partition, epoch) *dirty delta* file with exactly
-this content (merge.py ``_dirty_table`` — change ∈ {I,U,D}, typed
-old/new payload images, keys inserted-then-deleted within the epoch
-excluded). Egress
-is therefore an O(delta) reshape, never a state scan, done in one
-plain pyarrow pass on the driver with no Ray task:
+The source material is cheap: every merge epoch has a *change set*
+with exactly this content (``merge.epoch_changes`` — change ∈ {I,U,D},
+typed old/new payload images, keys inserted-then-deleted within the
+epoch excluded), handed over in memory by the merge tasks or derived
+from the lake's delta chains. Egress is therefore an O(delta) reshape,
+never a state scan, done in one plain pyarrow pass on the driver with
+no Ray task:
 
-- read each dirty file, rename ``change`` to ``op`` and split its rows
+- take each change table, rename ``change`` to ``op`` and split its rows
   by key-hash shard (md5-lower-64 of ``repo\\x1fpath`` mod num_shards —
   the interpreter-stable, *SQL-reproducible* hash the oracle suite
   standardizes on);
@@ -25,8 +25,8 @@ plain pyarrow pass on the driver with no Ray task:
   canonical union schema, sort by key, assign the global sequence
   number, atomic-write ``egress/shard-SSSSS-epoch-EEEEEE.parquet``.
 
-Every emitted row passes through the driver once; the epoch's dirty
-rows are delta-sized (a few files of delta/P rows), so holding them
+Every emitted row passes through the driver once; the epoch's change
+rows are delta-sized (a few tables of delta/P rows), so holding them
 costs less than starting a task wave per epoch would.
 
 **Determinism / exactly-once.** Egress output is byte-identical across
@@ -34,7 +34,7 @@ partition counts, replays and crash recoveries:
 
 - shard assignment and intra-shard order (``repo, path``) depend only
   on row content; the per-epoch column set is the union across *all*
-  dirty files (partition-independent) in canonical order;
+  change tables (partition-independent) in canonical order;
 - ``seq`` — the global position a consumer resumes from — numbers rows
   (epoch-major, then shard, then key) from a ``next_seq`` carried in
   the committed egress state, so it is replay-stable;
@@ -42,14 +42,14 @@ partition counts, replays and crash recoveries:
   swap is the sole commit point: a crash after file writes but before
   the swap re-derives the *same bytes* on catch-up (writers converge).
 
-**Lag discipline.** Dirty files are written only for a reader at the
-previous epoch and kept only for its next epoch and one-epoch rollback
-(merge.py ``run_epoch``, ``gc_link_inputs``). Egress commits inside the
-engine loop, so its lag never exceeds the crash window of one epoch.
-Enabling egress *late* on a lake with history, or pausing it past one
-epoch, cannot reconstruct the missed deltas — :func:`update_egress` then refuses
-loudly, and :func:`egress_resync` performs the standard CDC-producer
-move: an initial-snapshot epoch (every live row as an ``I`` with null
+**Lag discipline.** Egress commits inside the engine loop, which
+applies each missed epoch in turn; an epoch's change set derives from
+the lake while its pre-epoch manifest is retained
+(``EngineConfig.retain_epochs``). Enabling egress *late* on a lake with
+history, or pausing it past the retention window, cannot reconstruct
+the missed deltas — :func:`update_egress` then refuses loudly, and
+:func:`egress_resync` performs the standard CDC-producer move: an
+initial-snapshot epoch (every live row as an ``I`` with null
 before-image) from which the delta stream continues.
 
 A consumer round trip closes the loop: :func:`egress_as_changelog`
@@ -73,7 +73,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
-from silk_ray.cdc.merge import epoch_changed_nothing, epoch_inputs
+from silk_ray.cdc.merge import epoch_changes, inserts_table
 from silk_ray.kernel.index import md5_lower64_batch
 
 KEY_COLS = ("repo", "path")
@@ -103,9 +103,9 @@ def _shard_ids(t: pa.Table, num_shards: int) -> np.ndarray:
 
 
 def _canonical_fields(schemas: list[pa.Schema]) -> list[pa.Field]:
-    """Union of the epoch's dirty schemas in canonical (P-independent)
+    """Union of the epoch's change schemas in canonical (P-independent)
     order: op, repo, path, new_* sorted, old_* sorted. The union over
-    ALL partitions' dirty files depends only on what the lake state and
+    ALL partitions' change tables depends only on what the lake state and
     this epoch's payloads contain — not on the partition count."""
     merged: dict[str, pa.Field] = {}
     for s in schemas:
@@ -149,10 +149,14 @@ def _finalize_shard(
 def _write_epoch(
     root: str, epoch: int, tables: list[pa.Table], num_shards: int, seq: int
 ) -> tuple[list[str], int]:
-    """Split the epoch's op-tagged tables by key-hash shard and write
-    one key-sorted, seq-stamped file per touched shard, numbering rows
-    from ``seq`` in shard order. The column set is the union over all
-    ``tables``, empty ones included. Returns (files written, next seq)."""
+    """Split the epoch's change tables by key-hash shard and write one
+    key-sorted, seq-stamped file per touched shard (``change`` becomes
+    ``op``), numbering rows from ``seq`` in shard order. The column set
+    is the union over all ``tables``, empty ones included. Returns
+    (files written, next seq)."""
+    tables = [
+        t.rename_columns(["op" if c == "change" else c for c in t.column_names]) for t in tables
+    ]
     by_shard: dict[int, list[pa.Table]] = {}
     for t in tables:
         sid = _shard_ids(t, num_shards)
@@ -178,8 +182,9 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
     replay no-op. Sequential: ``epoch`` must be ``state.epoch + 1``
     (the engine's egress stage applies each missed epoch in turn, per
     epoch and in ``engine.catch_up``); a larger gap, or an epoch whose
-    dirty delta is absent (the stream was paused), means the inputs are
-    gone — refuse loudly and point at :func:`egress_resync`.
+    change set can no longer be derived (its pre-epoch manifest fell
+    out of the retention window), means the inputs are gone — refuse
+    loudly and point at :func:`egress_resync`.
     """
     state = read_egressstate(root)
     if state["num_shards"] not in (None, num_shards):
@@ -190,28 +195,21 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
         )
     if epoch <= int(state["epoch"]):
         return {"epoch": epoch, "mode": "replay_noop", "rows": 0, "files": 0}
-    if int(state["epoch"]) == 0 and epoch > 1:
+    changes = None
+    if epoch == int(state["epoch"]) + 1:
+        try:
+            changes = epoch_changes(root, epoch)
+        except FileNotFoundError:
+            pass  # the epoch's manifests were GC'd
+    if changes is None:
         raise RuntimeError(
-            f"egress enabled late: lake is at epoch {epoch} but the egress stream "
-            "is empty and the missed epochs' dirty inputs are GC'd. Run "
-            "egress_resync(root) to emit an initial-snapshot epoch first."
+            f"egress at epoch {state['epoch']} cannot emit epoch {epoch}: the change set "
+            f"of epoch {int(state['epoch']) + 1} is outside the retention window "
+            "(EngineConfig.retain_epochs) — deltas are unrecoverable. Run "
+            "egress_resync(root) and have consumers re-snapshot."
         )
-    files = epoch_inputs(root, "dirty", epoch)
-    if epoch > int(state["epoch"]) + 1 or not (files or epoch_changed_nothing(root, epoch)):
-        # a stream paused past one epoch: no reader sat at epoch-1 when
-        # this epoch merged, so its dirty delta was never written
-        raise RuntimeError(
-            f"egress at epoch {state['epoch']} cannot emit epoch {epoch}: its dirty "
-            "delta is outside the one-epoch retention window — deltas are "
-            "unrecoverable. Run egress_resync(root) and have consumers re-snapshot."
-        )
-
-    tables = [
-        t.rename_columns(["op" if c == "change" else c for c in t.column_names])
-        for t in map(pq.read_table, files)
-    ]
     start = int(state["next_seq"])
-    rels, seq = _write_epoch(root, epoch, tables, num_shards, start)
+    rels, seq = _write_epoch(root, epoch, changes, num_shards, start)
     new_files = dict(state["files"])
     if rels:
         new_files[str(epoch)] = rels
@@ -242,21 +240,7 @@ def egress_resync(root: str, num_shards: int = 16) -> dict:
         raise ValueError("num_shards differs from the committed stream")
     merge_epoch = ckpt.read_manifest(root).epoch
 
-    def contrib(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols: dict[str, pa.Array] = {
-            "op": pa.array(["I"] * n, pa.string()),
-            "repo": batch["repo"].combine_chunks(),
-            "path": batch["path"].combine_chunks(),
-        }
-        for c in sorted(batch.column_names):
-            if c in KEY_COLS or c.startswith("_"):
-                continue
-            cols[f"new_{c}"] = batch[c].combine_chunks()
-            cols[f"old_{c}"] = pa.nulls(n, batch[c].type)
-        return pa.table(cols)
-
-    scan = snapshot_dataset(root).map_batches(contrib, batch_format="pyarrow")
+    scan = snapshot_dataset(root).map_batches(inserts_table, batch_format="pyarrow")
     parts = [
         t for t in scan.iter_batches(batch_format="pyarrow", batch_size=None)
         if t.num_rows

@@ -19,22 +19,24 @@ recovery (:func:`catch_up`) is the stage loop at the merge epoch, run
 before :func:`run` tails the next window. Every commit is idempotent,
 so replays converge.
 
-Epoch inputs: the merge writes epoch E's dirty delta only when a store
-that reads it (agg view, egress, un-fused links) has committed E-1;
-``merge.gc_link_inputs`` keeps of it and of the link summaries only a
-present reader's next epoch plus its one-epoch rollback window. A store
-further behind starts from the snapshot.
+Epoch inputs: the agg view, egress and an un-fused link store read
+epoch E's change set (``merge.epoch_changes``): in memory from the
+merge tasks when one of them has committed E-1, else derived from the
+lake while manifest E-1 is retained. ``merge.gc_link_inputs`` keeps the
+fused link summaries for the link store's next epoch and its one-epoch
+rollback window only.
 
 Storage GC (per epoch, post-commit; ``EngineConfig.gc``, off = no
 sweep at all): superseded lake/blockmap chain files, orphaned
-shard-write attempts and consumed dirty/summary inputs are deleted —
-the lake's and the link store's (``links/`` + ``blockmap/``, via
+shard-write attempts and consumed summary inputs are deleted — the
+lake's and the link store's (``links/`` + ``blockmap/``, via
 ``gc_blockmap``) through one ``EpochStore.gc`` rule. A tailing engine
 keeps O(live state + in-flight epoch) files, not O(history). Every
 rule retains a one-epoch rollback window (``prev_files`` /
-``links_files_prev`` + ``blockmap_prev`` / the readers' dirty+summary
-epochs), so crash replay and a one-epoch checkpoint rollback are
-unaffected (tests/test_gc.py).
+``links_files_prev`` + ``blockmap_prev`` / the link store's summary
+epochs) and the lake keeps every retained epoch's delta files, so crash
+replay, a one-epoch checkpoint rollback and retained epochs' change
+sets are unaffected (tests/test_gc.py).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class EngineConfig:
     limit: float = 0.0
     max_epochs: int | None = None
     # per-epoch storage GC (post-commit): superseded lake/blockmap chain
-    # files, orphaned shard attempts, consumed dirty/summary inputs,
+    # files, orphaned shard attempts, consumed summary inputs,
     # snapshots past retention. Without it a continuously-tailing engine
     # grows storage without bound. Disable to keep every file.
     gc: bool = True
@@ -71,7 +73,7 @@ class EngineConfig:
     # the delta are rebuilt
     maintain_clusters: bool = False
     # maintain a materialized aggregate view over the lake
-    # (cdc/matview.py): per epoch only the dirty-delta contributions are
+    # (cdc/matview.py): per epoch only the change-set contributions are
     # applied and only the touched view shards are rewritten
     agg_spec: "object | None" = None  # AggViewSpec
     # typed ingest enforcement: payload column -> ValueType id

@@ -7,8 +7,8 @@ downstream store (links, clusters, aggregate views, egress consumers).
 The CDC-native move is to *emit the erasure as ordinary changelog
 events*: scan the live state for matching keys, append one ``D`` event
 per key to the binlog at fresh offsets, and let the normal merge path
-apply them. Everything downstream — idempotent replay, HWMs, dirty
-deltas, incremental re-linking, cluster maintenance, view deltas,
+apply them. Everything downstream — idempotent replay, HWMs, change
+sets, incremental re-linking, cluster maintenance, view deltas,
 egress before-images, time travel, the DLQ — handles an erasure
 identically to any organic delete, because it IS one.
 

@@ -29,8 +29,9 @@ file with a ``key`` column (the older one-row-per-key layout) is
 refused: the link store must be rebuilt from the snapshot.
 
 Per merge epoch E (consuming the fused index's ``summaries/p=*/epoch-{E}``
-files or the ``dirty/p=*/epoch-{E}.parquet`` deltas; a store more than
-one epoch behind consumes the snapshot instead, see :func:`update_links`):
+files, or the epoch's change set ``merge.epoch_changes`` when the merge
+ran un-fused; a store more than one epoch behind consumes the snapshot
+instead, see :func:`update_links`):
 
 1. **delta index + shard write** (fused into the merge tasks, or its
    own ``map_batches`` pass; no shuffle): for every changed key and
@@ -94,7 +95,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import chain, checkpoint as ckpt, remote
-from silk_ray.cdc.merge import INTERNAL_COLS, KEY_COLS, epoch_changed_nothing, epoch_inputs
+from silk_ray.cdc.merge import epoch_changed_nothing, epoch_changes, epoch_summaries, inserts_table
 from silk_ray.kernel.rule import LinkageRule
 from silk_ray.linking.pipeline import _compile_rule
 
@@ -117,16 +118,17 @@ read_linkstate_at = ckpt.LINKS.read_at
 
 
 class DeltaIndexStage:
-    """Turn dirty rows into blockmap entity delta rows (both link sides).
+    """Turn change rows (``merge.changes_table``) into blockmap entity
+    delta rows (both link sides).
 
-    Per dirty row and side: one ``add`` row — the entity's full sorted
+    Per change row and side: one ``add`` row — the entity's full sorted
     ``keys`` and its leaf values — in every block partition
     ``{k % B : k ∈ new keys}``, and one payload-less ``del`` row in
     every partition ``{k % B : k ∈ old keys}`` the entity left.
 
     Each task writes its per-bp delta shard files DIRECTLY (no shuffle:
     every (uri, bp) pair is produced by exactly one task because the
-    merge stage emits one dirty row per key per epoch, so same-epoch
+    merge stage emits one change row per key per epoch, so same-epoch
     shards of one bp touch disjoint uris and their reconciliation order
     is irrelevant) and returns only a small summary ``(bp, file, key,
     uri)``, one row per old and new key and side — ``update_links``
@@ -293,10 +295,11 @@ def _bp_blocks(ents: pa.Table, bp: int, n_block_partitions: int):
     return flat[mine], parent[mine]
 
 
-def _consolidate_bundle(root: str, bps: list[int], shard_lists: list[list[str]], epoch: int):
+def _consolidate_bundle(root: str, bps: list[int], shard_lists: list, n_leaves: int, epoch: int):
     """Merge each bp's SAME-EPOCH shard files (one per merge task that
     touched the bp; disjoint uris, so concat order is irrelevant) into
-    one delta file. O(this epoch's delta). Deterministic content
+    one delta file in the delta schema, so every file of a chain has
+    the same Arrow schema. O(this epoch's delta). Deterministic content
     (sorted input file list, sorted rows) → idempotent on replay."""
     out = []
     for bp, files in zip(bps, shard_lists):
@@ -307,7 +310,7 @@ def _consolidate_bundle(root: str, bps: list[int], shard_lists: list[list[str]],
         # result (and after a post-commit rollback the original shards
         # may already be GC'd)
         if not os.path.exists(os.path.join(root, rel)):
-            tables = [pq.read_table(os.path.join(root, f)) for f in sorted(files)]
+            tables = _read_bp_files(root, sorted(files), n_leaves)
             merged = pa.concat_tables(tables).sort_by(list(chain.BLOCKMAP.order))
             ckpt.atomic_write_parquet(merged, os.path.join(root, rel))
         out.append((bp, rel))
@@ -398,7 +401,7 @@ def _lrs_bundle(
     return out, timings
 
 
-def _drop_dirty_files(root: str, files: list[str], uri_arr: pa.Array) -> tuple[pa.Table, dict]:
+def _drop_dirty_links(root: str, files: list[str], uri_arr: pa.Array) -> tuple[pa.Table, dict]:
     """Stored link files minus links touching a dirty uri, and the
     task's seconds."""
     t0 = time.perf_counter()
@@ -466,14 +469,6 @@ def _write_links_bundle(
 # ---------------------------------------------------------------------------
 
 
-def _as_inserts(t: pa.Table) -> pa.Table:
-    """Snapshot rows as all-insert dirty rows: keys plus ``new_*``."""
-    payload = [c for c in t.column_names if c not in KEY_COLS + INTERNAL_COLS]
-    return t.select([*KEY_COLS, *payload]).rename_columns(
-        [*KEY_COLS, *(f"new_{c}" for c in payload)]
-    )
-
-
 def update_links(
     root: str,
     rule_spec: dict | LinkageRule,
@@ -485,12 +480,11 @@ def update_links(
     """Process merge epoch ``epoch``'s delta into the link state.
 
     The delta comes from the fused index's summary files, or else from
-    the epoch's dirty files through the delta-index stage. A store more
-    than one epoch behind — or one whose epoch inputs were never written
-    because no store read them — re-indexes the snapshot at ``epoch``
-    through the same stage over an empty index and link set (``mode``
-    ``"full"``; the cluster store then full-rebuilds too). An epoch
-    that changed no key is a no-op commit.
+    the epoch's change set (``merge.epoch_changes``) through the
+    delta-index stage. A store more than one epoch behind re-indexes
+    the snapshot at ``epoch`` through the same stage over an empty index
+    and link set (``mode`` ``"full"``; the cluster store then
+    full-rebuilds too). An epoch that changed no key is a no-op commit.
 
     Returns link metrics (links_recomputed, links_removed, ...); a
     store already at or past ``epoch`` is a replay no-op. Superseded
@@ -517,16 +511,13 @@ def update_links(
     n_leaves = len(rule.leaf_comparisons())
     payload = rule_spec if isinstance(rule_spec, dict) else rule
 
-    summary_files = epoch_inputs(root, "summaries", epoch)
-    dirty_files = [] if summary_files else epoch_inputs(root, "dirty", epoch)
-    mode = "delta"
-    if state["epoch"] < epoch - 1 or not (summary_files or dirty_files):
-        if state["epoch"] == epoch - 1 and epoch_changed_nothing(root, epoch):
-            state["epoch"] = epoch
-            commit_linkstate(root, state)
-            return {"epoch": epoch, "mode": "noop", "links_recomputed": 0,
-                    "links_removed": 0, "links_total": _count_links(state)}
-        mode = "full"
+    summary_files = epoch_summaries(root, epoch)
+    mode = "delta" if state["epoch"] == epoch - 1 else "full"
+    if mode == "delta" and not summary_files and epoch_changed_nothing(root, epoch):
+        state["epoch"] = epoch
+        commit_linkstate(root, state)
+        return {"epoch": epoch, "mode": "noop", "links_recomputed": 0,
+                "links_removed": 0, "links_total": _count_links(state)}
 
     # -- stage 1+2: delta index + per-bp shard writes --------------------
     # Preferred path: the merge stage already ran the delta index fused
@@ -536,7 +527,7 @@ def update_links(
         summary_batches = [pq.read_table(f) for f in summary_files]
         _mark("read_summaries")
     else:
-        # the delta index as its own execution: over the dirty files
+        # the delta index as its own execution: over the change set
         # (the merge ran without link_spec), or over the snapshot as
         # all-insert rows (full mode)
         from silk_ray.linking.pipeline import cached_stage
@@ -545,10 +536,10 @@ def update_links(
             from silk_ray.cdc.merge import snapshot_dataset
 
             src = snapshot_dataset(root, at_epoch=epoch).map_batches(
-                _as_inserts, batch_format="pyarrow"
+                inserts_table, batch_format="pyarrow"
             )
         else:
-            src = rd.read_parquet(dirty_files)
+            src = rd.from_arrow(epoch_changes(root, epoch))
         summary_ds = src.map_batches(
             cached_stage(
                 DeltaIndexStage,
@@ -598,7 +589,7 @@ def update_links(
         merged = ray.get(
             [
                 task.remote(root, [bp for bp, _ in items[i : i + per]],
-                            [fs for _, fs in items[i : i + per]], epoch)
+                            [fs for _, fs in items[i : i + per]], n_leaves, epoch)
                 for i in range(0, len(items), per)
             ]
         )
@@ -750,7 +741,7 @@ def update_links(
         for bucket in loader_buckets
     ]
     if affected:
-        drop = remote(_drop_dirty_files)
+        drop = remote(_drop_dirty_links)
         files = [e["file"] for e in affected]
         per = max(1, len(files) // n_link_blocks)
         refs += [

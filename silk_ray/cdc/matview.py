@@ -10,19 +10,19 @@ feature-stat tables every ingest pipeline keeps next to the lake
 e.g. silk-rules TransformReport / ExecutionReport; a continuously
 tailing engine needs the maintained equivalent).
 
-Delta-native: the merge stage already writes, per epoch and partition,
-a *dirty delta* file carrying ``change ∈ {I,U,D}`` plus the full
-``old_*``/``new_*`` payload of every changed key (merge.py
-``_dirty_table``). That is exactly the Δ a subtractable aggregate
-needs:
+Delta-native: each merge epoch has a *change set*
+(``merge.epoch_changes``) carrying ``change ∈ {I,U,D}`` plus the full
+``old_*``/``new_*`` payload of every changed key, one table per touched
+partition. That is exactly the Δ a subtractable aggregate needs:
 
     I → +new      U → +new −old      D → −old
 
-so per epoch the view update reads ONLY the dirty files (O(delta)),
-pre-aggregates each file's contributions (one partial row per distinct
-touched group, plus the min/max support partials below, from one read
-of the file), and merges the combined group delta into the stored
-view. Sum measures are **exact-integer sums**
+so per epoch the view update reads ONLY the change set (O(delta)) —
+the merge tasks' in-memory tables when the view sat at the previous
+epoch, else the same rows derived from the lake — pre-aggregates each
+table's contributions (one partial row per distinct touched group,
+plus the min/max support partials below), and merges the combined
+group delta into the stored view. Sum measures are **exact-integer sums**
 (``sum`` of an int column, ``sum_strlen`` of a string column) — order-
 independent and replay-byte-identical, unlike float accumulation;
 count-0 groups must zero out exactly and are dropped (enforced: a
@@ -43,19 +43,19 @@ the shards whose groups were touched, the manifest carries every other
 shard file forward verbatim — per-epoch I/O is O(delta), not O(view).
 Commit is an atomic ``_aggstate.json`` pointer swap with per-epoch
 snapshots for as-of-epoch reads and retention-aware GC, exactly like
-the lake / links / clusters stores. A catch-up lag beyond the dirty-
-file retention window triggers a loud FULL rebuild (one streaming pass
-over ``snapshot_dataset``), which is always correct, and the metrics
-say it happened.
+the lake / links / clusters stores. A catch-up lag of more than one
+epoch triggers a loud FULL rebuild (one streaming pass over
+``snapshot_dataset``), which is always correct, and the metrics say it
+happened.
 
 Execution: the per-epoch delta path is one plain pyarrow pass on the
-driver — read each dirty file once, pre-aggregate, merge each affected
-shard with its committed file and write it — with no Ray Data
-execution and no Ray task. Its input is O(delta): a few dirty files of
-delta/P rows, the same rows the egress stage already brings to the
-driver, so a fixed executor start per epoch would cost far more than
-the work. The full rebuild stays a streaming Ray Data scan of
-``snapshot_dataset`` (one reconcile task per partition); its batches
+driver — pre-aggregate each change table, merge each affected shard
+with its committed file and write it — with no Ray Data execution and
+no Ray task. Its input is O(delta): a few tables of delta/P rows, the
+same rows the egress stage reads, so a fixed executor start per epoch
+would cost far more than the work. The full rebuild stays a streaming
+Ray Data scan of ``snapshot_dataset`` (one reconcile task per
+partition); its batches
 are pre-aggregated one at a time as the driver iterates them, so the
 driver holds group partials, never the state.
 """
@@ -73,7 +73,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
-from silk_ray.cdc.merge import epoch_inputs
+from silk_ray.cdc.merge import epoch_changes
 
 # measure fns: name -> (evaluate(column) -> int64 array, nulls already 0)
 _NULL_TOKEN = "\x00\x00null"  # group-key serialization marker for shard hashing
@@ -146,7 +146,7 @@ commit_aggstate = ckpt.AGG_VIEW.commit
 
 def _measure_values(t: pa.Table, col_name: str | None, fn: str, n: int) -> pa.Array:
     """Evaluate one measure over a payload side; absent column (pre-
-    evolution dirty schema) and nulls contribute 0."""
+    evolution change schema) and nulls contribute 0."""
     if col_name is None or col_name not in t.column_names:
         return pa.array(np.zeros(n, dtype=np.int64), pa.int64())
     col = t[col_name]
@@ -167,18 +167,18 @@ def _partial_agg(t: pa.Table, spec: AggViewSpec) -> pa.Table:
     return g.rename_columns([renames.get(c, c) for c in g.column_names])
 
 
-def _dirty_sides(dirty: pa.Table) -> list[tuple[pa.Table, str, int]]:
-    """A dirty delta's event sides: I → +new, U → +new −old, D → −old."""
+def _change_sides(changes: pa.Table) -> list[tuple[pa.Table, str, int]]:
+    """A change table's event sides: I → +new, U → +new −old, D → −old."""
     return [
-        (dirty.filter(pc.is_in(dirty["change"], value_set=pa.array(list(changes)))), prefix, w)
-        for prefix, changes, w in (("new", ("I", "U"), 1), ("old", ("U", "D"), -1))
+        (changes.filter(pc.is_in(changes["change"], value_set=pa.array(list(kinds)))), prefix, w)
+        for prefix, kinds, w in (("new", ("I", "U"), 1), ("old", ("U", "D"), -1))
     ]
 
 
 def _side_col(t: pa.Table, name: str, prefix: str | None) -> str:
     """Column holding ``name`` on one event side. Key columns (never
-    renamed by the dirty writer) and snapshot rows (``prefix`` None)
-    read the bare column, dirty payload columns ``{prefix}_{name}``."""
+    prefixed in a change table) and snapshot rows (``prefix`` None)
+    read the bare column, change payload columns ``{prefix}_{name}``."""
     return name if prefix is None or name in t.column_names else f"{prefix}_{name}"
 
 
@@ -245,7 +245,7 @@ def _epoch_delta(
     inputs, spec: AggViewSpec
 ) -> tuple[pa.Table, dict[str, pa.Table | None]]:
     """The view delta and per-source support deltas of an iterable of
-    inputs, each a list of event sides: a dirty file's two sides, or
+    inputs, each a list of event sides: a change table's two sides, or
     one snapshot batch as a +1 side. Each input is pre-aggregated on
     its own, so a full scan holds partials, never the state."""
     parts = [_contribute(sides, spec) for sides in inputs]
@@ -356,8 +356,8 @@ def _shard_rel(epoch: int, shard: int) -> str:
 def update_aggregates(root: str, epoch: int, spec: AggViewSpec) -> dict:
     """Bring the aggregate view up to merge epoch ``epoch``.
 
-    Idempotent (a replayed epoch is a no-op); a catch-up lag beyond the
-    one-epoch dirty retention window triggers a loud full rebuild."""
+    Idempotent (a replayed epoch is a no-op); a catch-up lag of more
+    than one epoch triggers a loud full rebuild."""
     state = read_aggstate(root)
     if state.get("spec") not in (None, spec.fingerprint()):
         raise ValueError(
@@ -384,7 +384,7 @@ def update_aggregates(root: str, epoch: int, spec: AggViewSpec) -> dict:
         old_support: dict[str, dict[str, str]] = {}
     else:
         mode = "delta"
-        inputs = (_dirty_sides(pq.read_table(f)) for f in epoch_inputs(root, "dirty", epoch))
+        inputs = (_change_sides(t) for t in epoch_changes(root, epoch))
         old_shards = dict(state.get("shards") or {})
         old_support = {
             src: dict(m) for src, m in (state.get("support") or {}).items()

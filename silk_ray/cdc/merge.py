@@ -36,11 +36,12 @@ LSM-style so per-epoch cost is O(delta), not O(state):
   state schema (missing → null, on both sides); renamed columns are
   mapped through a Silk-style DirectMapping rename
   (EntitySchema.renameProperty, silk-core/.../entity/EntitySchema.scala:147-153);
-- each epoch also writes a per-partition *dirty delta* (old + new
-  payload per changed key, **typed** per the unified schema) for the
-  stores that read it (agg view, egress, un-fused re-linking; see
-  ``run_epoch``), plus lineage metrics (events applied, skew ratio,
-  live rows tracked incrementally).
+- each epoch's *change set* (old + new payload per changed key,
+  **typed** per the unified schema; :func:`epoch_changes`) feeds the
+  agg view, egress and un-fused re-linking: handed over in memory by
+  the merge tasks, or derived from the lake's delta chains — never
+  written. Plus lineage metrics (events applied, skew ratio, live rows
+  tracked incrementally).
 
 State is never authoritative in RAM: everything reconstructs from
 (lake delta chains + offset log) — SURVEY.md §7.3 "actor-state restart".
@@ -66,9 +67,6 @@ KEY_COLS = ("repo", "path")
 META_COLS = ("offset", "op", "txn")  # txn: transaction grouping (snap_txn_boundary), never payload
 INTERNAL_COLS = ("_offset", "_deleted", "_kh")
 DEFAULT_PARTITIONS = 64
-# the stores that read an epoch's dirty delta (the link store through
-# the linker summaries too)
-DIRTY_READERS = (ckpt.LINKS, ckpt.AGG_VIEW, ckpt.EGRESS)
 
 
 def _crc_keys(keys) -> np.ndarray:
@@ -229,7 +227,7 @@ class MergePartition:
         n_block_partitions: int = 64,
         *,
         compact: frozenset,
-        write_dirty: bool,
+        hand_off: bool,
     ):
         self.root = root
         self.epoch = epoch
@@ -238,12 +236,12 @@ class MergePartition:
         self.part_rows = part_rows
         self.renames = renames or {}  # event column -> state column
         # fused incremental-linking delta index: computing blocking-key
-        # deltas here (while the dirty payloads are already in memory)
-        # saves a whole Ray execution + dirty-file re-read per epoch
+        # deltas here (while the changed payloads are already in memory)
+        # saves a whole Ray execution + change-set read per epoch
         self.link_spec = link_spec
         self.n_block_partitions = n_block_partitions
         self.compact = compact  # pids whose chain this epoch compacts
-        self.write_dirty = write_dirty
+        self.hand_off = hand_off  # return the change table to the driver
         self._delta_stage = None
 
     def _get_delta_stage(self):
@@ -258,7 +256,9 @@ class MergePartition:
             )
         return self._delta_stage
 
-    def __call__(self, group: pa.Table) -> pa.Table:
+    def __call__(self, group: pa.Table) -> dict:
+        """Merge one partition's events; returns its metrics, plus its
+        change table under ``changes`` (None unless ``hand_off``)."""
         pid = int(group["pid"][0].as_py())
         events = group.drop_columns(["pid"])
         if self.renames:
@@ -321,26 +321,17 @@ class MergePartition:
             kh_filter = pc.unique(net["_kh"].combine_chunks())
             old = reconcile_tables(_read_chain(self.root, files, kh_filter))
             old = old.append_column("_k", chain.LAKE.key(old))
-            # exact-match (crc is just the prefilter)
-            old = old.filter(pc.is_in(old["_k"], value_set=net["_k"].combine_chunks()))
 
         state_schema = self._state_schema(net, old, payload_cols)
         state_cols = [
             f.name for f in state_schema if f.name not in ("_offset", "_deleted", "_kh")
         ]
 
-        # align old rows to net rows positionally (delta-sized python
-        # index; payload stays in Arrow)
-        old_idx_by_key: dict = {}
-        if old is not None and old.num_rows:
-            for i, k in enumerate(old["_k"].to_pylist()):
-                old_idx_by_key[k] = i
-        net_keys = net["_k"].to_pylist()
-        net_ops = net["op"].to_pylist()
-        old_pos = [old_idx_by_key.get(k, -1) for k in net_keys]  # -1 = absent
-
-        is_del = np.array([op == "D" for op in net_ops])
-        had_old = np.array([p >= 0 for p in old_pos])
+        # which changed keys the pre-epoch chain holds (exact key match;
+        # the crc read filter only prefilters)
+        is_del = pc.equal(net["op"], "D").to_numpy(zero_copy_only=False)
+        old_keys = pa.array([], pa.string()) if old is None else old["_k"].combine_chunks()
+        had_old = pc.is_in(net["_k"], value_set=old_keys).to_numpy(zero_copy_only=False)
         inserts_net = int((~is_del & ~had_old).sum())
         deletes_net = int((is_del & had_old).sum())
         new_rows = prev_rows + inserts_net - deletes_net
@@ -384,41 +375,34 @@ class MergePartition:
                 )
             ]
 
-        # -- 6. dirty delta (typed): written for the stores that read it,
-        # built for them and for the fused delta index -----------------
-        n_dirty = int((~(is_del & ~had_old)).sum())  # _dirty_table's rows
+        # -- 6. change table: handed to the driver for the stores that
+        # read it, and fed to the fused delta index -------------------
+        changes = None
         delta_stage = self._get_delta_stage()
-        if self.write_dirty or delta_stage is not None:
-            dirty_table = self._dirty_table(
-                net, old, old_pos, is_del, had_old, state_schema, state_cols
-            )
-            if self.write_dirty:
-                ckpt.atomic_write_parquet(
-                    dirty_table, ckpt.dirty_file(self.root, pid, self.epoch)
-                )
+        if self.hand_off or delta_stage is not None:
+            changes = changes_table(delta_table, old)
         # fused delta index: write blockmap shards + linker summary now
         if delta_stage is not None:
-            summary = delta_stage(dirty_table)
+            summary = delta_stage(changes)
             summary_path = os.path.join(
                 self.root, "summaries", f"p={pid:05d}", f"epoch-{self.epoch:06d}.parquet"
             )
             ckpt.atomic_write_parquet(summary, summary_path)
 
-        return pa.table(
-            {
-                "pid": pa.array([pid], pa.int32()),
-                "events_in": pa.array([n_in], pa.int64()),
-                "applied": pa.array([applied], pa.int64()),
-                "dup_skipped": pa.array([dup_skipped], pa.int64()),
-                "below_hwm": pa.array([below_hwm], pa.int64()),
-                "upserts": pa.array([upserts], pa.int64()),
-                "deletes": pa.array([deletes_net], pa.int64()),
-                "rows": pa.array([new_rows], pa.int64()),
-                "hwm": pa.array([new_hwm], pa.int64()),
-                "files": pa.array([files], pa.list_(pa.string())),
-                "dirty": pa.array([n_dirty], pa.int64()),
-            }
-        )
+        return {
+            "pid": pid,
+            "events_in": n_in,
+            "applied": applied,
+            "dup_skipped": dup_skipped,
+            "below_hwm": below_hwm,
+            "upserts": upserts,
+            "deletes": deletes_net,
+            "rows": new_rows,
+            "hwm": new_hwm,
+            "files": files,
+            "dirty": delta_table.num_rows,  # one change row per delta row
+            "changes": changes if self.hand_off else None,
+        }
 
     def _state_schema(
         self, net: pa.Table, old: pa.Table | None, payload_cols: list[str]
@@ -440,53 +424,43 @@ class MergePartition:
                 fields[c] = pa.field(c, chain.promote_type(c, prev.type, etype))
         return pa.schema(list(fields.values()))
 
-    def _dirty_table(
-        self,
-        net: pa.Table,
-        old: pa.Table | None,
-        old_pos: list[int],
-        is_del: np.ndarray,
-        had_old: np.ndarray,
-        state_schema: pa.Schema,
-        state_cols: list[str],
-    ) -> pa.Table:
-        """(repo, path, change, new_*, old_*) per changed key, typed per
-        the unified state schema; keys inserted-then-deleted within the
-        epoch (no old, no new) are excluded."""
-        keep = ~(is_del & ~had_old)
-        keep_arr = pa.array(keep)
-        src = net.filter(keep_arr)
-        k_is_del = is_del[keep]
-        k_had_old = had_old[keep]
-        take_old = pa.array(
-            [p if p >= 0 else None for p, kp in zip(old_pos, keep) if kp],
-            pa.int64(),
-        )
-        change = np.where(k_is_del, "D", np.where(k_had_old, "U", "I"))
-        cols: dict[str, pa.Array] = {
-            "repo": src["repo"].combine_chunks(),
-            "path": src["path"].combine_chunks(),
-            "change": pa.array(change.tolist(), pa.string()),
-        }
-        n = src.num_rows
-        del_mask = pa.array(k_is_del)
-        for c in state_cols:
-            if c in KEY_COLS:
-                continue
-            ftype = state_schema.field(c).type
-            if c in src.column_names:
-                col = src[c]
-                col = col if col.type == ftype else pc.cast(col, ftype)
-                cols[f"new_{c}"] = pc.if_else(del_mask, pa.nulls(n, ftype), col.combine_chunks())
-            else:
-                cols[f"new_{c}"] = pa.nulls(n, ftype)
-            if old is not None and c in old.column_names:
-                ocol = old[c].combine_chunks()
-                ocol = ocol if ocol.type == ftype else pc.cast(ocol, ftype)
-                cols[f"old_{c}"] = ocol.take(take_old)
-            else:
-                cols[f"old_{c}"] = pa.nulls(n, ftype)
-        return pa.table(cols).sort_by([("repo", "ascending"), ("path", "ascending")])
+
+def changes_table(delta: pa.Table, old: pa.Table | None) -> pa.Table:
+    """One partition's change rows ``(repo, path, change, new_*, old_*)``,
+    one per row of its epoch delta file (a key inserted and deleted
+    within the epoch has none), sorted by key: D for a tombstone, U for
+    a key the pre-epoch chain rows ``old`` hold, else I; ``new_*`` from
+    the delta (null on a tombstone), ``old_*`` from ``old``, a pair per
+    payload column in the delta's order and types."""
+    delta = delta.sort_by([("repo", "ascending"), ("path", "ascending")])
+    n = delta.num_rows
+    if old is not None and old.num_rows:
+        pos = pc.index_in(chain.LAKE.key(delta), value_set=chain.LAKE.key(old))
+    else:
+        pos = pa.nulls(n, pa.int32())
+    deleted = delta["_deleted"].combine_chunks()
+    cols: dict[str, pa.Array] = {
+        "repo": delta["repo"].combine_chunks(),
+        "path": delta["path"].combine_chunks(),
+        "change": pc.if_else(deleted, "D", pc.if_else(pc.is_valid(pos), "U", "I")),
+    }
+    for f in delta.schema:
+        if f.name in KEY_COLS or f.name in INTERNAL_COLS:
+            continue
+        cols[f"new_{f.name}"] = delta[f.name].combine_chunks()
+        if old is not None and f.name in old.column_names:
+            ocol = old[f.name].combine_chunks()
+            ocol = ocol if ocol.type == f.type else pc.cast(ocol, f.type)
+            cols[f"old_{f.name}"] = ocol.take(pos)
+        else:
+            cols[f"old_{f.name}"] = pa.nulls(n, f.type)
+    return pa.table(cols)
+
+
+def inserts_table(rows: pa.Table) -> pa.Table:
+    """Live lake rows as a change table of inserts (no old images)."""
+    live = pa.array(np.zeros(rows.num_rows, bool))
+    return changes_table(rows.append_column("_deleted", live), None)
 
 
 def _next_existing_offset(changelog, lo: int) -> int | None:
@@ -979,7 +953,7 @@ def _merge_pid_task(merger, *shards) -> dict:
     spills to disk under memory pressure rather than OOMing."""
     tables = list(shards)
     group = tables[0] if len(tables) == 1 else pa.concat_tables(tables, promote_options="default")
-    return merger(group).to_pylist()[0]
+    return merger(group)
 
 
 def run_epoch(
@@ -1044,17 +1018,17 @@ def run_epoch(
     part_files = {pid: info["files"] for pid, info in manifest.partitions.items()}
     part_rows = {pid: info.get("rows", 0) for pid, info in manifest.partitions.items()}
 
-    # the dirty delta is written only when a store that reads it has
-    # committed epoch E-1 (an absent store reads as epoch 0, so the
-    # first epoch always writes); the fused delta index reads it in
-    # memory, so the link store counts only for an un-fused merge
-    readers = [s for s in DIRTY_READERS if s is not ckpt.LINKS or link_spec is None]
+    # the merge tasks hand the epoch's change tables to the driver only
+    # when a store that reads them committed E-1 (an absent store reads
+    # as epoch 0, hence epoch > 1); the fused delta index reads them in
+    # the task, so the link store counts only for an un-fused merge
+    readers = [ckpt.AGG_VIEW, ckpt.EGRESS] + ([ckpt.LINKS] if link_spec is None else [])
     merger = MergePartition(
         root, epoch, hwm, part_files, part_rows, renames,
         link_spec=link_spec, n_block_partitions=n_block_partitions,
         # a touched partition's chain grows by this epoch's delta file
         compact=frozenset(p for p, fs in part_files.items() if chain.compact_due(len(fs) + 1)),
-        write_dirty=any(int(s.read(root)["epoch"]) == epoch - 1 for s in readers),
+        hand_off=epoch > 1 and any(int(s.read(root)["epoch"]) == epoch - 1 for s in readers),
     )
 
     t0 = time.perf_counter()
@@ -1116,6 +1090,8 @@ def run_epoch(
         num_partitions=num_partitions,
     )
     ckpt.commit_manifest(root, new_manifest, window=(lo, hi))
+    changes = [r.pop("changes") for r in metrics_rows]
+    _remember_changes(root, epoch, changes if merger.hand_off else None)
 
     per_part = {
         int(r["pid"]): {k: int(v) for k, v in r.items() if k not in ("pid", "files")}
@@ -1162,39 +1138,83 @@ _file_epoch = ckpt.file_epoch
 gc_lake = ckpt.LAKE.gc
 
 
-def epoch_inputs(root: str, sub: str, epoch: int) -> list[str]:
-    """Merge epoch ``epoch``'s per-partition input files under ``sub``
-    (``dirty`` or ``summaries``), in partition order."""
-    return sorted(glob.glob(os.path.join(root, sub, "*", f"epoch-{epoch:06d}.parquet")))
+def epoch_summaries(root: str, epoch: int) -> list[str]:
+    """Merge epoch ``epoch``'s per-partition linker summary files (the
+    fused delta index's output), in partition order."""
+    return sorted(glob.glob(os.path.join(root, "summaries", "*", f"epoch-{epoch:06d}.parquet")))
 
 
 def epoch_changed_nothing(root: str, epoch: int) -> bool:
     """Merge epoch ``epoch`` changed no key, so it has no inputs to
-    read: no dirty row (a repartition's record has no ``dirty_total``).
+    read: no change row (a repartition's record has no ``dirty_total``).
     An absent record counts as a change."""
     record = ckpt.read_json(ckpt.metrics_path(root, epoch))
     return record is not None and not record.get("dirty_total")
 
 
+# The latest change set this process saw, one entry keyed by root, epoch
+# and the identity of the epoch's manifest snapshot file (a lake rewritten
+# under the same root is never served stale rows): run_epoch primes it,
+# epoch_changes fills it on a miss.
+_CHANGES: dict = {}
+
+
+def _changes_key(root: str, epoch: int) -> tuple:
+    st = os.stat(ckpt.LAKE._snapshot_path(root, epoch))
+    return (os.path.realpath(root), epoch, st.st_ino, st.st_mtime_ns)
+
+
+def _remember_changes(root: str, epoch: int, tables: list[pa.Table] | None) -> None:
+    """Remember ``tables`` (None: nothing) as the epoch's change set,
+    ``[]`` when no table has a row (as :func:`epoch_changes` derives it)."""
+    _CHANGES.clear()
+    if tables is not None:
+        _CHANGES[_changes_key(root, epoch)] = tables if any(t.num_rows for t in tables) else []
+
+
+def epoch_changes(root: str, epoch: int) -> list[pa.Table]:
+    """Merge epoch ``epoch``'s change set: one :func:`changes_table` per
+    touched partition in partition order, ``[]`` when no key changed.
+    The merge tasks' in-memory tables when this process committed the
+    epoch for a reader at ``epoch - 1``; otherwise derived (same rows,
+    schema and order) from each touched partition's epoch delta file and
+    its chain at manifest ``epoch - 1``, which raises FileNotFoundError
+    outside the retention window (``EngineConfig.retain_epochs``)."""
+    key = _changes_key(root, epoch)
+    if key not in _CHANGES:
+        prev = ckpt.read_manifest_at(root, epoch - 1).partitions if epoch > 1 else {}
+        tables = []
+        if not epoch_changed_nothing(root, epoch):
+            for pid, info in sorted(ckpt.read_manifest_at(root, epoch).partitions.items()):
+                if info.get("epoch") != epoch:  # untouched this epoch
+                    continue
+                delta = pq.read_table(ckpt.partition_file(root, pid, epoch))
+                files = (prev.get(pid) or {}).get("files")
+                old = None
+                if delta.num_rows and files:
+                    old = reconcile_tables(
+                        _read_chain(root, files, pc.unique(delta["_kh"].combine_chunks()))
+                    )
+                tables.append(changes_table(delta, old))
+        _remember_changes(root, epoch, tables)
+    return list(_CHANGES[key])
+
+
 def gc_link_inputs(root: str) -> int:
-    """Delete the dirty-delta and linker-summary files no present
-    reader store (agg view, egress, links) can still read. A reader at
-    epoch s reads s+1 next and s again after a one-epoch rollback; a
-    store further behind rebuilds from the snapshot instead. With no
-    reader, nothing older than the merge epoch is kept. Returns files
+    """Delete the linker-summary files the link store can no longer
+    read. A store at epoch s reads s+1 next and s again after a
+    one-epoch rollback; a store further behind re-indexes the snapshot
+    instead. Nothing older than the merge epoch is kept otherwise (the
+    cluster store reads the merge epoch's summaries). Returns files
     removed."""
     merge_epoch = ckpt.read_manifest(root).epoch
-    keep = set()
-    for store in DIRTY_READERS:
-        s = int(store.read(root)["epoch"])
-        if s:
-            keep.update((s, s + 1))
+    s = int(ckpt.LINKS.read(root)["epoch"])
+    keep = {s, s + 1} if s else set()
     removed = 0
-    for sub in ("dirty", "summaries"):
-        for f in glob.glob(os.path.join(root, sub, "*", "*.parquet")):
-            e = _file_epoch(os.path.basename(f))
-            if e is not None and e < merge_epoch and e not in keep:
-                removed += ckpt._remove(f)
+    for f in glob.glob(os.path.join(root, "summaries", "*", "*.parquet")):
+        e = _file_epoch(os.path.basename(f))
+        if e is not None and e < merge_epoch and e not in keep:
+            removed += ckpt._remove(f)
     return removed
 
 

@@ -2222,7 +2222,7 @@ def cdc_flagship(sf_dir: str):
 def cdc_agg(sf_dir: str):
     """Maintained aggregate view after the full CDC run: ``GROUP BY
     lang → count(*), sum(char length of content)`` updated
-    delta-natively per epoch from the merge stage's dirty files
+    delta-natively per epoch from the merge stage's change sets
     (cdc/matview.py — only touched view shards are rewritten; measures
     are exact-integer sums, so the maintained result is byte-identical
     to a batch GROUP BY). Oracle: the same aggregate over the

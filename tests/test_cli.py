@@ -226,8 +226,7 @@ def test_cli_status(ray_session, tmp_path, capsys):
 
 def test_cli_status_storage_per_directory(ray_session, tmp_path, capsys):
     """`status` reports on-disk bytes and files under each top-level
-    data directory; a merge-only lake keeps at most one epoch of dirty
-    deltas (no store reads them past the first epoch)."""
+    data directory; the lake's bytes are the files under partitions/."""
     import glob
     import json
     import os
@@ -241,14 +240,14 @@ def test_cli_status_storage_per_directory(ray_session, tmp_path, capsys):
     assert len(run(root, log, EngineConfig(epoch_size=100, num_partitions=3))) == 3
     assert main(["status", "--root", root]) == 0
     storage = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["storage"]
-    assert set(storage) == {"partitions", "dirty", "summaries", "blockmap", "links",
+    assert set(storage) == {"partitions", "summaries", "blockmap", "links",
                             "clusters", "aggview", "egress", "windows", "_metrics"}
     assert storage["partitions"]["files"] > 0 and storage["partitions"]["bytes"] > 0
     assert storage["_metrics"]["files"] == 3
-    assert storage["dirty"]["files"] <= 3  # one file per partition of one epoch
-    dirty = glob.glob(os.path.join(root, "dirty", "*", "*.parquet"))
-    assert len({os.path.basename(f) for f in dirty}) <= 1
-    assert storage["dirty"]["bytes"] == sum(map(os.path.getsize, dirty))
+    parts = glob.glob(os.path.join(root, "partitions", "*", "*.parquet"))
+    assert storage["partitions"]["files"] == len(parts)
+    assert storage["partitions"]["bytes"] == sum(map(os.path.getsize, parts))
+    assert storage["summaries"] == {"bytes": 0, "files": 0}
 
 
 def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):

@@ -237,19 +237,67 @@ def test_egress_late_enable_refuses_then_resyncs(lake, ray_session):
 
 
 def test_egress_paused_past_one_epoch_refuses(lake, ray_session):
-    """A stream paused for two epochs: the first missed epoch's dirty
-    delta exists (egress sat at the epoch before it), the second's was
-    never written, so catch-up refuses instead of emitting a stream
-    with a silently empty epoch; a resync continues it."""
+    """A stream paused for two epochs under ``retain_epochs=1``: the
+    first missed epoch's pre-epoch manifest is already GC'd, so its
+    change set cannot be derived and catch-up refuses instead of
+    emitting a stream with a silently empty epoch; a resync continues
+    it."""
     log = _changelog(seed=47)
     run(lake, log, _cfg(egress_shards=8, max_epochs=1))
     run(lake, log, _cfg(egress=False, max_epochs=2))
     with pytest.raises(RuntimeError, match="resync"):
         catch_up(lake, log, _cfg(egress_shards=8))
-    assert int(read_egressstate(lake)["epoch"]) == 2
+    assert int(read_egressstate(lake)["epoch"]) == 1
     egress_resync(lake, num_shards=8)
     run(lake, log, _cfg(egress_shards=8, max_epochs=1))
     assert int(read_egressstate(lake)["epoch"]) == 4
+
+
+def _compacted_at(root: str, epoch: int) -> bool:
+    return bool(glob.glob(os.path.join(root, "partitions", "*", f"compact-{epoch:06d}.parquet")))
+
+
+def test_egress_paused_within_retention_catches_up(lake, tmp_path, ray_session, monkeypatch):
+    """Under ``retain_epochs=2`` a stream paused for two epochs, one of
+    them a lake compaction epoch, derives both change sets from the lake
+    (in a fresh process) and ends byte-identical to an unpaused twin."""
+    from silk_ray.cdc import chain, merge
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
+    log = _changelog(seed=49)
+    twin = str(tmp_path / "twin")
+    run(twin, log, _cfg(retain_epochs=2, max_epochs=5))
+    run(lake, log, _cfg(retain_epochs=2, max_epochs=2))
+    run(lake, log, _cfg(retain_epochs=2, egress=False, max_epochs=2))
+    assert _compacted_at(lake, 3)
+    merge._CHANGES.clear()
+    catch_up(lake, log, _cfg(retain_epochs=2))
+    assert int(read_egressstate(lake)["epoch"]) == 4
+    run(lake, log, _cfg(retain_epochs=2, max_epochs=1))
+    assert _egress_file_hashes(lake) == _egress_file_hashes(twin)
+    assert egress_table(lake).equals(egress_table(twin))
+
+
+@pytest.mark.parametrize("fresh_process", [False, True], ids=["memo", "derived"])
+def test_egress_one_epoch_lag_across_compaction(
+    fresh_process, lake, tmp_path, ray_session, monkeypatch
+):
+    """Egress misses one epoch, a lake compaction epoch, and catches up
+    under the default retention to an unpaused twin's bytes."""
+    from silk_ray.cdc import chain, merge
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
+    log = _changelog(seed=51)
+    twin = str(tmp_path / "twin")
+    run(twin, log, _cfg(max_epochs=4))
+    run(lake, log, _cfg(max_epochs=2))
+    run(lake, log, _cfg(egress=False, max_epochs=1))
+    assert _compacted_at(lake, 3)
+    if fresh_process:
+        merge._CHANGES.clear()
+    catch_up(lake, log, _cfg())
+    run(lake, log, _cfg(max_epochs=1))
+    assert _egress_file_hashes(lake) == _egress_file_hashes(twin)
 
 
 def test_egress_shard_count_change_refuses(lake, ray_session):

@@ -4,7 +4,8 @@ catch-up, and every stage function resolves at call time.
 
 - a crash in any stage's update, after the merge commit, resumes to the
   state of an uninterrupted run (lake sha, links, clusters, agg view,
-  egress stream, windows and late output);
+  egress stream, windows and late output), also when the resume starts
+  without the merge's in-memory change set;
 - the benchmark tracer's engine-path spans fire under a real run, which
   an early-bound stage function would silently skip.
 """
@@ -130,6 +131,40 @@ def test_crash_in_stage_resumes_to_straight_run(
         assert got[name].equals(straight[name]), name
     conf = [float.hex(c) for c in got["links"]["confidence"].to_pylist()]
     assert conf == [float.hex(c) for c in straight["links"]["confidence"].to_pylist()]
+
+
+@pytest.mark.parametrize("crash_epoch", [3, N_EPOCHS], ids=["mid", "last"])
+@pytest.mark.parametrize("stage", ["aggs", "egress"])
+def test_crash_before_change_reader_resumes_in_fresh_process(
+    stage, crash_epoch, log, straight, tmp_path, monkeypatch
+):
+    """A crash between the merge commit and the agg view or egress
+    stage, resumed with the in-memory change set forgotten (as a new
+    process would start): the stores derive the epoch's change set from
+    the lake and finish with the uninterrupted run's outputs."""
+    from silk_ray.cdc import merge
+
+    module, attr, epoch_arg = STAGES[stage]
+    update = getattr(module, attr)
+
+    def crash(*args, **kwargs):
+        if args[epoch_arg] == crash_epoch:
+            raise RuntimeError(f"injected crash in {stage}")
+        return update(*args, **kwargs)
+
+    root = str(tmp_path / "lake")
+    run(root, log, _cfg(max_epochs=crash_epoch - 1))
+    monkeypatch.setattr(module, attr, crash)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        run(root, log, _cfg(max_epochs=1))
+    assert engine.ckpt.read_manifest(root).epoch == crash_epoch
+    monkeypatch.undo()
+    merge._CHANGES.clear()
+    run(root, log, _cfg())
+    got = _outputs(root)
+    assert got["state_sha256"] == straight["state_sha256"]
+    for name in ("links", "clusters", "aggs", "egress", "windows", "late"):
+        assert got[name].equals(straight[name]), name
 
 
 def test_tracer_spans_fire_under_engine_run(log, tmp_path, ray_session):

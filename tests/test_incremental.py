@@ -256,6 +256,45 @@ def test_blockmap_has_one_row_per_entity(engine_run):
                 assert keys is None
 
 
+def _embedded_schema(path):
+    """The Arrow schema a parquet file's writer declared (pyarrow reads
+    every list child back as ``element``, so ``schema_arrow`` alone
+    cannot tell two writers' list field names apart)."""
+    import base64
+
+    import pyarrow.parquet as pq
+
+    raw = pq.read_metadata(path).metadata[b"ARROW:schema"]
+    return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(raw)))
+
+
+def test_blockmap_chain_files_share_one_schema(ray_session, tmp_path, monkeypatch):
+    """Shard, merged and compact blockmap files — every kind a chain
+    holds — are written in one Arrow schema, list field names included."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from silk_ray.cdc import chain
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
+    log = make_changelog(make_base_table(60, seed=121, near_dup_frac=0.3), 400, seed=122)
+    root = str(tmp_path / "lake")
+    run(root, log, EngineConfig(epoch_size=100, num_partitions=4, n_block_partitions=4,
+                                rule_spec=UNFILTERED_RULE, gc=False))
+    files = _blockmap_files(root)
+    kinds = {
+        "compact" if os.path.basename(f).startswith("compact-")
+        else "merged" if f.endswith("-merged.parquet") else "shard"
+        for f in files
+    }
+    assert kinds == {"shard", "merged", "compact"}
+    # str(): list types compare equal whatever their child field names
+    (declared,) = {str(_embedded_schema(f)) for f in files}
+    assert "keys: list<item: int64>" in declared
+    assert len({str(pq.ParquetFile(f).schema_arrow) for f in files}) == 1
+
+
 def test_per_key_blockmap_layout_is_refused(tmp_path):
     """A blockmap file in the old per-key layout (a ``key`` column) raises
     one clear error naming the file and asking for a link-store rebuild."""
@@ -525,9 +564,9 @@ def test_late_or_paused_link_store_rebuilds_from_snapshot(
 
 
 def test_fused_crash_window_without_dirty_files(tmp_path, late_log):
-    """Merge E with the fused index commits (no store reads the dirty
-    delta, so none is written) and the link update is lost: the epoch's
-    summaries alone bring the link store up to batch linking."""
+    """Merge E with the fused index commits (no store reads the change
+    set, so the merge hands none off) and the link update is lost: the
+    epoch's summaries alone bring the link store up to batch linking."""
     import glob
     import json
     import os
