@@ -411,13 +411,14 @@ def cmd_status(args) -> int:
     from silk_ray.cdc.egress import consumer_lag
 
     def links_extras(st: dict) -> dict:
-        # the committed links epoch's phase and task-wave record
+        # the committed links epoch's phase, task-wave and index-bytes record
         out = {"links_total": st.get("links_total")}
         path = ckpt.metrics_path(args.root, int(st["epoch"]), kind="links")
         if os.path.exists(path):
             with open(path) as f:
                 record = json.load(f)
-            out.update({k: record[k] for k in ("phases", "task_s") if k in record})
+            out.update({k: record[k] for k in ("phases", "task_s", "index_bytes")
+                        if k in record})
         return out
 
     extras = {

@@ -1,11 +1,19 @@
 """LSM delta chains: the reconcile, compaction rule and compact-file
-writer that the lake (``partitions/p=*``) and the link index
-(``blockmap/bp=*``) share.
+writer that every chain of the engine shares. There are three kinds:
+
+- the lake's partitions (``partitions/p=*``, :data:`LAKE`): one row per
+  key with its payload;
+- the link index's postings (``blockmap/bp=*``, :data:`BLOCKMAP`): one
+  row per (side, uri) entity in each block partition of its keys, the
+  entity's blocking keys only;
+- the link index's entity chain (``blockmap/ent=00000``,
+  :data:`ENTITIES`): one row per (side, uri) entity with its leaf
+  values, written once however many partitions hold its keys.
 
 A chain is an ordered list of parquet files, oldest first: each epoch
 appends a delta file, and a compaction rewrites the chain as one
 ``compact-E`` file. A :class:`Format` names what differs between the
-two LSMs — the key (``repo\\0path`` / ``uri``), the tombstone
+kinds — the key (``repo\\0path`` / ``uri``), the tombstone
 (``_deleted`` / ``action == "del"``), the compact file's row order and
 its directory. GC of chain files is the owning epoch store's rule
 (``checkpoint.LAKE`` / ``checkpoint.LINKS``).
@@ -23,7 +31,7 @@ import pyarrow.compute as pc
 
 from silk_ray.cdc import checkpoint as ckpt
 
-COMPACT_AT = 8  # chain files (lake partition or blockmap partition) before compaction
+COMPACT_AT = 8  # chain files (of any kind) before compaction
 
 
 def compact_due(n_files: int) -> bool:
@@ -54,11 +62,14 @@ LAKE = Format(
     (("_kh", "ascending"), ("repo", "ascending"), ("path", "ascending")),
     "partitions/p",
 )
-BLOCKMAP = Format(
-    lambda t: t["uri"].combine_chunks(), "action", "add", True,
-    (("side", "ascending"), ("uri", "ascending"), ("action", "ascending")),
-    "blockmap/bp",
-)
+def _uri_key(t: pa.Table) -> pa.Array:
+    return t["uri"].combine_chunks()
+
+
+# the link index's two kinds: a uri's newest write holds all its sides
+_LINK_ORDER = (("side", "ascending"), ("uri", "ascending"), ("action", "ascending"))
+BLOCKMAP = Format(_uri_key, "action", "add", True, _LINK_ORDER, "blockmap/bp")
+ENTITIES = Format(_uri_key, "action", "add", True, _LINK_ORDER, "blockmap/ent")
 
 
 class SchemaConflictError(ValueError):

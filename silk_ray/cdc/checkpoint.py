@@ -13,8 +13,9 @@ store     pointer             snapshots                    data dirs    GC keeps
 ========  ==================  ===========================  ===========  =======================================
 lake      _manifest.json      _manifests/manifest-E.json   partitions/  pointer, prev_files, snapshots E-K..E-1,
                                                                         each kept epoch's own delta files
-links     _linkstate.json     _linkstates/state-E.json     links/,      pointer, links_files_prev,
-                                                           blockmap/    blockmap_prev, snapshots
+links     _linkstate.json     _linkstates/state-E.json     links/,      pointer (links, postings and entity
+                                                           blockmap/    chains), links_files_prev,
+                                                                        blockmap_prev, snapshots
 clusters  _clusterstate.json  _clusterstates/state-E.json  clusters/    pointer, dir_prev, snapshots
 agg_view  _aggstate.json      _aggstates/state-E.json      aggview/     pointer, snapshots
 windows   _winstate.json      none                         windows/     pointer, files of epochs > E-K
@@ -23,6 +24,10 @@ egress    _egressstate.json   none                         none         no sweep
 
 The lake's ``partitions/`` and the link store's ``blockmap/`` hold LSM
 delta chains (``chain.py``); a state names every file of each chain.
+The link store's ``blockmap/`` holds two kinds: one postings chain per
+block partition (``bp=*``, the linkstate's ``blockmap``) and one entity
+chain (``ent=00000``, its ``entities``); ``blockmap_prev`` lists the
+previous state's files of both.
 
 Stores without snapshots answer as-of reads at the pointer epoch
 only. Windows declare the floor E-K (``floor_lag=0``); egress
@@ -287,7 +292,8 @@ LINKS = EpochStore(
     "links", "_linkstate.json", "_linkstates/state-",
     {"epoch": 0, "blockmap": {}, "links_files": []},
     lambda s: [e["file"] for e in s.get("links_files") or []]
-    + [f for chain in s.get("blockmap", {}).values() for f in chain],
+    + [f for chain in s.get("blockmap", {}).values() for f in chain]
+    + s.get("entities", []),
     ("links", "blockmap"),
     prev_files=lambda s: [e["file"] for e in s.get("links_files_prev", [])]
     + s.get("blockmap_prev", []),

@@ -26,11 +26,11 @@ lake while manifest E-1 is retained. ``merge.gc_link_inputs`` keeps the
 fused link summaries for the link store's next epoch and its one-epoch
 rollback window only.
 
-Storage GC (per epoch, post-commit; ``EngineConfig.gc``, off = no
-sweep at all): superseded lake/blockmap chain files, orphaned
-shard-write attempts and consumed summary inputs are deleted — the
-lake's and the link store's (``links/`` + ``blockmap/``, via
-``gc_blockmap``) through one ``EpochStore.gc`` rule. A tailing engine
+Storage GC (post-commit, after the crash catch-up and after each epoch;
+``EngineConfig.gc``, off = no sweep at all): superseded lake and link
+index chain files, orphaned shard-write attempts and consumed summary
+inputs are deleted — the lake's and the link store's (``links/`` +
+``blockmap/``, via ``gc_blockmap``) through one ``EpochStore.gc`` rule. A tailing engine
 keeps O(live state + in-flight epoch) files, not O(history). Every
 rule retains a one-epoch rollback window (``prev_files`` /
 ``links_files_prev`` + ``blockmap_prev`` / the link store's summary
@@ -213,9 +213,21 @@ def run(root: str, changelog, config: EngineConfig) -> list[dict]:
         ckpt.release_writer(root)
 
 
+def _gc(root: str, stages: list[tuple], config: EngineConfig) -> int:
+    """Post-commit storage GC of the lake, the link inputs and every
+    stage's store; files removed. Every rule deletes only files the
+    committed states can no longer reference."""
+    n = gc_lake(root, retain_epochs=config.retain_epochs) + gc_link_inputs(root)
+    return n + sum(gc(root) for _name, _update, gc in stages if gc)
+
+
 def _run_locked(root: str, changelog, config: EngineConfig, results: list) -> list[dict]:
     catch_up(root, changelog, config)
     stages = _stages(changelog, config)
+    if config.gc:
+        # what a catch-up (or a bootstrap before it) superseded goes now,
+        # not at the end of the next epoch
+        _gc(root, stages, config)
     epochs = 0
     cur_epoch_size = config.epoch_size
     while config.max_epochs is None or epochs < config.max_epochs:
@@ -237,10 +249,7 @@ def _run_locked(root: str, changelog, config: EngineConfig, results: list) -> li
             break
         m.update(_advance(root, stages, m["epoch"]))
         if config.gc:
-            # post-commit storage GC: every rule below deletes only
-            # files the committed manifests can no longer reference
-            n_gc = gc_lake(root, retain_epochs=config.retain_epochs) + gc_link_inputs(root)
-            m["gc_files"] = n_gc + sum(gc(root) for _name, _update, gc in stages if gc)
+            m["gc_files"] = _gc(root, stages, config)
         # per-epoch wall time: epochs are identical in shape, so the
         # best epoch is a throttling-robust throughput estimator on
         # hosts where sustained-load wall time swings run-to-run

@@ -6,13 +6,18 @@ rule/execution/methods/MultiBlock.scala applied delta-wise):
 
 Persisted link state under ``lake_root/`` (LSM-style)::
 
-    blockmap/bp={B}/delta-{E}-*.parquet    # per-epoch delta shards, one
-                                           # row per (side, uri) entity:
-                                           # (action, side, uri, keys,
-                                           # vals_0..m), sorted by
+    blockmap/bp={B}/delta-{E}-*.parquet    # postings: per-epoch delta
+                                           # shards, one row per (side,
+                                           # uri) entity: (action, side,
+                                           # uri, keys), sorted by
                                            # (side, uri)
     blockmap/bp={B}/compact-{E}.parquet    # compacted chain (all 'add';
                                            # chain.py's LSM chain)
+    blockmap/ent=00000/delta-{E}-*.parquet # entity chain: one row per
+    blockmap/ent=00000/compact-{E}.parquet # changed (side, uri) entity:
+                                           # (action, side, uri,
+                                           # vals_0..m); side 1 alone
+                                           # for a symmetric rule
     links/epoch-{E}/part-*.parquet         # UNFILTERED link set as a file
                                            # MANIFEST: the linkstate lists
                                            # (file, rows, uri-bitset sketch)
@@ -20,39 +25,47 @@ Persisted link state under ``lake_root/`` (LSM-style)::
                                            # epoch rewrites only files whose
                                            # sketch hits a dirty uri
     _linkstate.json                        # atomic pointer {epoch, per-bp
-                                           # file chains, links manifest}
+                                           # postings chains, the entity
+                                           # chain, links manifest}
 
-An entity's row sits in every block partition ``k % B`` of its blocking
-keys ``k`` and carries its FULL sorted key set; its blocks in partition
-``b`` are ``{k ∈ keys : k % B == b}``, exploded at read time. A blockmap
-file with a ``key`` column (the older one-row-per-key layout) is
-refused: the link store must be rebuilt from the snapshot.
+An entity's postings row sits in every block partition ``k % B`` of its
+blocking keys ``k`` and carries its FULL sorted key set; its blocks in
+partition ``b`` are ``{k ∈ keys : k % B == b}``, exploded at read time.
+Its leaf values are stored once, in the entity chain (PAPER.md §1.1: an
+entity is a uri plus its values; a block only groups entities). A
+postings file in another layout — the older one-row-per-key layout (a
+``key`` column) or rows that still carry ``vals_*`` — is refused: the
+link store must be rebuilt from the snapshot.
 
 Per merge epoch E (consuming the fused index's ``summaries/p=*/epoch-{E}``
 files, or the epoch's change set ``merge.epoch_changes`` when the merge
 ran un-fused; a store more than one epoch behind consumes the snapshot
 instead, see :func:`update_links`):
 
-1. **delta index + shard write** (fused into the merge tasks, or its
-   own ``map_batches`` pass; no shuffle): for every changed key and
-   link side, compute the OLD payload's blocking keys and the NEW
-   payload's keys + leaf-comparison values; write one 'add' entity row
-   per partition of the new keys and one payload-less 'del' row per
-   partition only the old keys had.
-   Each task writes its per-bp shard files directly (same-epoch shards
-   of one bp touch disjoint uris, so reconciliation order among them is
+1. **delta index + shard write** (fused into the merge tasks, or run
+   on the driver over the change tables; no shuffle): for every
+   changed key and link side, compute the OLD payload's blocking keys
+   and the NEW payload's keys + leaf-comparison values; write one 'add'
+   postings row per partition of the new keys and one 'del' row per
+   partition only the old keys had, plus one entity-chain row — the
+   values ('add'), or a 'del' for an entity that left the index.
+   Each task writes its shard files directly (same-epoch shards of one
+   chain touch disjoint uris, so reconciliation order among them is
    irrelevant) and returns only a small ``(bp, file, key, uri)``
-   summary, one row per old and new key. O(delta) writes.
-2. **consolidation + compaction**: a bp's same-epoch shards merge into
-   one delta file, so each chain grows one file per epoch; a chain
-   past ``chain.COMPACT_AT`` files is rewritten as one compact file of
-   entity rows by ``chain.write_compact`` (the lake's rule and writer;
-   amortized O(index/COMPACT_AT) per epoch).
+   summary, one row per old and new key (and one per entity-chain row,
+   ``bp`` = :data:`ENT`, no key). O(delta) writes.
+2. **consolidation + compaction**: a chain's same-epoch shards merge
+   into one delta file, so each chain grows one file per epoch; a chain
+   past ``chain.COMPACT_AT`` files is rewritten as one compact file by
+   ``chain.write_compact`` (the lake's rule and writer; amortized
+   O(index/COMPACT_AT) per epoch). The entity chain is one more chain.
 3. **delta re-score** (raw-task wave 1): per cost-balanced loader
-   bucket, reconcile each chain once (newest-file-wins per uri), keep
-   the affected blocks (vectorized ``is_in``), key-sub-split hot bps,
-   dedupe entities by (uri, side) across the bucket's partitions and
-   score them with :meth:`PairScorer.score_entities`: candidate pairs
+   bucket, reconcile each postings chain once (newest-file-wins per
+   uri), keep the affected blocks (vectorized ``is_in``), key-sub-split
+   hot bps and dedupe entities by (uri, side) across the bucket's
+   partitions; then read the entity chain once, only the rows of those
+   entities, and attach their values. The entities are scored with
+   :meth:`PairScorer.score_entities`: candidate pairs
    are enumerated in numpy over the sorted block index — pairs need ≥1
    dirty side (clean∩clean pairs keep their stored links) and are
    scored in their smallest shared block — then scored column-at-a-time,
@@ -68,7 +81,9 @@ instead, see :func:`update_links`):
    files) per epoch, not O(total links). Every wave-1 and write task
    times its own steps; the sums, the task counts and the candidate
    pairs scored and kept (``pairs``, ``pairs_kept``) are the ``task_s``
-   map of ``_metrics/links-E.json``. Raw Ray tasks, not a
+   map of ``_metrics/links-E.json``; its ``index_bytes`` map holds the
+   live bytes of the postings chains and the entity chain and the bytes
+   this epoch added to each. Raw Ray tasks, not a
    Dataset: per-epoch deltas are small and the streaming-executor
    startup (~1.5 s/epoch) dominated the useful work (measured, see
    BASELINE.md); the batch-linking path stays a Dataset pipeline.
@@ -97,7 +112,7 @@ import pyarrow.parquet as pq
 from silk_ray.cdc import chain, checkpoint as ckpt, remote
 from silk_ray.cdc.merge import epoch_changed_nothing, epoch_changes, epoch_summaries, inserts_table
 from silk_ray.kernel.rule import LinkageRule
-from silk_ray.linking.pipeline import _compile_rule
+from silk_ray.linking.pipeline import _compile_rule, _spec_symmetric
 
 DEFAULT_BLOCK_PARTITIONS = 64
 
@@ -118,36 +133,38 @@ read_linkstate_at = ckpt.LINKS.read_at
 
 
 class DeltaIndexStage:
-    """Turn change rows (``merge.changes_table``) into blockmap entity
-    delta rows (both link sides).
+    """Turn change rows (``merge.changes_table``) into link-index delta
+    rows: postings for both link sides and one entity-chain row per
+    entity.
 
-    Per change row and side: one ``add`` row — the entity's full sorted
-    ``keys`` and its leaf values — in every block partition
-    ``{k % B : k ∈ new keys}``, and one payload-less ``del`` row in
-    every partition ``{k % B : k ∈ old keys}`` the entity left.
+    Per change row and side: one ``add`` postings row — the entity's
+    full sorted ``keys`` — in every block partition ``{k % B : k ∈ new
+    keys}``, and one key-less ``del`` row in every partition ``{k % B :
+    k ∈ old keys}`` the entity left. The entity's leaf values go once
+    into the entity chain: an ``add`` row while it has keys, a ``del``
+    row when it leaves the index; a symmetric rule writes side 1 alone.
 
-    Each task writes its per-bp delta shard files DIRECTLY (no shuffle:
-    every (uri, bp) pair is produced by exactly one task because the
-    merge stage emits one change row per key per epoch, so same-epoch
-    shards of one bp touch disjoint uris and their reconciliation order
-    is irrelevant) and returns only a small summary ``(bp, file, key,
-    uri)``, one row per old and new key and side — ``update_links``
-    registers the shards and collects affected keys / dirty uris from
-    it."""
+    Each task writes its per-bp postings shards and its entity shard
+    DIRECTLY (no shuffle: every uri is produced by exactly one task
+    because the merge stage emits one change row per key per epoch, so
+    same-epoch shards of one chain touch disjoint uris and their
+    reconciliation order is irrelevant) and returns only a small
+    summary ``(bp, file, key, uri)``, one row per old and new key and
+    side, then one per entity-chain row (``bp`` = :data:`ENT`, null
+    ``key``) — ``update_links`` registers the shards and collects
+    affected keys / dirty uris from it."""
 
     def __init__(self, rule_spec, n_block_partitions: int, shard_root: str, epoch: int = 0):
-        from silk_ray.linking.pipeline import _spec_symmetric
-
         self.rule = _compile_rule(rule_spec)
         self.nbp = n_block_partitions
         self.shard_root = shard_root
         self.epoch = epoch
         self.n_leaves = len(self.rule.leaf_comparisons())
-        self.schema = _delta_schema(self.n_leaves)
         # symmetric rules (every leaf's source == target spec): side-1
         # and side-0 evaluations coincide, so transforms/index hashing
-        # run once per entity instead of per side
-        self.symmetric = isinstance(rule_spec, dict) and _spec_symmetric(rule_spec)
+        # run once per entity instead of per side, and side 1's values
+        # serve both roles
+        self.symmetric = _spec_symmetric(rule_spec)
 
     def _payload_entity(self, row: dict, prefix: str) -> dict | None:
         ent = {"repo": [row["repo"]], "path": [row["path"]]}
@@ -163,20 +180,11 @@ class DeltaIndexStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         from silk_ray.cdc.generator import make_uri
 
-        rows: dict[str, list] = {f.name: [] for f in self.schema}
+        post, ents = [], []  # (action, side, uri, keys) / (action, side, uri, *vals)
         row_bp: list[int] = []
         sum_key, sum_uri = [], []
         rule, nbp = self.rule, self.nbp
         no_vals = [None] * self.n_leaves
-
-        def emit(bp, action, side, uri, keys, vals):
-            row_bp.append(bp)
-            rows["action"].append(action)
-            rows["side"].append(side)
-            rows["uri"].append(uri)
-            rows["keys"].append(keys)
-            for i, v in enumerate(vals):
-                rows[f"vals_{i}"].append(v)
 
         for row in batch.to_pylist():
             uri = make_uri(row["repo"], row["path"])
@@ -195,93 +203,179 @@ class DeltaIndexStage:
                 sum_uri.extend([uri] * len(touched))
                 new_bps = sorted({k % nbp for k in new_keys or ()})
                 for bp in new_bps:
-                    emit(bp, "add", side, uri, new_keys, new_vals)
+                    row_bp.append(bp)
+                    post.append(("add", side, uri, new_keys))
                 for bp in sorted({k % nbp for k in old_keys or ()}.difference(new_bps)):
-                    emit(bp, "del", side, uri, None, no_vals)
-        table = pa.Table.from_arrays(
-            [pa.array(rows[f.name], type=f.type) for f in self.schema], schema=self.schema
+                    row_bp.append(bp)
+                    post.append(("del", side, uri, None))
+                if side == 1 or not self.symmetric:
+                    if new_keys:
+                        ents.append(("add", side, uri, *new_vals))
+                    elif old_keys:
+                        ents.append(("del", side, uri, *no_vals))
+        return self._write_shards(
+            _rows_table(post, POSTINGS), _rows_table(ents, _values_schema(self.n_leaves)),
+            np.asarray(row_bp, np.int64), sum_key, sum_uri,
         )
-        return self._write_shards(table, np.asarray(row_bp, np.int64), sum_key, sum_uri)
 
-    def _write_shards(self, table: pa.Table, row_bp: np.ndarray, sum_key, sum_uri) -> pa.Table:
-        """Write one shard file per touched bp locally, rows sorted by
-        (side, uri); return the summary rows, grouped by bp in order of
-        first appearance."""
+    def _write_shards(self, post: pa.Table, ents: pa.Table, row_bp: np.ndarray,
+                      sum_key, sum_uri) -> pa.Table:
+        """Write one postings shard per touched bp and one entity shard,
+        rows sorted by (side, uri); return the summary rows, grouped by
+        bp in order of first appearance, then the entity rows."""
         import uuid
 
+        tag = f"delta-{self.epoch:06d}-{uuid.uuid4().hex[:8]}.parquet"
         sum_bp = [k % self.nbp for k in sum_key]
         rel_of: dict[int, str] = {}
         for bp in dict.fromkeys(sum_bp):
-            shard = table.filter(pa.array(row_bp == bp)).sort_by(list(chain.BLOCKMAP.order))
-            rel = os.path.join(
-                "blockmap", f"bp={bp:05d}",
-                f"delta-{self.epoch:06d}-{uuid.uuid4().hex[:8]}.parquet",
-            )
-            ckpt.atomic_write_parquet(shard, os.path.join(self.shard_root, rel))
-            rel_of[bp] = rel
+            rel_of[bp] = _write_sorted(self.shard_root, post.filter(pa.array(row_bp == bp)),
+                                       _chain_file(bp, tag))
         rank = {bp: i for i, bp in enumerate(rel_of)}
         order = np.argsort([rank[bp] for bp in sum_bp], kind="stable").tolist()
+        bps = [sum_bp[r] for r in order]
+        files = [rel_of[bp] for bp in bps]
+        keys = [sum_key[r] for r in order]
+        uris = [sum_uri[r] for r in order]
+        if ents.num_rows:
+            rel = _write_sorted(self.shard_root, ents, _chain_file(ENT, tag))
+            bps += [ENT] * ents.num_rows
+            files += [rel] * ents.num_rows
+            keys += [None] * ents.num_rows
+            uris += ents["uri"].to_pylist()
         return pa.table(
             {
-                "bp": pa.array([sum_bp[r] for r in order], pa.int32()),
-                "file": pa.array([rel_of[sum_bp[r]] for r in order], pa.string()),
-                "key": pa.array([sum_key[r] for r in order], pa.int64()),
-                "uri": pa.array([sum_uri[r] for r in order], pa.string()),
+                "bp": pa.array(bps, pa.int32()),
+                "file": pa.array(files, pa.string()),
+                "key": pa.array(keys, pa.int64()),
+                "uri": pa.array(uris, pa.string()),
             }
         )
 
 
+def _rows_table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
+    cols = list(zip(*rows)) or [()] * len(schema)
+    return pa.Table.from_arrays([pa.array(list(c), f.type) for c, f in zip(cols, schema)],
+                                schema=schema)
+
+
+def _write_sorted(root: str, t: pa.Table, rel: str) -> str:
+    ckpt.atomic_write_parquet(t.sort_by(list(chain.BLOCKMAP.order)), os.path.join(root, rel))
+    return rel
+
+
 # ---------------------------------------------------------------------------
-# stage 2: blockmap chains (chain.BLOCKMAP)
+# stage 2: the link index's chains (chain.BLOCKMAP, chain.ENTITIES)
 # ---------------------------------------------------------------------------
 
 
 SPLIT_ROWS = 1000  # delta rows per loader task before a bp is key-sub-split
+ENT = -1  # the entity chain's id beside the postings chains' bps 0..B-1
+
+# a postings row: link side, uri, the entity's full sorted blocking key set
+POSTINGS = pa.schema([
+    pa.field("action", pa.string()),
+    pa.field("side", pa.int8()),
+    pa.field("uri", pa.string()),
+    pa.field("keys", pa.list_(pa.int64())),
+])
 
 
-def _entity_schema(n_leaves: int) -> pa.Schema:
-    """One blockmap entity: link side, uri, its full sorted blocking
-    key set, and its leaf-comparison values."""
-    fields = [
-        pa.field("side", pa.int8()),
-        pa.field("uri", pa.string()),
-        pa.field("keys", pa.list_(pa.int64())),
-    ]
-    return pa.schema(fields + [pa.field(f"vals_{i}", pa.list_(pa.string())) for i in range(n_leaves)])
+def _values_schema(n_leaves: int) -> pa.Schema:
+    """An entity-chain row: link side, uri and its leaf-comparison
+    values."""
+    return pa.schema(list(POSTINGS)[:3] + [
+        pa.field(f"vals_{i}", pa.list_(pa.string())) for i in range(n_leaves)
+    ])
 
 
-def _delta_schema(n_leaves: int) -> pa.Schema:
-    return pa.schema([pa.field("action", pa.string())] + list(_entity_schema(n_leaves)))
+def _link_chain(part: int) -> tuple[chain.Format, int]:
+    """Link-index chain ``part``'s format and directory number: block
+    partition ``part``'s postings chain, or the entity chain
+    (:data:`ENT`)."""
+    return (chain.ENTITIES, 0) if part == ENT else (chain.BLOCKMAP, part)
 
 
-def _read_bp_files(root: str, files: list[str], n_leaves: int) -> list[pa.Table]:
-    """A blockmap chain's tables in the delta schema (a parquet read
-    names list items ``element``, the schema ``item``); a file in the
-    older per-key layout is refused."""
-    schema = _delta_schema(n_leaves)
+def _chain_file(part: int, name: str) -> str:
+    """Path of chain ``part``'s file ``name``, relative to the lake root."""
+    fmt, n = _link_chain(part)
+    return os.path.join(f"{fmt.part_dir}={n:05d}", name)
+
+
+def _chain_schema(part: int, n_leaves: int) -> pa.Schema:
+    return _values_schema(n_leaves) if part == ENT else POSTINGS
+
+
+def _read_link_files(root: str, files: list[str], schema: pa.Schema,
+                     uris: pa.Array | None = None) -> list[pa.Table]:
+    """A link-index chain's tables in ``schema`` (a parquet read names
+    list items ``element``, the schema ``item``), only the rows of
+    ``uris`` when given. A file in another layout — a per-key postings
+    file, a postings file that still carries ``vals_*``, an entity file
+    of another rule — is refused."""
     tables = []
     for f in files:
-        t = pq.read_table(os.path.join(root, f))
-        if "key" in t.column_names:
+        pf = pq.ParquetFile(os.path.join(root, f))
+        if pf.schema_arrow.names != schema.names:
             raise ValueError(
-                f"blockmap file {f} has the old per-key layout (a 'key' column); "
-                "the link store must be rebuilt: remove blockmap/, links/ and "
-                "_linkstate.json, then engine.catch_up re-indexes the "
-                "snapshot at the merge epoch (update_links' full mode)"
+                f"link-index file {f} has columns {pf.schema_arrow.names}, not this "
+                f"layout's {schema.names}; the link store must be rebuilt: remove "
+                "blockmap/, links/ and _linkstate.json, then engine.catch_up "
+                "re-indexes the snapshot at the merge epoch (update_links' full mode)"
             )
+        t = pf.read()
+        if uris is not None:
+            t = t.filter(pc.is_in(t["uri"], value_set=uris))
         tables.append(t.cast(schema))
     return tables
 
 
-def read_bp_reconciled(root: str, files: list[str], n_leaves: int) -> pa.Table:
-    """A blockmap partition's entity rows ``(side, uri, keys, vals_*)``
-    from its ordered chain (``chain.reconcile``: every uri's rows from
-    the newest file that mentions it, one per side; a uri whose newest
+def read_bp_reconciled(root: str, files: list[str]) -> pa.Table:
+    """A blockmap partition's entity postings ``(side, uri, keys)`` from
+    its ordered chain (``chain.reconcile``: every uri's rows from the
+    newest file that mentions it, one per side; a uri whose newest
     mention is del-only has left this partition). Rows keep chain
     order, so a block's entities come out in (file, side, uri) order."""
-    schema = _entity_schema(n_leaves)
-    live = chain.reconcile(_read_bp_files(root, files, n_leaves), chain.BLOCKMAP)
-    return schema.empty_table() if live is None else live.select(schema.names)
+    live = chain.reconcile(_read_link_files(root, files, POSTINGS), chain.BLOCKMAP)
+    return (POSTINGS.empty_table() if live is None else live).select(POSTINGS.names[1:])
+
+
+def read_entity_values(root: str, files: list[str], n_leaves: int, uris: pa.Array) -> pa.Table:
+    """The live entity-chain rows ``(side, uri, vals_*)`` of ``uris``."""
+    schema = _values_schema(n_leaves)
+    live = chain.reconcile(_read_link_files(root, files, schema, uris), chain.ENTITIES)
+    return (schema.empty_table() if live is None else live).select(schema.names[1:])
+
+
+def _attach_values(ents: pa.Table, vals: pa.Table, symmetric: bool) -> pa.Table:
+    """``ents`` (side, uri, keys) with each entity's ``vals_*`` from the
+    entity rows ``vals`` (a symmetric rule stores side 1 alone, which
+    plays both roles). An entity without values means a broken index:
+    it raises rather than score as missing values."""
+    side = ents["side"].to_numpy(zero_copy_only=False)
+    if symmetric:
+        side = np.ones_like(side)
+    vside = vals["side"].to_numpy(zero_copy_only=False)
+    pos = np.full(ents.num_rows, -1, np.int64)
+    for s in (0, 1):
+        mine, theirs = np.flatnonzero(side == s), np.flatnonzero(vside == s)
+        if not len(mine):
+            continue
+        at = pc.index_in(ents["uri"].take(mine), value_set=vals["uri"].take(theirs))
+        at = pc.fill_null(at, -1).to_numpy(zero_copy_only=False)
+        pos[mine[at >= 0]] = theirs[at[at >= 0]]
+    if (pos < 0).any():
+        i = int(np.flatnonzero(pos < 0)[0])
+        raise ValueError(
+            f"link index: entity {ents['uri'][i].as_py()!r} (side {int(side[i])}) has "
+            "postings but no values in the entity chain; the link store must be "
+            "rebuilt: remove blockmap/, links/ and _linkstate.json, then "
+            "engine.catch_up re-indexes the snapshot at the merge epoch"
+        )
+    take = pa.array(pos)
+    for name in vals.column_names[2:]:
+        ents = ents.append_column(name, vals[name].take(take))
+    return ents
 
 
 def _bp_blocks(ents: pa.Table, bp: int, n_block_partitions: int):
@@ -295,36 +389,35 @@ def _bp_blocks(ents: pa.Table, bp: int, n_block_partitions: int):
     return flat[mine], parent[mine]
 
 
-def _consolidate_bundle(root: str, bps: list[int], shard_lists: list, n_leaves: int, epoch: int):
-    """Merge each bp's SAME-EPOCH shard files (one per merge task that
-    touched the bp; disjoint uris, so concat order is irrelevant) into
-    one delta file in the delta schema, so every file of a chain has
+def _consolidate_bundle(root: str, parts: list[int], shard_lists: list, n_leaves: int, epoch: int):
+    """Merge each chain's SAME-EPOCH shard files (one per merge task
+    that touched it; disjoint uris, so concat order is irrelevant) into
+    one delta file in the chain's schema, so every file of a chain has
     the same Arrow schema. O(this epoch's delta). Deterministic content
     (sorted input file list, sorted rows) → idempotent on replay."""
     out = []
-    for bp, files in zip(bps, shard_lists):
-        rel = os.path.join("blockmap", f"bp={bp:05d}", f"delta-{epoch:06d}-merged.parquet")
+    for part, files in zip(parts, shard_lists):
+        rel = _chain_file(part, f"delta-{epoch:06d}-merged.parquet")
         # replay fast-path: the merged file's content is uniquely
-        # determined by (bp, epoch) — the shard set is fixed by the
+        # determined by (chain, epoch) — the shard set is fixed by the
         # epoch's committed summaries — so an existing file IS the
         # result (and after a post-commit rollback the original shards
         # may already be GC'd)
         if not os.path.exists(os.path.join(root, rel)):
-            tables = _read_bp_files(root, sorted(files), n_leaves)
-            merged = pa.concat_tables(tables).sort_by(list(chain.BLOCKMAP.order))
-            ckpt.atomic_write_parquet(merged, os.path.join(root, rel))
-        out.append((bp, rel))
+            tables = _read_link_files(root, sorted(files), _chain_schema(part, n_leaves))
+            _write_sorted(root, pa.concat_tables(tables), rel)
+        out.append((part, rel))
     return out
 
 
 def _compact_bundle(root: str, items: list[tuple[int, list[str]]], n_leaves: int, epoch: int):
-    """One compaction task: each ``(bp, chain)`` item's compact file."""
-    return [
-        (bp, chain.write_compact(
-            root, _read_bp_files(root, files, n_leaves), chain.BLOCKMAP, bp, epoch
-        ))
-        for bp, files in items
-    ]
+    """One compaction task: each ``(chain, files)`` item's compact file."""
+    out = []
+    for part, files in items:
+        fmt, n = _link_chain(part)
+        tables = _read_link_files(root, files, _chain_schema(part, n_leaves))
+        out.append((part, chain.write_compact(root, tables, fmt, n, epoch)))
+    return out
 
 
 def _links_empty_table() -> pa.Table:
@@ -349,13 +442,15 @@ def _lrs_bundle(
     n_block_partitions: int,
     epoch: int,
 ) -> tuple[pa.Table, dict]:
-    """One cost-balanced loader bucket: reconcile each chain once, keep
-    the blocks that are affected (vectorized ``is_in``) and in the
-    item's key sub-split, dedupe entities by (uri, side) across the
-    bucket's partitions — every partition's newest 'add' row for a uri
-    comes from the same write, so the payload is identical — and score
-    (no shuffle — bp co-locates every row of a key; see update_links).
-    Returns the links and the task's seconds per step and pair counts."""
+    """One cost-balanced loader bucket: reconcile each postings chain
+    once, keep the blocks that are affected (vectorized ``is_in``) and
+    in the item's key sub-split, dedupe entities by (uri, side) across
+    the bucket's partitions — every partition's newest 'add' row for a
+    uri comes from the same write, so the keys are identical — then read
+    the entity chain (``bucket["entities"]``) once for those entities'
+    values and score (no shuffle — bp co-locates every row of a key;
+    see update_links). Returns the links and the task's seconds per
+    step and pair counts."""
     import itertools
 
     from silk_ray.linking.pipeline import PairScorer
@@ -367,7 +462,7 @@ def _lrs_bundle(
     # a bucket is sorted by (bp, rsplit): one chain's items are adjacent
     for bp, group in itertools.groupby(items, key=lambda it: it[0]):
         group = list(group)
-        ents = read_bp_reconciled(root, group[0][1], n_leaves)
+        ents = read_bp_reconciled(root, group[0][1])
         key, parent = _bp_blocks(ents, bp, n_block_partitions)
         hit = pc.is_in(pa.array(key), value_set=key_arr).to_numpy(zero_copy_only=False)
         key, parent = key[hit], parent[hit]
@@ -382,7 +477,7 @@ def _lrs_bundle(
         blk_key.append(key)
         blk_ent.append(parent + n_ents)
         n_ents += len(used)
-    ents = pa.concat_tables(parts) if parts else _entity_schema(n_leaves).empty_table()
+    ents = pa.concat_tables(parts) if parts else read_bp_reconciled(root, [])
     key = np.concatenate(blk_key) if blk_key else np.zeros(0, np.int64)
     ent = np.concatenate(blk_ent) if blk_ent else np.zeros(0, np.int64)
     if len(parts) > 1:
@@ -393,6 +488,9 @@ def _lrs_bundle(
         _u, first, inverse = np.unique(ident, return_index=True, return_inverse=True)
         ents = ents.take(pa.array(first))
         ent = inverse[ent]
+    vals = read_entity_values(root, bucket["entities"] if ents.num_rows else [], n_leaves,
+                              pc.unique(ents["uri"].combine_chunks()))
+    ents = _attach_values(ents, vals, _spec_symmetric(payload))
     ents = ents.append_column("dirty", pc.is_in(ents["uri"], value_set=uri_arr))
     timings = {"load_s": time.perf_counter() - t0}
     scorer = PairScorer(payload, limit=limit, source_equals_target=True, dirty_col="dirty")
@@ -407,7 +505,7 @@ def _drop_dirty_links(root: str, files: list[str], uri_arr: pa.Array) -> tuple[p
     t0 = time.perf_counter()
     parts = []
     for f in files:
-        t = pq.read_table(os.path.join(root, f))
+        t = pq.ParquetFile(os.path.join(root, f)).read()
         keep = pc.and_(
             pc.invert(pc.is_in(t["source"], value_set=uri_arr)),
             pc.invert(pc.is_in(t["target"], value_set=uri_arr)),
@@ -481,14 +579,15 @@ def update_links(
 
     The delta comes from the fused index's summary files, or else from
     the epoch's change set (``merge.epoch_changes``) through the
-    delta-index stage. A store more than one epoch behind re-indexes
-    the snapshot at ``epoch`` through the same stage over an empty index
-    and link set (``mode`` ``"full"``; the cluster store then
-    full-rebuilds too). An epoch that changed no key is a no-op commit.
+    delta-index stage, run on the driver. A store more than one epoch
+    behind re-indexes the snapshot at ``epoch`` through the same stage
+    over an empty index and link set (``mode`` ``"full"``; the cluster
+    store then full-rebuilds too). An epoch that changed no key is a
+    no-op commit.
 
     Returns link metrics (links_recomputed, links_removed, ...); a
     store already at or past ``epoch`` is a replay no-op. Superseded
-    link and blockmap files stay until the link store's sweep
+    link, postings and entity files stay until the link store's sweep
     (:data:`gc_blockmap`).
     """
     state = read_linkstate(root)
@@ -496,7 +595,6 @@ def update_links(
         return {"epoch": epoch, "mode": "replay_noop"}
 
     import ray
-    import ray.data as rd
 
     _phases: list[tuple[str, float]] = []
     _t_prev = [time.perf_counter()]
@@ -519,28 +617,28 @@ def update_links(
         return {"epoch": epoch, "mode": "noop", "links_recomputed": 0,
                 "links_removed": 0, "links_total": _count_links(state)}
 
-    # -- stage 1+2: delta index + per-bp shard writes --------------------
+    # -- stage 1+2: delta index + per-chain shard writes -----------------
     # Preferred path: the merge stage already ran the delta index fused
     # into its tasks (MergePartition.link_spec) and left per-partition
     # summary files — read them driver-side, zero extra Ray executions.
     if mode == "delta" and summary_files:
-        summary_batches = [pq.read_table(f) for f in summary_files]
+        summary_batches = [pq.ParquetFile(f).read() for f in summary_files]
         _mark("read_summaries")
+    elif mode == "delta":
+        # the merge ran without link_spec: the same stage on the driver
+        # over each partition's (delta-sized) change table
+        stage = DeltaIndexStage(payload, n_block_partitions, root, epoch)
+        summary_batches = [stage(t) for t in epoch_changes(root, epoch)]
+        _mark("delta_index")
     else:
-        # the delta index as its own execution: over the change set
-        # (the merge ran without link_spec), or over the snapshot as
-        # all-insert rows (full mode)
+        # full mode: the delta index as its own execution over the
+        # snapshot as all-insert rows
+        from silk_ray.cdc.merge import snapshot_dataset
         from silk_ray.linking.pipeline import cached_stage
 
-        if mode == "full":
-            from silk_ray.cdc.merge import snapshot_dataset
-
-            src = snapshot_dataset(root, at_epoch=epoch).map_batches(
-                inserts_table, batch_format="pyarrow"
-            )
-        else:
-            src = rd.from_arrow(epoch_changes(root, epoch))
-        summary_ds = src.map_batches(
+        summary_ds = snapshot_dataset(root, at_epoch=epoch).map_batches(
+            inserts_table, batch_format="pyarrow"
+        ).map_batches(
             cached_stage(
                 DeltaIndexStage,
                 rule_spec=payload,
@@ -553,9 +651,11 @@ def update_links(
         summary_batches = list(summary_ds.iter_batches(batch_format="pyarrow"))
         _mark("delta_index")
 
-    # full mode indexes into an empty blockmap and link set
+    # full mode indexes into an empty link index and link set; the
+    # entity chain sits among the postings chains as part ENT
     base = {"blockmap": {}, "links_files": []} if mode == "full" else state
-    bm_files: dict[int, list[str]] = {int(k): list(v) for k, v in base["blockmap"].items()}
+    bm_files: dict[int, list[str]] = {ENT: list(base.get("entities", []))}
+    bm_files.update((int(k), list(v)) for k, v in base["blockmap"].items())
     # vectorized driver-side collection (these summaries are delta-sized
     # but still ~K× the dirty count; python set loops here were a
     # measurable serial chunk per epoch)
@@ -564,26 +664,29 @@ def update_links(
     dirty_uris: set[str] = set()
     new_shards: dict[int, list[str]] = {}
     if summary_all is not None and summary_all.num_rows:
-        affected_keys = set(pc.unique(summary_all["key"]).to_pylist())
-        dirty_uris = set(pc.unique(summary_all["uri"]).to_pylist())
         files_tbl = pa.table(
             {"bp": summary_all["bp"], "file": summary_all["file"]}
         ).group_by(["bp", "file"]).aggregate([])
         for bp, f in zip(files_tbl["bp"].to_pylist(), files_tbl["file"].to_pylist()):
             new_shards.setdefault(bp, []).append(f)
+        # keys and dirty uris from the postings rows (an entity-chain
+        # row's uri always has postings rows too)
+        summary_all = summary_all.filter(pc.not_equal(summary_all["bp"], ENT))
+        affected_keys = set(pc.unique(summary_all["key"]).to_pylist())
+        dirty_uris = set(pc.unique(summary_all["uri"]).to_pylist())
     # consolidate same-epoch shards (one per merge task that touched the
-    # bp) into ONE delta file per bp: chains then grow O(1) per epoch,
-    # so the full chain.COMPACT_AT reconcile fires every ~COMPACT_AT epochs
-    # per bp (amortized O(state/COMPACT_AT)) instead of every epoch —
-    # without this, ~P shards/bp/epoch tripped compaction into an
-    # O(total blockmap) rewrite per epoch (measured 0.6-0.9 s/epoch at
-    # sf0.1, growing with state)
+    # chain) into ONE delta file per chain: chains then grow O(1) per
+    # epoch, so the full chain.COMPACT_AT reconcile fires every
+    # ~COMPACT_AT epochs per chain (amortized O(state/COMPACT_AT))
+    # instead of every epoch — without this, ~P shards/bp/epoch tripped
+    # compaction into an O(total blockmap) rewrite per epoch (measured
+    # 0.6-0.9 s/epoch at sf0.1, growing with state)
     multi = {bp: sorted(set(s)) for bp, s in new_shards.items() if len(set(s)) > 1}
     if multi:
         task = remote(_consolidate_bundle)
         items = sorted(multi.items())
         # one wave across the cluster: the cost is per-small-file IO
-        # (~P shards per bp), so spread bps over ~2 tasks per CPU
+        # (~P shards per chain), so spread chains over ~2 tasks per CPU
         ncpu_c = int(ray.cluster_resources().get("CPU", 8))
         per = max(1, -(-len(items) // (2 * ncpu_c)))
         merged = ray.get(
@@ -601,7 +704,7 @@ def update_links(
         bm_files.setdefault(bp, []).extend(sorted(set(shards)))
     affected_bps = sorted({k % n_block_partitions for k in affected_keys})
 
-    # -- compaction: bound each partition's delta chain ------------------
+    # -- compaction: bound each chain ------------------------------------
     # raw Ray tasks, not a Dataset: this is a driver-coordinated chain
     # maintenance op over a known small bp list; the streaming-executor
     # fixed cost (~0.5-1 s) was a measurable slice of every epoch
@@ -696,6 +799,7 @@ def update_links(
             "files": [it["files"] for it in b],
             "msplits": [it["msplit"] for it in b],
             "rsplits": [it["rsplit"] for it in b],
+            "entities": bm_files[ENT],
         }
         for b in (sorted(b, key=lambda x: (x["bp"], x["rsplit"])) for b in buckets)
         if b
@@ -789,16 +893,19 @@ def update_links(
 
     prev_files = [{"file": e["file"]} for e in _links_manifest(state)]
     prev_blockmap = [f for v in state.get("blockmap", {}).values() for f in v]
+    prev_blockmap += state.get("entities", [])
+    entities = bm_files.pop(ENT)
     state = {
         "epoch": epoch,
         "blockmap": {str(k): v for k, v in bm_files.items()},
+        "entities": entities,
         "links_files": carried + written,
         # previous manifest's file list: GC keeps these too, so a crash
         # between a future epoch's links write and its linkstate commit
         # can still replay against this epoch's intact file set
         "links_files_prev": prev_files,
-        # previous blockmap chains: same one-epoch GC retention, so a
-        # rolled-back linkstate can still reconcile its chains
+        # previous postings and entity chains: same one-epoch GC
+        # retention, so a rolled-back linkstate can still reconcile them
         "blockmap_prev": prev_blockmap,
     }
     _mark("manifest_post")
@@ -817,6 +924,7 @@ def update_links(
         "affected_keys": len(affected_keys),
         "affected_block_partitions": len(affected_bps),
         "links_total": _count_links(state),
+        "index_bytes": _index_bytes(root, state, set(prev_blockmap)),
     }
     _mark("metrics")
     metrics["phases"] = {name: round(sec, 6) for name, sec in _phases}
@@ -865,6 +973,19 @@ def _links_manifest(state: dict) -> list[dict]:
 # superseded by compaction, consolidated shards, orphaned shards of a
 # crashed delta-index attempt), and snapshots past the retention window.
 gc_blockmap = ckpt.LINKS.gc
+
+
+def _index_bytes(root: str, state: dict, prev: set[str]) -> dict:
+    """Live bytes of the link index's postings chains and entity chain
+    in ``state``, and the bytes of their files not in ``prev`` (this
+    epoch's additions)."""
+    out = {}
+    for name, files in (("postings", [f for v in state["blockmap"].values() for f in v]),
+                        ("entities", state["entities"])):
+        size = {f: os.path.getsize(os.path.join(root, f)) for f in files}
+        out[name] = {"live": sum(size.values()),
+                     "added": sum(n for f, n in size.items() if f not in prev)}
+    return out
 
 
 def _count_links(state: dict) -> int:

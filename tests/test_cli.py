@@ -275,9 +275,9 @@ def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):
 
 
 def test_cli_status_reports_link_metrics(ray_session, tmp_path, capsys):
-    """`status` reports the last links epoch's ``phases`` and ``task_s``
-    (pair counts included) under ``stores.links``, read from that
-    epoch's ``_metrics/links-E.json`` record."""
+    """`status` reports the last links epoch's ``phases``, ``task_s``
+    (pair counts included) and ``index_bytes`` under ``stores.links``,
+    read from that epoch's ``_metrics/links-E.json`` record."""
     import json
     import os
 
@@ -301,6 +301,20 @@ def test_cli_status_reports_link_metrics(ray_session, tmp_path, capsys):
     assert links["task_s"] == record["task_s"]
     assert 0 <= links["task_s"]["pairs_kept"] <= links["task_s"]["pairs"]
     assert links["task_s"]["pairs"] > 0
+    # the link index's bytes: a walk of the files the linkstate names,
+    # and of those the previous state did not name
+    from silk_ray.cdc.incremental import read_linkstate, read_linkstate_at
+
+    def files(state):
+        return {"postings": [f for v in state["blockmap"].values() for f in v],
+                "entities": state["entities"]}
+
+    size = lambda fs: sum(os.path.getsize(os.path.join(root, f)) for f in fs)
+    now, prev = files(read_linkstate(root)), files(read_linkstate_at(root, links["epoch"] - 1))
+    assert links["index_bytes"] == record["index_bytes"] == {
+        k: {"live": size(now[k]), "added": size(set(now[k]) - set(prev[k]))} for k in now
+    }
+    assert all(v["live"] >= v["added"] > 0 for v in links["index_bytes"].values())
 
 
 def test_cli_status_schema(ray_session, tmp_path, capsys):

@@ -81,11 +81,11 @@ def test_gc_removes_only_unreferenced(gc_run):
     on_disk = _files_under(root, "partitions")
     assert live <= on_disk <= live | prev
 
-    # blockmap: current chains plus the rollback window
+    # blockmap: current postings and entity chains plus the rollback window
     state = read_linkstate(root)
     bm_live = {
         os.path.normpath(f)
-        for files in state["blockmap"].values()
+        for files in [*state["blockmap"].values(), state["entities"]]
         for f in files
     }
     bm_prev = {os.path.normpath(f) for f in state.get("blockmap_prev", [])}
@@ -111,6 +111,7 @@ def test_gc_off_sweeps_nothing(nogc_run):
         state = ckpt.read_json(os.path.join(snap_dir, name))
         named = [e["file"] for e in state["links_files"]]
         named += [f for files in state["blockmap"].values() for f in files]
+        named += state["entities"]
         assert {os.path.normpath(f) for f in named} <= on_disk, name
 
 
@@ -134,6 +135,35 @@ def test_gc_resume(tmp_path, ray_session, changelog, nogc_run):
         (r["source"], r["target"], round(r["confidence"], 9)) for r in t.to_pylist()
     }
     assert as_set(links_table(root)) == as_set(links_table(nogc_root))
+
+
+def _named_by_retained_states(root, store, retain_epochs=1):
+    """Every file a retained state of ``store`` names: the pointer's
+    files and rollback set, and each retained snapshot's files."""
+    state = store.read(root)
+    named = {*store.live_files(state), *store.prev_files(state)}
+    for e in range(max(1, state["epoch"] - retain_epochs), state["epoch"]):
+        named.update(store.live_files(store.read_at(root, e)))
+    return {os.path.normpath(f) for f in named if f}
+
+
+def test_gc_after_catch_up(tmp_path, ray_session, changelog):
+    """A bootstrap followed by ``run(max_epochs=0)`` — the catch-up of
+    the link store alone — sweeps what they superseded at once: every
+    file under blockmap/ and partitions/ is named by a retained state
+    (the bootstrap's consolidated shards are gone)."""
+    from silk_ray.cdc.bootstrap import bootstrap_lake
+
+    base = make_base_table(100, seed=141, near_dup_frac=0.3)
+    root = str(tmp_path / "lake")
+    bootstrap_lake(root, base, as_of_offset=base.num_rows - 1, num_partitions=4,
+                   link_spec=RULE, n_block_partitions=16)
+    before = _files_under(root, "blockmap")
+    assert run(root, changelog, _cfg(max_epochs=0)) == []
+    assert read_linkstate(root)["epoch"] == 1
+    assert before - _files_under(root, "blockmap")  # consolidated shards swept
+    for sub, store in (("partitions", ckpt.LAKE), ("blockmap", ckpt.LINKS)):
+        assert _files_under(root, sub) <= _named_by_retained_states(root, store), sub
 
 
 def _epochs_under(root, sub):

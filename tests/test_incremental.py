@@ -218,23 +218,27 @@ def test_incremental_equals_batch_single_levenshtein(tmp_path_factory, ray_sessi
     assert len(incremental) > 0
 
 
-def _blockmap_files(root):
+def _blockmap_files(root, prefix="bp="):
+    """Files of the link index's postings chains (``bp=*``) or, with
+    ``prefix="ent="``, of its entity chain."""
     import os
 
     base = os.path.join(root, "blockmap")
     return sorted(
         os.path.join(base, d, f)
-        for d in os.listdir(base)
+        for d in os.listdir(base) if d.startswith(prefix)
         for f in os.listdir(os.path.join(base, d))
         if f.endswith(".parquet")
     )
 
 
 def test_blockmap_has_one_row_per_entity(engine_run):
-    """A blockmap file holds one row per (side, uri) — no per-key rows and
-    no ``key`` column — sorted by (side, uri); an 'add' row carries the
-    entity's full sorted key set, of which at least one key falls in
-    the file's block partition."""
+    """A postings file holds one row per (side, uri) — no per-key rows,
+    no ``key`` column and no values — sorted by (side, uri); an 'add'
+    row carries the entity's full sorted key set, of which at least one
+    key falls in the file's block partition. An entity-chain file holds
+    one row per changed uri with its leaf values, side 1 alone for this
+    symmetric rule, sorted by uri; a 'del' row has none."""
     import os
 
     import pyarrow.parquet as pq
@@ -244,8 +248,7 @@ def test_blockmap_has_one_row_per_entity(engine_run):
     assert files
     for f in files:
         t = pq.read_table(f)
-        assert "key" not in t.column_names
-        assert t.column_names[:4] == ["action", "side", "uri", "keys"]
+        assert t.column_names == ["action", "side", "uri", "keys"]
         ids = list(zip(t["side"].to_pylist(), t["uri"].to_pylist()))
         assert ids == sorted(ids) and len(ids) == len(set(ids))
         bp = int(os.path.basename(os.path.dirname(f)).split("=")[1])
@@ -254,6 +257,17 @@ def test_blockmap_has_one_row_per_entity(engine_run):
                 assert keys == sorted(keys) and any(k % 16 == bp for k in keys)
             else:
                 assert keys is None
+    ent_files = _blockmap_files(root, "ent=")
+    assert ent_files and {os.path.dirname(f) for f in ent_files} == {
+        os.path.join(root, "blockmap", "ent=00000")}
+    for f in ent_files:
+        t = pq.read_table(f)
+        assert t.column_names == ["action", "side", "uri", "vals_0", "vals_1", "vals_2"]
+        assert set(t["side"].to_pylist()) == {1}
+        uris = t["uri"].to_pylist()
+        assert uris == sorted(uris) and len(uris) == len(set(uris))
+        for r in t.to_pylist():
+            assert (r["vals_0"] is not None) == (r["action"] == "add")
 
 
 def _embedded_schema(path):
@@ -269,8 +283,9 @@ def _embedded_schema(path):
 
 
 def test_blockmap_chain_files_share_one_schema(ray_session, tmp_path, monkeypatch):
-    """Shard, merged and compact blockmap files — every kind a chain
-    holds — are written in one Arrow schema, list field names included."""
+    """Shard, merged and compact files — every kind a chain holds — are
+    written in one Arrow schema, list field names included: one for the
+    postings chains, one for the entity chain."""
     import os
 
     import pyarrow.parquet as pq
@@ -282,22 +297,22 @@ def test_blockmap_chain_files_share_one_schema(ray_session, tmp_path, monkeypatc
     root = str(tmp_path / "lake")
     run(root, log, EngineConfig(epoch_size=100, num_partitions=4, n_block_partitions=4,
                                 rule_spec=UNFILTERED_RULE, gc=False))
-    files = _blockmap_files(root)
-    kinds = {
-        "compact" if os.path.basename(f).startswith("compact-")
-        else "merged" if f.endswith("-merged.parquet") else "shard"
-        for f in files
-    }
-    assert kinds == {"shard", "merged", "compact"}
-    # str(): list types compare equal whatever their child field names
-    (declared,) = {str(_embedded_schema(f)) for f in files}
-    assert "keys: list<item: int64>" in declared
-    assert len({str(pq.ParquetFile(f).schema_arrow) for f in files}) == 1
+    for prefix, column in (("bp=", "keys: list<item: int64>"),
+                           ("ent=", "vals_0: list<item: string>")):
+        files = _blockmap_files(root, prefix)
+        kinds = {
+            "compact" if os.path.basename(f).startswith("compact-")
+            else "merged" if f.endswith("-merged.parquet") else "shard"
+            for f in files
+        }
+        assert kinds == {"shard", "merged", "compact"}, prefix
+        # str(): list types compare equal whatever their child field names
+        (declared,) = {str(_embedded_schema(f)) for f in files}
+        assert column in declared
+        assert len({str(pq.ParquetFile(f).schema_arrow) for f in files}) == 1
 
 
-def test_per_key_blockmap_layout_is_refused(tmp_path):
-    """A blockmap file in the old per-key layout (a ``key`` column) raises
-    one clear error naming the file and asking for a link-store rebuild."""
+def _refuses_older_layout(tmp_path, cols):
     import os
 
     import pyarrow.parquet as pq
@@ -306,17 +321,50 @@ def test_per_key_blockmap_layout_is_refused(tmp_path):
 
     rel = os.path.join("blockmap", "bp=00003", "delta-000002-0a1b2c3d.parquet")
     os.makedirs(os.path.dirname(tmp_path / rel))
-    pq.write_table(
-        pa.table({
-            "action": ["add"], "key": pa.array([7], pa.int64()), "side": pa.array([1], pa.int8()),
-            "uri": ["r//a"], "keys": pa.array([[7]], pa.list_(pa.int64())),
-            "vals_0": pa.array([["a"]], pa.list_(pa.string())),
-        }),
-        tmp_path / rel,
-    )
+    pq.write_table(pa.table(cols), tmp_path / rel)
     for files in ([rel], [rel, rel]):
         with pytest.raises(ValueError, match=r"delta-000002-0a1b2c3d\.parquet.*must be rebuilt"):
-            read_bp_reconciled(str(tmp_path), files, 1)
+            read_bp_reconciled(str(tmp_path), files)
+
+
+def test_per_key_blockmap_layout_is_refused(tmp_path):
+    """A blockmap file in the old per-key layout (a ``key`` column) raises
+    one clear error naming the file and asking for a link-store rebuild."""
+    _refuses_older_layout(tmp_path, {
+        "action": ["add"], "key": pa.array([7], pa.int64()), "side": pa.array([1], pa.int8()),
+        "uri": ["r//a"], "keys": pa.array([[7]], pa.list_(pa.int64())),
+        "vals_0": pa.array([["a"]], pa.list_(pa.string())),
+    })
+
+
+def test_blockmap_rows_with_values_are_refused(tmp_path):
+    """A postings file whose entity rows still carry their ``vals_*``
+    (the layout before the entity chain) raises the same error."""
+    _refuses_older_layout(tmp_path, {
+        "action": ["add"], "side": pa.array([1], pa.int8()), "uri": ["r//a"],
+        "keys": pa.array([[7]], pa.list_(pa.int64())),
+        "vals_0": pa.array([["a"]], pa.list_(pa.string())),
+    })
+
+
+def test_entity_without_values_is_refused(engine_run):
+    """A loader entity whose values are missing from the entity chain
+    raises instead of being scored as an entity without values."""
+    import pyarrow.compute as pc
+
+    from silk_ray.cdc import incremental
+
+    root = engine_run[0]
+    state = incremental.read_linkstate(root)
+    ents = incremental.read_bp_reconciled(root, next(iter(state["blockmap"].values())))
+    uris = pc.unique(ents["uri"])
+    vals = incremental.read_entity_values(root, state["entities"], 3, uris)
+    assert incremental._attach_values(ents, vals, True).num_rows == ents.num_rows
+    with pytest.raises(ValueError, match=r"no values in the entity chain.*must be rebuilt"):
+        incremental._attach_values(ents, vals.slice(1), True)
+    # an asymmetric reading wants side-0 values, which a symmetric rule never writes
+    with pytest.raises(ValueError, match=r"side 0"):
+        incremental._attach_values(ents, vals, False)
 
 
 def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
@@ -337,7 +385,13 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
     state = incremental.read_linkstate(root)
     bps = sorted(int(b) for b in state["blockmap"])
     chains = {int(b): v for b, v in state["blockmap"].items()}
-    ents = {b: incremental.read_bp_reconciled(root, chains[b], 3) for b in bps}
+    # each partition's entities with their values from the entity chain
+    # (side 1's, which a symmetric rule's side 0 shares)
+    ents = {}
+    for b in bps:
+        t = incremental.read_bp_reconciled(root, chains[b])
+        vals = incremental.read_entity_values(root, state["entities"], 3, pc.unique(t["uri"]))
+        ents[b] = incremental._attach_values(t, vals, True)
     all_keys = pa.array(sorted({k for t in ents.values() for ks in t["keys"].to_pylist() for k in ks}),
                         pa.int64())
     uris = pa.concat_tables(ents.values())["uri"]
@@ -348,6 +402,7 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
         "files": [chains[b] for b, _, _ in items],
         "msplits": [m for _, m, _ in items],
         "rsplits": [r for _, _, r in items],
+        "entities": state["entities"],
     }
 
     def rows(t):
@@ -409,10 +464,14 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
     (tombstones), deletes entities and re-inserts them an epoch later,
     crosses ``chain.COMPACT_AT`` (set low, so chains compact twice and later
     deltas stack on a compacted file) and runs with ``SPLIT_ROWS`` small
-    enough that loader items are key-sub-split (``msplit > 1``)."""
+    enough that loader items are key-sub-split (``msplit > 1``). After
+    every epoch no postings file carries values, and the entity chain
+    holds exactly one row per live entity (side 1 alone: the rule is
+    symmetric) and none for an entity that left the index."""
     import glob
     import os
 
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from silk_ray.cdc import chain, incremental
@@ -477,12 +536,106 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
                     for u, a in zip(t["uri"].to_pylist(), t["action"].to_pylist()):
                         actions.setdefault(u, set()).add(a)
         seen["tombstone"] |= any(a == {"add", "del"} for a in actions.values())
+        # postings carry no values; the entity chain holds one row per
+        # live entity, side 1 alone for this symmetric rule
+        live = set()
+        for files in state["blockmap"].values():
+            assert not any(n.startswith("vals_") for f in files
+                           for n in pq.ParquetFile(os.path.join(root, f)).schema_arrow.names)
+            t = incremental.read_bp_reconciled(root, files)
+            live |= set(zip(t["side"].to_pylist(), t["uri"].to_pylist()))
+        assert live == {(side, u) for _s, u in live for side in (0, 1)}
+        uris = pc.unique(pa.chunked_array(
+            [pq.read_table(os.path.join(root, f), columns=["uri"])["uri"].combine_chunks()
+             for f in state["entities"]]))
+        vals = incremental.read_entity_values(root, state["entities"], 3, uris)
+        ids = list(zip(vals["side"].to_pylist(), vals["uri"].to_pylist()))
+        assert len(ids) == len(set(ids)) and set(ids) == {(1, u) for s, u in live if s == 1}
         summ = glob.glob(os.path.join(root, "summaries", "*", f"epoch-{epoch:06d}.parquet"))
-        counts = pa.concat_tables(map(pq.read_table, summ)).group_by("bp").aggregate(
-            [("bp", "count")]
-        )
+        counts = pa.concat_tables(map(pq.read_table, summ)).filter(
+            pc.field("bp") != incremental.ENT
+        ).group_by("bp").aggregate([("bp", "count")])
         seen["msplit"] |= max(counts["bp_count"].to_pylist()) > incremental.SPLIT_ROWS
     assert all(seen.values()), seen
+
+
+def _hex_links(root):
+    t = links_table(root)
+    return list(zip(t["source"].to_pylist(), t["target"].to_pylist(),
+                    [c.hex() for c in t["confidence"].to_pylist()]))
+
+
+def test_unfused_delta_update_starts_no_ray_data(ray_session, tmp_path, monkeypatch):
+    """An un-fused link store (a compiled rule: the merge writes no
+    summaries) indexes each epoch's change tables on the driver: with
+    Ray Data's ``from_arrow`` and ``Dataset.map_batches`` raising, it
+    gives the same links (confidences by ``float.hex``) and linkstate
+    (shard names aside) as an unpatched twin."""
+    import json
+    import os
+    import re
+
+    import ray.data
+
+    from silk_ray.linking.pipeline import _compile_rule
+
+    log = make_changelog(make_base_table(60, seed=131, near_dup_frac=0.3), 300, seed=132)
+    cfg = EngineConfig(epoch_size=100, num_partitions=4, n_block_partitions=16,
+                       rule_spec=_compile_rule(UNFILTERED_RULE))
+
+    def linkstate(root):
+        with open(os.path.join(root, "_linkstate.json")) as f:
+            return re.sub(r"-[0-9a-f]{8}\.parquet", "-*.parquet", f.read())
+
+    twin = str(tmp_path / "twin")
+    run(twin, log, cfg)
+
+    def no_ray_data(*_a, **_k):
+        raise AssertionError("an un-fused delta link update started Ray Data")
+
+    monkeypatch.setattr(ray.data, "from_arrow", no_ray_data)
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", no_ray_data)
+    root = str(tmp_path / "lake")
+    ms = run(root, log, cfg)
+    assert [m["links"]["mode"] for m in ms] == ["delta"] * 3
+    assert _hex_links(root) == _hex_links(twin) and _hex_links(root)
+    assert json.loads(linkstate(root)) == json.loads(linkstate(twin))
+
+
+def test_crash_before_linkstate_commit_resumes(ray_session, tmp_path, monkeypatch):
+    """A crash after the epoch's entity chain is consolidated and
+    compacted, before ``commit_linkstate``: the resumed run ends with
+    the straight run's links (by ``float.hex``) and ``state_sha256``."""
+    import os
+
+    from silk_ray.cdc import chain, incremental
+    from silk_ray.cdc.merge import state_sha256
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
+    log = make_changelog(make_base_table(60, seed=151, near_dup_frac=0.3), 400, seed=152)
+    cfg = EngineConfig(epoch_size=100, num_partitions=4, n_block_partitions=4,
+                       rule_spec=UNFILTERED_RULE)
+    straight = str(tmp_path / "straight")
+    run(straight, log, cfg)
+
+    root = str(tmp_path / "lake")
+    run(root, log, EngineConfig(**{**cfg.__dict__, "max_epochs": 2}))
+    real = incremental.commit_linkstate
+
+    def crash(*_a, **_k):
+        raise RuntimeError("crash before the linkstate commit")
+
+    monkeypatch.setattr(incremental, "commit_linkstate", crash)
+    with pytest.raises(RuntimeError, match="crash before"):
+        run(root, log, cfg)
+    assert incremental.read_linkstate(root)["epoch"] == 2
+    ent_dir = os.path.join(root, "blockmap", "ent=00000")
+    assert {"delta-000003-merged.parquet", "compact-000003.parquet"} <= set(os.listdir(ent_dir))
+    monkeypatch.setattr(incremental, "commit_linkstate", real)
+    run(root, log, cfg)
+    assert incremental.read_linkstate(root)["epoch"] == 4
+    assert _hex_links(root) == _hex_links(straight)
+    assert state_sha256(root) == state_sha256(straight)
 
 
 # -- late, paused and crashed link stores ------------------------------------

@@ -176,11 +176,12 @@ def _lake_chain(events, n_chunks, extra=(None,) * 5):
     return tables, state, rows
 
 
-def _blockmap_chain(events, n_chunks):
-    """Blockmap delta files: per uri, an ``add`` row for each link side
+def _link_chain(events, n_chunks, column, payload):
+    """Link-index delta files: per uri, an ``add`` row for each link side
     it sits on (key id, op → sides: U=both, I=side 1 only) and ``del``
-    rows for the sides it left (a D is del-only); the sequential model
-    maps (uri, side) to the payload of the uri's newest event."""
+    rows for the sides it left (a D is del-only), with ``payload(p)`` in
+    ``column`` on an add row; the sequential model maps (uri, side) to
+    the payload of the uri's newest event."""
     sides_of = {"U": (0, 1), "I": (1,), "D": ()}
     events = [(k, "I" if op == "U" and p % 3 == 0 else op, p) for k, op, p in events]
     state: dict = {}
@@ -194,17 +195,29 @@ def _blockmap_chain(events, n_chunks):
             for side in (0, 1):
                 add = side in sides_of[op]
                 rows.append({"action": "add" if add else "del", "side": side, "uri": f"u{k}",
-                             "keys": [p] if add else None, "vals_0": [str(p)] if add else None})
+                             column: payload(p) if add else None})
         t = pa.Table.from_pylist(rows, schema=pa.schema([
             ("action", pa.string()), ("side", pa.int8()), ("uri", pa.string()),
-            ("keys", pa.list_(pa.int64())), ("vals_0", pa.list_(pa.string())),
+            (column, pa.list_(pa.int64() if column == "keys" else pa.string())),
         ]))
         tables.append(t.sort_by(list(chain.BLOCKMAP.order)))
-    rows = lambda t: {(r["uri"], r["side"]): r["keys"][0] for r in t.to_pylist()}
-    return tables, state, rows
+    return tables, state, lambda t: {
+        (r["uri"], r["side"]): int(r[column][0]) for r in t.to_pylist()
+    }
 
 
-CHAINS = {"lake": (_lake_chain, chain.LAKE), "blockmap": (_blockmap_chain, chain.BLOCKMAP)}
+def _blockmap_chain(events, n_chunks):
+    """Postings files: the entity's keys on an add row."""
+    return _link_chain(events, n_chunks, "keys", lambda p: [p])
+
+
+def _entity_chain(events, n_chunks):
+    """Entity-chain files: the entity's leaf values on an add row."""
+    return _link_chain(events, n_chunks, "vals_0", lambda p: [str(p)])
+
+
+CHAINS = {"lake": (_lake_chain, chain.LAKE), "blockmap": (_blockmap_chain, chain.BLOCKMAP),
+          "entities": (_entity_chain, chain.ENTITIES)}
 
 
 def _reconciled(tables, fmt):
@@ -217,9 +230,9 @@ def _reconciled(tables, fmt):
 @given(events=event_lists, n_chunks=st.integers(1, 5))
 def test_lsm_reconcile_equals_sequential(name, events, n_chunks):
     """Any chunking of the ordered event stream into chain tables
-    reconciles to the sequential newest-wins dict state, for the lake
-    and the blockmap chain formats (``chain.reconcile``); the lake's
-    key-sorted reconcile agrees."""
+    reconciles to the sequential newest-wins dict state, for the lake,
+    the blockmap postings and the entity chain formats
+    (``chain.reconcile``); the lake's key-sorted reconcile agrees."""
     build, fmt = CHAINS[name]
     tables, state, rows = build(events, n_chunks)
     got = _reconciled(tables, fmt)
