@@ -327,8 +327,8 @@ def cmd_rewrite(args) -> int:
 
 
 # the lake root's top-level data directories, as ``status`` reports them
-_STORAGE_DIRS = ("partitions", "summaries", "blockmap", "links", "clusters",
-                 "aggview", "egress", "windows", "_metrics")
+_STORAGE_DIRS = ("partitions", "blockmap", "links", "clusters", "aggview", "egress",
+                 "windows", "_metrics")
 
 
 def _dir_storage(root: str) -> dict:

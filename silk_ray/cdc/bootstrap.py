@@ -16,15 +16,16 @@ changelog window occupying offsets ``S-n+1 .. S`` (one distinct offset
 per row — the merge stage's duplicate-offset filter must not collapse
 snapshot rows) and pushed through the ordinary :func:`merge.run_epoch`.
 That reuses every tested path unchanged — key partitioning, change
-sets, fused link-index summaries, dead-letter quarantine for
+sets, the link index's delta rows, dead-letter quarantine for
 malformed snapshot rows, manifest commit — and leaves
 ``next_offset = S+1``, which is the consumer position (window anchoring
 makes per-partition HWMs < S harmless: offsets ≤ S are never read
 again). Incremental linking / cluster / aggregate maintenance then
 initialize from epoch 1 via the engine's normal catch-up: links from
-the fused index's summaries (or epoch 1's change set, derived from
-the lake), the agg view from the snapshot; a store enabled
-after a later epoch starts from the snapshot at the merge epoch.
+the merge tasks' index rows, held in memory when ``link_spec`` is the
+engine's rule (else from epoch 1's change set, derived from the lake),
+the agg view from the snapshot; a store enabled after a later epoch
+starts from the snapshot at the merge epoch.
 
 Scale shape: an in-memory snapshot (tests, small lakes) goes through
 run_epoch as one table; a parquet snapshot (file or directory) is
@@ -76,7 +77,7 @@ def bootstrap_lake(
     *,
     as_of_offset: int,
     num_partitions: int = DEFAULT_PARTITIONS,
-    link_spec: dict | None = None,
+    link_spec=None,
     n_block_partitions: int = 64,
     renames: dict[str, str] | None = None,
 ) -> dict:
@@ -90,6 +91,10 @@ def bootstrap_lake(
     (n snapshot rows need n distinct non-negative synthetic offsets
     ≤ S; a snapshot taken at offset S of a stream that created n keys
     always satisfies this).
+
+    With ``link_spec`` (the engine's link rule, a dict or a compiled
+    rule) the merge tasks also compute the link index's delta rows,
+    which the engine's catch-up writes.
     """
     manifest = ckpt.read_manifest(root)
     if manifest.epoch > 0:

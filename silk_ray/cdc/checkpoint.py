@@ -26,8 +26,11 @@ The lake's ``partitions/`` and the link store's ``blockmap/`` hold LSM
 delta chains (``chain.py``); a state names every file of each chain.
 The link store's ``blockmap/`` holds two kinds: one postings chain per
 block partition (``bp=*``, the linkstate's ``blockmap``) and one entity
-chain (``ent=00000``, its ``entities``); ``blockmap_prev`` lists the
-previous state's files of both.
+chain (``ent=00000``, its ``entities``), each growing by at most one
+``delta-E`` file per epoch; ``blockmap_prev`` lists the previous
+state's files of both. No store keeps a side copy of its inputs: an
+epoch's change set and link-index rows pass in memory or are derived
+from the lake's retained delta files.
 
 Stores without snapshots answer as-of reads at the pointer epoch
 only. Windows declare the floor E-K (``floor_lag=0``); egress
@@ -44,8 +47,9 @@ and the replay overwrites byte-identically. Per-partition high-water
 marks make duplicate delivery a no-op inside the merge.
 
 Also under the lake root: ``_metrics/{epoch,links}-E.json``
-(:func:`write_metrics`) and the linker ``summaries/``
-(``merge.gc_link_inputs``).
+(:func:`write_metrics`). A lake written by an older version may still
+hold a linker ``summaries/`` directory, which nothing reads;
+``merge.gc_link_inputs`` removes it.
 """
 
 from __future__ import annotations

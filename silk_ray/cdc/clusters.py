@@ -36,13 +36,17 @@ tables are the size of the linked corpus and are held in driver memory
 for the pass (the bound ``links_table`` already assumes); the
 union-find work is delta-sized except on a full rebuild.
 
-Catch-up window: rebuilding epoch N needs N's summary files (the dirty
-uris), which storage GC retains only for the newest epoch — the same
-one-epoch window as the rest of the engine. A lag beyond it, or an
-epoch without summaries (the link update ran un-fused, or rebuilt the
-link set from the snapshot), triggers a loud FULL rebuild — the same
-pass over an empty old state, with every current link counted as new —
-which is always correct, and the metrics say it happened.
+The dirty uris are those of epoch N's changed keys: the ``(repo,
+path)`` columns of N's lake delta files, formatted as
+``generator.make_uri`` does — a superset of the link store's dirty
+uris (a changed row with no blocking keys has no link and no old
+cluster, so it changes nothing). The splice thus runs after every link
+update, whatever form the rule took.
+
+Catch-up window: the old table must be epoch N-1's. A lag beyond the
+one-epoch window triggers a loud FULL rebuild — the same pass over an
+empty old state, with every current link counted as new — which is
+always correct, and the metrics say it happened.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
 from silk_ray.cdc.incremental import _links_manifest, read_linkstate
-from silk_ray.cdc.merge import epoch_changed_nothing, epoch_summaries
+from silk_ray.cdc.merge import epoch_changed_nothing
 from silk_ray.functions.graph import union_find_labels
 
 
@@ -113,28 +117,21 @@ def update_clusters(root: str, epoch: int) -> dict:
     """Bring the cluster state up to merge/link epoch ``epoch``.
 
     Idempotent: a replayed epoch returns without touching state. A lag
-    beyond the one-epoch summary-retention window triggers a full
-    rebuild (see module docstring): the same pass over an empty old
-    state with every current link counted as new."""
+    beyond one epoch triggers a full rebuild (see module docstring): the
+    same pass over an empty old state with every current link counted
+    as new."""
     state = read_clusterstate(root)
     if state["epoch"] >= epoch:
         return {"epoch": epoch, "mode": "replay_noop", "rows": _state_rows(root, state)}
     links = _links(root)
     old_dir = state.get("dir")
-    # the splice needs the epoch's dirty uris: summaries for a longer
-    # gap are GC'd, and an un-fused or snapshot (full) link update
-    # writes none; no old table means no base
-    summaries = epoch_summaries(root, epoch)
-    full = state["epoch"] < epoch - 1 or old_dir is None or not (
-        summaries or epoch_changed_nothing(root, epoch)
-    )
+    # the splice needs the old table of epoch - 1; no old table means
+    # no base
+    full = state["epoch"] < epoch - 1 or old_dir is None
     new = links if full else links.filter(pc.equal(links["epoch_added"], epoch))
     seed_parts = [new["source"], new["target"]]
     if not full:
-        seed_parts += [
-            pq.read_table(f, columns=["uri"])["uri"].cast(pa.string())
-            for f in summaries
-        ]
+        seed_parts += _changed_uris(root, epoch)
     seeds = pc.unique(
         pa.chunked_array([c for col in seed_parts for c in col.chunks], pa.string())
     )
@@ -170,6 +167,19 @@ def update_clusters(root: str, epoch: int) -> dict:
         root, state, epoch, rel, "full" if full else "delta",
         -1 if full else len(hit), -1 if full else len(seeds), rows=out.num_rows,
     )
+
+
+def _changed_uris(root: str, epoch: int) -> list[pa.Array]:
+    """The uris of merge epoch ``epoch``'s changed keys, one array per
+    lake delta file the epoch wrote."""
+    if epoch_changed_nothing(root, epoch):  # a repartition writes none
+        return []
+    out = []
+    for pid, info in ckpt.read_manifest_at(root, epoch).partitions.items():
+        if info.get("epoch") == epoch:
+            t = pq.read_table(ckpt.partition_file(root, pid, epoch), columns=["repo", "path"])
+            out.append(pc.binary_join_element_wise(t["repo"], t["path"], "//"))
+    return out
 
 
 def _state_rows(root: str, state: dict) -> int:

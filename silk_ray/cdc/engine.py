@@ -19,24 +19,28 @@ recovery (:func:`catch_up`) is the stage loop at the merge epoch, run
 before :func:`run` tails the next window. Every commit is idempotent,
 so replays converge.
 
-Epoch inputs: the agg view, egress and an un-fused link store read
-epoch E's change set (``merge.epoch_changes``): in memory from the
-merge tasks when one of them has committed E-1, else derived from the
-lake while manifest E-1 is retained. ``merge.gc_link_inputs`` keeps the
-fused link summaries for the link store's next epoch and its one-epoch
-rollback window only.
+Epoch inputs: nothing is written for a derived store to read back.
+The merge tasks run the link index's delta stage with
+``EngineConfig.rule_spec`` (a dict or a compiled rule) and hand its
+rows to the link store in memory (``merge.take_epoch_index``); the agg
+view and egress read epoch E's change set (``merge.epoch_changes``), in
+memory from the merge tasks when one of them has committed E-1. On a
+miss (a new process, a crash catch-up) either is derived from the lake
+while manifest E-1 is retained; the cluster store seeds from E's lake
+delta files.
 
 Storage GC (post-commit, after the crash catch-up and after each epoch;
 ``EngineConfig.gc``, off = no sweep at all): superseded lake and link
-index chain files, orphaned shard-write attempts and consumed summary
-inputs are deleted — the lake's and the link store's (``links/`` +
-``blockmap/``, via ``gc_blockmap``) through one ``EpochStore.gc`` rule. A tailing engine
+index chain files and the files of crashed attempts are deleted — the
+lake's and the link store's (``links/`` + ``blockmap/``, via
+``gc_blockmap``) through one ``EpochStore.gc`` rule. A tailing engine
 keeps O(live state + in-flight epoch) files, not O(history). Every
 rule retains a one-epoch rollback window (``prev_files`` /
-``links_files_prev`` + ``blockmap_prev`` / the link store's summary
-epochs) and the lake keeps every retained epoch's delta files, so crash
-replay, a one-epoch checkpoint rollback and retained epochs' change
-sets are unaffected (tests/test_gc.py).
+``links_files_prev`` + ``blockmap_prev``) and the lake keeps every
+retained epoch's delta files, so crash replay, a one-epoch checkpoint
+rollback and retained epochs' change sets are unaffected
+(tests/test_gc.py). ``merge.gc_link_inputs`` removes the ``summaries/``
+directory a lake written by an older version still holds.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ class EngineConfig:
     limit: float = 0.0
     max_epochs: int | None = None
     # per-epoch storage GC (post-commit): superseded lake/blockmap chain
-    # files, orphaned shard attempts, consumed summary inputs,
-    # snapshots past retention. Without it a continuously-tailing engine
-    # grows storage without bound. Disable to keep every file.
+    # files, files of crashed attempts, snapshots past retention.
+    # Without it a continuously-tailing engine grows storage without
+    # bound. Disable to keep every file.
     gc: bool = True
     # as-of-epoch (time-travel) read depth: GC keeps the last
     # `retain_epochs` committed manifests before the current one
@@ -214,9 +218,9 @@ def run(root: str, changelog, config: EngineConfig) -> list[dict]:
 
 
 def _gc(root: str, stages: list[tuple], config: EngineConfig) -> int:
-    """Post-commit storage GC of the lake, the link inputs and every
-    stage's store; files removed. Every rule deletes only files the
-    committed states can no longer reference."""
+    """Post-commit storage GC of the lake, an older version's link
+    inputs and every stage's store; files removed. Every rule deletes
+    only files the committed states can no longer reference."""
     n = gc_lake(root, retain_epochs=config.retain_epochs) + gc_link_inputs(root)
     return n + sum(gc(root) for _name, _update, gc in stages if gc)
 
@@ -238,7 +242,7 @@ def _run_locked(root: str, changelog, config: EngineConfig, results: list) -> li
             epoch_size=cur_epoch_size,
             num_partitions=config.num_partitions,
             renames=config.renames or None,
-            link_spec=config.rule_spec if isinstance(config.rule_spec, dict) else None,
+            link_spec=config.rule_spec,
             n_block_partitions=config.n_block_partitions,
             payload_schema=config.payload_schema,
             enrich_specs=config.enrich_rules,

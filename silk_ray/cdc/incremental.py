@@ -6,14 +6,14 @@ rule/execution/methods/MultiBlock.scala applied delta-wise):
 
 Persisted link state under ``lake_root/`` (LSM-style)::
 
-    blockmap/bp={B}/delta-{E}-*.parquet    # postings: per-epoch delta
-                                           # shards, one row per (side,
-                                           # uri) entity: (action, side,
-                                           # uri, keys), sorted by
-                                           # (side, uri)
+    blockmap/bp={B}/delta-{E}.parquet      # postings: one delta file per
+                                           # touched chain and epoch, one
+                                           # row per (side, uri) entity:
+                                           # (action, side, uri, keys),
+                                           # sorted by (side, uri)
     blockmap/bp={B}/compact-{E}.parquet    # compacted chain (all 'add';
                                            # chain.py's LSM chain)
-    blockmap/ent=00000/delta-{E}-*.parquet # entity chain: one row per
+    blockmap/ent=00000/delta-{E}.parquet   # entity chain: one row per
     blockmap/ent=00000/compact-{E}.parquet # changed (side, uri) entity:
                                            # (action, side, uri,
                                            # vals_0..m); side 1 alone
@@ -37,28 +37,28 @@ postings file in another layout — the older one-row-per-key layout (a
 ``key`` column) or rows that still carry ``vals_*`` — is refused: the
 link store must be rebuilt from the snapshot.
 
-Per merge epoch E (consuming the fused index's ``summaries/p=*/epoch-{E}``
-files, or the epoch's change set ``merge.epoch_changes`` when the merge
-ran un-fused; a store more than one epoch behind consumes the snapshot
-instead, see :func:`update_links`):
+Per merge epoch E (a store more than one epoch behind re-indexes the
+snapshot instead, see :func:`update_links`):
 
-1. **delta index + shard write** (fused into the merge tasks, or run
-   on the driver over the change tables; no shuffle): for every
-   changed key and link side, compute the OLD payload's blocking keys
-   and the NEW payload's keys + leaf-comparison values; write one 'add'
-   postings row per partition of the new keys and one 'del' row per
-   partition only the old keys had, plus one entity-chain row — the
-   values ('add'), or a 'del' for an entity that left the index.
-   Each task writes its shard files directly (same-epoch shards of one
-   chain touch disjoint uris, so reconciliation order among them is
-   irrelevant) and returns only a small ``(bp, file, key, uri)``
-   summary, one row per old and new key (and one per entity-chain row,
-   ``bp`` = :data:`ENT`, no key). O(delta) writes.
-2. **consolidation + compaction**: a chain's same-epoch shards merge
-   into one delta file, so each chain grows one file per epoch; a chain
-   past ``chain.COMPACT_AT`` files is rewritten as one compact file by
-   ``chain.write_compact`` (the lake's rule and writer; amortized
-   O(index/COMPACT_AT) per epoch). The entity chain is one more chain.
+1. **delta index** (:class:`DeltaIndexStage`; no shuffle, no file):
+   for every changed key and link side, compute the OLD payload's
+   blocking keys and the NEW payload's keys + leaf-comparison values;
+   emit one 'add' postings row per partition of the new keys and one
+   'del' row per partition only the old keys had, plus one entity-chain
+   row — the values ('add'), or a 'del' for an entity that left the
+   index — and one ``(bp, key, uri)`` row per old and new key. The
+   merge tasks run it while the changed payloads are in memory and
+   hand the rows to :func:`update_links` beside the epoch's change set
+   (``merge.take_epoch_index``); on a miss (a new process, a crash
+   catch-up, a merge run without the rule) it runs on the driver over
+   the epoch's change set (``merge.epoch_changes``). O(delta).
+2. **delta write + compaction**: each touched chain's rows of the epoch
+   are written once, by the driver, as ``delta-E`` (a deterministic
+   name and content, so a replay rewrites the same bytes), so each
+   chain grows one file per epoch; a chain past ``chain.COMPACT_AT``
+   files is rewritten as one compact file by ``chain.write_compact``
+   (the lake's rule and writer; amortized O(index/COMPACT_AT) per
+   epoch). The entity chain is one more chain.
 3. **delta re-score** (raw-task wave 1): per cost-balanced loader
    bucket, reconcile each postings chain once (newest-file-wins per
    uri), keep the affected blocks (vectorized ``is_in``), key-sub-split
@@ -110,7 +110,14 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import chain, checkpoint as ckpt, remote
-from silk_ray.cdc.merge import epoch_changed_nothing, epoch_changes, epoch_summaries, inserts_table
+from silk_ray.cdc.merge import (
+    _load_partition,
+    epoch_changed_nothing,
+    epoch_changes,
+    inserts_table,
+    partition_chains,
+    take_epoch_index,
+)
 from silk_ray.kernel.rule import LinkageRule
 from silk_ray.linking.pipeline import _compile_rule, _spec_symmetric
 
@@ -135,7 +142,8 @@ read_linkstate_at = ckpt.LINKS.read_at
 class DeltaIndexStage:
     """Turn change rows (``merge.changes_table``) into link-index delta
     rows: postings for both link sides and one entity-chain row per
-    entity.
+    entity. It writes nothing; ``update_links`` writes each touched
+    chain's rows of an epoch as one file.
 
     Per change row and side: one ``add`` postings row — the entity's
     full sorted ``keys`` — in every block partition ``{k % B : k ∈ new
@@ -144,21 +152,18 @@ class DeltaIndexStage:
     into the entity chain: an ``add`` row while it has keys, a ``del``
     row when it leaves the index; a symmetric rule writes side 1 alone.
 
-    Each task writes its per-bp postings shards and its entity shard
-    DIRECTLY (no shuffle: every uri is produced by exactly one task
-    because the merge stage emits one change row per key per epoch, so
-    same-epoch shards of one chain touch disjoint uris and their
-    reconciliation order is irrelevant) and returns only a small
-    summary ``(bp, file, key, uri)``, one row per old and new key and
-    side, then one per entity-chain row (``bp`` = :data:`ENT`, null
-    ``key``) — ``update_links`` registers the shards and collects
-    affected keys / dirty uris from it."""
+    Returns ``(chains, touched)``: ``chains`` maps each touched chain —
+    block partition ``0..B-1`` in :data:`POSTINGS`, the entity chain
+    :data:`ENT` in its values schema — to its rows; ``touched`` holds
+    one ``(bp, key, uri)`` row per old and new key and side
+    (:data:`TOUCHED`), whence the affected keys, dirty uris and
+    per-partition delta sizes. The merge emits one change row per key
+    per epoch, so the outputs of an epoch's calls touch disjoint uris
+    and concatenate per chain in any order."""
 
-    def __init__(self, rule_spec, n_block_partitions: int, shard_root: str, epoch: int = 0):
+    def __init__(self, rule_spec, n_block_partitions: int):
         self.rule = _compile_rule(rule_spec)
         self.nbp = n_block_partitions
-        self.shard_root = shard_root
-        self.epoch = epoch
         self.n_leaves = len(self.rule.leaf_comparisons())
         # symmetric rules (every leaf's source == target spec): side-1
         # and side-0 evaluations coincide, so transforms/index hashing
@@ -177,11 +182,11 @@ class DeltaIndexStage:
                     any_val = True
         return ent if any_val else None
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> tuple[dict[int, pa.Table], pa.Table]:
         from silk_ray.cdc.generator import make_uri
 
-        post, ents = [], []  # (action, side, uri, keys) / (action, side, uri, *vals)
-        row_bp: list[int] = []
+        post: dict[int, list[tuple]] = {}  # bp -> (action, side, uri, keys)
+        ents = []  # (action, side, uri, *vals)
         sum_key, sum_uri = [], []
         rule, nbp = self.rule, self.nbp
         no_vals = [None] * self.n_leaves
@@ -201,56 +206,23 @@ class DeltaIndexStage:
                 touched = (old_keys or []) + (new_keys or [])
                 sum_key.extend(touched)
                 sum_uri.extend([uri] * len(touched))
-                new_bps = sorted({k % nbp for k in new_keys or ()})
+                new_bps = {k % nbp for k in new_keys or ()}
                 for bp in new_bps:
-                    row_bp.append(bp)
-                    post.append(("add", side, uri, new_keys))
-                for bp in sorted({k % nbp for k in old_keys or ()}.difference(new_bps)):
-                    row_bp.append(bp)
-                    post.append(("del", side, uri, None))
+                    post.setdefault(bp, []).append(("add", side, uri, new_keys))
+                for bp in {k % nbp for k in old_keys or ()}.difference(new_bps):
+                    post.setdefault(bp, []).append(("del", side, uri, None))
                 if side == 1 or not self.symmetric:
                     if new_keys:
                         ents.append(("add", side, uri, *new_vals))
                     elif old_keys:
                         ents.append(("del", side, uri, *no_vals))
-        return self._write_shards(
-            _rows_table(post, POSTINGS), _rows_table(ents, _values_schema(self.n_leaves)),
-            np.asarray(row_bp, np.int64), sum_key, sum_uri,
-        )
-
-    def _write_shards(self, post: pa.Table, ents: pa.Table, row_bp: np.ndarray,
-                      sum_key, sum_uri) -> pa.Table:
-        """Write one postings shard per touched bp and one entity shard,
-        rows sorted by (side, uri); return the summary rows, grouped by
-        bp in order of first appearance, then the entity rows."""
-        import uuid
-
-        tag = f"delta-{self.epoch:06d}-{uuid.uuid4().hex[:8]}.parquet"
-        sum_bp = [k % self.nbp for k in sum_key]
-        rel_of: dict[int, str] = {}
-        for bp in dict.fromkeys(sum_bp):
-            rel_of[bp] = _write_sorted(self.shard_root, post.filter(pa.array(row_bp == bp)),
-                                       _chain_file(bp, tag))
-        rank = {bp: i for i, bp in enumerate(rel_of)}
-        order = np.argsort([rank[bp] for bp in sum_bp], kind="stable").tolist()
-        bps = [sum_bp[r] for r in order]
-        files = [rel_of[bp] for bp in bps]
-        keys = [sum_key[r] for r in order]
-        uris = [sum_uri[r] for r in order]
-        if ents.num_rows:
-            rel = _write_sorted(self.shard_root, ents, _chain_file(ENT, tag))
-            bps += [ENT] * ents.num_rows
-            files += [rel] * ents.num_rows
-            keys += [None] * ents.num_rows
-            uris += ents["uri"].to_pylist()
-        return pa.table(
-            {
-                "bp": pa.array(bps, pa.int32()),
-                "file": pa.array(files, pa.string()),
-                "key": pa.array(keys, pa.int64()),
-                "uri": pa.array(uris, pa.string()),
-            }
-        )
+        chains = {bp: _rows_table(rows, POSTINGS) for bp, rows in post.items()}
+        if ents:
+            chains[ENT] = _rows_table(ents, _values_schema(self.n_leaves))
+        keys = np.asarray(sum_key, np.int64)
+        touched = pa.table([pa.array(keys % nbp, pa.int32()), pa.array(keys),
+                            pa.array(sum_uri, pa.string())], schema=TOUCHED)
+        return chains, touched
 
 
 def _rows_table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
@@ -279,6 +251,12 @@ POSTINGS = pa.schema([
     pa.field("uri", pa.string()),
     pa.field("keys", pa.list_(pa.int64())),
 ])
+# a delta-index key row: block partition, one old or new key, its uri
+TOUCHED = pa.schema([
+    pa.field("bp", pa.int32()),
+    pa.field("key", pa.int64()),
+    pa.field("uri", pa.string()),
+])
 
 
 def _values_schema(n_leaves: int) -> pa.Schema:
@@ -306,6 +284,13 @@ def _chain_schema(part: int, n_leaves: int) -> pa.Schema:
     return _values_schema(n_leaves) if part == ENT else POSTINGS
 
 
+_REBUILD_HINT = (
+    "the link store must be rebuilt: remove blockmap/, links/ and _linkstate.json, "
+    "then engine.catch_up re-indexes the snapshot at the merge epoch (update_links' "
+    "full mode)"
+)
+
+
 def _read_link_files(root: str, files: list[str], schema: pa.Schema,
                      uris: pa.Array | None = None) -> list[pa.Table]:
     """A link-index chain's tables in ``schema`` (a parquet read names
@@ -319,9 +304,7 @@ def _read_link_files(root: str, files: list[str], schema: pa.Schema,
         if pf.schema_arrow.names != schema.names:
             raise ValueError(
                 f"link-index file {f} has columns {pf.schema_arrow.names}, not this "
-                f"layout's {schema.names}; the link store must be rebuilt: remove "
-                "blockmap/, links/ and _linkstate.json, then engine.catch_up "
-                "re-indexes the snapshot at the merge epoch (update_links' full mode)"
+                f"layout's {schema.names}; {_REBUILD_HINT}"
             )
         t = pf.read()
         if uris is not None:
@@ -368,9 +351,7 @@ def _attach_values(ents: pa.Table, vals: pa.Table, symmetric: bool) -> pa.Table:
         i = int(np.flatnonzero(pos < 0)[0])
         raise ValueError(
             f"link index: entity {ents['uri'][i].as_py()!r} (side {int(side[i])}) has "
-            "postings but no values in the entity chain; the link store must be "
-            "rebuilt: remove blockmap/, links/ and _linkstate.json, then "
-            "engine.catch_up re-indexes the snapshot at the merge epoch"
+            f"postings but no values in the entity chain; {_REBUILD_HINT}"
         )
     take = pa.array(pos)
     for name in vals.column_names[2:]:
@@ -389,25 +370,10 @@ def _bp_blocks(ents: pa.Table, bp: int, n_block_partitions: int):
     return flat[mine], parent[mine]
 
 
-def _consolidate_bundle(root: str, parts: list[int], shard_lists: list, n_leaves: int, epoch: int):
-    """Merge each chain's SAME-EPOCH shard files (one per merge task
-    that touched it; disjoint uris, so concat order is irrelevant) into
-    one delta file in the chain's schema, so every file of a chain has
-    the same Arrow schema. O(this epoch's delta). Deterministic content
-    (sorted input file list, sorted rows) → idempotent on replay."""
-    out = []
-    for part, files in zip(parts, shard_lists):
-        rel = _chain_file(part, f"delta-{epoch:06d}-merged.parquet")
-        # replay fast-path: the merged file's content is uniquely
-        # determined by (chain, epoch) — the shard set is fixed by the
-        # epoch's committed summaries — so an existing file IS the
-        # result (and after a post-commit rollback the original shards
-        # may already be GC'd)
-        if not os.path.exists(os.path.join(root, rel)):
-            tables = _read_link_files(root, sorted(files), _chain_schema(part, n_leaves))
-            _write_sorted(root, pa.concat_tables(tables), rel)
-        out.append((part, rel))
-    return out
+def _index_snapshot_partition(files: list[str], rule_spec, n_block_partitions: int):
+    """Full mode's delta index over one lake partition: its live rows
+    (chain ``files``, absolute paths) as inserts."""
+    return DeltaIndexStage(rule_spec, n_block_partitions)(inserts_table(_load_partition(files)))
 
 
 def _compact_bundle(root: str, items: list[tuple[int, list[str]]], n_leaves: int, epoch: int):
@@ -577,13 +543,13 @@ def update_links(
 ) -> dict:
     """Process merge epoch ``epoch``'s delta into the link state.
 
-    The delta comes from the fused index's summary files, or else from
-    the epoch's change set (``merge.epoch_changes``) through the
-    delta-index stage, run on the driver. A store more than one epoch
-    behind re-indexes the snapshot at ``epoch`` through the same stage
-    over an empty index and link set (``mode`` ``"full"``; the cluster
-    store then full-rebuilds too). An epoch that changed no key is a
-    no-op commit.
+    The delta is :class:`DeltaIndexStage`'s rows for the epoch: the
+    merge tasks' when ``merge.run_epoch`` ran with this rule and
+    ``n_block_partitions``, else the stage's over the epoch's change set
+    (``merge.epoch_changes``), run on the driver. A store more than one
+    epoch behind re-indexes the snapshot at ``epoch`` through the same
+    stage over an empty index and link set (``mode`` ``"full"``). An
+    epoch that changed no key is a no-op commit.
 
     Returns link metrics (links_recomputed, links_removed, ...); a
     store already at or past ``epoch`` is a replay no-op. Superseded
@@ -609,100 +575,53 @@ def update_links(
     n_leaves = len(rule.leaf_comparisons())
     payload = rule_spec if isinstance(rule_spec, dict) else rule
 
-    summary_files = epoch_summaries(root, epoch)
     mode = "delta" if state["epoch"] == epoch - 1 else "full"
-    if mode == "delta" and not summary_files and epoch_changed_nothing(root, epoch):
+    if mode == "delta" and epoch_changed_nothing(root, epoch):
         state["epoch"] = epoch
         commit_linkstate(root, state)
         return {"epoch": epoch, "mode": "noop", "links_recomputed": 0,
                 "links_removed": 0, "links_total": _count_links(state)}
 
-    # -- stage 1+2: delta index + per-chain shard writes -----------------
-    # Preferred path: the merge stage already ran the delta index fused
-    # into its tasks (MergePartition.link_spec) and left per-partition
-    # summary files — read them driver-side, zero extra Ray executions.
-    if mode == "delta" and summary_files:
-        summary_batches = [pq.ParquetFile(f).read() for f in summary_files]
-        _mark("read_summaries")
-    elif mode == "delta":
-        # the merge ran without link_spec: the same stage on the driver
-        # over each partition's (delta-sized) change table
-        stage = DeltaIndexStage(payload, n_block_partitions, root, epoch)
-        summary_batches = [stage(t) for t in epoch_changes(root, epoch)]
+    # -- stage 1: the epoch's delta-index rows ---------------------------
+    # in memory from the merge tasks when they ran the stage with this
+    # rule and B; else the same stage on the driver over the epoch's
+    # change set. Full mode runs it over the snapshot at ``epoch``, one
+    # task per lake partition, into an empty index and link set.
+    rows = take_epoch_index(root, epoch, rule_spec, n_block_partitions)
+    if mode == "full":
+        task = remote(_index_snapshot_partition)
+        rows = ray.get([task.remote(files, payload, n_block_partitions)
+                        for files in partition_chains(root, at_epoch=epoch).values()])
         _mark("delta_index")
-    else:
-        # full mode: the delta index as its own execution over the
-        # snapshot as all-insert rows
-        from silk_ray.cdc.merge import snapshot_dataset
-        from silk_ray.linking.pipeline import cached_stage
-
-        summary_ds = snapshot_dataset(root, at_epoch=epoch).map_batches(
-            inserts_table, batch_format="pyarrow"
-        ).map_batches(
-            cached_stage(
-                DeltaIndexStage,
-                rule_spec=payload,
-                n_block_partitions=n_block_partitions,
-                shard_root=root,
-                epoch=epoch,
-            ),
-            batch_format="pyarrow",
-        )
-        summary_batches = list(summary_ds.iter_batches(batch_format="pyarrow"))
+    elif rows is None:
+        stage = DeltaIndexStage(payload, n_block_partitions)
+        rows = [stage(t) for t in epoch_changes(root, epoch)]
         _mark("delta_index")
 
-    # full mode indexes into an empty link index and link set; the
-    # entity chain sits among the postings chains as part ENT
+    # -- stage 2: one delta file per touched chain -----------------------
+    # the entity chain sits among the postings chains as part ENT
     base = {"blockmap": {}, "links_files": []} if mode == "full" else state
     bm_files: dict[int, list[str]] = {ENT: list(base.get("entities", []))}
     bm_files.update((int(k), list(v)) for k, v in base["blockmap"].items())
-    # vectorized driver-side collection (these summaries are delta-sized
-    # but still ~K× the dirty count; python set loops here were a
-    # measurable serial chunk per epoch)
-    summary_all = pa.concat_tables(summary_batches) if summary_batches else None
-    affected_keys: set[int] = set()
-    dirty_uris: set[str] = set()
-    new_shards: dict[int, list[str]] = {}
-    if summary_all is not None and summary_all.num_rows:
-        files_tbl = pa.table(
-            {"bp": summary_all["bp"], "file": summary_all["file"]}
-        ).group_by(["bp", "file"]).aggregate([])
-        for bp, f in zip(files_tbl["bp"].to_pylist(), files_tbl["file"].to_pylist()):
-            new_shards.setdefault(bp, []).append(f)
-        # keys and dirty uris from the postings rows (an entity-chain
-        # row's uri always has postings rows too)
-        summary_all = summary_all.filter(pc.not_equal(summary_all["bp"], ENT))
-        affected_keys = set(pc.unique(summary_all["key"]).to_pylist())
-        dirty_uris = set(pc.unique(summary_all["uri"]).to_pylist())
-    # consolidate same-epoch shards (one per merge task that touched the
-    # chain) into ONE delta file per chain: chains then grow O(1) per
-    # epoch, so the full chain.COMPACT_AT reconcile fires every
-    # ~COMPACT_AT epochs per chain (amortized O(state/COMPACT_AT))
-    # instead of every epoch — without this, ~P shards/bp/epoch tripped
-    # compaction into an O(total blockmap) rewrite per epoch (measured
-    # 0.6-0.9 s/epoch at sf0.1, growing with state)
-    multi = {bp: sorted(set(s)) for bp, s in new_shards.items() if len(set(s)) > 1}
-    if multi:
-        task = remote(_consolidate_bundle)
-        items = sorted(multi.items())
-        # one wave across the cluster: the cost is per-small-file IO
-        # (~P shards per chain), so spread chains over ~2 tasks per CPU
-        ncpu_c = int(ray.cluster_resources().get("CPU", 8))
-        per = max(1, -(-len(items) // (2 * ncpu_c)))
-        merged = ray.get(
-            [
-                task.remote(root, [bp for bp, _ in items[i : i + per]],
-                            [fs for _, fs in items[i : i + per]], n_leaves, epoch)
-                for i in range(0, len(items), per)
-            ]
-        )
-        for bundle in merged:
-            for bp, rel in bundle:
-                new_shards[int(bp)] = [rel]
-        _mark("consolidate")
-    for bp, shards in new_shards.items():
-        bm_files.setdefault(bp, []).extend(sorted(set(shards)))
-    affected_bps = sorted({k % n_block_partitions for k in affected_keys})
+    by_chain: dict[int, list[pa.Table]] = {}
+    for chains, _touched in rows:
+        for part, t in chains.items():
+            by_chain.setdefault(part, []).append(t)
+    for part, tables in sorted(by_chain.items()):
+        name = _chain_file(part, f"delta-{epoch:06d}.parquet")
+        bm_files.setdefault(part, []).append(_write_sorted(root, pa.concat_tables(tables), name))
+    touched = pa.concat_tables([TOUCHED.empty_table()] + [t for _c, t in rows])
+    del rows, by_chain
+    affected_keys = set(pc.unique(touched["key"]).to_pylist())
+    dirty_uris = set(pc.unique(touched["uri"]).to_pylist())
+    # per-bp delta row counts: large bps are SUB-SPLIT by key so no
+    # single scoring task becomes the serial tail — pair scoring is
+    # O(block²)-ish and task-level skew was the measured scaling blocker
+    # (straggler tasks of 5-6 s)
+    bp_counts = touched.group_by("bp").aggregate([("bp", "count")])
+    rows_per_bp = dict(zip(bp_counts["bp"].to_pylist(), bp_counts["bp_count"].to_pylist()))
+    affected_bps = sorted(rows_per_bp)
+    _mark("write_index")
 
     # -- compaction: bound each chain ------------------------------------
     # raw Ray tasks, not a Dataset: this is a driver-coordinated chain
@@ -724,21 +643,11 @@ def update_links(
     keys_ref = ray.put(pa.array(sorted(affected_keys), pa.int64()))
     uris_ref = ray.put(pa.array(sorted(dirty_uris), pa.string()))
 
-    # per-bp delta row counts (driver-side, from the summary): large
-    # bps are SUB-SPLIT by key so no single scoring task becomes the
-    # serial tail — pair scoring is O(block²)-ish and task-level skew
-    # was the measured scaling blocker (straggler tasks of 5-6 s)
-    rows_per_bp: dict[int, int] = {}
-    if summary_all is not None and summary_all.num_rows:
-        bp_counts = pa.table({"bp": summary_all["bp"]}).group_by("bp").aggregate([("bp", "count")])
-        rows_per_bp = dict(
-            zip(bp_counts["bp"].to_pylist(), bp_counts["bp_count"].to_pylist())
-        )
     loader_items = []
     for bp in affected_bps:
         if not bm_files.get(bp):
             continue
-        msplit = max(1, -(-rows_per_bp.get(bp, 0) // SPLIT_ROWS))
+        msplit = max(1, -(-rows_per_bp[bp] // SPLIT_ROWS))
         for r in range(msplit):
             loader_items.append(
                 {"bp": bp, "files": bm_files[bp], "msplit": msplit, "rsplit": r}
@@ -746,12 +655,11 @@ def update_links(
 
     # adaptive parallelism: size loader tasks by the work actually
     # present — affected-chain bytes (driver-side getsize) AND the
-    # delta-summary row count (pair scoring is CPU-bound per exploded
+    # delta key-row count (pair scoring is CPU-bound per exploded
     # row, so compressed bytes alone undercount it). Fixed counts
     # (64/64) cost ~10s of pure task/shuffle overhead per epoch on
     # small deltas while the useful compute is milliseconds; both terms
     # grow the counts back to the cap at scale.
-    n_summary = int(summary_all.num_rows) if summary_all is not None else 0
     total_bm_bytes = 0
     for bp in affected_bps:
         for f in bm_files.get(bp) or ():
@@ -769,7 +677,7 @@ def update_links(
             1,
             min(
                 len(loader_items),
-                max(total_bm_bytes // (8 << 20), n_summary // 1_500) + 1,
+                max(total_bm_bytes // (8 << 20), touched.num_rows // 1_500) + 1,
                 4 * ncpu,
             ),
         )
@@ -970,8 +878,8 @@ def _links_manifest(state: dict) -> list[dict]:
 
 # The link store's sweep, run once per epoch by the engine's GC loop:
 # links/ and blockmap/ files no retained link state names (chain members
-# superseded by compaction, consolidated shards, orphaned shards of a
-# crashed delta-index attempt), and snapshots past the retention window.
+# superseded by compaction, files of a crashed attempt), and snapshots
+# past the retention window.
 gc_blockmap = ckpt.LINKS.gc
 
 
@@ -1008,8 +916,12 @@ def links_table(root: str, at_epoch: int | None = None) -> pa.Table:
     tables = []
     for e in _links_manifest(state):
         p = os.path.join(root, e["file"])
-        if os.path.exists(p):
-            tables.append(pq.read_table(p))
+        if not os.path.exists(p):
+            raise FileNotFoundError(
+                f"link file {e['file']} named by the link state at epoch {state['epoch']} "
+                f"is missing; {_REBUILD_HINT}"
+            )
+        tables.append(pq.read_table(p))
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return empty

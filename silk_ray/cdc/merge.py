@@ -28,7 +28,11 @@ LSM-style so per-epoch cost is O(delta), not O(state):
   5. when the driver marked the partition for compaction (its chain
      outgrows ``chain.COMPACT_AT`` files), rewrite the chain as one
      compact file with ``chain.write_compact`` — the only
-     O(partition-state) moment, amortized 1/COMPACT_AT per epoch.
+     O(partition-state) moment, amortized 1/COMPACT_AT per epoch;
+  6. build the partition's change table for the stores that read it
+     and, given a link rule, run the link index's delta stage over it
+     (``incremental.DeltaIndexStage``), returning its rows — nothing
+     of either is written.
 
   Deterministic bytes ⇒ task retries and epoch replays converge
   (exactly-once = idempotence + atomic manifest swap);
@@ -38,10 +42,12 @@ LSM-style so per-epoch cost is O(delta), not O(state):
   (EntitySchema.renameProperty, silk-core/.../entity/EntitySchema.scala:147-153);
 - each epoch's *change set* (old + new payload per changed key,
   **typed** per the unified schema; :func:`epoch_changes`) feeds the
-  agg view, egress and un-fused re-linking: handed over in memory by
-  the merge tasks, or derived from the lake's delta chains — never
-  written. Plus lineage metrics (events applied, skew ratio, live rows
-  tracked incrementally).
+  agg view, egress and re-linking: handed over in memory by the merge
+  tasks, or derived from the lake's delta chains — never written. So
+  do the link index's delta rows (:func:`take_epoch_index`): the merge
+  tasks' when ``run_epoch`` got the link rule, else the link stage
+  derives them from the change set. Plus lineage metrics (events
+  applied, skew ratio, live rows tracked incrementally).
 
 State is never authoritative in RAM: everything reconstructs from
 (lake delta chains + offset log) — SURVEY.md §7.3 "actor-state restart".
@@ -223,7 +229,7 @@ class MergePartition:
         part_files: dict[int, list[str]],
         part_rows: dict[int, int],
         renames: dict[str, str] | None = None,
-        link_spec: dict | None = None,
+        link_spec=None,
         n_block_partitions: int = 64,
         *,
         compact: frozenset,
@@ -235,30 +241,19 @@ class MergePartition:
         self.part_files = part_files
         self.part_rows = part_rows
         self.renames = renames or {}  # event column -> state column
-        # fused incremental-linking delta index: computing blocking-key
-        # deltas here (while the changed payloads are already in memory)
-        # saves a whole Ray execution + change-set read per epoch
+        # the link rule (a dict or a compiled LinkageRule): the link
+        # index's delta rows are computed here, while the changed
+        # payloads are already in memory
         self.link_spec = link_spec
         self.n_block_partitions = n_block_partitions
         self.compact = compact  # pids whose chain this epoch compacts
         self.hand_off = hand_off  # return the change table to the driver
-        self._delta_stage = None
-
-    def _get_delta_stage(self):
-        if self._delta_stage is None and self.link_spec is not None:
-            from silk_ray.cdc.incremental import DeltaIndexStage
-
-            self._delta_stage = DeltaIndexStage(
-                self.link_spec,
-                self.n_block_partitions,
-                shard_root=self.root,
-                epoch=self.epoch,
-            )
-        return self._delta_stage
 
     def __call__(self, group: pa.Table) -> dict:
         """Merge one partition's events; returns its metrics, plus its
-        change table under ``changes`` (None unless ``hand_off``)."""
+        change table under ``changes`` (None unless ``hand_off``) and its
+        link-index delta rows under ``index`` (None without a link
+        rule)."""
         pid = int(group["pid"][0].as_py())
         events = group.drop_columns(["pid"])
         if self.renames:
@@ -375,19 +370,14 @@ class MergePartition:
                 )
             ]
 
-        # -- 6. change table: handed to the driver for the stores that
-        # read it, and fed to the fused delta index -------------------
-        changes = None
-        delta_stage = self._get_delta_stage()
-        if self.hand_off or delta_stage is not None:
+        # -- 6. change table and link-index rows, handed to the driver -
+        changes = index = None
+        if self.hand_off or self.link_spec is not None:
             changes = changes_table(delta_table, old)
-        # fused delta index: write blockmap shards + linker summary now
-        if delta_stage is not None:
-            summary = delta_stage(changes)
-            summary_path = os.path.join(
-                self.root, "summaries", f"p={pid:05d}", f"epoch-{self.epoch:06d}.parquet"
-            )
-            ckpt.atomic_write_parquet(summary, summary_path)
+        if self.link_spec is not None:
+            from silk_ray.cdc.incremental import DeltaIndexStage
+
+            index = DeltaIndexStage(self.link_spec, self.n_block_partitions)(changes)
 
         return {
             "pid": pid,
@@ -402,6 +392,7 @@ class MergePartition:
             "files": files,
             "dirty": delta_table.num_rows,  # one change row per delta row
             "changes": changes if self.hand_off else None,
+            "index": index,
         }
 
     def _state_schema(
@@ -962,7 +953,7 @@ def run_epoch(
     epoch_size: int = 100_000,
     num_partitions: int = DEFAULT_PARTITIONS,
     renames: dict[str, str] | None = None,
-    link_spec: dict | None = None,
+    link_spec=None,
     n_block_partitions: int = 64,
     payload_schema: dict[str, str] | None = None,
     enrich_specs: list[dict] | None = None,
@@ -986,6 +977,11 @@ def run_epoch(
     This is the documented raw-Ray exception: a keyed exchange whose
     partitioning (crc32 key hash mod P, stable across epochs) the
     Dataset API cannot express without a sort.
+
+    With ``link_spec`` (a rule dict or a compiled ``LinkageRule``) the
+    merge tasks also return the link index's delta rows for
+    ``n_block_partitions``, kept in memory for the link stage
+    (:func:`take_epoch_index`).
     """
     import ray
 
@@ -1020,9 +1016,9 @@ def run_epoch(
 
     # the merge tasks hand the epoch's change tables to the driver only
     # when a store that reads them committed E-1 (an absent store reads
-    # as epoch 0, hence epoch > 1); the fused delta index reads them in
-    # the task, so the link store counts only for an un-fused merge
-    readers = [ckpt.AGG_VIEW, ckpt.EGRESS] + ([ckpt.LINKS] if link_spec is None else [])
+    # as epoch 0, hence epoch > 1); the link store gets its index rows
+    # instead, or derives them from the lake
+    readers = [ckpt.AGG_VIEW, ckpt.EGRESS]
     merger = MergePartition(
         root, epoch, hwm, part_files, part_rows, renames,
         link_spec=link_spec, n_block_partitions=n_block_partitions,
@@ -1091,7 +1087,9 @@ def run_epoch(
     )
     ckpt.commit_manifest(root, new_manifest, window=(lo, hi))
     changes = [r.pop("changes") for r in metrics_rows]
-    _remember_changes(root, epoch, changes if merger.hand_off else None)
+    index = [r.pop("index") for r in metrics_rows]
+    _remember_changes(root, epoch, changes if merger.hand_off else None,
+                      None if link_spec is None else (link_spec, n_block_partitions, index))
 
     per_part = {
         int(r["pid"]): {k: int(v) for k, v in r.items() if k not in ("pid", "files")}
@@ -1125,8 +1123,6 @@ def run_epoch(
     return metrics
 
 
-_file_epoch = ckpt.file_epoch
-
 # Delete lake partition files no retained manifest references (chain
 # members superseded by compaction past the retention window, partial
 # files of a crashed in-flight epoch) and trim manifest snapshots past
@@ -1138,12 +1134,6 @@ _file_epoch = ckpt.file_epoch
 gc_lake = ckpt.LAKE.gc
 
 
-def epoch_summaries(root: str, epoch: int) -> list[str]:
-    """Merge epoch ``epoch``'s per-partition linker summary files (the
-    fused delta index's output), in partition order."""
-    return sorted(glob.glob(os.path.join(root, "summaries", "*", f"epoch-{epoch:06d}.parquet")))
-
-
 def epoch_changed_nothing(root: str, epoch: int) -> bool:
     """Merge epoch ``epoch`` changed no key, so it has no inputs to
     read: no change row (a repartition's record has no ``dirty_total``).
@@ -1152,10 +1142,13 @@ def epoch_changed_nothing(root: str, epoch: int) -> bool:
     return record is not None and not record.get("dirty_total")
 
 
-# The latest change set this process saw, one entry keyed by root, epoch
-# and the identity of the epoch's manifest snapshot file (a lake rewritten
-# under the same root is never served stale rows): run_epoch primes it,
-# epoch_changes fills it on a miss.
+# The latest epoch this process merged or derived, one entry keyed by
+# root, epoch and the identity of the epoch's manifest snapshot file (a
+# lake rewritten under the same root is never served stale rows): its
+# change set (None until handed off or derived) and the merge tasks'
+# link-index rows, tagged with their rule and block-partition count
+# (None once taken). run_epoch primes it, epoch_changes fills it on a
+# miss.
 _CHANGES: dict = {}
 
 
@@ -1164,12 +1157,16 @@ def _changes_key(root: str, epoch: int) -> tuple:
     return (os.path.realpath(root), epoch, st.st_ino, st.st_mtime_ns)
 
 
-def _remember_changes(root: str, epoch: int, tables: list[pa.Table] | None) -> None:
+def _remember_changes(root: str, epoch: int, tables: list[pa.Table] | None,
+                      index: tuple | None = None) -> None:
     """Remember ``tables`` (None: nothing) as the epoch's change set,
-    ``[]`` when no table has a row (as :func:`epoch_changes` derives it)."""
+    ``[]`` when no table has a row (as :func:`epoch_changes` derives it),
+    and ``index`` (``(rule, n_block_partitions, rows)`` or None) as its
+    link-index rows."""
     _CHANGES.clear()
-    if tables is not None:
-        _CHANGES[_changes_key(root, epoch)] = tables if any(t.num_rows for t in tables) else []
+    if tables is not None and not any(t.num_rows for t in tables):
+        tables = []
+    _CHANGES[_changes_key(root, epoch)] = {"changes": tables, "index": index}
 
 
 def epoch_changes(root: str, epoch: int) -> list[pa.Table]:
@@ -1181,7 +1178,8 @@ def epoch_changes(root: str, epoch: int) -> list[pa.Table]:
     its chain at manifest ``epoch - 1``, which raises FileNotFoundError
     outside the retention window (``EngineConfig.retain_epochs``)."""
     key = _changes_key(root, epoch)
-    if key not in _CHANGES:
+    entry = _CHANGES.get(key) or {}
+    if entry.get("changes") is None:
         prev = ckpt.read_manifest_at(root, epoch - 1).partitions if epoch > 1 else {}
         tables = []
         if not epoch_changed_nothing(root, epoch):
@@ -1196,25 +1194,30 @@ def epoch_changes(root: str, epoch: int) -> list[pa.Table]:
                         _read_chain(root, files, pc.unique(delta["_kh"].combine_chunks()))
                     )
                 tables.append(changes_table(delta, old))
-        _remember_changes(root, epoch, tables)
-    return list(_CHANGES[key])
+        _remember_changes(root, epoch, tables, entry.get("index"))
+    return list(_CHANGES[key]["changes"])
+
+
+def take_epoch_index(root: str, epoch: int, rule_spec, n_block_partitions: int) -> list | None:
+    """The merge tasks' link-index rows of epoch ``epoch`` (one
+    ``DeltaIndexStage`` output per touched partition, in partition
+    order) when this process merged the epoch with this rule (``is`` or
+    ``==``) and ``n_block_partitions``; else None. The memo drops them
+    either way, so nothing stays pinned."""
+    entry = _CHANGES.get(_changes_key(root, epoch))
+    if entry is None or entry["index"] is None:
+        return None
+    rule, nbp, rows = entry["index"]
+    entry["index"] = None
+    return rows if nbp == n_block_partitions and (rule is rule_spec or rule == rule_spec) else None
 
 
 def gc_link_inputs(root: str) -> int:
-    """Delete the linker-summary files the link store can no longer
-    read. A store at epoch s reads s+1 next and s again after a
-    one-epoch rollback; a store further behind re-indexes the snapshot
-    instead. Nothing older than the merge epoch is kept otherwise (the
-    cluster store reads the merge epoch's summaries). Returns files
-    removed."""
-    merge_epoch = ckpt.read_manifest(root).epoch
-    s = int(ckpt.LINKS.read(root)["epoch"])
-    keep = {s, s + 1} if s else set()
-    removed = 0
-    for f in glob.glob(os.path.join(root, "summaries", "*", "*.parquet")):
-        e = _file_epoch(os.path.basename(f))
-        if e is not None and e < merge_epoch and e not in keep:
-            removed += ckpt._remove(f)
+    """Delete the ``summaries/`` directory that a lake written before the
+    link index's in-memory hand-off holds: nothing reads it any more.
+    Returns files removed."""
+    removed = sum(ckpt._remove(f) for f in glob.glob(os.path.join(root, "summaries", "*", "*")))
+    shutil.rmtree(os.path.join(root, "summaries"), ignore_errors=True)
     return removed
 
 

@@ -240,14 +240,14 @@ def test_cli_status_storage_per_directory(ray_session, tmp_path, capsys):
     assert len(run(root, log, EngineConfig(epoch_size=100, num_partitions=3))) == 3
     assert main(["status", "--root", root]) == 0
     storage = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["storage"]
-    assert set(storage) == {"partitions", "summaries", "blockmap", "links",
-                            "clusters", "aggview", "egress", "windows", "_metrics"}
+    assert set(storage) == {"partitions", "blockmap", "links", "clusters", "aggview",
+                            "egress", "windows", "_metrics"}
     assert storage["partitions"]["files"] > 0 and storage["partitions"]["bytes"] > 0
     assert storage["_metrics"]["files"] == 3
     parts = glob.glob(os.path.join(root, "partitions", "*", "*.parquet"))
     assert storage["partitions"]["files"] == len(parts)
     assert storage["partitions"]["bytes"] == sum(map(os.path.getsize, parts))
-    assert storage["summaries"] == {"bytes": 0, "files": 0}
+    assert not os.path.exists(os.path.join(root, "summaries"))
 
 
 def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):

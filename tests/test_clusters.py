@@ -74,11 +74,13 @@ def cluster_run(tmp_path_factory, ray_session):
         if not ms:
             break
         m = ms[0]
+        links = links_table(root)
         snapshots.append(
             {
                 "metrics": m,
+                "links": links,
                 "maintained": _maintained(root),
-                "batch": _batch_cc(links_table(root)),
+                "batch": _batch_cc(links),
             }
         )
     return root, snapshots
@@ -143,17 +145,21 @@ def test_lag_beyond_window_full_rebuild(cluster_run):
     commit_clusterstate(root, state)
 
 
-def test_unfused_link_update_rebuilds_clusters(tmp_path, ray_session):
-    """A merge without the fused index writes no summaries, so the
-    catch-up's link update runs un-fused and the cluster splice has no
-    dirty uris: the cluster store full-rebuilds and equals batch."""
+def test_unfused_link_update_rebuilds_clusters(cluster_run, tmp_path):
+    """The cluster store splices after every link update, whatever fed
+    the link index: after a merge run without the rule (the catch-up
+    derives the index rows from the lake) and, in a second lake, under
+    the rule compiled, its mode is ``delta`` from epoch 2 on and it
+    equals batch. The compiled run's links and clusters equal the rule
+    dict's (``cluster_run``) after every epoch."""
     import json
     import os
 
     import pyarrow.compute as pc
 
-    from silk_ray.cdc.engine import catch_up
+    from silk_ray.cdc.engine import _advance, _stages
     from silk_ray.cdc.merge import run_epoch
+    from silk_ray.linking.pipeline import _compile_rule
 
     log = make_changelog(make_base_table(120, seed=61, near_dup_frac=0.25), 750, seed=62,
                          dup_frac=0.05)
@@ -162,12 +168,25 @@ def test_unfused_link_update_rebuilds_clusters(tmp_path, ray_session):
                        rule_spec=UNFILTERED_RULE, maintain_clusters=True)
     run(root, log.filter(pc.less(log["offset"], 250)), cfg)
     run_epoch(root, log, epoch_size=250, num_partitions=4)
-    catch_up(root, log, cfg)
+    ms = _advance(root, _stages(log, cfg), 2)  # the crash catch-up
     with open(os.path.join(root, "_metrics", "links-000002.json")) as f:
         m = json.load(f)
-    assert m["mode"] == "delta" and m["links_removed"] > 0
+    assert m["mode"] == "delta" and m["links_removed"] > 0 and "delta_index" in m["phases"]
+    assert ms["clusters"]["mode"] == "delta"
     assert read_clusterstate(root)["epoch"] == 2
     assert _maintained(root) == _batch_cc(links_table(root))
+
+    _root, snapshots = cluster_run
+    compiled = str(tmp_path / "compiled")
+    cfg = EngineConfig(epoch_size=250, num_partitions=4, n_block_partitions=16,
+                       rule_spec=_compile_rule(UNFILTERED_RULE), maintain_clusters=True,
+                       max_epochs=1)
+    for epoch, want in enumerate(snapshots, start=1):
+        (m,) = run(compiled, log, cfg)
+        assert m["clusters"]["mode"] == ("full" if epoch == 1 else "delta"), epoch
+        links = links_table(compiled)
+        assert links.equals(want["links"]), epoch
+        assert _maintained(compiled) == _batch_cc(links) == want["maintained"], epoch
 
 
 def test_gc_keeps_rollback_window(cluster_run):

@@ -1,7 +1,7 @@
-"""Per-epoch storage GC: superseded chain files, orphaned shards and
-consumed linker inputs are deleted after each commit, without changing
-the replayed state, the link set, or resumability (north_rule: a
-continuously-tailing engine must not grow storage without bound)."""
+"""Per-epoch storage GC: superseded chain files, orphaned files and an
+older version's linker inputs are deleted after each commit, without
+changing the replayed state, the link set, or resumability (north_rule:
+a continuously-tailing engine must not grow storage without bound)."""
 
 import copy
 import os
@@ -67,11 +67,8 @@ def test_gc_preserves_state_and_links(gc_run, nogc_run):
 
 
 def test_gc_removes_only_unreferenced(gc_run):
-    from silk_ray.cdc.merge import _file_epoch
-
     root, metrics = gc_run
     assert sum(m.get("gc_files", 0) for m in metrics) > 0
-    last_epoch = metrics[-1]["epoch"]
 
     # surviving lake files = current manifest chains plus the one-epoch
     # rollback window (prev_files); everything referenced survives
@@ -92,9 +89,8 @@ def test_gc_removes_only_unreferenced(gc_run):
     bm_disk = _files_under(root, "blockmap")
     assert bm_live <= bm_disk <= bm_live | bm_prev
 
-    # consumed linker inputs: only the newest epoch's (rollback window)
-    epochs = {_file_epoch(os.path.basename(f)) for f in _files_under(root, "summaries")}
-    assert epochs <= {last_epoch}
+    # the link index's rows pass in memory: no linker inputs on disk
+    assert not os.path.exists(os.path.join(root, "summaries"))
 
 
 def test_gc_off_sweeps_nothing(nogc_run):
@@ -149,35 +145,38 @@ def _named_by_retained_states(root, store, retain_epochs=1):
 
 def test_gc_after_catch_up(tmp_path, ray_session, changelog):
     """A bootstrap followed by ``run(max_epochs=0)`` — the catch-up of
-    the link store alone — sweeps what they superseded at once: every
-    file under blockmap/ and partitions/ is named by a retained state
-    (the bootstrap's consolidated shards are gone)."""
+    the link store alone — sweeps what is left over at once, not at the
+    end of the next epoch: an orphaned chain file (a crashed attempt's)
+    and the ``summaries/`` of an older version's lake go, and every file
+    under blockmap/ and partitions/ is named by a retained state."""
+    import pyarrow as pa
+
     from silk_ray.cdc.bootstrap import bootstrap_lake
 
     base = make_base_table(100, seed=141, near_dup_frac=0.3)
     root = str(tmp_path / "lake")
     bootstrap_lake(root, base, as_of_offset=base.num_rows - 1, num_partitions=4,
                    link_spec=RULE, n_block_partitions=16)
-    before = _files_under(root, "blockmap")
+    assert not _files_under(root, "blockmap")  # the bootstrap writes no index file
+    leftovers = {os.path.join("blockmap", "bp=00003", "delta-000001-0a1b2c3d.parquet"),
+                 os.path.join("summaries", "p=00000", "epoch-000001.parquet")}
+    for f in leftovers:
+        ckpt.atomic_write_parquet(pa.table({"uri": ["x"]}), os.path.join(root, f))
     assert run(root, changelog, _cfg(max_epochs=0)) == []
     assert read_linkstate(root)["epoch"] == 1
-    assert before - _files_under(root, "blockmap")  # consolidated shards swept
+    on_disk = _files_under(root, "blockmap") | _files_under(root, "summaries")
+    assert _files_under(root, "blockmap") and not on_disk & leftovers
+    assert not os.path.exists(os.path.join(root, "summaries"))
     for sub, store in (("partitions", ckpt.LAKE), ("blockmap", ckpt.LINKS)):
         assert _files_under(root, sub) <= _named_by_retained_states(root, store), sub
-
-
-def _epochs_under(root, sub):
-    from silk_ray.cdc.merge import _file_epoch
-
-    return sorted(_file_epoch(os.path.basename(f)) for f in _files_under(root, sub))
 
 
 def test_dirty_delta_written_only_for_its_readers(tmp_path, ray_session, changelog):
     """One changelog, three reader configurations of the change set,
     one epoch per run: no configuration writes anything under dirty/
-    (the merge hands the change set to its readers in memory), GC
-    leaves no epoch older than the merge epoch in summaries/, and the
-    lake and its per-epoch dirty_total are the same in all three."""
+    or summaries/ (the merge hands the change set and the link index's
+    rows to their readers in memory), and the lake and its per-epoch
+    dirty_total are the same in all three."""
     import pyarrow.compute as pc
 
     from silk_ray.cdc.matview import AggViewSpec
@@ -186,7 +185,7 @@ def test_dirty_delta_written_only_for_its_readers(tmp_path, ray_session, changel
     spec = AggViewSpec(group_by=("lang",), count_col="n", num_shards=2)
     configs = {
         "merge_only": {},
-        "links_fused": {"rule_spec": RULE},
+        "links": {"rule_spec": RULE},
         "aggview_egress": {"agg_spec": spec, "egress": True, "egress_shards": 2},
     }
     seen = {}
@@ -200,8 +199,8 @@ def test_dirty_delta_written_only_for_its_readers(tmp_path, ray_session, changel
             record = ckpt.read_json(ckpt.metrics_path(root, epoch))
             per_epoch.append((record["dirty_total"], state_sha256(root)))
             assert record["dirty_total"] > 0, (name, epoch)
-            assert not os.path.exists(os.path.join(root, "dirty")), (name, epoch)
-            assert set(_epochs_under(root, "summaries")) <= {epoch}, (name, epoch)
+            for sub in ("dirty", "summaries"):
+                assert not os.path.exists(os.path.join(root, sub)), (name, sub, epoch)
         assert len(per_epoch) == 6
         seen[name] = per_epoch
-    assert seen["merge_only"] == seen["links_fused"] == seen["aggview_egress"]
+    assert seen["merge_only"] == seen["links"] == seen["aggview_egress"]

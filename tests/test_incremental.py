@@ -9,7 +9,7 @@ import pytest
 
 from silk_ray.cdc.engine import EngineConfig, run
 from silk_ray.cdc.generator import make_base_table, make_changelog
-from silk_ray.cdc.incremental import filtered_links, links_table
+from silk_ray.cdc.incremental import filtered_links, links_table, read_linkstate
 from silk_ray.cdc.merge import snapshot_dataset, state_table
 from silk_ray.pipelines.rules import BENCH_RULE
 
@@ -71,7 +71,9 @@ def test_link_phases_in_metrics_record(ray_session, tmp_path):
     """update_links writes its phase wall times as a ``phases`` map into
     the epoch's ``_metrics/links-E.json`` record and its return value,
     and the phases account for the wall time of the call; its ``task_s``
-    map carries the task-wave seconds, task counts and pair counts."""
+    map carries the task-wave seconds, task counts and pair counts. The
+    merge ran with the rule, so its index rows are written as handed
+    over (no ``delta_index`` phase)."""
     import json
     import os
     import time
@@ -99,7 +101,8 @@ def test_link_phases_in_metrics_record(ray_session, tmp_path):
         record = json.load(f)
     phases = record["phases"]
     assert phases == metrics["phases"]
-    assert {"read_summaries", "plan_build", "score_and_write", "commit"} <= set(phases)
+    assert {"write_index", "plan_build", "score_and_write", "commit"} <= set(phases)
+    assert not {"delta_index", "read_summaries", "consolidate"} & set(phases)
     assert all(v >= 0 for v in phases.values())
     assert abs(sum(phases.values()) - wall) <= 0.1 * wall
     # worker-side seconds of the score_and_write waves and their task counts
@@ -283,8 +286,8 @@ def _embedded_schema(path):
 
 
 def test_blockmap_chain_files_share_one_schema(ray_session, tmp_path, monkeypatch):
-    """Shard, merged and compact files — every kind a chain holds — are
-    written in one Arrow schema, list field names included: one for the
+    """Delta and compact files — every kind a chain holds — are written
+    in one Arrow schema, list field names included: one for the
     postings chains, one for the entity chain."""
     import os
 
@@ -300,12 +303,8 @@ def test_blockmap_chain_files_share_one_schema(ray_session, tmp_path, monkeypatc
     for prefix, column in (("bp=", "keys: list<item: int64>"),
                            ("ent=", "vals_0: list<item: string>")):
         files = _blockmap_files(root, prefix)
-        kinds = {
-            "compact" if os.path.basename(f).startswith("compact-")
-            else "merged" if f.endswith("-merged.parquet") else "shard"
-            for f in files
-        }
-        assert kinds == {"shard", "merged", "compact"}, prefix
+        kinds = {os.path.basename(f).split("-")[0] for f in files}
+        assert kinds == {"delta", "compact"}, prefix
         # str(): list types compare equal whatever their child field names
         (declared,) = {str(_embedded_schema(f)) for f in files}
         assert column in declared
@@ -468,13 +467,13 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
     every epoch no postings file carries values, and the entity chain
     holds exactly one row per live entity (side 1 alone: the rule is
     symmetric) and none for an entity that left the index."""
-    import glob
     import os
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from silk_ray.cdc import chain, incremental
+    from silk_ray.cdc.merge import epoch_changes
 
     monkeypatch.setattr(incremental, "SPLIT_ROWS", 12)
     monkeypatch.setattr(chain, "COMPACT_AT", 3)
@@ -551,10 +550,11 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
         vals = incremental.read_entity_values(root, state["entities"], 3, uris)
         ids = list(zip(vals["side"].to_pylist(), vals["uri"].to_pylist()))
         assert len(ids) == len(set(ids)) and set(ids) == {(1, u) for s, u in live if s == 1}
-        summ = glob.glob(os.path.join(root, "summaries", "*", f"epoch-{epoch:06d}.parquet"))
-        counts = pa.concat_tables(map(pq.read_table, summ)).filter(
-            pc.field("bp") != incremental.ENT
-        ).group_by("bp").aggregate([("bp", "count")])
+        # the epoch's key rows per block partition, as update_links
+        # counts them to sub-split a partition
+        stage = incremental.DeltaIndexStage(UNFILTERED_RULE, 16)
+        touched = pa.concat_tables([stage(t)[1] for t in epoch_changes(root, epoch)])
+        counts = touched.group_by("bp").aggregate([("bp", "count")])
         seen["msplit"] |= max(counts["bp_count"].to_pylist()) > incremental.SPLIT_ROWS
     assert all(seen.values()), seen
 
@@ -566,14 +566,13 @@ def _hex_links(root):
 
 
 def test_unfused_delta_update_starts_no_ray_data(ray_session, tmp_path, monkeypatch):
-    """An un-fused link store (a compiled rule: the merge writes no
-    summaries) indexes each epoch's change tables on the driver: with
-    Ray Data's ``from_arrow`` and ``Dataset.map_batches`` raising, it
-    gives the same links (confidences by ``float.hex``) and linkstate
-    (shard names aside) as an unpatched twin."""
+    """A link store driven by a compiled rule starts no Ray Data
+    execution: with Ray Data's ``from_arrow`` and
+    ``Dataset.map_batches`` raising, it gives the same links
+    (confidences by ``float.hex``) and linkstate as an unpatched
+    twin."""
     import json
     import os
-    import re
 
     import ray.data
 
@@ -585,7 +584,7 @@ def test_unfused_delta_update_starts_no_ray_data(ray_session, tmp_path, monkeypa
 
     def linkstate(root):
         with open(os.path.join(root, "_linkstate.json")) as f:
-            return re.sub(r"-[0-9a-f]{8}\.parquet", "-*.parquet", f.read())
+            return f.read()
 
     twin = str(tmp_path / "twin")
     run(twin, log, cfg)
@@ -603,12 +602,13 @@ def test_unfused_delta_update_starts_no_ray_data(ray_session, tmp_path, monkeypa
 
 
 def test_crash_before_linkstate_commit_resumes(ray_session, tmp_path, monkeypatch):
-    """A crash after the epoch's entity chain is consolidated and
-    compacted, before ``commit_linkstate``: the resumed run ends with
-    the straight run's links (by ``float.hex``) and ``state_sha256``."""
+    """A crash after the epoch's entity chain is written and compacted,
+    before ``commit_linkstate``: the run resumed as a new process would
+    (no rows in memory) ends with the straight run's links (by
+    ``float.hex``) and ``state_sha256``."""
     import os
 
-    from silk_ray.cdc import chain, incremental
+    from silk_ray.cdc import chain, incremental, merge
     from silk_ray.cdc.merge import state_sha256
 
     monkeypatch.setattr(chain, "COMPACT_AT", 2)
@@ -630,19 +630,87 @@ def test_crash_before_linkstate_commit_resumes(ray_session, tmp_path, monkeypatc
         run(root, log, cfg)
     assert incremental.read_linkstate(root)["epoch"] == 2
     ent_dir = os.path.join(root, "blockmap", "ent=00000")
-    assert {"delta-000003-merged.parquet", "compact-000003.parquet"} <= set(os.listdir(ent_dir))
+    assert {"delta-000003.parquet", "compact-000003.parquet"} <= set(os.listdir(ent_dir))
     monkeypatch.setattr(incremental, "commit_linkstate", real)
+    merge._CHANGES.clear()
     run(root, log, cfg)
     assert incremental.read_linkstate(root)["epoch"] == 4
     assert _hex_links(root) == _hex_links(straight)
     assert state_sha256(root) == state_sha256(straight)
 
 
+def _chain_bytes(root):
+    """Every link-index chain file under ``blockmap/`` by relative path,
+    with its bytes."""
+    import os
+
+    return {os.path.relpath(f, root): open(f, "rb").read()
+            for prefix in ("bp=", "ent=") for f in _blockmap_files(root, prefix)}
+
+
+@pytest.mark.parametrize("form", ["dict", "compiled"])
+def test_handed_off_index_rows_write_the_derived_bytes(ray_session, tmp_path, monkeypatch,
+                                                       form):
+    """The chain files written from the merge tasks' index rows are
+    byte-identical, per epoch, to those written with the memo cleared
+    (the rows derived from the lake), for a rule dict and for the same
+    rule compiled; every epoch's links are the same too. An epoch adds
+    one ``delta-E`` file per touched chain, at most B + 1, and no other
+    kind of file besides compaction's."""
+    import os
+    import re
+
+    from silk_ray.cdc import chain, engine, merge
+    from silk_ray.linking.pipeline import _compile_rule
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
+    log = make_changelog(make_base_table(60, seed=161, near_dup_frac=0.3), 400, seed=162)
+    rule = UNFILTERED_RULE if form == "dict" else _compile_rule(UNFILTERED_RULE)
+    cfg = EngineConfig(epoch_size=100, num_partitions=4, n_block_partitions=4,
+                       rule_spec=rule, gc=False, max_epochs=1)
+    update_links = engine.update_links
+
+    def derived(*a, **kw):
+        merge._CHANGES.clear()
+        return update_links(*a, **kw)
+
+    roots = {name: str(tmp_path / name) for name in ("memo", "derived")}
+    for epoch in range(1, 5):
+        for name, root in roots.items():
+            monkeypatch.setattr(engine, "update_links",
+                                derived if name == "derived" else update_links)
+            (m,) = run(root, log, cfg)
+            assert ("delta_index" in m["links"]["phases"]) == (name == "derived")
+        memo, other = (_chain_bytes(r) for r in roots.values())
+        assert memo == other, epoch
+        assert all(re.fullmatch(r"(delta|compact)-\d{6}\.parquet", os.path.basename(f))
+                   for f in memo)
+        assert 1 <= sum(f"delta-{epoch:06d}" in f for f in memo) <= 4 + 1, epoch
+        assert _hex_links(roots["memo"]) == _hex_links(roots["derived"]), epoch
+    assert any("compact-" in f for f in memo)
+
+
+def test_links_table_refuses_a_missing_link_file(engine_run, tmp_path):
+    """A committed link state that names a missing file is a broken
+    store: ``links_table`` raises naming the file instead of returning
+    the links of the files that are left."""
+    import os
+    import shutil
+
+    root = str(tmp_path / "lake")
+    shutil.copytree(engine_run[0], root)
+    files = [e["file"] for e in read_linkstate(root)["links_files"]]
+    assert files and links_table(root).num_rows
+    os.remove(os.path.join(root, files[0]))
+    with pytest.raises(FileNotFoundError, match=f"{files[0]}.*must be rebuilt"):
+        links_table(root)
+
+
 # -- late, paused and crashed link stores ------------------------------------
 #
-# The merge writes an epoch's dirty delta only for a reader store that
-# committed the previous epoch, and GC keeps only what a present reader
-# can still read. A link store more than one epoch behind therefore
+# An epoch's link-index rows pass in memory from the merge tasks, or
+# are derived from the epoch's change set while manifest E-1 is
+# retained. A link store more than one epoch behind therefore
 # re-indexes the snapshot at the merge epoch ("full" mode), and the
 # cluster store full-rebuilds after it.
 
@@ -716,26 +784,31 @@ def test_late_or_paused_link_store_rebuilds_from_snapshot(
     assert _clusters(root) == straight_clusters[merge_epoch + 1]
 
 
-def test_fused_crash_window_without_dirty_files(tmp_path, late_log):
-    """Merge E with the fused index commits (no store reads the change
+@pytest.mark.parametrize("rows", ["memo", "derived"])
+def test_fused_crash_window_without_dirty_files(tmp_path, late_log, rows):
+    """Merge E with the link rule commits (no store reads the change
     set, so the merge hands none off) and the link update is lost: the
-    epoch's summaries alone bring the link store up to batch linking."""
-    import glob
+    catch-up brings the link store up to batch linking from the merge
+    tasks' index rows (``memo``) or, as a new process, from rows it
+    derives from the lake (``derived``). Neither writes ``summaries/``
+    or ``dirty/``."""
     import json
     import os
 
+    from silk_ray.cdc import merge
     from silk_ray.cdc.engine import catch_up
-    from silk_ray.cdc.merge import run_epoch
 
     root = str(tmp_path / "lake")
     cfg = _late_cfg(rule_spec=UNFILTERED_RULE)
     assert run(root, late_log, cfg)
-    epoch = run_epoch(root, late_log, epoch_size=100, num_partitions=4,
-                      link_spec=UNFILTERED_RULE, n_block_partitions=16)["epoch"]
-    assert not glob.glob(os.path.join(root, "dirty", "*", f"epoch-{epoch:06d}.parquet"))
-    assert glob.glob(os.path.join(root, "summaries", "*", f"epoch-{epoch:06d}.parquet"))
+    epoch = merge.run_epoch(root, late_log, epoch_size=100, num_partitions=4,
+                            link_spec=UNFILTERED_RULE, n_block_partitions=16)["epoch"]
+    if rows == "derived":
+        merge._CHANGES.clear()
     catch_up(root, late_log, cfg)
     with open(os.path.join(root, "_metrics", f"links-{epoch:06d}.json")) as f:
         m = json.load(f)
     assert (m["epoch"], m["mode"]) == (epoch, "delta")
+    assert ("delta_index" in m["phases"]) == (rows == "derived")
     assert _as_set(links_table(root)) == _as_set(_batch_links(root))
+    assert not {"summaries", "dirty"} & set(os.listdir(root))
