@@ -28,11 +28,12 @@ the agg view from the snapshot; a store enabled after a later epoch
 starts from the snapshot at the merge epoch.
 
 Scale shape: an in-memory snapshot (tests, small lakes) goes through
-run_epoch as one table; a parquet snapshot (file or directory) is
-converted file-by-file into synthetic changelog segments by Ray tasks —
-offset ranges are assigned from parquet-footer row counts (a
-metadata-only driver probe), so no snapshot payload ever concentrates
-driver-side.
+run_epoch as one table; a parquet snapshot (file or directory) as a
+list of ``(file, first offset, rows)`` entries, with offsets from
+footer row counts (a metadata-only driver probe). The merge's read
+tasks turn each file into insert events, so no snapshot payload
+concentrates driver-side or is written back out; a bootstrap that
+crashed before its manifest commit reruns from the snapshot.
 
 Ordering semantics: if the snapshot contains duplicate (repo, path)
 keys, the LAST row in snapshot order wins (rows get ascending offsets;
@@ -42,7 +43,9 @@ the merge keeps the newest per key) — same rule as the stream itself.
 from __future__ import annotations
 
 import os
+from itertools import accumulate
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -54,8 +57,6 @@ KEY_COLS = ("repo", "path")
 
 def _synth_table(t: pa.Table, start: int) -> pa.Table:
     """Snapshot rows → insert events at offsets start..start+n-1."""
-    import numpy as np
-
     n = t.num_rows
     cols: dict = {
         "offset": pa.array(np.arange(start, start + n, dtype=np.int64), pa.int64()),
@@ -118,16 +119,10 @@ def _bootstrap_locked(
     root, snapshot, as_of_offset, num_partitions,
     link_spec, n_block_partitions, renames,
 ) -> dict:
-    if isinstance(snapshot, pa.Table):
-        n = snapshot.num_rows
-        if as_of_offset < n - 1:
-            raise ValueError(
-                f"as_of_offset={as_of_offset} < n-1={n - 1}: {n} snapshot rows "
-                "need distinct non-negative offsets ending at the snapshot offset"
-            )
-        changelog = _synth_table(snapshot, as_of_offset - n + 1)
-    else:
-        changelog = _synth_parquet(root, snapshot, as_of_offset)
+    changelog = (
+        _synth_table(snapshot, _first_offset(snapshot.num_rows, as_of_offset))
+        if isinstance(snapshot, pa.Table) else _synth_parquet(snapshot, as_of_offset)
+    )
 
     metrics = run_epoch(
         root,
@@ -140,24 +135,16 @@ def _bootstrap_locked(
     )
     if metrics is None:
         raise ValueError("empty snapshot: nothing to bootstrap")
-    if isinstance(changelog, str) and changelog.startswith(root):
-        # the synthetic segments are consumed the moment the manifest
-        # commits (crash-before-commit replays regenerate them)
-        import shutil
-
-        shutil.rmtree(changelog, ignore_errors=True)
     metrics["bootstrap"] = True
     metrics["as_of_offset"] = as_of_offset
     return metrics
 
 
-def _synth_parquet(root: str, snapshot_path: str, as_of_offset: int) -> str:
-    """Convert a parquet snapshot (file or dir) into synthetic changelog
-    segments under ``root/_bootstrap_changelog/``. Offset ranges come
-    from footer row counts (metadata-only, driver-side); the payload
-    conversion fans out one Ray task per file."""
-    import ray
-
+def _synth_parquet(snapshot_path: str, as_of_offset: int) -> list[tuple[str, int, int]]:
+    """A parquet snapshot (file or dir) as a synthetic changelog:
+    ``[(file, first offset, rows)]`` in file order. Offset ranges come
+    from footer row counts (metadata-only, driver-side); the merge's
+    read tasks turn each file into insert events (:func:`_synth_table`)."""
     if os.path.isdir(snapshot_path):
         files = sorted(
             os.path.join(snapshot_path, f)
@@ -169,30 +156,19 @@ def _synth_parquet(root: str, snapshot_path: str, as_of_offset: int) -> str:
     if not files:
         raise ValueError(f"no parquet files under {snapshot_path!r}")
     counts = [pq.read_metadata(f).num_rows for f in files]
-    n = sum(counts)
+    starts = accumulate(counts[:-1], initial=_first_offset(sum(counts), as_of_offset))
+    return list(zip(files, starts, counts))
+
+
+def _first_offset(n: int, as_of_offset: int) -> int:
+    """The offset of the first of ``n`` snapshot rows ending at the
+    snapshot offset."""
     if as_of_offset < n - 1:
         raise ValueError(
             f"as_of_offset={as_of_offset} < n-1={n - 1}: {n} snapshot rows "
             "need distinct non-negative offsets ending at the snapshot offset"
         )
-    out_dir = os.path.join(root, "_bootstrap_changelog")
-    os.makedirs(out_dir, exist_ok=True)
-
-    start = as_of_offset - n + 1
-    refs = []
-    for i, (f, c) in enumerate(zip(files, counts)):
-        out = os.path.join(out_dir, f"seg-{i:05d}.parquet")
-        refs.append(remote(_convert_segment).remote(f, start, out))
-        start += c
-    ray.get(refs)
-    return out_dir
-
-
-def _convert_segment(src: str, start: int, out: str) -> int:
-    """One snapshot file → one synthetic changelog segment."""
-    t = _synth_table(pq.read_table(src), start)
-    ckpt.atomic_write_parquet(t, out)
-    return t.num_rows
+    return as_of_offset - n + 1
 
 
 def _export_task(root: str, files: list[str], out_path: str) -> int:

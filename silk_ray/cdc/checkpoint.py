@@ -477,13 +477,25 @@ LAKE_ROW_GROUP = 64 * 1024
 
 
 def atomic_write_parquet(table, path: str) -> None:
-    """Write-then-rename so readers never observe partial files; content
-    is deterministic, so concurrent/retried writers converge. Row
-    groups are capped at LAKE_ROW_GROUP so ``_kh`` statistics prune at
-    useful granularity (files are written key-hash-sorted)."""
+    """The one Parquet writer of the engine's files. Write-then-rename,
+    so readers never observe a partial file; the dot-prefixed tmp name
+    is never discovered as a dataset fragment. The content is
+    deterministic, so concurrent/retried writers converge. Row groups
+    are capped at LAKE_ROW_GROUP so ``_kh`` statistics prune at useful
+    granularity (files are written key-hash-sorted).
+
+    The codec is zstd level 1: the payload is source text, whose
+    entropy zstd halves where snappy's LZ matching finds little. On a
+    21k-row, 37 MB lake table snappy wrote 36.7 MB (60-75 ms CPU), zstd
+    1 20.2 MB (175-255 ms) and zstd 2 16.3 MB (245 ms); zstd 1 reads as
+    fast as snappy, and negative levels were 4-8% smaller than snappy.
+    Files of an older codec read as they are; compaction rewrites
+    them as zstd."""
     import pyarrow.parquet as pq
 
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + f".tmp-{os.getpid()}"
-    pq.write_table(table, tmp, row_group_size=LAKE_ROW_GROUP)
+    d, name = os.path.split(path)
+    os.makedirs(d, exist_ok=True)
+    tmp = os.path.join(d, f".{name}.tmp-{os.getpid()}")
+    pq.write_table(table, tmp, row_group_size=LAKE_ROW_GROUP,
+                   compression="zstd", compression_level=1)
     os.replace(tmp, path)

@@ -124,16 +124,17 @@ def _route_fragment(src, lo: int, hi: int) -> tuple[dict, "object"]:
 
 
 def _clean_stale_tmp(d: str) -> None:
-    """Remove tmp leftovers from crashed writers. New tmp names are
-    dot-prefixed (discovery-safe); legacy ``*.tmp-<pid>`` suffix names
-    from older versions are also swept so a stale torn file can never
-    be picked up as a fragment or crash ``gc_demux``'s footer read."""
+    """Remove tmp leftovers from crashed writers. The writer's tmp names
+    are dot-prefixed (discovery-safe); legacy ``*.tmp-<pid>`` suffix
+    names from older versions are also swept so a stale torn file can
+    never be picked up as a fragment or crash ``gc_demux``'s footer
+    read."""
     try:
         names = os.listdir(d)
     except FileNotFoundError:
         return
     for f in names:
-        if f.startswith(".tmp-") or ".tmp-" in f:
+        if ".tmp-" in f:
             try:
                 os.remove(os.path.join(d, f))
             except OSError:
@@ -150,17 +151,11 @@ def _write_seg(out_dir: str, tbl: str, window: int, *shards) -> int:
     t = parts[0] if len(parts) == 1 else pa.concat_tables(parts, promote_options="default")
     t = t.sort_by([("offset", "ascending")])
     d = table_dir(out_dir, tbl)
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, f"seg-{window:06d}.parquet")
-    # tmp basename MUST be dot-prefixed: pyarrow dataset discovery (the
-    # engine's _window_fragments / _next_existing_offset scan this dir)
-    # only skips '.'/'_' prefixes, so a torn suffix-style tmp left by a
-    # writer crash would be discovered as a fragment and hard-fail every
-    # subsequent epoch (pq.read_table on a truncated file).
-    tmp = os.path.join(d, f".tmp-{os.getpid()}-seg-{window:06d}")
+    # the writer's tmp name is dot-prefixed: pyarrow dataset discovery
+    # (the engine's _window_fragments / _next_existing_offset scan this
+    # dir) skips it, so a writer crash never leaves a torn fragment
     _clean_stale_tmp(d)
-    pq.write_table(t, tmp, row_group_size=64 * 1024)
-    os.replace(tmp, path)
+    ckpt.atomic_write_parquet(t, os.path.join(d, f"seg-{window:06d}.parquet"))
     return t.num_rows
 
 
@@ -213,12 +208,8 @@ def demux_window(
             [("offset", "ascending")]
         )
         dd = os.path.join(out_dir, "deadletter")
-        os.makedirs(dd, exist_ok=True)
-        p = os.path.join(dd, f"window-{window:06d}.parquet")
-        tmp = os.path.join(dd, f".tmp-{os.getpid()}-window-{window:06d}")
         _clean_stale_tmp(dd)
-        pq.write_table(dead, tmp)
-        os.replace(tmp, p)
+        ckpt.atomic_write_parquet(dead, os.path.join(dd, f"window-{window:06d}.parquet"))
         dead_lettered = dead.num_rows
     if not by_tbl and not dead_lettered:
         return None

@@ -42,7 +42,6 @@ import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from silk_ray.cdc import checkpoint as ckpt
 from silk_ray.cdc.merge import _changelog_max_offset, snapshot_dataset
@@ -156,9 +155,7 @@ def _emit_segment(
             "already emitted; tail it with the engine (or remove it first if "
             "it was never consumed and the predicate was wrong)"
         )
-    tmp = f"{path}.tmp-{os.getpid()}"
-    pq.write_table(seg, tmp)
-    os.replace(tmp, path)
+    ckpt.atomic_write_parquet(seg, path)
     return {
         "events": n,
         "segment": path,

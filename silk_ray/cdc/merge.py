@@ -18,13 +18,16 @@ LSM-style so per-epoch cost is O(delta), not O(state):
      (sort + neighbor-compare masks);
   2. reduce to the **net** last event per key (last-writer-wins within
      the epoch: sort by (key, offset), keep last per key);
-  3. look up the pre-epoch payload of just the changed keys from the
+  3. look up the pre-epoch rows of just the changed keys in the
      partition's delta chain: reads filtered on ``_kh`` so Parquet
      row-group statistics prune untouched row groups, then the chain
-     reconcile of ``chain.py`` (newest file wins, tombstones drop out);
+     reconcile of ``chain.py`` (newest file wins, tombstones drop out).
+     The payload columns are read only for a reader of the change
+     table (step 6);
   4. write ONE per-epoch **delta file**: net upserts (full payload +
      ``_offset``) and tombstones (``_deleted=true``) — never a rewrite
-     of the whole partition;
+     of the whole partition. Steps 1, 2 and the file's row order run
+     on the key and meta columns; each payload column is copied once;
   5. when the driver marked the partition for compaction (its chain
      outgrows ``chain.COMPACT_AT`` files), rewrite the chain as one
      compact file with ``chain.write_compact`` — the only
@@ -64,6 +67,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from silk_ray.cdc import chain, checkpoint as ckpt, remote
@@ -156,25 +160,16 @@ def _row_fingerprint(t: pa.Table) -> pa.Array:
     return pc.binary_join_element_wise(*parts, "\x1f")
 
 
-def _first_occurrence_mask(arr) -> pa.Array:
-    """True at rows whose value differs from the previous row (input
-    must be sorted by this column)."""
+def _run_edge_mask(arr, last: bool = False) -> pa.Array:
+    """True at the first row (``last``: the last row) of each
+    equal-value run of a sorted column."""
     arr = _as_array(arr)
     n = len(arr)
     if n <= 1:
         return pa.array([True] * n, pa.bool_())
     neq = _as_array(pc.not_equal(arr.slice(1), arr.slice(0, n - 1)))
-    return pa.concat_arrays([pa.array([True]), neq])
-
-
-def _last_occurrence_mask(arr) -> pa.Array:
-    """True at the LAST row of each equal-value run (sorted input)."""
-    arr = _as_array(arr)
-    n = len(arr)
-    if n <= 1:
-        return pa.array([True] * n, pa.bool_())
-    neq = _as_array(pc.not_equal(arr.slice(1), arr.slice(0, n - 1)))
-    return pa.concat_arrays([neq, pa.array([True])])
+    edge = pa.array([True])
+    return pa.concat_arrays([neq, edge] if last else [edge, neq])
 
 
 def reconcile_tables(tables: list[pa.Table]) -> pa.Table:
@@ -202,18 +197,29 @@ def _read_chain(
     ``columns`` set, only those columns (intersected with each file's
     own schema — evolution means chains are ragged) leave storage;
     callers must include the key/internal columns reconcile needs."""
+    return [t for t, _schema in _read_files(root, files, kh_filter, columns)]
+
+
+def _read_files(
+    root: str,
+    files: list[str],
+    kh_filter: pa.Array | None = None,
+    columns: list[str] | None = None,
+) -> list[tuple[pa.Table, pa.Schema]]:
+    """:func:`_read_chain`'s tables, each with its file's full schema
+    (the footer's, when ``columns`` projects the read)."""
     out = []
     for f in files:
         path = os.path.join(root, f)
-        cols = None
+        cols = schema = None
         if columns is not None:
-            have = set(pq.ParquetFile(path).schema_arrow.names)
-            cols = [c for c in columns if c in have]
+            schema = pq.read_schema(path)
+            cols = [c for c in columns if c in schema.names]
         if kh_filter is not None:
             t = pq.read_table(path, filters=pc.field("_kh").isin(kh_filter), columns=cols)
         else:
             t = pq.read_table(path, columns=cols)
-        out.append(t)
+        out.append((t, t.schema if schema is None else schema))
     return out
 
 
@@ -264,12 +270,19 @@ class MergePartition:
         hwm = self.hwm.get(pid, -1)
         prev_rows = int(self.part_rows.get(pid, 0))
 
-        # -- 1. HWM + duplicate-offset filtering (vectorized) -----------
+        # steps 1, 2 and 4's row order run on the key and meta columns
+        # plus a row id into ``events``; step 4 takes each payload
+        # column once, by that id
         n_in = events.num_rows
-        ev = events.filter(pc.greater(events["offset"], hwm))
+        ev = events.select(["offset", "op", "_kh", *KEY_COLS]).append_column(
+            "_r", pa.array(np.arange(n_in, dtype=np.int64))
+        )
+
+        # -- 1. HWM + duplicate-offset filtering (vectorized) -----------
+        ev = ev.filter(pc.greater(ev["offset"], hwm))
         below_hwm = n_in - ev.num_rows
         ev = ev.sort_by("offset")
-        first = _first_occurrence_mask(ev["offset"].combine_chunks())
+        first = _run_edge_mask(ev["offset"])
         dup_skipped = ev.num_rows - int(pc.sum(first).as_py() or 0)
         if dup_skipped:
             # duplicate offsets present: the survivor must not depend on
@@ -285,7 +298,7 @@ class MergePartition:
             dup_mask[1:] = o[1:] == o[:-1]
             dup_mask[:-1] |= dup_mask[1:]
             idx = np.flatnonzero(dup_mask)
-            fp = _row_fingerprint(ev.take(pa.array(idx))).to_pylist()
+            fp = _row_fingerprint(events.take(ev["_r"].take(pa.array(idx)))).to_pylist()
             keep = first.to_numpy(zero_copy_only=False).copy()
             keep[idx] = False
             start = 0
@@ -307,20 +320,28 @@ class MergePartition:
         ev = ev.append_column("_k", chain.LAKE.key(ev))
         order = pc.sort_indices(ev, sort_keys=[("_k", "ascending"), ("offset", "ascending")])
         ev = ev.take(order)
-        net = ev.filter(_last_occurrence_mask(ev["_k"].combine_chunks()))
+        net = ev.filter(_run_edge_mask(ev["_k"], last=True))
         payload_cols = _payload_columns(events.schema)
 
-        # -- 3. pre-epoch payload of changed keys (pruned chain read) ----
-        old = None
+        # -- 3. pre-epoch rows of changed keys (pruned chain read) -------
+        # Only the change table reads their payload. Without a reader of
+        # it, the read is projected to the key and internal columns, and
+        # the state schema comes from the footers of the files whose
+        # filtered read had rows: the schema the full read unifies.
+        readers = self.hand_off or self.link_spec is not None
+        old = chain_schema = None
         if net.num_rows and files:
-            kh_filter = pc.unique(net["_kh"].combine_chunks())
-            old = reconcile_tables(_read_chain(self.root, files, kh_filter))
+            read = _read_files(
+                self.root, files, pc.unique(net["_kh"].combine_chunks()),
+                None if readers else [*KEY_COLS, *INTERNAL_COLS],
+            )
+            old = reconcile_tables([t for t, _schema in read])
+            hit = [schema for t, schema in read if t.num_rows]
+            chain_schema = chain.unify_schema(hit) if hit else old.schema
             old = old.append_column("_k", chain.LAKE.key(old))
 
-        state_schema = self._state_schema(net, old, payload_cols)
-        state_cols = [
-            f.name for f in state_schema if f.name not in ("_offset", "_deleted", "_kh")
-        ]
+        state_schema = self._state_schema(events.schema, chain_schema, payload_cols)
+        state_cols = [f.name for f in state_schema if f.name not in INTERNAL_COLS]
 
         # which changed keys the pre-epoch chain holds (exact key match;
         # the crc read filter only prefilters)
@@ -333,33 +354,29 @@ class MergePartition:
 
         # -- 4. epoch delta file: upserts + tombstones --------------------
         keep = ~is_del | had_old  # net-D with no prior row → nothing at all
-        keep_arr = pa.array(keep)
-        delta_src = net.filter(keep_arr)
-        d_is_del = pa.array(is_del[keep])
+        d = net.filter(pa.array(keep))
+        order = pc.sort_indices(d, sort_keys=list(chain.LAKE.order)).to_numpy()
+        d = d.take(pa.array(order))
+        d_is_del = pa.array(is_del[keep][order])
+        # tombstones carry no payload: their row id is null
+        rows = pc.if_else(d_is_del, pa.nulls(d.num_rows, pa.int64()), d["_r"])
         delta_cols: dict[str, pa.Array] = {}
         for name in state_cols:
+            ftype = state_schema.field(name).type
             if name in KEY_COLS:
-                delta_cols[name] = delta_src[name].combine_chunks()
-            elif name in delta_src.column_names:
-                ftype = state_schema.field(name).type
-                col = delta_src[name]
-                col = col if col.type == ftype else pc.cast(col, ftype)
-                # tombstones carry no payload
-                delta_cols[name] = pc.if_else(
-                    d_is_del, pa.nulls(delta_src.num_rows, ftype), col.combine_chunks()
-                )
+                delta_cols[name] = d[name]
+            elif name in events.column_names:
+                col = events[name].take(rows)
+                delta_cols[name] = col if col.type == ftype else pc.cast(col, ftype)
             else:
-                delta_cols[name] = pa.nulls(
-                    delta_src.num_rows, state_schema.field(name).type
-                )
-        delta_cols["_offset"] = delta_src["offset"].combine_chunks()
+                delta_cols[name] = pa.nulls(d.num_rows, ftype)
+        delta_cols["_offset"] = d["offset"]
         delta_cols["_deleted"] = d_is_del
-        delta_cols["_kh"] = delta_src["_kh"].combine_chunks()
-        delta_table = pa.table(delta_cols).sort_by(
-            [("_kh", "ascending"), ("repo", "ascending"), ("path", "ascending")]
-        )
+        delta_cols["_kh"] = d["_kh"]
+        delta_table = pa.table(delta_cols)
         delta_path = ckpt.partition_file(self.root, pid, self.epoch)
         ckpt.atomic_write_parquet(delta_table, delta_path)
+        bytes_written = os.path.getsize(delta_path)
         files.append(os.path.relpath(delta_path, self.root))
 
         # -- 5. compaction, when the driver marked this partition ---------
@@ -369,10 +386,11 @@ class MergePartition:
                     self.root, _read_chain(self.root, files), chain.LAKE, pid, self.epoch
                 )
             ]
+            bytes_written += os.path.getsize(os.path.join(self.root, files[0]))
 
         # -- 6. change table and link-index rows, handed to the driver -
         changes = index = None
-        if self.hand_off or self.link_spec is not None:
+        if readers:
             changes = changes_table(delta_table, old)
         if self.link_spec is not None:
             from silk_ray.cdc.incremental import DeltaIndexStage
@@ -391,23 +409,24 @@ class MergePartition:
             "hwm": new_hwm,
             "files": files,
             "dirty": delta_table.num_rows,  # one change row per delta row
+            "bytes_written": bytes_written,
             "changes": changes if self.hand_off else None,
             "index": index,
         }
 
     def _state_schema(
-        self, net: pa.Table, old: pa.Table | None, payload_cols: list[str]
+        self, event_schema: pa.Schema, chain_schema: pa.Schema | None, payload_cols: list[str]
     ) -> pa.Schema:
-        """Union of pre-epoch chain schema and event payload columns;
-        a column arriving with a different Arrow type promotes through
-        the safe lattice or fails loudly (SchemaConflictError)."""
+        """Union of the pre-epoch chain schema and the event payload
+        columns; a column arriving with a different Arrow type promotes
+        through the safe lattice or fails loudly (SchemaConflictError)."""
         fields: dict[str, pa.Field] = {}
-        if old is not None:
-            for f in old.schema:
-                if f.name not in ("_offset", "_kh", "_k"):
+        if chain_schema is not None:
+            for f in chain_schema:
+                if f.name not in INTERNAL_COLS:
                     fields[f.name] = f
         for c in payload_cols:
-            etype = net.schema.field(c).type
+            etype = event_schema.field(c).type
             prev = fields.get(c)
             if prev is None:
                 fields[c] = pa.field(c, etype)
@@ -457,29 +476,21 @@ def inserts_table(rows: pa.Table) -> pa.Table:
 def _next_existing_offset(changelog, lo: int) -> int | None:
     """Smallest changelog offset >= lo, or None when exhausted. For
     Parquet changelogs this scans fragment row-group statistics first,
-    reading only candidate row groups (offset-gap resilience)."""
+    reading only candidate row groups (offset-gap resilience); a
+    snapshot list answers from its entries."""
     if isinstance(changelog, pa.Table):
         t = changelog.filter(pc.greater_equal(changelog["offset"], lo))
         if t.num_rows == 0:
             return None
         return int(pc.min(t["offset"]).as_py())
+    if isinstance(changelog, list):
+        return min((max(lo, s) for _f, s, n in changelog if n and s + n > lo), default=None)
 
-    import pyarrow.dataset as pads
-
-    dataset = pads.dataset(changelog, format="parquet")
     best: int | None = None
-    for frag in dataset.get_fragments():
-        try:
-            frag.ensure_complete_metadata()
-            rg_stats = [
-                rg.statistics.get("offset") if rg.statistics else None
-                for rg in frag.row_groups
-            ]
-        except Exception:
-            rg_stats = None
-        if rg_stats and all(s is not None for s in rg_stats):
-            if all(s["max"] < lo for s in rg_stats):
-                continue
+    for frag in pads.dataset(changelog, format="parquet").get_fragments():
+        stats = _offset_stats(frag)
+        if stats is not None and all(s["max"] < lo for s in stats):
+            continue
         t = frag.to_table(columns=["offset"], filter=pc.field("offset") >= lo)
         if t.num_rows:
             m = int(pc.min(t["offset"]).as_py())
@@ -488,32 +499,34 @@ def _next_existing_offset(changelog, lo: int) -> int | None:
 
 
 def _window_fragments(changelog, lo: int, hi: int) -> list:
-    """Changelog fragments (file paths, or the table itself) that can
-    contain window rows — fully-outside files pruned via row-group
-    offset statistics (one footer read per file per epoch)."""
+    """Changelog fragments (file paths, the table itself, or snapshot
+    list entries) that can contain window rows — fully-outside files
+    pruned via row-group offset statistics (one footer read per file
+    per epoch)."""
     if isinstance(changelog, pa.Table):
         t = changelog.filter(
             pc.and_(pc.greater_equal(changelog["offset"], lo), pc.less(changelog["offset"], hi))
         )
         return [t] if t.num_rows else []
+    if isinstance(changelog, list):
+        return [e for e in changelog if e[2] and e[1] < hi and e[1] + e[2] > lo]
+    return [
+        frag.path for frag in pads.dataset(changelog, format="parquet").get_fragments()
+        if (stats := _offset_stats(frag)) is None
+        or any(s["min"] < hi and s["max"] >= lo for s in stats)
+    ]
 
-    import pyarrow.dataset as pads
 
-    out = []
-    for frag in pads.dataset(changelog, format="parquet").get_fragments():
-        keep = True
-        try:
-            frag.ensure_complete_metadata()
-            stats = [
-                rg.statistics.get("offset") if rg.statistics else None for rg in frag.row_groups
-            ]
-            if stats and all(s is not None for s in stats):
-                keep = any(s["min"] < hi and s["max"] >= lo for s in stats)
-        except Exception:
-            pass
-        if keep:
-            out.append(frag.path)
-    return out
+def _offset_stats(frag) -> list[dict] | None:
+    """A changelog fragment's per-row-group ``offset`` statistics, or
+    None unless every row group has them."""
+    try:
+        frag.ensure_complete_metadata()
+        stats = [rg.statistics.get("offset") if rg.statistics else None
+                 for rg in frag.row_groups]
+    except Exception:
+        return None
+    return stats if stats and all(s is not None for s in stats) else None
 
 
 # per-file max-offset cache: changelog segment files are immutable, so
@@ -525,28 +538,20 @@ _MISSING = object()
 def _changelog_max_offset(changelog) -> int | None:
     """Highest offset present in the changelog — the lag reference
     point. Footer row-group statistics only (cached per immutable
-    file); a file without stats falls back to one offset-column read."""
+    file); a file without stats falls back to one offset-column read,
+    and a snapshot list answers from its entries."""
     if isinstance(changelog, pa.Table):
         v = pc.max(changelog["offset"]).as_py()
         return int(v) if v is not None else None
-
-    import pyarrow.dataset as pads
+    if isinstance(changelog, list):
+        return max((s + n - 1 for _f, s, n in changelog if n), default=None)
 
     out: int | None = None
     for frag in pads.dataset(changelog, format="parquet").get_fragments():
         m = _MAX_OFF_CACHE.get(frag.path, _MISSING)
         if m is _MISSING:
-            m = None
-            try:
-                frag.ensure_complete_metadata()
-                stats = [
-                    rg.statistics.get("offset") if rg.statistics else None
-                    for rg in frag.row_groups
-                ]
-                if stats and all(s is not None for s in stats):
-                    m = max(int(s["max"]) for s in stats)
-            except Exception:
-                pass
+            stats = _offset_stats(frag)
+            m = None if stats is None else max(int(s["max"]) for s in stats)
             if m is None:
                 col = pq.read_table(frag.path, columns=["offset"])["offset"]
                 v = pc.max(col).as_py()
@@ -560,8 +565,6 @@ def _changelog_max_offset(changelog) -> int | None:
 def _txn_column_present(changelog) -> bool:
     if isinstance(changelog, pa.Table):
         return "txn" in changelog.column_names
-    import pyarrow.dataset as pads
-
     return "txn" in pads.dataset(changelog, format="parquet").schema.names
 
 
@@ -573,8 +576,6 @@ def _read_offset_txn(changelog, lo: int, hi: int) -> pa.Table:
         t = changelog.select(["offset", "txn"])
         t = t.filter(pc.and_(pc.greater_equal(t["offset"], lo), pc.less(t["offset"], hi)))
     else:
-        import pyarrow.dataset as pads
-
         t = pads.dataset(changelog, format="parquet").to_table(
             columns=["offset", "txn"],
             filter=(pc.field("offset") >= lo) & (pc.field("offset") < hi),
@@ -867,12 +868,8 @@ def _write_dead_shard(root: str, epoch: int, frag_idx: int, dead: pa.Table) -> d
     exempt from lake GC — quarantine is an operator-facing audit
     surface."""
     dead = dead.sort_by([("offset", "ascending"), ("op", "ascending"), ("repo", "ascending")])
-    d = _dlq_dir(root, epoch)
-    os.makedirs(d, exist_ok=True)
-    final = os.path.join(d, f"part-{frag_idx:04d}.parquet")
-    tmp = f"{final}.tmp-{os.getpid()}"
-    pq.write_table(dead, tmp)
-    os.replace(tmp, final)
+    path = os.path.join(_dlq_dir(root, epoch), f"part-{frag_idx:04d}.parquet")
+    ckpt.atomic_write_parquet(dead, path)
     vc = pc.value_counts(dead["reason"])
     return {
         "count": dead.num_rows,
@@ -910,11 +907,18 @@ def _read_split_task(
     valid events by pid, put each shard into the object store. Only
     (pid -> ref) maps and a dead-letter count summary travel to the
     driver; quarantined rows are written to the DLQ from here (they can
-    be window-sized under an adversarial stream)."""
+    be window-sized under an adversarial stream). A snapshot list entry
+    ``(file, first offset, rows)`` becomes its insert events here."""
     import ray
 
     if isinstance(src, pa.Table):
         t = src
+    elif isinstance(src, tuple):
+        from silk_ray.cdc.bootstrap import _synth_table
+
+        path, start, n = src
+        a, b = max(lo - start, 0), min(hi - start, n)
+        t = _synth_table(pq.read_table(path), start).slice(a, b - a)
     else:
         t = pq.read_table(src, filters=[("offset", ">=", lo), ("offset", "<", hi)])
     if t.num_rows == 0:
@@ -962,8 +966,11 @@ def run_epoch(
 ) -> dict | None:
     """Tail one epoch window off the changelog and merge-apply it.
 
-    ``changelog`` is a parquet path/dir (the binlog segments) or an
-    in-memory ``pa.Table`` (tests). Returns the epoch metrics dict, or
+    ``changelog`` is a parquet path/dir (the binlog segments), an
+    in-memory ``pa.Table`` (tests), or a snapshot as a list of
+    ``(parquet file, first offset, rows)`` entries, whose rows become
+    insert events at consecutive offsets inside the read tasks
+    (``bootstrap.py``). Returns the epoch metrics dict, or
     None when no events remain. Offset gaps larger than one window are
     skipped over (the window anchors at the next existing offset).
 
@@ -1106,6 +1113,8 @@ def run_epoch(
         "rows_total": int(sum(r["rows"] for r in metrics_rows))
         + int(sum(part_rows.get(pid, 0) for pid in part_rows if pid not in per_part)),
         "dirty_total": int(sum(r["dirty"] for r in metrics_rows)),
+        # delta and compact files the merge tasks wrote, each sized in its task
+        "bytes_written": int(sum(r["bytes_written"] for r in metrics_rows)),
         "partitions_touched": len(metrics_rows),
         "skew_ratio": (max(events_per_part) / mean_ev) if mean_ev else 0.0,
         # tailing lag: offsets still unconsumed after this commit (an

@@ -423,10 +423,14 @@ def operator_from_dict(spec: dict[str, Any]) -> SimilarityOperator:
     if "metric" in spec:
         _check_keys(spec, _COMPARISON_KEYS, "comparison")
         metric = get_distance(spec["metric"], **spec.get("params", {}))
+        source = input_from_dict(spec["source"])
+        # one input for equal specs, so the compiled comparison is
+        # symmetric by input equality (pipeline._spec_symmetric)
+        target = source if spec["target"] == spec["source"] else input_from_dict(spec["target"])
         return Comparison(
             metric=metric,
-            source_input=input_from_dict(spec["source"]),
-            target_input=input_from_dict(spec["target"]),
+            source_input=source,
+            target_input=target,
             threshold=spec.get("threshold", 0.0),
             weight=spec.get("weight", 1),
             indexing=spec.get("indexing", True),

@@ -77,9 +77,16 @@ def cached_stage(cls, **kwargs):
 
 def _spec_symmetric(spec) -> bool:
     """True when every leaf comparison's source and target input trees
-    are structurally identical (JSON equality) — then a self-link's
-    side-1 and side-0 index keys and leaf values coincide and the index
-    stage can evaluate transforms ONCE per row instead of per side."""
+    are structurally identical — JSON equality for a rule dict, input
+    equality for a compiled ``LinkageRule`` — then a self-link's side-1
+    and side-0 index keys and leaf values coincide and the index stage
+    can evaluate transforms ONCE per row instead of per side. A
+    transformer compares equal to itself only, so a compiled rule
+    answers True where its inputs share their transformers (as
+    ``operator_from_dict`` builds them) and conservatively False
+    otherwise."""
+    if isinstance(spec, LinkageRule):
+        return all(c.source_input == c.target_input for c in spec.leaf_comparisons())
     if not isinstance(spec, dict):
         return False
     op = spec.get("operator", spec)
@@ -184,7 +191,6 @@ class IndexStage:
         self.symmetric = (
             both_sides
             and execution_method is None
-            and isinstance(rule_spec, dict)
             and _spec_symmetric(rule_spec)
         )
 

@@ -96,30 +96,85 @@ def test_bootstrap_plus_tail_equals_full_tail(tmp_path, ray_session):
     assert a.select(sorted(a.column_names)).equals(b.select(sorted(b.column_names)))
 
 
-def test_bootstrap_from_parquet_dir(tmp_path, ray_session):
-    """Directory snapshots stream file-by-file through Ray tasks; the
-    synthetic segments are cleaned up after the manifest commit."""
+def _write_snapshot_dir(snap: pa.Table, snap_dir: str) -> None:
     import pyarrow.parquet as pq
 
-    log = _stream(n_events=500)
-    s = 299
-    snap = _snapshot_at(log, s)
-    snap_dir = str(tmp_path / "snap")
     os.makedirs(snap_dir)
     third = max(1, snap.num_rows // 3)
     for i in range(3):
         part = snap.slice(i * third, third if i < 2 else snap.num_rows - 2 * third)
         pq.write_table(part, os.path.join(snap_dir, f"part-{i:03d}.parquet"))
 
+
+def _store_dirs() -> set:
+    """Top-level directories under a lake root that hold the stores'
+    own files."""
+    from silk_ray.cdc import checkpoint as ckpt
+
+    out = {"_checkpoints", "_metrics", "deadletter"}
+    for store in ckpt.STORES:
+        out.update(store.data_dirs)
+        if store.snapshot:
+            out.add(os.path.dirname(store.snapshot))
+    return out
+
+
+def test_bootstrap_from_parquet_dir(tmp_path, ray_session, monkeypatch):
+    """Directory snapshots are read file by file inside the merge's
+    read tasks: the driver creates no directory under the root but the
+    stores' own (no synthetic changelog is written)."""
+    log = _stream(n_events=500)
+    s = 299
+    snap = _snapshot_at(log, s)
+    snap_dir = str(tmp_path / "snap")
+    _write_snapshot_dir(snap, snap_dir)
+
     boot = str(tmp_path / "boot")
+    made = []
+    real_makedirs = os.makedirs
+
+    def spy(name, *a, **kw):
+        made.append(os.path.relpath(os.path.abspath(name), boot))
+        return real_makedirs(name, *a, **kw)
+
+    monkeypatch.setattr(os, "makedirs", spy)
     m = bootstrap_lake(boot, snap_dir, as_of_offset=s, num_partitions=4)
+    monkeypatch.undo()
     assert m["events_applied"] == snap.num_rows
-    assert not os.path.exists(os.path.join(boot, "_bootstrap_changelog"))
+    assert made and all(d == "." or d.split(os.sep)[0] in _store_dirs() for d in made), made
+    assert set(os.listdir(boot)) <= _store_dirs() | {"_manifest.json"}
     run(boot, log, EngineConfig(epoch_size=150, num_partitions=4))
 
     full = str(tmp_path / "full")
     run(full, log, EngineConfig(epoch_size=150, num_partitions=4))
     assert state_sha256(boot) == state_sha256(full)
+
+
+def test_bootstrap_crash_before_commit_reruns(tmp_path, ray_session, monkeypatch):
+    """A parquet bootstrap that dies before its manifest commit leaves
+    no committed epoch; rerun, it reaches the state of an uninterrupted
+    bootstrap."""
+    from silk_ray.cdc import merge
+
+    log = _stream(n_events=500)
+    s = 299
+    snap_dir = str(tmp_path / "snap")
+    _write_snapshot_dir(_snapshot_at(log, s), snap_dir)
+    straight = str(tmp_path / "straight")
+    bootstrap_lake(straight, snap_dir, as_of_offset=s, num_partitions=4)
+
+    def crash(*_a, **_k):
+        raise RuntimeError("crash before the bootstrap commit")
+
+    boot = str(tmp_path / "boot")
+    monkeypatch.setattr(merge.ckpt, "commit_manifest", crash)
+    with pytest.raises(RuntimeError, match="crash before"):
+        bootstrap_lake(boot, snap_dir, as_of_offset=s, num_partitions=4)
+    monkeypatch.undo()
+    assert merge.ckpt.read_manifest(boot).epoch == 0
+    m = bootstrap_lake(boot, snap_dir, as_of_offset=s, num_partitions=4)
+    assert m["epoch"] == 1
+    assert state_sha256(boot) == state_sha256(straight)
 
 
 def test_bootstrap_guards(tmp_path, ray_session):

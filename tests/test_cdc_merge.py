@@ -110,6 +110,125 @@ def test_conflicting_duplicate_offsets_resolve_deterministically(
     assert got["x"] == "A"  # fingerprint-min, pinned
 
 
+# conflicting duplicates across several columns: lang null vs a value
+# (offset 2), content and op (offset 3), a verbatim twin (offset 5),
+# and twins with different keys (offset 6)
+CONFLICTS = [
+    (0, "I", "r", "a", "a0", "py"),
+    (1, "I", "r", "b", "b0", "go"),
+    (2, "U", "r", "a", "a1", "py"),
+    (2, "U", "r", "a", "a1", None),
+    (3, "U", "r", "b", "zz", "go"),
+    (3, "U", "r", "b", "b1", "go"),
+    (3, "D", "r", "b", None, None),
+    (4, "I", "r", "c", "c0", "py"),
+    (5, "U", "r", "c", "c1", "rs"),
+    (5, "U", "r", "c", "c1", "rs"),
+    (6, "I", "r", "d", "d0", "py"),
+    (6, "I", "r", "e", "e0", "py"),
+    (7, "U", "q", "a", "qa", "py"),
+]
+
+
+def test_conflicting_duplicates_keep_their_survivors(ray_session, tmp_path):
+    """The survivors of conflicting duplicate offsets, pinned as the
+    merge chose them before it ran its steps on key and meta columns
+    (the fingerprint still covers every event column), under shuffled
+    row orders, epoch sizes and partition counts."""
+    import random
+
+    rng = random.Random(5)
+    for i in range(6):
+        rows = CONFLICTS[:]
+        rng.shuffle(rows)
+        cols = list(zip(*rows))
+        log = pa.table({
+            "offset": pa.array(cols[0], pa.int64()),
+            **{name: pa.array(c, pa.string())
+               for name, c in zip(("op", "repo", "path", "content", "lang"), cols[1:])},
+        })
+        root = str(tmp_path / f"l{i}")
+        run_to_completion(root, log, epoch_size=(3, 8)[i % 2], num_partitions=(2, 3)[i % 2])
+        t = state_table(root)
+        assert list(zip(*(t[c].to_pylist() for c in ("repo", "path", "content", "lang")))) == [
+            ("q", "a", "qa", "py"), ("r", "a", "a1", None), ("r", "c", "c1", "rs"),
+            ("r", "e", "e0", "py"),
+        ], i
+
+
+def _partition_bytes(root):
+    return {os.path.relpath(f, root): open(f, "rb").read()
+            for d, _s, fs in os.walk(os.path.join(root, "partitions"))
+            for f in (os.path.join(d, n) for n in fs)}
+
+
+def test_change_set_readers_leave_lake_bytes_unchanged(ray_session, changelog, tmp_path,
+                                                       monkeypatch):
+    """With a reader of the change set (egress) the merge reads the
+    pre-epoch payload; without one it reads keys only. Both write the
+    same lake delta and compact files, byte for byte."""
+    from silk_ray.cdc import chain
+    from silk_ray.cdc.engine import EngineConfig, run
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 3)
+    roots = {egress: str(tmp_path / f"egress-{egress}") for egress in (False, True)}
+    for egress, root in roots.items():
+        ms = run(root, changelog, EngineConfig(epoch_size=200, num_partitions=3,
+                                               egress=egress, gc=False))
+        assert len(ms) == 6 and ("egress" in ms[-1]) == egress
+    files = _partition_bytes(roots[False])
+    assert any("compact-" in f for f in files)
+    assert files == _partition_bytes(roots[True])
+
+
+def test_pre_epoch_read_skips_payload_without_a_reader(ray_session, changelog, tmp_path,
+                                                       monkeypatch):
+    """The merge's pre-epoch chain read asks for the key and internal
+    columns only when no change table is handed off, and for every
+    column when one is; the delta files are the same bytes."""
+    import shutil
+
+    import pyarrow.compute as pc
+
+    from silk_ray.cdc import merge
+
+    root = str(tmp_path / "lake")
+    run_epoch(root, changelog, epoch_size=400, num_partitions=2)
+    m = ckpt.read_manifest(root)
+    window = changelog.filter(pc.and_(pc.greater_equal(changelog["offset"], m.next_offset),
+                                      pc.less(changelog["offset"], m.next_offset + 400)))
+    groups = merge._split_by_pid(window, 2)
+    real, requested = merge._read_files, []
+
+    def spy(root, files, kh_filter=None, columns=None):
+        requested.append(columns)
+        return real(root, files, kh_filter, columns)
+
+    monkeypatch.setattr(merge, "_read_files", spy)
+    deltas = {}
+    for hand_off in (False, True):
+        r = str(tmp_path / f"hand_off-{hand_off}")
+        shutil.copytree(root, r)
+        merger = merge.MergePartition(
+            r, 2, {p: i["hwm"] for p, i in m.partitions.items()},
+            {p: i["files"] for p, i in m.partitions.items()},
+            {p: i["rows"] for p, i in m.partitions.items()},
+            compact=frozenset(), hand_off=hand_off,
+        )
+        del requested[:]
+        outs = [merger(g) for g in groups.values()]
+        assert len(requested) == len(groups) == 2
+        if hand_off:
+            assert requested == [None, None]
+            assert any(pc.any(pc.is_valid(o["changes"]["old_content"])).as_py() for o in outs)
+        else:
+            assert all(set(c) == {"repo", "path", "_offset", "_deleted", "_kh"}
+                       for c in requested)
+            assert all(o["changes"] is None for o in outs)
+        deltas[hand_off] = {f: b for f, b in _partition_bytes(r).items() if "epoch-000002" in f}
+    assert len(deltas[False]) == 2 and deltas[False] == deltas[True]
+
+
 def test_crash_between_merge_work_and_manifest_swap(
     ray_session, changelog, tmp_path, monkeypatch
 ):

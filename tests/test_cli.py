@@ -250,6 +250,35 @@ def test_cli_status_storage_per_directory(ray_session, tmp_path, capsys):
     assert not os.path.exists(os.path.join(root, "summaries"))
 
 
+def test_cli_status_bytes_written(ray_session, tmp_path, capsys, monkeypatch):
+    """Each epoch record's ``bytes_written`` is the size of the delta
+    and compact files the merge created in it, and ``status`` prints
+    the last one."""
+    import glob
+    import json
+    import os
+
+    from silk_ray.__main__ import main
+    from silk_ray.cdc import chain, checkpoint as ckpt
+    from silk_ray.cdc.engine import EngineConfig, run
+    from silk_ray.cdc.generator import make_base_table, make_changelog
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
+    log = make_changelog(make_base_table(40, seed=33), 400, seed=34)
+    root = str(tmp_path / "lake")
+    assert len(run(root, log, EngineConfig(epoch_size=100, num_partitions=3, gc=False))) == 4
+    records = ckpt.read_metrics(root)
+    for r in records:
+        e = r["epoch"]
+        made = glob.glob(os.path.join(root, "partitions", "*", f"*-{e:06d}.parquet"))
+        assert r["bytes_written"] == sum(map(os.path.getsize, made)) > 0, e
+    assert glob.glob(os.path.join(root, "partitions", "*", "compact-*.parquet"))
+    capsys.readouterr()
+    assert main(["status", "--root", root]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["last_epoch"]["bytes_written"] == records[-1]["bytes_written"]
+
+
 def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):
     """With links on, `status`'s last_epoch is the last MERGE record
     (``_metrics/epoch-E.json``), not the link record written after it."""

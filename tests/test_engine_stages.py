@@ -185,3 +185,28 @@ def test_tracer_spans_fire_under_engine_run(log, tmp_path, ray_session):
     finally:
         tracer.uninstall()
     assert expected <= {s.name for s in tracer.spans}
+
+
+def test_every_engine_file_is_zstd(log, tmp_path, ray_session):
+    """Every Parquet file a run with all five stages writes under the
+    lake root has only zstd column chunks (``ckpt.atomic_write_parquet``
+    is the one writer)."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    root = str(tmp_path / "lake")
+    assert len(run(root, log, _cfg(gc=False))) == N_EPOCHS
+    files = glob.glob(os.path.join(root, "**", "*.parquet"), recursive=True)
+    dirs = {os.path.relpath(f, root).split(os.sep)[0] for f in files}
+    assert {"partitions", "blockmap", "links", "clusters", "aggview", "egress",
+            "windows"} <= dirs
+    seen = set()
+    for f in files:
+        md = pq.read_metadata(f)
+        codecs = {md.row_group(g).column(c).compression
+                  for g in range(md.num_row_groups) for c in range(md.num_columns)}
+        assert codecs <= {"ZSTD"}, (f, codecs)
+        seen |= codecs
+    assert seen == {"ZSTD"}

@@ -690,6 +690,45 @@ def test_handed_off_index_rows_write_the_derived_bytes(ray_session, tmp_path, mo
     assert any("compact-" in f for f in memo)
 
 
+SINGLE_LEVENSHTEIN_RULE = {
+    "operator": {
+        "metric": "levenshteinDistance",
+        "threshold": 2,
+        "source": {"transform": "untilCharacter", "params": {"untilCharacter": "."},
+                   "inputs": [{"path": "path"}]},
+        "target": {"transform": "untilCharacter", "params": {"untilCharacter": "."},
+                   "inputs": [{"path": "path"}]},
+    },
+}
+
+
+@pytest.mark.parametrize("rule", [BENCH_RULE, SINGLE_LEVENSHTEIN_RULE],
+                         ids=["bench", "levenshtein"])
+def test_compiled_symmetric_rule_indexes_one_side(ray_session, tmp_path, rule):
+    """A symmetric rule compiled from a dict is symmetric too: its
+    postings and entity chains are byte-identical, per epoch, to those
+    of the rule as a dict, whose entity chain holds side 1 alone."""
+    import pyarrow.parquet as pq
+
+    from silk_ray.linking.pipeline import _compile_rule, _spec_symmetric
+
+    compiled = _compile_rule(rule)
+    assert _spec_symmetric(rule) and _spec_symmetric(compiled)
+    log = make_changelog(make_base_table(60, seed=171, near_dup_frac=0.3), 300, seed=172)
+    roots = {form: str(tmp_path / form) for form in ("dict", "compiled")}
+    for epoch in range(1, 4):
+        for form, spec in (("dict", rule), ("compiled", compiled)):
+            run(roots[form], log, EngineConfig(epoch_size=100, num_partitions=3,
+                                               n_block_partitions=4, rule_spec=spec,
+                                               gc=False, max_epochs=1))
+        chains = [_chain_bytes(r) for r in roots.values()]
+        assert chains[0] == chains[1], epoch
+        ents = pa.concat_tables(
+            [pq.read_table(f) for f in _blockmap_files(roots["compiled"], "ent=")]
+        )
+        assert set(ents["side"].to_pylist()) == {1}, epoch
+
+
 def test_links_table_refuses_a_missing_link_file(engine_run, tmp_path):
     """A committed link state that names a missing file is a broken
     store: ``links_table`` raises naming the file instead of returning
