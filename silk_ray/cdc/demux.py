@@ -46,7 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import checkpoint as ckpt, remote
+from silk_ray.cdc import checkpoint as ckpt, exchange, split
 from silk_ray.cdc.merge import (
     _next_existing_offset,
     _window_fragments,
@@ -82,10 +82,8 @@ def demuxed_tables(out_dir: str) -> list[str]:
 
 def _route_fragment(src, lo: int, hi: int) -> tuple[dict, "object"]:
     """Map task: read one fragment's window rows, split by tbl.
-    Returns ({tbl: object-store ref of that table's rows, tbl column
+    Returns ({tbl: that table's rows, offset-sorted, tbl column
     dropped}, dead-rows table or None)."""
-    import ray
-
     if isinstance(src, pa.Table):
         t = src
     else:
@@ -111,16 +109,13 @@ def _route_fragment(src, lo: int, hi: int) -> tuple[dict, "object"]:
         t = t.filter(valid_name)
     else:
         dead = None
-    out: dict[str, object] = {}
-    if t.num_rows:
-        # dictionary-encode + per-code masks: one pass, no Python rows
-        enc = pc.dictionary_encode(pc.cast(t["tbl"], pa.string())).combine_chunks()
-        codes, names = enc.indices, enc.dictionary.to_pylist()
-        body = t.drop_columns(["tbl"])
-        for code, name in enumerate(names):
-            part = body.filter(pc.equal(codes, code))
-            out[name] = ray.put(part.sort_by([("offset", "ascending")]))
-    return out, dead
+    if not t.num_rows:
+        return {}, dead
+    # dictionary-encode, then split by code: one pass, no Python rows
+    enc = pc.dictionary_encode(pc.cast(t["tbl"], pa.string())).combine_chunks()
+    names = enc.dictionary.to_pylist()
+    parts = split(t.drop_columns(["tbl"]), enc.indices)
+    return {names[code]: part.sort_by([("offset", "ascending")]) for code, part in parts.items()}, dead
 
 
 def _clean_stale_tmp(d: str) -> None:
@@ -141,7 +136,7 @@ def _clean_stale_tmp(d: str) -> None:
                 pass
 
 
-def _write_seg(out_dir: str, tbl: str, window: int, *shards) -> int:
+def _write_seg(tbl: str, out_dir: str, window: int, *shards) -> int:
     """Writer task: concat this table's window shards (fragment order),
     offset-sort, write one segment atomically. Deterministic bytes —
     a crashed window's rerun rewrites the identical file."""
@@ -177,8 +172,6 @@ def demux_window(
     guarantees every per-table substream ends on a complete
     transaction — per-table atomicity then composes with zero
     engine-side changes."""
-    import ray
-
     state = read_demux_state(out_dir)
     lo = state["next_offset"]
     nxt = _next_existing_offset(changelog, lo)
@@ -194,14 +187,10 @@ def demux_window(
     if not fragments:
         return None
     window = state["window"] + 1
-    routed = ray.get([remote(_route_fragment).remote(f, lo, hi) for f in fragments])
-    by_tbl: dict[str, list] = {}
-    dead_parts = []
-    for m, dead in routed:
-        for tbl, ref in m.items():
-            by_tbl.setdefault(tbl, []).append(ref)
-        if dead is not None:
-            dead_parts.append(dead)
+    deads, counts, _ = exchange(
+        [(_route_fragment, f, lo, hi) for f in fragments], _write_seg, out_dir, window
+    )
+    dead_parts = [d for d in deads if d is not None]
     dead_lettered = 0
     if dead_parts:
         dead = pa.concat_tables(dead_parts, promote_options="default").sort_by(
@@ -211,36 +200,14 @@ def demux_window(
         _clean_stale_tmp(dd)
         ckpt.atomic_write_parquet(dead, os.path.join(dd, f"window-{window:06d}.parquet"))
         dead_lettered = dead.num_rows
-    if not by_tbl and not dead_lettered:
+    if not counts and not dead_lettered:
         return None
-    write = remote(_write_seg)
-    os.makedirs(out_dir, exist_ok=True)
-    # Writer tasks run in bounded WAVES, and each table's shard refs are
-    # RELEASED as its wave completes: a 10^3-live-table deployment would
-    # otherwise submit 10^3 concurrent writers and keep every routed
-    # shard pinned in the object store until the slowest write finished
-    # — driver-side in-flight state is now O(wave), not O(tables), and
-    # object-store pinning drains progressively. (The {tbl: ref} maps
-    # themselves are ~100 bytes/entry — the F×T dict is MBs at 10^3
-    # tables and is the exchange's inherent driver footprint.)
-    wave_size = max(1, int(os.environ.get("SILKRAY_DEMUX_WRITE_WAVE", "64")))
-    tables = sorted(by_tbl)
-    counts: dict[str, int] = {}
-    waves = 0
-    for i in range(0, len(tables), wave_size):
-        wave = tables[i : i + wave_size]
-        got = ray.get([write.remote(out_dir, t, window, *by_tbl[t]) for t in wave])
-        counts.update(zip(wave, got))
-        for t in wave:
-            del by_tbl[t]  # unpin this table's routed shards now
-        waves += 1
     _commit_demux_state(out_dir, window, hi)  # the sole commit point
     return {
         "window": window,
         "next_offset": hi,
         "rows": counts,
         "dead_lettered": dead_lettered,
-        "write_waves": waves,
     }
 
 

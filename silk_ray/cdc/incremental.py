@@ -59,7 +59,8 @@ snapshot instead, see :func:`update_links`):
    files is rewritten as one compact file by ``chain.write_compact``
    (the lake's rule and writer; amortized O(index/COMPACT_AT) per
    epoch). The entity chain is one more chain.
-3. **delta re-score** (raw-task wave 1): per cost-balanced loader
+3. **delta re-score** (the map tasks of one :func:`silk_ray.cdc.exchange`
+   with stage 4): per cost-balanced loader
    bucket, reconcile each postings chain once (newest-file-wins per
    uri), keep the affected blocks (vectorized ``is_in``), key-sub-split
    hot bps and dedupe entities by (uri, side) across the bucket's
@@ -73,12 +74,12 @@ snapshot instead, see :func:`update_links`):
    aggregation tree (:meth:`LinkageRule.score_pairs`). Work is
    O(entities touched by the delta), not O(rows in the affected
    blocks).
-4. **links merge** (wave 1 drop-dirty tasks + wave 2 bundle-write
+4. **links merge** (drop-dirty map tasks + bundle-write reduce
    tasks over the AFFECTED manifest files only): drop stored links
    touching a dirty uri, add the recomputed ones; each write task
    computes its own manifest entry (rows, uri sketch, n_new);
    unaffected files carry over by reference — O(delta + affected
-   files) per epoch, not O(total links). Every wave-1 and write task
+   files) per epoch, not O(total links). Every map and write task
    times its own steps; the sums, the task counts and the candidate
    pairs scored and kept (``pairs``, ``pairs_kept``) are the ``task_s``
    map of ``_metrics/links-E.json``; its ``index_bytes`` map holds the
@@ -109,7 +110,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import chain, checkpoint as ckpt, remote
+from silk_ray.cdc import chain, checkpoint as ckpt, exchange, remote
 from silk_ray.cdc.merge import (
     _load_partition,
     epoch_changed_nothing,
@@ -398,6 +399,7 @@ def _links_empty_table() -> pa.Table:
 
 
 def _lrs_bundle(
+    out: int,
     root: str,
     bucket: dict,
     key_arr: pa.Array,
@@ -415,8 +417,8 @@ def _lrs_bundle(
     uri comes from the same write, so the keys are identical — then read
     the entity chain (``bucket["entities"]``) once for those entities'
     values and score (no shuffle — bp co-locates every row of a key;
-    see update_links). Returns the links and the task's seconds per
-    step and pair counts."""
+    see update_links). Returns ``({out: links}, the task's seconds per
+    step and pair counts)``."""
     import itertools
 
     from silk_ray.linking.pipeline import PairScorer
@@ -460,14 +462,14 @@ def _lrs_bundle(
     ents = ents.append_column("dirty", pc.is_in(ents["uri"], value_set=uri_arr))
     timings = {"load_s": time.perf_counter() - t0}
     scorer = PairScorer(payload, limit=limit, source_equals_target=True, dirty_col="dirty")
-    out = scorer.score_entities(ents, key, ent, timings)
-    out = out.append_column("epoch_added", pa.array(np.full(out.num_rows, epoch, np.int32)))
-    return out, timings
+    links = scorer.score_entities(ents, key, ent, timings)
+    links = links.append_column("epoch_added", pa.array(np.full(links.num_rows, epoch, np.int32)))
+    return {out: links}, timings
 
 
-def _drop_dirty_links(root: str, files: list[str], uri_arr: pa.Array) -> tuple[pa.Table, dict]:
-    """Stored link files minus links touching a dirty uri, and the
-    task's seconds."""
+def _drop_dirty_links(out: int, root: str, files: list[str], uri_arr: pa.Array) -> tuple[dict, dict]:
+    """``({out: stored link files minus links touching a dirty uri},
+    the task's seconds)``."""
     t0 = time.perf_counter()
     parts = []
     for f in files:
@@ -477,32 +479,25 @@ def _drop_dirty_links(root: str, files: list[str], uri_arr: pa.Array) -> tuple[p
             pc.invert(pc.is_in(t["target"], value_set=uri_arr)),
         )
         parts.append(t.filter(keep))
-    out = pa.concat_tables(parts) if parts else _links_empty_table()
-    return out, {"drop_s": time.perf_counter() - t0}
+    links = pa.concat_tables(parts) if parts else _links_empty_table()
+    return {out: links}, {"drop_s": time.perf_counter() - t0}
 
 
 LINK_FILE_ROWS = 500_000  # target rows per manifest file
 
 
 def _write_links_bundle(
-    root: str, dir_new: str, name: str, epoch: int, *bundle
+    part: int, root: str, dir_new: str, epoch: int, *bundle
 ) -> tuple[list[dict], dict]:
-    """Concat a bundle of wave-1 ``(links, seconds)`` results and write
-    size-bounded manifest files (≤ ``LINK_FILE_ROWS`` rows each — an
-    oversized input file re-splits here, keeping per-epoch rewrite cost
-    bounded per file), returning their entries + this epoch's
-    recomputed counts (sketch computed here, not re-read by the caller)
-    and the bundle's summed task seconds, this write included. An empty
-    bundle writes nothing. The wave-1 outputs arrive as DIRECT
-    ObjectRef args so Ray's locality-aware scheduler runs each write
-    task where most of its bundle's bytes already live (multi-node:
-    mostly node-local reads, remainder via plasma transfer)."""
+    """Concat a bundle of scored and drop-dirtied link tables and write
+    size-bounded manifest files ``part-{part}-*`` (≤ ``LINK_FILE_ROWS``
+    rows each — an oversized input file re-splits here, keeping
+    per-epoch rewrite cost bounded per file), returning their entries +
+    this epoch's recomputed counts (sketch computed here, not re-read by
+    the caller) and the write's seconds. An empty bundle writes
+    nothing."""
     t0 = time.perf_counter()
-    seconds: dict[str, float] = {}
-    for _t, task_s in bundle:
-        for k, v in task_s.items():
-            seconds[k] = seconds.get(k, 0) + v
-    tables = [t for t, _s in bundle if t.num_rows]
+    tables = [t for t in bundle if t.num_rows]
     merged = pa.concat_tables(tables) if tables else _links_empty_table()
     out = []
     n_chunks = -(-merged.num_rows // LINK_FILE_ROWS)
@@ -511,7 +506,7 @@ def _write_links_bundle(
         chunk = merged.slice(j * per, per)
         if not chunk.num_rows:
             continue
-        p = os.path.join(dir_new, f"{name}-{j:03d}.parquet")
+        p = os.path.join(dir_new, f"part-{part:05d}-{j:03d}.parquet")
         ckpt.atomic_write_parquet(chunk, p)
         n_new = int(
             pc.sum(pc.cast(pc.equal(chunk["epoch_added"], epoch), pa.int64())).as_py() or 0
@@ -524,8 +519,7 @@ def _write_links_bundle(
                 "n_new": n_new,
             }
         )
-    seconds["write_s"] = time.perf_counter() - t0
-    return out, seconds
+    return out, {"write_s": time.perf_counter() - t0}
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +693,7 @@ def update_links(
         i = loads.index(min(loads))
         buckets[i].append(it)
         loads[i] += est[id(it)]
-    # one dict per bucket (parallel lists); each wave-1 task takes
+    # one dict per bucket (parallel lists); each scoring task takes
     # exactly one cost-balanced bucket
     loader_buckets = [
         {
@@ -713,7 +707,7 @@ def update_links(
         if b
     ]
 
-    # -- stage 3 (score) + stage 4 (links merge) as TWO RAW-TASK WAVES --
+    # -- stage 3 (score) + stage 4 (links merge) as one exchange -------
     # The stored link set is a MANIFEST of size-bounded parquet files,
     # each carrying a small uri-bitset sketch. Per epoch only files
     # whose sketch intersects the dirty-uri bits are rewritten
@@ -723,14 +717,10 @@ def update_links(
     # delta-not-state principle as the blockmap LSM and the lake
     # merge-apply.
     #
-    # Raw Ray tasks instead of a Dataset plan: wave 1 scores each
-    # loader bucket / drop-dirties each affected-file group and returns
-    # table refs; wave 2 concats refs per output file, writes it, and
-    # computes its manifest entry (rows, sketch, n_new) IN the task —
-    # no per-epoch streaming-executor startup and no driver-side
-    # re-read of written files. Same shape as the merge stage's direct
-    # exchange (merge.py), which replaced a sort-groupby for the same
-    # reason.
+    # The map tasks score each loader bucket / drop-dirty each
+    # affected-file group; map task i feeds output file i % n_out, whose
+    # write task computes its manifest entry (rows, sketch, n_new) —
+    # no driver-side re-read of written files.
     manifest = _links_manifest(base)
     dirty_bits = _uri_bits(sorted(dirty_uris))
     affected, carried = [], []
@@ -746,20 +736,17 @@ def update_links(
     affected_rows = sum(e["rows"] for e in affected)
     n_link_blocks = max(1, min(64, affected_rows // 500_000 + 1))
 
-    lrs = remote(_lrs_bundle)
-    refs = [
-        lrs.remote(root, bucket, keys_ref, uris_ref, payload, limit,
-                   n_leaves, n_block_partitions, epoch)
+    maps = [
+        (_lrs_bundle, root, bucket, keys_ref, uris_ref, payload, limit,
+         n_leaves, n_block_partitions, epoch)
         for bucket in loader_buckets
     ]
-    if affected:
-        drop = remote(_drop_dirty_links)
-        files = [e["file"] for e in affected]
-        per = max(1, len(files) // n_link_blocks)
-        refs += [
-            drop.remote(root, files[i : i + per], uris_ref)
-            for i in range(0, len(files), per)
-        ]
+    files = [e["file"] for e in affected]
+    per = max(1, len(files) // n_link_blocks)
+    maps += [(_drop_dirty_links, root, files[i : i + per], uris_ref)
+             for i in range(0, len(files), per)]
+    n_out = min(n_link_blocks, len(maps))
+    maps = [(fn, i % n_out, *args) for i, (fn, *args) in enumerate(maps)]
 
     # Idempotent replay: a crash between this write and commit_linkstate
     # would otherwise leave a partial epoch dir that a replay doubles.
@@ -770,32 +757,22 @@ def update_links(
     shutil.rmtree(links_dir_new, ignore_errors=True)
     os.makedirs(links_dir_new, exist_ok=True)
     _mark("plan_build")
-    written: list[dict] = []
-    # worker-side seconds per step, summed over the wave-1 and write
-    # tasks, the task counts and the candidate pairs scored and kept (a
-    # map of its own: ``phases`` sums to the wall time of this call)
-    task_s = dict.fromkeys(("load_s", "enumerate_s", "score_s", "drop_s", "write_s"), 0.0)
-    task_s.update(lrs_tasks=len(loader_buckets), drop_tasks=len(refs) - len(loader_buckets),
-                  write_tasks=0, pairs=0, pairs_kept=0)
-    if refs:
-        write = remote(_write_links_bundle)
-        n_out = min(n_link_blocks, len(refs))
-        bundles = [refs[i::n_out] for i in range(n_out)]
-        write_refs = [
-            write.remote(root, links_dir_new, f"part-{i:05d}", epoch, *b)
-            for i, b in enumerate(bundles)
-        ]
-        task_s["write_tasks"] = len(write_refs)
-        # release the driver's pins on wave-1 outputs: each write task
-        # holds its own bundle's refs, so blocks free as writes finish
-        # instead of all living until update_links returns
-        del refs, bundles
-        for entry_list, seconds in ray.get(write_refs):
-            written.extend(entry_list)
-            for k, v in seconds.items():
-                task_s[k] += v
-    # no refs at all (no loader buckets, no affected files) → nothing
+    # no maps at all (no loader buckets, no affected files) → nothing
     # written this epoch; the manifest simply carries existing entries
+    seconds, writes, _ = exchange(maps, _write_links_bundle, root, links_dir_new, epoch)
+    # worker-side seconds per step, summed over the map and write tasks,
+    # the task counts and the candidate pairs scored and kept (a map of
+    # its own: ``phases`` sums to the wall time of this call)
+    task_s = dict.fromkeys(("load_s", "enumerate_s", "score_s", "drop_s", "write_s"), 0.0)
+    task_s.update(lrs_tasks=len(loader_buckets), drop_tasks=len(maps) - len(loader_buckets),
+                  write_tasks=len(writes), pairs=0, pairs_kept=0)
+    written: list[dict] = []
+    for entries, write_s in writes.values():
+        written.extend(entries)
+        seconds.append(write_s)
+    for task in seconds:
+        for k, v in task.items():
+            task_s[k] += v
     _mark("score_and_write")
     n_new = sum(e.pop("n_new") for e in written)
 

@@ -61,7 +61,6 @@ from __future__ import annotations
 import glob
 import os
 import shutil
-import time
 import zlib
 
 import numpy as np
@@ -70,7 +69,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from silk_ray.cdc import chain, checkpoint as ckpt, remote
+from silk_ray.cdc import chain, checkpoint as ckpt, exchange, split
 from silk_ray.cdc.chain import SchemaConflictError  # noqa: F401 — callers catch it from here
 
 KEY_COLS = ("repo", "path")
@@ -656,19 +655,8 @@ def snap_txn_boundary(changelog, lo: int, hi: int) -> int:
 
 
 def _split_by_pid(t: pa.Table, num_partitions: int) -> dict[int, pa.Table]:
-    """Sort by pid once, slice contiguous runs (combine_chunks so each
-    shard serializes only its own rows into the object store)."""
     t = add_pid_column(num_partitions)(t)
-    pid = t["pid"].to_numpy(zero_copy_only=False)
-    order = np.argsort(pid, kind="stable")
-    t = t.take(pa.array(order))
-    spid = pid[order]
-    uniq, starts = np.unique(spid, return_index=True)
-    bounds = list(starts) + [len(spid)]
-    return {
-        int(u): t.slice(bounds[i], bounds[i + 1] - bounds[i]).combine_chunks()
-        for i, u in enumerate(uniq)
-    }
+    return split(t, t["pid"])
 
 
 _VALID_OPS = ("I", "U", "D")
@@ -903,14 +891,12 @@ def _read_split_task(
     enrich_specs: list[dict] | None = None,
     strict_columns: bool = False,
 ) -> tuple[dict, dict | None]:
-    """Exchange stage A: read one window fragment, validate, split the
-    valid events by pid, put each shard into the object store. Only
-    (pid -> ref) maps and a dead-letter count summary travel to the
-    driver; quarantined rows are written to the DLQ from here (they can
-    be window-sized under an adversarial stream). A snapshot list entry
-    ``(file, first offset, rows)`` becomes its insert events here."""
-    import ray
-
+    """Exchange map: read one window fragment, validate, split the
+    valid events by pid. Beside the shards only a dead-letter count
+    summary travels to the driver; quarantined rows are written to the
+    DLQ from here (they can be window-sized under an adversarial
+    stream). A snapshot list entry ``(file, first offset, rows)``
+    becomes its insert events here."""
     if isinstance(src, pa.Table):
         t = src
     elif isinstance(src, tuple):
@@ -933,21 +919,13 @@ def _read_split_task(
     summary = _write_dead_shard(root, epoch, frag_idx, dead) if dead is not None else None
     if t.num_rows == 0:
         return {}, summary
-    return {pid: ray.put(tbl) for pid, tbl in _split_by_pid(t, num_partitions).items()}, summary
+    return _split_by_pid(t, num_partitions), summary
 
 
-def _merge_pid_task(merger, *shards) -> dict:
-    """Exchange stage B: run the merge body (``MergePartition.__call__``)
-    over this partition's shards.
-
-    Multi-node: the shards arrive as DIRECT ObjectRef args (not a list),
-    so Ray materializes them before the task body starts AND its
-    locality-aware scheduler places the task on the node already holding
-    the largest share of the shard bytes — the shuffle read is mostly
-    node-local; the remainder moves via plasma object transfer and
-    spills to disk under memory pressure rather than OOMing."""
-    tables = list(shards)
-    group = tables[0] if len(tables) == 1 else pa.concat_tables(tables, promote_options="default")
+def _merge_pid_task(pid: int, merger, *shards) -> dict:
+    """Exchange reduce: run the merge body (``MergePartition.__call__``)
+    over partition ``pid``'s shards."""
+    group = shards[0] if len(shards) == 1 else pa.concat_tables(shards, promote_options="default")
     return merger(group)
 
 
@@ -974,24 +952,15 @@ def run_epoch(
     None when no events remain. Offset gaps larger than one window are
     skipped over (the window anchors at the next existing offset).
 
-    The events→partitions exchange is a direct two-stage raw-Ray
-    shuffle (read-and-split tasks → per-pid object-store shards →
-    one merge task per dirty partition) instead of
-    ``groupby(pid).map_groups``: a sort-based groupby on a bounded
-    epoch window pays boundary sampling + two all-to-all barriers for
-    data that is already hash-partitionable in one pass — measured
-    5-12 s fixed overhead per epoch at sf0.1 (most of the epoch).
-    This is the documented raw-Ray exception: a keyed exchange whose
-    partitioning (crc32 key hash mod P, stable across epochs) the
-    Dataset API cannot express without a sort.
+    The events→partitions shuffle is one :func:`silk_ray.cdc.exchange`:
+    read-and-split tasks per window fragment, then one merge task per
+    dirty partition (crc32 key hash mod P, stable across epochs).
 
     With ``link_spec`` (a rule dict or a compiled ``LinkageRule``) the
     merge tasks also return the link index's delta rows for
     ``n_block_partitions``, kept in memory for the link stage
     (:func:`take_epoch_index`).
     """
-    import ray
-
     manifest = ckpt.read_manifest(root)
     if manifest.num_partitions is not None and manifest.num_partitions != num_partitions:
         raise ValueError(
@@ -1034,42 +1003,30 @@ def run_epoch(
         hand_off=epoch > 1 and any(int(s.read(root)["epoch"]) == epoch - 1 for s in readers),
     )
 
-    t0 = time.perf_counter()
     # a crashed attempt may have left DLQ shards for this epoch; clear
     # so the replay's shard set is exactly this window's (idempotent —
     # the quarantine is written pre-commit, from the read tasks)
     if os.path.isdir(_dlq_dir(root, epoch)):
         shutil.rmtree(_dlq_dir(root, epoch))
-    results = ray.get(
+    deads, merged, (t_exchange, t_merge) = exchange(
         [
-            remote(_read_split_task).remote(
-                f, lo, hi, num_partitions, root, epoch, i, payload_schema,
-                enrich_specs, strict_columns,
-            )
+            (_read_split_task, f, lo, hi, num_partitions, root, epoch, i, payload_schema,
+             enrich_specs, strict_columns)
             for i, f in enumerate(fragments)
-        ]
+        ],
+        _merge_pid_task,
+        merger,
     )
-    by_pid: dict[int, list] = {}
+    metrics_rows = list(merged.values())
     dead_count, dead_max, dead_reasons = 0, None, {}
-    for m, dead in results:
-        for pid, ref in m.items():
-            by_pid.setdefault(pid, []).append(ref)
+    for dead in deads:
         if dead is not None:
             dead_count += dead["count"]
             dead_max = dead["max_offset"] if dead_max is None else max(dead_max, dead["max_offset"])
             for k, v in dead["reasons"].items():
                 dead_reasons[k] = dead_reasons.get(k, 0) + v
-    if not by_pid and not dead_count:
+    if not metrics_rows and not dead_count:
         return None
-    t_exchange = time.perf_counter() - t0
-    metrics_rows = []
-    if by_pid:
-        merger_ref = ray.put(merger)
-        metrics_rows = ray.get(
-            [remote(_merge_pid_task).remote(merger_ref, *refs)
-             for _, refs in sorted(by_pid.items())]
-        )
-    t_merge = time.perf_counter() - t0 - t_exchange
 
     # ---- commit ----
     # dead-lettered offsets advance the window too: a trailing malformed

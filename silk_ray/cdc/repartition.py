@@ -5,7 +5,8 @@ the manifest at first commit. At 100 TB the count chosen on day one
 stops fitting — partitions outgrow a worker's heap, or a 4× bigger
 cluster wants 4× the merge parallelism — so the engine needs a
 sanctioned way to change N that preserves every exactly-once and
-time-travel guarantee. This module is that way:
+time-travel guarantee. This module is that way, one
+:func:`silk_ray.cdc.exchange`:
 
     wave 1 — one Ray task per OLD partition: reconcile its delta chain
              (``chain.reconcile``, as a compaction does), split the
@@ -52,34 +53,20 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-import pyarrow as pa
-
-from silk_ray.cdc import chain, checkpoint as ckpt, remote
+from silk_ray.cdc import chain, checkpoint as ckpt, exchange, split
 from silk_ray.cdc.merge import _read_chain
 
 
-def _repart_read_task(root: str, files: list[str], new_n: int) -> dict:
+def _repart_read_task(root: str, files: list[str], new_n: int) -> tuple[dict, None]:
     """Wave 1: reconcile one old partition's chain, split by new pid."""
-    import ray
-
     full = chain.reconcile(_read_chain(root, files), chain.LAKE)
     if full is None or not full.num_rows:
-        return {}
-    kh = full.column("_kh").combine_chunks().to_numpy(zero_copy_only=False)
-    pids = kh % new_n
-    out = {}
-    for pid in np.unique(pids):
-        out[int(pid)] = ray.put(full.filter(pa.array(pids == pid)))
-    return out
+        return {}, None
+    return split(full, full.column("_kh").to_numpy() % new_n), None
 
 
-def _repart_write_task(root: str, pid: int, epoch: int, *shards) -> dict:
-    """Wave 2: write one new partition's shards as its compact file.
-
-    Shards arrive as direct ObjectRef args (the locality idiom from
-    merge._merge_pid_task): Ray places this task on the node holding
-    most of the shard bytes."""
+def _repart_write_task(pid: int, root: str, epoch: int, *shards) -> dict:
+    """Wave 2: write one new partition's shards as its compact file."""
     rel = chain.write_compact(root, list(shards), chain.LAKE, pid, epoch)
     return {"pid": pid, "rows": sum(t.num_rows for t in shards), "file": rel}
 
@@ -160,8 +147,6 @@ def repartition_lake(
     manifest predates layout pinning; a pinned manifest is
     authoritative and a conflicting explicit value is an error.
     """
-    import ray
-
     new_n = int(new_num_partitions)
     if new_n < 1:
         raise ValueError(f"num_partitions must be >= 1, got {new_n}")
@@ -197,28 +182,19 @@ def repartition_lake(
 
 
 def _repartition_locked(root: str, manifest, old_n: int, new_n: int) -> dict:
-    import ray
-
     epoch = manifest.epoch + 1
     t0 = time.perf_counter()
-    results = ray.get(
+    _, written, _ = exchange(
         [
-            remote(_repart_read_task).remote(root, info["files"], new_n)
+            (_repart_read_task, root, info["files"], new_n)
             for _pid, info in sorted(manifest.partitions.items())
             if info.get("files")
-        ]
+        ],
+        _repart_write_task,
+        root,
+        epoch,
     )
-    by_new: dict[int, list] = {}
-    for m in results:
-        for pid, ref in m.items():
-            by_new.setdefault(pid, []).append(ref)
-
-    stats = ray.get(
-        [
-            remote(_repart_write_task).remote(root, pid, epoch, *refs)
-            for pid, refs in sorted(by_new.items())
-        ]
-    )
+    stats = list(written.values())
 
     # every offset below next_offset is fully applied (epochs consume
     # whole windows), so the max old HWM covers any key wherever it

@@ -215,9 +215,7 @@ def evaluate_rule(spec: dict, ref: ReferenceEntities, threshold: float = 0.0) ->
     At ``threshold=0`` (the learner's setting) evaluation goes through
     the memoized per-comparison path — same kernel calls, cached
     across the population and iterations."""
-    import os as _os
-
-    memo = threshold == 0.0 and not _os.environ.get("SILKRAY_NO_GA_MEMO")
+    memo = threshold == 0.0
     rule = None if memo else rule_from_dict({"operator": spec["operator"]})
     fprint = ref.fingerprint if memo else None
     tp = tn = fp = fn = 0

@@ -51,9 +51,10 @@ def _record_node(tmp: str) -> None:
 
 
 def _wrap_tasks(tmp: str) -> None:
-    """Wrap the engine's raw-task functions (ray.remote is applied at
-    call time, so rebinding the module attribute is enough) to record
-    the node each task executes on."""
+    """Wrap the engine's exchange map and reduce functions (each site
+    hands them to ``exchange`` by module-global lookup at call time, so
+    rebinding the module attribute is enough) to record the node each
+    task executes on."""
     from silk_ray.cdc import demux, merge, repartition
 
     def wrapping(mod, name):

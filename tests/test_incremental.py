@@ -407,9 +407,9 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
     def rows(t):
         return sorted(zip(*(t[c].to_pylist() for c in ("source", "target", "confidence"))))
 
-    kernels, _ = incremental._lrs_bundle(
-        root, bucket, all_keys, dirty, UNFILTERED_RULE, 0.0, 3, 16, 9
-    )
+    kernels = incremental._lrs_bundle(
+        0, root, bucket, all_keys, dirty, UNFILTERED_RULE, 0.0, 3, 16, 9
+    )[0][0]
     # BENCH_RULE's leaves: equality, levenshteinDistance, jaccardMinhashLSH
     leaf_cls = [distances.EqualityMetric, distances.DistanceMeasure, distances.JaccardDistance]
     calls: dict[int, list] = {k: [] for k in range(3)}
@@ -422,9 +422,10 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
     for cls in (distances.EqualityMetric, distances.JaccardDistance,
                 distances.LevenshteinDistance):
         monkeypatch.setattr(cls, "apply_pairs", distances.DistanceMeasure.apply_pairs)
-    out, timings = incremental._lrs_bundle(
-        root, bucket, all_keys, dirty, UNFILTERED_RULE, 0.0, 3, 16, 9
+    links, timings = incremental._lrs_bundle(
+        0, root, bucket, all_keys, dirty, UNFILTERED_RULE, 0.0, 3, 16, 9
     )
+    out = links[0]
     # entities by their leaf values (a symmetric rule's two sides share
     # them): no value list may be prepared more often than entities hold it
     n_entities = len({(s, u) for t in ents.values()
