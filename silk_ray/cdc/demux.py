@@ -82,8 +82,8 @@ def demuxed_tables(out_dir: str) -> list[str]:
 
 def _route_fragment(src, lo: int, hi: int) -> tuple[dict, "object"]:
     """Map task: read one fragment's window rows, split by tbl.
-    Returns ({tbl: that table's rows, offset-sorted, tbl column
-    dropped}, dead-rows table or None)."""
+    Returns ({tbl: that table's rows in fragment order, tbl column
+    dropped}, dead-rows table or None); :func:`_write_seg` sorts."""
     if isinstance(src, pa.Table):
         t = src
     else:
@@ -115,7 +115,7 @@ def _route_fragment(src, lo: int, hi: int) -> tuple[dict, "object"]:
     enc = pc.dictionary_encode(pc.cast(t["tbl"], pa.string())).combine_chunks()
     names = enc.dictionary.to_pylist()
     parts = split(t.drop_columns(["tbl"]), enc.indices)
-    return {names[code]: part.sort_by([("offset", "ascending")]) for code, part in parts.items()}, dead
+    return {names[code]: part for code, part in parts.items()}, dead
 
 
 def _clean_stale_tmp(d: str) -> None:

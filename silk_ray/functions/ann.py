@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from silk_ray.pipelines.relational import grouped_apply
+
 
 def _matrix(col, dtype=np.float32) -> np.ndarray:
     lists = col.to_pylist()
@@ -100,13 +102,8 @@ def knn_bruteforce(
         batch_format="pyarrow",
         concurrency=concurrency,
     )
-    # candidate stream is ≤ queries×k rows per input block — coalesce
-    # to one block so the final per-query merge's range sort has no
-    # schema-less empty partitions (low-cardinality query_id vs many
-    # input blocks)
-    return partial.repartition(1).groupby("query_id").map_groups(
-        _final_topk(k, exclude_self), batch_format="pandas"
-    )
+    # candidate stream is ≤ queries×k rows per input block: one block
+    return grouped_apply(partial, "query_id", _final_topk(k, exclude_self), coalesce=1)
 
 
 class _NearDupScorer:
@@ -350,9 +347,7 @@ def knn_lsh(
     from ray.data.aggregate import Max
 
     deduped = partial.groupby(["query_id", "neighbor_id"]).aggregate(Max("cosine", alias_name="cosine"))
-    return deduped.repartition(1).groupby("query_id").map_groups(
-        _final_topk(k, exclude_self), batch_format="pandas"
-    )
+    return grouped_apply(deduped, "query_id", _final_topk(k, exclude_self), coalesce=1)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +459,5 @@ def knn_ivf(
     cells = ds.map_batches(assign, batch_format="pyarrow")
     partial = cells.groupby("cell").map_groups(score_cell, batch_format="pyarrow")
     # cells are disjoint (one per vector) — no cross-cell dedup needed
-    # candidate stream is ≤ queries×k rows per input block — coalesce
-    # to one block so the final per-query merge's range sort has no
-    # schema-less empty partitions (low-cardinality query_id vs many
-    # input blocks)
-    return partial.repartition(1).groupby("query_id").map_groups(
-        _final_topk(k, exclude_self), batch_format="pandas"
-    )
+    # candidate stream is ≤ queries×k rows per input block: one block
+    return grouped_apply(partial, "query_id", _final_topk(k, exclude_self), coalesce=1)

@@ -266,58 +266,29 @@ def _group_sides(group: pa.Table, id_col: str):
 def _pair_blocks(n_rows: int | None) -> int | None:
     """Pre-sort block count for a candidate-pair stream, from the
     CORPUS row count (the only size known at plan time): ≥~8k rows per
-    block so no block is empty (zero-block bundles out of Ray's sort
-    bypass the typed-empty UDFs entirely), capped at 512 so a 100 TB
-    pair stream still sorts wide."""
+    block, capped at 512 so a 100 TB pair stream still sorts wide."""
     if n_rows is None:
         return None
     return max(1, min(512, n_rows // 8192))
 
 
-def _distinct_pairs(pairs, id_type, min_col: str | None = None, coalesce: int | None = None):
+def _distinct_pairs(pairs, min_col: str | None = None, coalesce: int | None = None):
     """Global pair dedup (the same pair surfaces from several buckets /
-    bands): FULL-RANGE sort on a mixed (left,right) hash + one per-block
-    Arrow ``group_by`` — equal hashes co-locate in one sorted block, so
-    each distinct pair reduces exactly once. ``min_col`` keeps the
-    per-pair minimum of that column (the SimHash hamming merge).
-
-    Full-range single-int sort keys keep Ray's range boundaries
-    high-cardinality (duplicate boundaries ⇒ schema-less empty range
-    blocks ⇒ "RefBundle with a different schema" warnings), and empty
-    blocks emit the TYPED pair schema."""
-    from silk_ray.pipelines.relational import _key_hash
-
-    def add_ph(b: pa.Table) -> pa.Table:
-        l = _key_hash(b["left_id"]).view(np.uint64)
-        r = _key_hash(b["right_id"]).view(np.uint64)
-        h = l * np.uint64(0xA24BAED4963EE407) ^ r
-        h ^= h >> np.uint64(29)
-        return b.append_column("_ph", pa.array(h.view(np.int64), pa.int64()))
-
-    fields = [("left_id", id_type), ("right_id", id_type)]
-    if min_col:
-        fields.append((min_col, pa.int64()))
-    out_schema = pa.schema(fields)
+    bands): one :func:`keyed_exchange` on ``(left_id, right_id)`` + one
+    per-block Arrow ``group_by``, so each distinct pair reduces exactly
+    once. ``min_col`` keeps the per-pair minimum of that column (the
+    SimHash hamming merge). ``coalesce`` bounds the block count before
+    the sort: the emit stage leaves one (mostly tiny or empty) block
+    per bucket group."""
+    from silk_ray.pipelines.relational import keyed_exchange
 
     def dedup_block(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return out_schema.empty_table()
-        b = b.drop_columns(["_ph"])
         if min_col:
             g = b.group_by(["left_id", "right_id"]).aggregate([(min_col, "min")])
             return g.rename_columns(["left_id", "right_id", min_col])
         return b.group_by(["left_id", "right_id"]).aggregate([])
 
-    tagged = pairs.map_batches(add_ph, batch_format="pyarrow")
-    if coalesce:
-        # bound the block count BEFORE the sort: the emit stage leaves
-        # one (mostly tiny or empty) block per bucket group, and more
-        # sort-input blocks than distinct hash values guarantees empty
-        # (schema-less, zero-block) range partitions
-        tagged = tagged.repartition(coalesce)
-    return tagged.sort("_ph").map_batches(
-        dedup_block, batch_format="pyarrow", batch_size=None
-    )
+    return keyed_exchange(pairs, ["left_id", "right_id"], dedup_block, blocks=coalesce)
 
 
 def _candidate_pairs(band_rows, id_col: str, id_type: pa.DataType, hot_cap: int = 4096, n_salt_max: int = 64, n_rows: int | None = None):
@@ -357,7 +328,7 @@ def _candidate_pairs(band_rows, id_col: str, id_type: pa.DataType, hot_cap: int 
     else:  # no salting needed: single-key shuffle, no extra map stage
         pairs = band_rows.groupby("bucket").map_groups(emit_pairs, batch_format="pyarrow")
     # same pair can surface from several buckets → distinct
-    return _distinct_pairs(pairs, id_type, coalesce=_pair_blocks(n_rows))
+    return _distinct_pairs(pairs, coalesce=_pair_blocks(n_rows))
 
 
 def _attach_sketch(pairs, sketches, id_col: str, pair_key: str, carry: list[str], out_name: str):
@@ -701,9 +672,8 @@ def simhash_near_dup_pairs(
         pairs = salted.groupby(["bucket", "g_lo", "g_hi"]).map_groups(verify, batch_format="pyarrow")
     else:
         pairs = banded.groupby("bucket").map_groups(verify, batch_format="pyarrow")
-    # per-pair minimum hamming across tables (the Min-aggregate merge);
-    # ids here are the documents table's int64 doc_id
-    return _distinct_pairs(pairs, pa.int64(), min_col="hamming", coalesce=_pair_blocks(n_rows))
+    # per-pair minimum hamming across tables (the Min-aggregate merge)
+    return _distinct_pairs(pairs, min_col="hamming", coalesce=_pair_blocks(n_rows))
 
 
 # ---------------------------------------------------------------------------

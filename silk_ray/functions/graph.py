@@ -31,8 +31,8 @@ Scale shape (100 TB corpus => billions of dup-pair edges):
 - Every round is three hash shuffles over id-only tables: two
   ``shuffle_lookup`` tagged-union joins (edge propagation + pointer
   jump) and one native ``groupby(node).min(lbl)``; the convergence
-  check is one more groupby over old+new labels. All are
-  ``num_partitions``-way hash exchanges — no driver-side state.
+  check is one more groupby over old+new labels. All are keyed hash
+  exchanges — no driver-side state.
 - Hot nodes (a near-dup "attractor" matched by millions) concentrate
   *messages*, not work: min-aggregation over a big group streams; the
   lookup side keys are unique by construction.
@@ -137,9 +137,7 @@ def connected_components(
 
     for rnd in range(max_rounds):
         # edge propagation: lbl(src) offered to dst
-        prop = shuffle_lookup(
-            edges, "src", labels, "node", "lbl", "_plbl", num_partitions=num_partitions
-        ).map_batches(
+        prop = shuffle_lookup(edges, "src", labels, "node", "lbl", "_plbl").map_batches(
             lambda b: pa.table(
                 {"node": b["dst"], "lbl": b["_plbl"], "old": pa.nulls(b.num_rows, b["_plbl"].type)}
             ),
@@ -154,9 +152,7 @@ def connected_components(
         offers = [labels.map_batches(own, batch_format="pyarrow"), prop]
         if rnd > 0:  # round 0 labels are the identity — the jump is a no-op
             # pointer jump: lbl(lbl(node)) offered to node
-            jump = shuffle_lookup(
-                labels, "lbl", labels, "node", "lbl", "_jlbl", num_partitions=num_partitions
-            ).map_batches(
+            jump = shuffle_lookup(labels, "lbl", labels, "node", "lbl", "_jlbl").map_batches(
                 lambda b: pa.table(
                     {"node": b["node"], "lbl": b["_jlbl"], "old": pa.nulls(b.num_rows, b["_jlbl"].type)}
                 ),
@@ -281,7 +277,6 @@ def cluster_survivors(
     node_col: str = "node",
     label_col: str = "cluster_id",
     broadcast_max: int = 4_000_000,
-    num_partitions: int = 64,
 ):
     """Drop every clustered document except its cluster representative
     (the min-id member): the "keep one per duplicate cluster" step of a
@@ -307,6 +302,4 @@ def cluster_survivors(
     if n_dropped <= broadcast_max:
         drop_keys = drop_ds.to_pandas()[node_col].to_numpy()
         return broadcast_anti_filter(docs, id_col, drop_keys)
-    return shuffle_anti_filter(
-        docs, id_col, drop_ds, node_col, num_partitions=num_partitions
-    )
+    return shuffle_anti_filter(docs, id_col, drop_ds, node_col)

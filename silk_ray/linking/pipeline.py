@@ -10,20 +10,23 @@ Matcher.scala:38-292), per SURVEY.md §2.4/§7:
    Index.flatten); emit exploded rows ``(key, side, uri, keys,
    vals_0..vals_{m-1})``. Transforms run once per row here, never per
    candidate pair.
-2. **shuffle**: ``groupby("key")`` co-locates rows sharing a blocking
-   key (the RD equivalent of EntityCache blocks + comparisonPairs).
+2. **shuffle**: one ``keyed_exchange`` on ``key`` co-locates rows
+   sharing a blocking key (the RD equivalent of EntityCache blocks +
+   comparisonPairs).
    Optional hot-key **salting**: keys whose row count exceeds a
    threshold are split into ``n_salt`` sub-keys (source rows hashed to
    one salt, target rows replicated to all) so one hot block cannot
    become a straggler task (north_rule skew requirement).
-3. **scoring** (``map_groups``): source×target pairs in each block.
+3. **scoring** (one reduce per exchanged block): source×target pairs
+   in each blocking-key group.
    Each exploded row carries its full emitted key set; a pair is scored
    ONLY in its minimum common key's group, so every pair is scored and
    emitted exactly once — Silk's set-dedup of links (Link.scala:59-70)
    without a dedup shuffle, and no duplicate scoring work.
    Pairs kept iff confidence >= limit (Matcher.scala:273-281).
-4. **link filter**: per-source top-k = ``groupby(source).map_groups``
-   with deterministic (-confidence, target) ordering (Filter.scala:31-57).
+4. **link filter**: per-source top-k after a ``keyed_exchange`` on
+   ``source``, with deterministic (-confidence, target) ordering
+   (Filter.scala:31-57).
 """
 
 from __future__ import annotations
@@ -459,83 +462,41 @@ class _KeySets:
 
 
 def _score_partitioned(exploded, scorer, score_partitions: int):
-    """Coarse-partition shuffle + multi-block scoring per partition.
+    """One :func:`keyed_exchange` on the blocking key, then
+    multi-block scoring per exchanged block (the scorer re-groups
+    blocks in memory).
 
-    With ``score_partitions == 1`` (tiny deltas) the all-to-all shuffle
-    is skipped entirely: coalesce to one block and score it directly —
-    the sort-based groupby costs seconds of fixed overhead per run."""
-    if score_partitions <= 1:
-        return exploded.repartition(1).map_batches(
-            lambda part: scorer(part), batch_format="pyarrow", batch_size=None
-        )
+    With ``score_partitions == 1`` (tiny deltas) the exchange coalesces
+    to one block and skips the sort — the sort-based shuffle costs
+    seconds of fixed overhead per run. Otherwise it spreads the rows
+    over ``min(score_partitions, 2 * CPUs)`` blocks before the sort:
+    task parallelism follows the input block count, and the exploded
+    dataset often arrives in a handful of read blocks (measured 86.9s
+    -> 38.4s on a 32-CPU 600k-pair salted run with identical output)."""
+    from silk_ray.pipelines.relational import keyed_exchange
 
-    # task parallelism follows the input block count, and the exploded
-    # dataset often arrives in a handful of read blocks — spread it so
-    # the post-sort scoring runs one task per sorted block, not one
-    # task per input block (measured 86.9s -> 38.4s on a 32-CPU
-    # 600k-pair salted run with identical output)
-    import ray as _ray
+    blocks = 1
+    if score_partitions > 1:
+        import ray as _ray
 
-    ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-    exploded = exploded.repartition(min(score_partitions, 2 * ncpu))
-
-    def score_part(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _LINKS_SCHEMA.empty_table()
-        return scorer(group)
-
-    # range-sort directly on the FULL-RANGE blocking key (high
-    # cardinality: no duplicate sort boundaries, hence no schema-less
-    # empty range blocks) — each sorted block holds whole key groups,
-    # and the scorer already iterates key groups within a block
-    return exploded.sort("key").map_batches(
-        score_part, batch_format="pyarrow", batch_size=None
-    )
+        ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
+        blocks = min(score_partitions, 2 * ncpu)
+    return keyed_exchange(exploded, "key", scorer, blocks=blocks)
 
 
-def _add_spart(filter_partitions: int):
-    import pandas as pd
-    import zlib
-
-    def add_spart(df: pd.DataFrame) -> pd.DataFrame:
-        srcs = df["source"]
-        # FULL-RANGE crc over the unique sources per batch (links per
-        # source cluster, so uniques are far fewer than rows); full
-        # range keeps the exchange sort's boundaries high-cardinality
-        uniq = {s: zlib.crc32(s.encode()) for s in srcs.unique()}
-        df["spart"] = srcs.map(uniq)
-        return df
-
-    return add_spart
-
-
-def apply_link_filter(links, limit_per_source: int, filter_partitions: int = 64):
-    """Per-source top-k (Filter.scala:40-44) via a hashed-source
-    exchange with deterministic (confidence desc, target asc) ordering.
+def apply_link_filter(links, limit_per_source: int):
+    """Per-source top-k (Filter.scala:40-44) via a keyed exchange on the
+    source with deterministic (confidence desc, target asc) ordering.
     Top-k is distributive, so each block prunes LOCALLY to its own
     top-k per source before the shuffle — the exchange carries at most
     sources × k rows per block, never the link set."""
-    import pandas as pd
+    from silk_ray.pipelines.relational import keyed_exchange
 
-    def local_prune(df: pd.DataFrame) -> pd.DataFrame:
+    def topk(df):
         return _topk_per_source(df, limit_per_source)
 
-    return (
-        links.map_batches(local_prune, batch_format="pandas")
-        .map_batches(_add_spart(filter_partitions), batch_format="pandas")
-        .sort("spart")
-        .map_batches(
-            lambda g: _topk_block(g, limit_per_source), batch_format="pandas", batch_size=None
-        )
-    )
-
-
-def _topk_block(g, k: int):
-    """Top-k over one post-exchange block. A zero-row block may arrive
-    schema-less from the sort: it becomes the typed empty links table."""
-    if len(g) == 0:
-        return _LINKS_SCHEMA.empty_table()
-    return _topk_per_source(g, k).drop(columns=["spart"])
+    pruned = links.map_batches(topk, batch_format="pandas")
+    return keyed_exchange(pruned, "source", topk, batch_format="pandas")
 
 
 def _topk_per_source(df, k: int):
@@ -548,8 +509,6 @@ def _topk_per_source(df, k: int):
     import numpy as np
     import pandas as pd
 
-    if len(df) == 0:
-        return df
     s_codes, _ = pd.factorize(df["source"], sort=True, use_na_sentinel=False)
     t_codes, _ = pd.factorize(df["target"], sort=True, use_na_sentinel=False)
     conf = df["confidence"].to_numpy()
@@ -560,26 +519,18 @@ def _topk_per_source(df, k: int):
     return df.iloc[order[rank < k]]
 
 
-def apply_unambiguous_filter(links, filter_partitions: int = 64):
+def apply_unambiguous_filter(links):
     """LinkFilter "unambiguous" mode (Filter.scala:46-57): keep a source
     URI's single link iff that source has EXACTLY ONE distinct link.
     The scoring pipeline already emits each (source, target) pair once,
-    so distinct-link count per source == row count per source."""
-    return (
-        links.map_batches(_add_spart(filter_partitions), batch_format="pandas")
-        .sort("spart")
-        .map_batches(_unambiguous_block, batch_format="pandas", batch_size=None)
-    )
+    so distinct-link count per source == row count per source, counted
+    per block after a keyed exchange on the source."""
+    from silk_ray.pipelines.relational import keyed_exchange
 
+    def single_link(g):
+        return g[g.groupby("source", sort=False)["target"].transform("size") == 1]
 
-def _unambiguous_block(g):
-    """Sources with exactly one link in one post-exchange block (the
-    exchange puts all of a source's links in one block). A zero-row
-    block may arrive schema-less: it becomes the typed empty links table."""
-    if len(g) == 0:
-        return _LINKS_SCHEMA.empty_table()
-    n = g.groupby("source", sort=False)["target"].transform("size")
-    return g[n == 1].drop(columns=["spart"])
+    return keyed_exchange(links, "source", single_link, batch_format="pandas")
 
 
 def include_reference_links(links, positive=None, negative=None):

@@ -399,7 +399,7 @@ def q5_local_supplier(sf_dir: str):
     unconditionally."""
     from ray.data.aggregate import Sum
 
-    from silk_ray.pipelines.relational import shuffle_lookup
+    from silk_ray.pipelines.relational import keyed_exchange, shuffle_lookup
 
     region = _rp(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
     nation = _rp(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
@@ -524,14 +524,11 @@ def q5_local_supplier(sf_dir: str):
             .to_pandas()
         )
     else:
-        n_part = 64
-
         def tag_o(b: pa.Table) -> pa.Table:
             n = b.num_rows
             return pa.table(
                 {
                     "okey": b["okey"],
-                    "part": pc.cast(pc.bit_wise_and(b["okey"], n_part - 1), pa.int32()),
                     "cust_nation": b["cust_nation"],
                     "s_nation": pa.nulls(n, pa.int64()),
                     "revenue": pa.nulls(n, pa.float64()),
@@ -543,35 +540,27 @@ def q5_local_supplier(sf_dir: str):
             return pa.table(
                 {
                     "okey": b["okey"],
-                    "part": pc.cast(pc.bit_wise_and(b["okey"], n_part - 1), pa.int32()),
                     "cust_nation": pa.nulls(n, pa.int64()),
                     "s_nation": b["s_nation"],
                     "revenue": b["revenue"],
                 }
             )
 
-        tagged = orders_n.map_batches(tag_o, batch_format="pyarrow").union(
-            li_n.map_batches(tag_l, batch_format="pyarrow")
-        )
+        sides = [
+            orders_n.map_batches(tag_o, batch_format="pyarrow"),
+            li_n.map_batches(tag_l, batch_format="pyarrow"),
+        ]
 
-        def join_part(df: pd.DataFrame) -> pd.DataFrame:
+        def join_block(df: pd.DataFrame) -> pd.DataFrame:
             o = df[df.cust_nation.notna()][["okey", "cust_nation"]]
             l = df[df.cust_nation.isna()][["okey", "s_nation", "revenue"]]
             m = l.merge(o, on="okey")
             m = m[m.s_nation.to_numpy() == m.cust_nation.to_numpy()]
-            if m.empty:
-                return pd.DataFrame(
-                    {
-                        "n_nationkey": pd.Series([], dtype="int64"),
-                        "revenue": pd.Series([], dtype="float64"),
-                    }
-                )
             m["n_nationkey"] = m.cust_nation.astype("int64")
             return m.groupby("n_nationkey", as_index=False)["revenue"].sum()
 
         agg = (
-            tagged.groupby("part")
-            .map_groups(join_part, batch_format="pandas")
+            keyed_exchange(sides, "okey", join_block, batch_format="pandas")
             .repartition(1)
             .groupby("n_nationkey")
             .aggregate(Sum("revenue", alias_name="revenue"))
@@ -608,9 +597,10 @@ def q10_returned_items(sf_dir: str):
     a filtered parquet read."""
     from ray.data.aggregate import Sum
 
+    from silk_ray.pipelines.relational import keyed_exchange
+
     lo = pd.Timestamp("1996-01-01")
     hi = pd.Timestamp("1996-04-01")
-    n_part = 64
 
     orders = _rp(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
 
@@ -625,7 +615,6 @@ def q10_returned_items(sf_dir: str):
         return pa.table(
             {
                 "okey": b["o_orderkey"],
-                "part": pc.cast(pc.bit_wise_and(b["o_orderkey"], n_part - 1), pa.int32()),
                 "custkey": b["o_custkey"],
                 "revenue": pa.nulls(n, pa.float64()),
             }
@@ -643,7 +632,6 @@ def q10_returned_items(sf_dir: str):
         return pa.table(
             {
                 "okey": g["okey"],
-                "part": pc.cast(pc.bit_wise_and(g["okey"], n_part - 1), pa.int32()),
                 "custkey": pa.nulls(n, pa.int64()),
                 "revenue": pc.cast(g["revenue_sum"], pa.float64()),
             }
@@ -679,21 +667,19 @@ def q10_returned_items(sf_dir: str):
             Sum("revenue", alias_name="revenue")
         )
     else:
-        tagged = orders.map_batches(order_side, batch_format="pyarrow").union(
-            li.map_batches(li_side, batch_format="pyarrow")
-        )
+        sides = [
+            orders.map_batches(order_side, batch_format="pyarrow"),
+            li.map_batches(li_side, batch_format="pyarrow"),
+        ]
 
-        def join_part(df: pd.DataFrame) -> pd.DataFrame:
+        def join_block(df: pd.DataFrame) -> pd.DataFrame:
             o = df[df.revenue.isna()][["okey", "custkey"]]
             l = df[df.revenue.notna()][["okey", "revenue"]]
             m = l.merge(o, on="okey")
-            if m.empty:
-                return pd.DataFrame({"c_custkey": pd.Series([], dtype="int64"),
-                                     "revenue": pd.Series([], dtype="float64")})
             m["c_custkey"] = m.custkey.astype("int64")
             return m.groupby("c_custkey", as_index=False)["revenue"].sum()
 
-        agg = tagged.groupby("part").map_groups(join_part, batch_format="pandas")
+        agg = keyed_exchange(sides, "okey", join_block, batch_format="pandas")
         agg = agg.groupby("c_custkey").aggregate(Sum("revenue", alias_name="revenue"))
 
     def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -1100,7 +1086,7 @@ def dedup_exact(sf_dir: str):
 
     from silk_ray.pipelines.relational import grouped_apply
 
-    out = grouped_apply(hashed, "content_hash", keep_first, num_partitions=128).to_pandas()
+    out = grouped_apply(hashed, "content_hash", keep_first).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -2020,9 +2006,8 @@ def sample_stratified(sf_dir: str, k: int = 20):
     ds = _rp(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
         prune, batch_format="pyarrow"
     )
-    # post-prune stream is ≤ langs×k rows per batch — coalesce to one
-    # block so the exchange sort has no empty ranges (see grouped_apply)
-    out = grouped_apply(ds, "lang", head_k, num_partitions=16, coalesce=1).to_pandas()
+    # post-prune stream is ≤ langs×k rows per batch: one block
+    out = grouped_apply(ds, "lang", head_k, coalesce=1).to_pandas()
     return (
         out[["doc_id", "lang"]]
         .sort_values(["lang", "doc_id"])

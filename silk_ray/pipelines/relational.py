@@ -4,7 +4,9 @@ pre-aggregation, deterministic top-k.
 Join strategy per ray_guide: the small side is materialized once,
 shipped via ``ray.put`` and read in each task/actor — no shuffle. Both
 stages pre-aggregate inside ``map_batches`` where possible so the
-``groupby`` shuffle moves partial rows, not raw rows.
+``groupby`` shuffle moves partial rows, not raw rows. The keyed
+shuffle operators (lookup, semi/anti filter, grouped apply, as-of and
+range joins) all run through one :func:`keyed_exchange`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def broadcast_semi_filter(ds, key_col: str, keys):
@@ -101,256 +104,224 @@ def broadcast_lookup_sorted(ds, key_col: str, keys, values, out_col: str, drop_m
     return ds.map_batches(fn, batch_format="pandas")
 
 
+_NULL_HASH = np.int64(0x3C6EF372FE94F82B)  # the one tag of a null key
+_TAG = "__xkey"
+
+
 def _key_hash(arr) -> np.ndarray:
-    """FULL-RANGE int64 key hash for an Arrow array — the exchange key
-    every keyed machinery here sorts on. Full-range (not ``hash % P``)
-    keeps the range-sort boundaries high-cardinality: duplicate
-    boundaries are what create EMPTY range partitions, which Ray's
-    sort builds schema-less and which degrade the stream schema
-    ("RefBundle with a different schema" warnings). Integers get a
-    splitmix-style uint64 mix; strings hash once per DISTINCT value
-    (dictionary-encode, crc32 per unique, numpy take — the
-    cdc/merge._crc_keys idiom)."""
+    """Int64 hash of every value of an Arrow array, for the
+    :func:`keyed_exchange` tag: equal values hash equal, and every null
+    gets the one fixed ``_NULL_HASH``. Strings and binaries hash once
+    per DISTINCT value (dictionary-encode, crc32 per unique, numpy
+    take); other types get a splitmix-style uint64 mix of their integer
+    image."""
     import zlib
 
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    if pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
+    if arr.null_count:
+        valid = arr.is_valid()
+        out = np.full(len(arr), _NULL_HASH, np.int64)
+        out[valid.to_numpy(zero_copy_only=False)] = _key_hash(arr.filter(valid))
+        return out
+    t = arr.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t) or pa.types.is_large_binary(t):
         enc = arr.dictionary_encode()
         uniq = enc.dictionary.to_pylist()
-        if not uniq:
-            return np.empty(0, np.int64)
         crc_u = np.fromiter(
-            (zlib.crc32(str(v).encode()) for v in uniq), np.int64, len(uniq)
+            (zlib.crc32(v if isinstance(v, bytes) else v.encode()) for v in uniq), np.int64, len(uniq)
         )
-        idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-        return crc_u[idx]
+        return crc_u[enc.indices.to_numpy(zero_copy_only=False)]
     a = arr.to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
     h = a * np.uint64(0x9E3779B97F4A7C15)
     h ^= h >> np.uint64(31)
     return h.view(np.int64)
 
 
-def shuffle_lookup(ds, key_col: str, dim, dim_key: str, dim_val: str, out_col: str, num_partitions: int = 64):
-    """Hash-shuffle dimension join (inner): attach ``dim_val`` as
-    ``out_col`` to every ``ds`` row whose key matches a ``dim`` row;
-    unmatched rows drop. The scale path when the dimension exceeds the
-    broadcast gate — both sides shuffle only their needed columns, and
-    each partition joins with a vectorized sorted lookup. Dimension keys
-    are assumed unique (a duplicate keeps one arbitrary value — fine for
-    key-unique dimensions and for semi-join use)."""
-    import pyarrow.compute as pc  # noqa: F401
+def _keys_hash(b: pa.Table, keys: list[str]) -> np.ndarray:
+    """One int64 tag over several key columns: each column's
+    :func:`_key_hash`, folded left by a multiply-xorshift pair mix."""
+    h = _key_hash(b[keys[0]])
+    for k in keys[1:]:
+        m = h.view(np.uint64) * np.uint64(0xA24BAED4963EE407) ^ _key_hash(b[k]).view(np.uint64)
+        m ^= m >> np.uint64(29)
+        h = m.view(np.int64)
+    return h
 
+
+def keyed_exchange(ds, key: str | list[str], reduce, *, blocks: int | None = None, batch_format: str = "pyarrow"):
+    """The Ray Data keyed exchange: bring every row of one key into one
+    block, then call ``reduce`` once per block. ``ds`` is a Dataset or
+    a list of Datasets with one schema (the sides of a join), which are
+    exchanged as their union.
+
+    1. tag each row with :func:`_key_hash` of ``key`` (a list of key
+       columns gets one mixed hash; every null key gets the same tag),
+       each side before the union, so the tag fuses with the side's
+       last map;
+    2. repartition to ``blocks`` when given;
+    3. range-``sort`` on the tag;
+    4. drop the tag and call ``reduce`` on each block as ``batch_format``
+       (``batch_size=None``: the whole block, never a slice of it).
+
+    ``blocks == 1`` skips the tag and the sort: the one block already
+    holds every key.
+
+    Ray's sort keeps equal sort keys in one output block, so each key
+    group reaches ``reduce`` whole; a block holds many groups, and
+    ``reduce`` groups in memory. The tag is full-range, not
+    ``hash % P``: it keeps the sort boundaries high-cardinality, since
+    duplicate boundaries are what create empty range partitions. Ray
+    2.49 builds an empty range partition as a zero-row block with no
+    schema, and its ``map_batches`` hands zero-row blocks on without
+    calling the UDF; this exchange hands them on unchanged too, so
+    ``reduce`` sees only non-empty blocks and needs no zero-row guard.
+    An empty block holds no rows and no columns, and every reader
+    skips it; a wholly empty exchange therefore has no schema. Pass
+    ``blocks=1`` for a stream known to be small with fewer keys than
+    blocks (e.g. a local pre-aggregation pruned it), where a range
+    split would make most partitions empty."""
+
+    def run(block):
+        if not len(block):
+            return block
+        if blocks != 1:
+            block = block.drop(columns=_TAG) if batch_format == "pandas" else block.drop_columns([_TAG])
+        return reduce(block)
+
+    sides = ds if isinstance(ds, list) else [ds]
+    if blocks == 1:
+        whole = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
+        return whole.repartition(1).map_batches(run, batch_format=batch_format, batch_size=None)
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def tag(b: pa.Table) -> pa.Table:
+        return b.append_column(_TAG, pa.array(_keys_hash(b, keys), pa.int64()))
+
+    tagged = [side.map_batches(tag, batch_format="pyarrow") for side in sides]
+    tagged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    if blocks:
+        tagged = tagged.repartition(blocks)
+    return tagged.sort(_TAG).map_batches(run, batch_format=batch_format, batch_size=None)
+
+
+def _lookup_sides(ds, key_col: str, dim, dim_key: str, dim_val: str | None = None, out_col: str | None = None):
+    """A fact and a dimension side under the fact schema, for one
+    :func:`keyed_exchange`: fact rows carry ``_dside`` 1; dimension
+    rows carry ``_dside`` 0, their key cast to the fact key's type in
+    ``key_col`` and typed nulls in every other fact column. With
+    ``dim_val`` the dimension's value rides along as ``out_col`` (null
+    on fact rows)."""
     base = ds.schema().base_schema
-    if out_col in base.names:
-        raise ValueError(f"out_col {out_col!r} already exists")
-    val_type = dim.schema().base_schema.field(dim_val).type
     key_type = base.field(key_col).type
-    fact_names = list(base.names)
+    val_type = dim.schema().base_schema.field(dim_val).type if dim_val else None
 
     def tag_fact(b: pa.Table) -> pa.Table:
-        cols = {f.name: b[f.name] for f in base}
-        cols[out_col] = pa.nulls(b.num_rows, val_type)
-        cols["_dside"] = pa.array(np.ones(b.num_rows, np.int8))
-        cols["_dpart"] = pa.array(_key_hash(b[key_col]), pa.int64())
-        return pa.table(cols)
+        if dim_val:
+            b = b.append_column(out_col, pa.nulls(b.num_rows, val_type))
+        return b.append_column("_dside", pa.array(np.ones(b.num_rows, np.int8)))
 
     def tag_dim(b: pa.Table) -> pa.Table:
         keys = b[dim_key].cast(key_type)
-        cols = {}
-        for f in base:
-            cols[f.name] = keys if f.name == key_col else pa.nulls(b.num_rows, f.type)
-        cols[out_col] = b[dim_val]
+        cols = {f.name: keys if f.name == key_col else pa.nulls(b.num_rows, f.type) for f in base}
+        if dim_val:
+            cols[out_col] = b[dim_val]
         cols["_dside"] = pa.array(np.zeros(b.num_rows, np.int8))
-        cols["_dpart"] = pa.array(_key_hash(keys), pa.int64())
         return pa.table(cols)
 
-    tagged = ds.map_batches(tag_fact, batch_format="pyarrow").union(
-        dim.map_batches(tag_dim, batch_format="pyarrow")
-    )
-
-    out_schema = pa.schema(list(base) + [pa.field(out_col, val_type)])
-
-    def join_group(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return out_schema.empty_table()
-        side = g["_dside"].to_numpy(zero_copy_only=False)
-        dim_rows = np.flatnonzero(side == 0)
-        fact_rows = np.flatnonzero(side == 1)
-        if dim_rows.size == 0 or fact_rows.size == 0:
-            return out_schema.empty_table()
-        dsub = g.take(pa.array(dim_rows))
-        keys = dsub[key_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        svals = dsub[out_col].to_numpy(zero_copy_only=False)[order]
-        fsub = g.take(pa.array(fact_rows))
-        hit, vals = lookup_sorted(skeys, svals, fsub[key_col].to_numpy(zero_copy_only=False))
-        fsub = fsub.filter(pa.array(hit))
-        cols = {c: fsub[c] for c in fact_names}
-        cols[out_col] = pa.array(list(vals[hit]), val_type)
-        return pa.table(cols)
-
-    return tagged.sort("_dpart").map_batches(
-        join_group, batch_format="pyarrow", batch_size=None
-    )
+    return [
+        ds.map_batches(tag_fact, batch_format="pyarrow"),
+        dim.map_batches(tag_dim, batch_format="pyarrow"),
+    ]
 
 
-def shuffle_semi_filter(ds, key_col: str, keys_ds, keys_col: str, num_partitions: int = 64):
+def _split_sides(g: pa.Table):
+    """(fact rows, dimension rows) of one exchanged block."""
+    fact = pc.equal(g["_dside"], 1)
+    return g.filter(fact).drop_columns(["_dside"]), g.filter(pc.invert(fact))
+
+
+def shuffle_lookup(ds, key_col: str, dim, dim_key: str, dim_val: str, out_col: str):
+    """Hash-shuffle dimension join (inner): attach ``dim_val`` as
+    ``out_col`` to every ``ds`` row whose key matches a ``dim`` row;
+    unmatched rows drop, and so do null-keyed rows (a null key matches
+    nothing). The scale path when the dimension exceeds the broadcast
+    gate: both sides go through one :func:`keyed_exchange` and each
+    block joins with an Arrow hash lookup (``index_in``). Dimension keys
+    are assumed unique (a duplicate keeps its first value in the block,
+    fine for key-unique dimensions)."""
+    if out_col in ds.schema().base_schema.names:
+        raise ValueError(f"out_col {out_col!r} already exists")
+
+    def join_block(g: pa.Table) -> pa.Table:
+        fact, dim_rows = _split_sides(g)
+        idx = pc.index_in(
+            fact[key_col], value_set=dim_rows[key_col].combine_chunks(), skip_nulls=True
+        )
+        hit = pc.is_valid(idx)
+        return fact.drop_columns([out_col]).filter(hit).append_column(
+            out_col, dim_rows[out_col].take(idx.filter(hit))
+        )
+
+    return keyed_exchange(_lookup_sides(ds, key_col, dim, dim_key, dim_val, out_col), key_col, join_block)
+
+
+def _shuffle_member_filter(ds, key_col: str, keys_ds, keys_col: str, keep_hits: bool):
+    """Keep (semi) or drop (anti) the ``ds`` rows whose key appears in
+    ``keys_ds``, through one :func:`keyed_exchange` of both sides. A
+    null key is never a hit."""
+
+    def filter_block(g: pa.Table) -> pa.Table:
+        fact, dim_rows = _split_sides(g)
+        hit = pc.is_in(fact[key_col], value_set=dim_rows[key_col].combine_chunks(), skip_nulls=True)
+        return fact.filter(hit if keep_hits else pc.invert(hit))
+
+    return keyed_exchange(_lookup_sides(ds, key_col, keys_ds, keys_col), key_col, filter_block)
+
+
+def shuffle_semi_filter(ds, key_col: str, keys_ds, keys_col: str):
     """Hash-shuffle semi-join: keep ``ds`` rows whose key appears in
-    ``keys_ds`` — the fallback when the key side is too big for
-    :func:`broadcast_semi_filter`'s driver-side set."""
-
-    def keys_only(b: pa.Table) -> pa.Table:
-        return pa.table({keys_col: b[keys_col], "_one": pa.array(np.ones(b.num_rows, np.int8))})
-
-    out = shuffle_lookup(
-        ds,
-        key_col,
-        keys_ds.map_batches(keys_only, batch_format="pyarrow"),
-        keys_col,
-        "_one",
-        "__semi_hit",
-        num_partitions=num_partitions,
-    )
-    return out.drop_columns(["__semi_hit"])
+    ``keys_ds``; null-keyed rows drop. The fallback when the key side is
+    too big for :func:`broadcast_semi_filter`'s driver-side set."""
+    return _shuffle_member_filter(ds, key_col, keys_ds, keys_col, keep_hits=True)
 
 
-def shuffle_anti_filter(ds, key_col: str, keys_ds, keys_col: str, num_partitions: int = 64):
+def shuffle_anti_filter(ds, key_col: str, keys_ds, keys_col: str):
     """Hash-shuffle anti-join: drop ``ds`` rows whose key appears in
-    ``keys_ds`` — the scale fallback when the drop set exceeds
+    ``keys_ds``; null-keyed rows stay (a null matches nothing). The
+    scale fallback when the drop set exceeds
     :func:`broadcast_anti_filter`'s driver-side array (e.g. the
-    non-representative members of duplicate clusters at corpus scale).
-    Same tagged-union plan as :func:`shuffle_lookup`, but the partition
-    join KEEPS the misses and drops the hits (an inner join cannot
-    express this, hence the dedicated group kernel)."""
-    base = ds.schema().base_schema
-    key_type = base.field(key_col).type
-    fact_names = list(base.names)
-
-    def tag_fact(b: pa.Table) -> pa.Table:
-        cols = {f.name: b[f.name] for f in base}
-        cols["_dside"] = pa.array(np.ones(b.num_rows, np.int8))
-        cols["_dpart"] = pa.array(_key_hash(b[key_col]), pa.int64())
-        return pa.table(cols)
-
-    def tag_dim(b: pa.Table) -> pa.Table:
-        keys = b[keys_col].cast(key_type)
-        cols = {}
-        for f in base:
-            cols[f.name] = keys if f.name == key_col else pa.nulls(b.num_rows, f.type)
-        cols["_dside"] = pa.array(np.zeros(b.num_rows, np.int8))
-        cols["_dpart"] = pa.array(_key_hash(keys), pa.int64())
-        return pa.table(cols)
-
-    tagged = ds.map_batches(tag_fact, batch_format="pyarrow").union(
-        keys_ds.map_batches(tag_dim, batch_format="pyarrow")
-    )
-
-    def join_group(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return base.empty_table()
-        side = g["_dside"].to_numpy(zero_copy_only=False)
-        fact_rows = np.flatnonzero(side == 1)
-        fsub = g.take(pa.array(fact_rows)).select(fact_names)
-        dim_rows = np.flatnonzero(side == 0)
-        if dim_rows.size == 0 or fact_rows.size == 0:
-            return fsub
-        skeys = np.sort(g.take(pa.array(dim_rows))[key_col].to_numpy(zero_copy_only=False))
-        hit, _ = lookup_sorted(skeys, skeys, fsub[key_col].to_numpy(zero_copy_only=False))
-        return fsub.filter(pa.array(~hit))
-
-    return tagged.sort("_dpart").map_batches(
-        join_group, batch_format="pyarrow", batch_size=None
-    )
+    non-representative members of duplicate clusters at corpus scale)."""
+    return _shuffle_member_filter(ds, key_col, keys_ds, keys_col, keep_hits=False)
 
 
-def grouped_apply(ds, key_col: str, fn, num_partitions: int = 64, coalesce: int | None = None):
-    """Hash-partitioned grouped apply: range-sort on the full-range key
-    hash, then a vectorized pandas ``groupby`` inside each sorted block
-    — avoids Ray's per-group map_groups overhead when there are many
+def grouped_apply(ds, key_col: str, fn, coalesce: int | None = None):
+    """Keyed grouped apply: one :func:`keyed_exchange` on ``key_col``,
+    then a vectorized pandas ``groupby`` inside each block, which
+    avoids Ray's per-group map_groups overhead when there are many
     small groups (same trick as the linking scorer).
 
     ``fn`` receives a pandas DataFrame of ONE key group and returns a
-    DataFrame (the classic map_groups contract).
+    DataFrame (the classic map_groups contract). Null-keyed rows drop
+    (pandas' ``groupby`` default ``dropna``). ``coalesce`` is the
+    exchange's ``blocks``: pass 1 when the stream is small and the key
+    low-cardinality (e.g. top-k per language after a local prune)."""
 
-    The exchange: tag each row with a FULL-RANGE int64 key hash, range
-    ``sort`` on it, then one ``map_batches(batch_size=None)`` call per
-    sorted block running a pandas groupby over the real key. Equal
-    hashes land in one block (Ray's sort keeps equal keys together —
-    the same guarantee map_groups relies on), so every key group
-    arrives whole. Full-range (not ``hash % P``) keeps the sort
-    boundaries high-cardinality: duplicate boundaries are what create
-    EMPTY range partitions, which Ray's sort builds schema-less and
-    which degrade the stream schema ("RefBundle with a different
-    schema" warnings). ``num_partitions`` is kept for signature
-    stability; the sort's own block count drives parallelism.
-
-    ``coalesce``: pre-exchange repartition to this many blocks. Pass it
-    (usually 1) when the tagged stream is provably SMALL and the key is
-    LOW-cardinality (a local pre-aggregation already pruned it, e.g.
-    top-k per language): with fewer distinct keys than blocks the sort
-    would still sample duplicate boundaries; a single pre-coalesced
-    block sidesteps the range split entirely."""
-    import zlib
-
-    # typed empty OUTPUT frame, computed once driver-side by running fn
-    # on a correctly-typed empty input: an empty block must emit this
-    # (not a column-less frame, which loses dtypes through the pandas
-    # concat path and degrades the stream schema)
-    empty_in = ds.schema().base_schema.empty_table().to_pandas()
-    try:
-        empty_out = fn(empty_in)
-    except Exception:
-        # fn not empty-safe: empty partitions re-raise at runtime (the
-        # legacy contract; such callers evidently never hit them)
-        empty_out = None
-
-    def _on_empty() -> pd.DataFrame:
-        return empty_out.copy() if empty_out is not None else fn(empty_in.copy())
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        col = df[key_col]
-        if col.dtype == object:
-            # hash once per DISTINCT key, broadcast via take (the
-            # _crc_keys dictionary-encode idiom — grouped keys repeat
-            # within every batch, so uniques << rows)
-            codes, uniques = pd.factorize(col, use_na_sentinel=False)
-            crc_u = np.fromiter(
-                (zlib.crc32(str(v).encode()) for v in uniques),
-                dtype=np.int64,
-                count=len(uniques),
-            )
-            df["__part"] = crc_u[codes]
-        else:
-            # splitmix-style int mix in uint64, viewed back as int64
-            h = col.to_numpy().astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            h ^= h >> np.uint64(31)
-            df["__part"] = h.view(np.int64)
-        return df
-
-    def apply_part(part: pd.DataFrame) -> pd.DataFrame:
-        if part.shape[1] == 0 or part.empty:
-            return _on_empty()
-        part = part.drop(columns="__part")
+    def apply_block(part: pd.DataFrame) -> pd.DataFrame:
         outs = [fn(g) for _, g in part.groupby(key_col, sort=True)]
-        return pd.concat(outs, ignore_index=True) if outs else _on_empty()
+        return pd.concat(outs, ignore_index=True) if outs else pd.DataFrame()
 
-    tagged = ds.map_batches(add_part, batch_format="pandas")
-    if coalesce:
-        tagged = tagged.repartition(coalesce)
-    return tagged.sort("__part").map_batches(
-        apply_part, batch_format="pandas", batch_size=None
-    )
+    return keyed_exchange(ds, key_col, apply_block, blocks=coalesce, batch_format="pandas")
 
 
-def _union_sides(left, right, by: str, on: str, value_cols: dict[str, str]):
-    """Tag and union both join sides under one explicit unified Arrow
-    schema (left types win for shared names; right-only value columns
-    keep their own type; padding is typed nulls, so the union never
-    sees null-type vs typed-column conflicts). A self-join (``right is
-    left``) tags both sides from ONE scan instead of re-running the
-    shared lineage twice. Returns ``(unioned, left_cols, unified)``."""
+def _merge_sides(left, right, by: str, on: str, value_cols: dict[str, str]):
+    """Both join sides under one explicit unified Arrow schema (left
+    types win for shared names; right-only value columns keep their own
+    type; padding is typed nulls, so the union never sees null-type vs
+    typed-column conflicts), without the rows whose ``by`` or ``on`` is
+    null (SQL join semantics: they match nothing). A self-join
+    (``right is left``) tags both sides from ONE scan instead of
+    re-running the shared lineage twice. Returns ``(sides, left_cols)``."""
     left_schema = left.schema().base_schema
     right_schema = right.schema().base_schema if right is not left else left_schema
     left_cols = list(left_schema.names)
@@ -372,59 +343,41 @@ def _union_sides(left, right, by: str, on: str, value_cols: dict[str, str]):
                 cols[f.name] = col if col.type == f.type else col.cast(f.type)
             else:
                 cols[f.name] = pa.nulls(batch.num_rows, f.type)
-        return pa.table(cols)
+        out = pa.table(cols)
+        valid = pc.and_(pc.is_valid(out[by]), pc.is_valid(out[on]))
+        return out if pc.all(valid).as_py() else out.filter(valid)
 
     if right is left:
-        unioned = left.map_batches(
+        sides = [left.map_batches(
             lambda b: pa.concat_tables([retype(b, 0), retype(b, 1)]),
             batch_format="pyarrow",
-        )
+        )]
     else:
-        unioned = left.map_batches(
-            lambda b: retype(b, 0), batch_format="pyarrow"
-        ).union(right.map_batches(lambda b: retype(b, 1), batch_format="pyarrow"))
-    return unioned, left_cols, unified
+        sides = [
+            left.map_batches(lambda b: retype(b, 0), batch_format="pyarrow"),
+            right.map_batches(lambda b: retype(b, 1), batch_format="pyarrow"),
+        ]
+    return sides, left_cols
 
 
-def _keyed_merge_join(left, right, by, on, value_cols, num_partitions, emit):
+def _keyed_merge_join(left, right, by, on, value_cols, emit):
     """Shared machinery of :func:`asof_join` / :func:`range_join` —
     Arrow-native throughout (typed-null padding never passes through a
     pandas conversion, so integer value columns stay exact int64):
 
-    1. tag + union both sides under one unified schema;
-    2. hash-co-partition on ``by`` (one coarse ``groupby("__part")``
-       shuffle, many keys per partition — same shape as
-       :func:`grouped_apply`);
-    3. per partition: ONE sort by ``(by, _side, on, value srcs)`` (the
+    1. both sides under one unified schema, without null ``by`` or
+       ``on`` rows (:func:`_merge_sides`);
+    2. one :func:`keyed_exchange` on ``by``;
+    3. per block: ONE sort by ``(by, _side, on, value srcs)`` (the
        trailing value columns make tie-breaking among equal ``on``
        rows deterministic regardless of shuffle arrival order), then a
        per-key vectorized merge: ``emit(l_on, r_on)`` returns the
        matched (left, right) local index arrays from two binary
        searches, and the output is built by two ``take`` calls."""
-    import pyarrow.compute as pc
-
-    unioned, left_cols, unified = _union_sides(left, right, by, on, value_cols)
-    out_schema = pa.schema(
-        [unified.field(c) for c in left_cols]
-        + [pa.field(dst, unified.field(src).type) for src, dst in value_cols.items()]
-    )
+    sides, left_cols = _merge_sides(left, right, by, on, value_cols)
     tie_cols = [c for c in sorted(set(value_cols)) if c not in (by, on)]
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        # SQL join semantics: a null key or null ordering value never
-        # matches anything — drop those rows instead of letting the
-        # segment scan group null-keyed rows together
-        mask = pc.and_(pc.is_valid(batch[by]), pc.is_valid(batch[on]))
-        if not pc.min(mask).as_py():
-            batch = batch.filter(mask)
-        return batch.append_column(
-            "__part", pa.array(_key_hash(batch[by]), pa.int64())
-        )
-
-    def apply_part(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return out_schema.empty_table()
-        part = part.drop_columns(["__part"])
+    def merge_block(part: pa.Table) -> pa.Table:
         order = pc.sort_indices(
             part,
             sort_keys=[(by, "ascending"), ("_side", "ascending"), (on, "ascending")]
@@ -436,17 +389,14 @@ def _keyed_merge_join(left, right, by, on, value_cols, num_partitions, emit):
         on_np = part[on].to_numpy(zero_copy_only=False)
         changes = np.nonzero(by_np[1:] != by_np[:-1])[0] + 1
         starts = np.concatenate(([0], changes, [len(by_np)]))
-        l_takes, r_takes = [], []
+        l_takes, r_takes = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for s, e in zip(starts[:-1], starts[1:]):
             mid = s + int(np.searchsorted(side_np[s:e], 1, side="left"))
             if mid == s or mid == e:  # one side empty for this key
                 continue
             li, ri = emit(on_np[s:mid], on_np[mid:e])
-            if len(li):
-                l_takes.append(li + s)
-                r_takes.append(ri + mid)
-        if not l_takes:
-            return out_schema.empty_table()
+            l_takes.append(li + s)
+            r_takes.append(ri + mid)
         lt = part.take(pa.array(np.concatenate(l_takes)))
         rt = part.take(pa.array(np.concatenate(r_takes)))
         cols = {c: lt[c] for c in left_cols}
@@ -454,11 +404,7 @@ def _keyed_merge_join(left, right, by, on, value_cols, num_partitions, emit):
             cols[dst] = rt[src]
         return pa.table(cols)
 
-    return (
-        unioned.map_batches(add_part, batch_format="pyarrow")
-        .sort("__part")
-        .map_batches(apply_part, batch_format="pyarrow", batch_size=None)
-    )
+    return keyed_exchange(sides, by, merge_block)
 
 
 def asof_join(
@@ -468,14 +414,14 @@ def asof_join(
     on: str,
     value_cols: dict[str, str],
     strict: bool = True,
-    num_partitions: int = 64,
 ):
     """Backward as-of join (inner): each left row is matched to the
     single right row with the greatest ``on`` value at-or-before
     (``strict``: strictly before) the left row's ``on``, within the
     same ``by`` key. ``value_cols`` maps right column → output name.
     Left rows with no predecessor are dropped (inner semantics, so
-    output types stay non-null). Ties among right rows with equal
+    output types stay non-null), and so is every row with a null
+    ``by`` or ``on`` value. Ties among right rows with equal
     ``on`` are broken deterministically by the value columns' sort
     order.
 
@@ -485,9 +431,7 @@ def asof_join(
     no per-pair work. Assumption: one ``by``-key group fits a single
     task (same as grouped_apply); salt hot keys upstream if a single
     key's rows exceed a task's memory."""
-    return _keyed_merge_join(
-        left, right, by, on, value_cols, num_partitions, _asof_emit(strict)
-    )
+    return _keyed_merge_join(left, right, by, on, value_cols, _asof_emit(strict))
 
 
 def _asof_emit(strict: bool):
@@ -511,14 +455,14 @@ def range_join(
     lo,
     hi,
     value_cols: dict[str, str],
-    num_partitions: int = 64,
 ):
     """Banded non-equi join (inner): each left row matched to EVERY
     right row of the same ``by`` key whose ``on`` lies in
     ``[left.on + lo, left.on + hi)`` (half-open; ``lo``/``hi`` may be
     negative, e.g. ``lo=-Timedelta('30m'), hi=Timedelta(0)`` = the
     preceding 30-minute window). Emits one row per matched pair:
-    left columns + ``value_cols`` (right column → output name).
+    left columns + ``value_cols`` (right column → output name). Rows
+    with a null ``by`` or ``on`` value match nothing.
 
     Partitioning: both sides hash-co-partitioned on ``by``; per key
     the right side is sorted once and each left row's band is found
@@ -529,9 +473,7 @@ def range_join(
     the band upstream for hot keys)."""
     if not (lo <= hi):
         raise ValueError(f"range_join requires lo <= hi, got lo={lo!r} hi={hi!r}")
-    return _keyed_merge_join(
-        left, right, by, on, value_cols, num_partitions, _range_emit(lo, hi)
-    )
+    return _keyed_merge_join(left, right, by, on, value_cols, _range_emit(lo, hi))
 
 
 def _range_emit(lo, hi):

@@ -56,7 +56,7 @@ _NODE_KEYS = {
     },
     "survivors": {
         "id", "type", "input", "clusters", "id_col", "node_col",
-        "label_col", "broadcast_max", "num_partitions",
+        "label_col", "broadcast_max",
     },
     "sink": {"id", "type", "input", "path", "format"},
 }
@@ -247,7 +247,6 @@ def execute_workflow(spec: dict[str, Any], bindings: dict[str, Any] | None = Non
                 node_col=n.get("node_col", "node"),
                 label_col=n.get("label_col", "cluster_id"),
                 broadcast_max=n.get("broadcast_max", 4_000_000),
-                num_partitions=n.get("num_partitions", 64),
             )
         elif t == "sink":
             from silk_ray.sources.registry import write_links

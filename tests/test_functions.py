@@ -125,11 +125,10 @@ def test_ngram_jaccard_exact_pairs(doc_ds):
 
 @pytest.mark.parametrize("method", ["ngram_jaccard_pairs", "minhash_lsh_pairs"])
 def test_string_id_pair_stream_keeps_id_type(ray_session, monkeypatch, method):
-    """Both candidate-pair callers pass the sketched dataset's id type to
-    the pair dedup, so a string-id corpus gets a (string, string) pair
-    schema — also where the pair stream has empty blocks (coalesced to
-    four sort blocks for one pair), which the dedup types with
-    ``id_type`` instead of falling back to int64."""
+    """Both candidate-pair callers keep the sketched dataset's id type
+    through the pair dedup, so a string-id corpus gets a (string,
+    string) pair schema — also where the pair stream has empty blocks
+    (coalesced to four sort blocks for one pair)."""
     import ray
     import ray.data as rd
 
@@ -138,9 +137,9 @@ def test_string_id_pair_stream_keeps_id_type(ray_session, monkeypatch, method):
     seen = []
     real = dedup._distinct_pairs
 
-    def spy(pairs, id_type, **kw):
-        out = real(pairs, id_type, **kw)
-        seen.append((id_type, out))
+    def spy(pairs, **kw):
+        out = real(pairs, **kw)
+        seen.append(out)
         return out
 
     monkeypatch.setattr(dedup, "_distinct_pairs", spy)
@@ -150,8 +149,7 @@ def test_string_id_pair_stream_keeps_id_type(ray_session, monkeypatch, method):
         for j in range(12)
     ] + [{"doc_id": f"x{j}", "text": "the same text twice over here"} for j in (1, 2)]
     getattr(dedup, method)(rd.from_items(rows, override_num_blocks=4)).materialize()
-    (id_type, cand), = seen
-    assert id_type == pa.string()
+    cand, = seen
     blocks = [ray.get(r) for r in cand.materialize().get_internal_block_refs()]
     assert any(b.num_rows == 0 for b in blocks)
     pair_schema = pa.schema([("left_id", pa.string()), ("right_id", pa.string())])

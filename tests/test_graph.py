@@ -120,7 +120,7 @@ def test_cluster_survivors_both_branches(ray_session, broadcast_max):
     docs = rd.from_arrow(pa.table({"doc_id": pa.array(range(1, 13), pa.int64())}))
     out = cluster_survivors(
         docs, cc, id_col="doc_id", node_col="doc_id",
-        broadcast_max=broadcast_max, num_partitions=8,
+        broadcast_max=broadcast_max,
     ).to_pandas()
     assert sorted(out["doc_id"]) == [1, 4, 5, 6, 7, 8, 9, 10, 12]
 

@@ -593,23 +593,14 @@ def test_pair_scorer_entity_core_matches_brute_force(dirty_col, all_blocks):
 def test_link_filters_empty_and_multi_block(ray_session, blocks):
     """Top-k and unambiguous filters on an empty links dataset return no
     rows; with one source's links spread over several blocks they see
-    that source as a whole. Each filter's post-exchange block step turns
-    a zero-row, schema-less block into the typed empty links table."""
-    import pandas as pd
+    that source as a whole."""
     import ray.data as rd
 
-    from silk_ray.linking.pipeline import (
-        _topk_block,
-        _unambiguous_block,
-        apply_link_filter,
-        apply_unambiguous_filter,
-    )
+    from silk_ray.linking.pipeline import apply_link_filter, apply_unambiguous_filter
 
     schema = pa.schema(
         [("source", pa.string()), ("target", pa.string()), ("confidence", pa.float64())]
     )
-    assert _topk_block(pd.DataFrame(), 2).equals(schema.empty_table())
-    assert _unambiguous_block(pd.DataFrame()).equals(schema.empty_table())
 
     links = [
         ("s1", "t1", 0.9), ("s1", "t2", 0.5), ("s2", "t3", 0.7),
@@ -628,8 +619,8 @@ def test_link_filters_empty_and_multi_block(ray_session, blocks):
         df = out.to_pandas()
         return sorted(zip(*(df[c] for c in schema.names))) if len(df) else []
 
-    top2 = rows(apply_link_filter(ds, 2, filter_partitions=4))
-    unamb = rows(apply_unambiguous_filter(ds, filter_partitions=4))
+    top2 = rows(apply_link_filter(ds, 2))
+    unamb = rows(apply_unambiguous_filter(ds))
     if not blocks:
         assert top2 == [] and unamb == []
         return

@@ -392,35 +392,3 @@ def test_join_null_keys_never_match(ray_session):
     )
     out = asof_join(left, left, by="k", on="t", value_cols={"v": "prev_v"}).to_pandas()
     assert out[["k", "t", "prev_v"]].values.tolist() == [[1, 20, 4.0]]
-
-
-def test_grouped_apply_empty_partitions_keep_output_schema(ray_session):
-    """Empty hash partitions must emit the TYPED empty output frame —
-    not a column-less frame that degrades the stream schema (the last
-    'RefBundle with a different schema' warning class, VERDICT r4 #4).
-    num_partitions >> keys guarantees empty partitions exist."""
-    import pandas as pd
-    import ray.data as rd
-
-    from silk_ray.pipelines.relational import grouped_apply
-
-    ds = rd.from_items([{"k": "a", "v": 1}, {"k": "a", "v": 3}, {"k": "b", "v": 5}])
-
-    def agg(g: pd.DataFrame) -> pd.DataFrame:
-        head = g["k"].head(1).to_numpy()
-        import numpy as np
-
-        return pd.DataFrame({"k": head, "total": np.full(len(head), g["v"].sum(), dtype=np.int64)})
-
-    out = grouped_apply(ds, "k", agg, num_partitions=64).to_pandas()
-    out = out.sort_values("k").reset_index(drop=True)
-    assert out["k"].tolist() == ["a", "b"]
-    assert out["total"].tolist() == [4, 5]
-    assert str(out["total"].dtype) == "int64"
-
-    # a fn that is NOT empty-safe still works end-to-end (legacy path)
-    def unsafe(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"k": [g["k"].iloc[0]], "n": [len(g)]})
-
-    out2 = grouped_apply(ds, "k", unsafe, num_partitions=8).to_pandas()
-    assert sorted(out2["k"]) == ["a", "b"]

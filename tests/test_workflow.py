@@ -142,7 +142,7 @@ def test_workflow_cluster_and_survivors_nodes(ray_session):
             {"id": "cc", "type": "cluster", "input": "pairs", "node_col": "uri",
              "num_partitions": 8},
             {"id": "kept", "type": "survivors", "input": "docs", "clusters": "cc",
-             "id_col": "uri", "node_col": "uri", "num_partitions": 8},
+             "id_col": "uri", "node_col": "uri"},
         ]
     }
     built = execute_workflow(spec, bindings={"pairs": pairs, "docs": docs})
