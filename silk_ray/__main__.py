@@ -405,7 +405,7 @@ def cmd_status(args) -> int:
         out["last_epoch"] = {
             k: last[k]
             for k in ("epoch", "events_applied", "dead_lettered", "lag_offsets",
-                      "skew_ratio", "dirty_total", "bytes_written")
+                      "skew_ratio", "dirty_total", "bytes_written", "payload_reads")
             if k in last
         }
     from silk_ray.cdc.egress import consumer_lag

@@ -4,11 +4,14 @@ writer that every chain of the engine shares. There are three kinds:
 - the lake's partitions (``partitions/p=*``, :data:`LAKE`): one row per
   key with its payload;
 - the link index's postings (``blockmap/bp=*``, :data:`BLOCKMAP`): one
-  row per (side, uri) entity in each block partition of its keys, the
-  entity's blocking keys only;
+  row per (side, uri) entity in each block partition ``b`` of its keys,
+  holding only its keys ``k % B == b`` (side 1 alone for a symmetric
+  rule);
 - the link index's entity chain (``blockmap/ent=00000``,
-  :data:`ENTITIES`): one row per (side, uri) entity with its leaf
-  values, written once however many partitions hold its keys.
+  :data:`ENTITIES`): one row per (side, uri) entity with its full
+  sorted key set and its leaf values, written once however many
+  partitions hold its keys — the one copy of each key set, whence the
+  link stage also takes an entity's old keys.
 
 A chain is an ordered list of parquet files, oldest first: each epoch
 appends a delta file, and a compaction rewrites the chain as one

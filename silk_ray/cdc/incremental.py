@@ -9,15 +9,17 @@ Persisted link state under ``lake_root/`` (LSM-style)::
     blockmap/bp={B}/delta-{E}.parquet      # postings: one delta file per
                                            # touched chain and epoch, one
                                            # row per (side, uri) entity:
-                                           # (action, side, uri, keys),
-                                           # sorted by (side, uri)
+                                           # (action, side, uri, keys), only
+                                           # its keys k of this partition
+                                           # (k % n_bps == B), sorted by
+                                           # (side, uri)
     blockmap/bp={B}/compact-{E}.parquet    # compacted chain (all 'add';
                                            # chain.py's LSM chain)
     blockmap/ent=00000/delta-{E}.parquet   # entity chain: one row per
     blockmap/ent=00000/compact-{E}.parquet # changed (side, uri) entity:
-                                           # (action, side, uri,
-                                           # vals_0..m); side 1 alone
-                                           # for a symmetric rule
+                                           # (action, side, uri, keys,
+                                           # vals_0..m), its FULL sorted
+                                           # key set and leaf values
     links/epoch-{E}/part-*.parquet         # UNFILTERED link set as a file
                                            # MANIFEST: the linkstate lists
                                            # (file, rows, uri-bitset sketch)
@@ -28,30 +30,34 @@ Persisted link state under ``lake_root/`` (LSM-style)::
                                            # postings chains, the entity
                                            # chain, links manifest}
 
-An entity's postings row sits in every block partition ``k % B`` of its
-blocking keys ``k`` and carries its FULL sorted key set; its blocks in
-partition ``b`` are ``{k ∈ keys : k % B == b}``, exploded at read time.
-Its leaf values are stored once, in the entity chain (PAPER.md §1.1: an
-entity is a uri plus its values; a block only groups entities). A
-postings file in another layout — the older one-row-per-key layout (a
-``key`` column) or rows that still carry ``vals_*`` — is refused: the
-link store must be rebuilt from the snapshot.
+Each entity's key set and leaf values are stored once, in the entity
+chain (PAPER.md §1.1: an entity is a uri plus its values; a block only
+groups entities). Its postings row in block partition ``b`` holds only
+its blocks there, ``{k ∈ keys : k % B == b}``. A symmetric rule (every
+leaf's source and target inputs alike) indexes side 1 alone, whose rows
+play both link roles. A link-index file in another layout — the older
+one-row-per-key postings (a ``key`` column), postings that carry
+``vals_*``, an entity chain without ``keys`` — is refused: the link
+store must be rebuilt from the snapshot.
 
 Per merge epoch E (a store more than one epoch behind re-indexes the
 snapshot instead, see :func:`update_links`):
 
-1. **delta index** (:class:`DeltaIndexStage`; no shuffle, no file):
-   for every changed key and link side, compute the OLD payload's
-   blocking keys and the NEW payload's keys + leaf-comparison values;
-   emit one 'add' postings row per partition of the new keys and one
-   'del' row per partition only the old keys had, plus one entity-chain
-   row — the values ('add'), or a 'del' for an entity that left the
-   index — and one ``(bp, key, uri)`` row per old and new key. The
-   merge tasks run it while the changed payloads are in memory and
-   hand the rows to :func:`update_links` beside the epoch's change set
+1. **delta index** (:class:`DeltaIndexStage`, then the driver; no
+   shuffle): the stage evaluates the rule over each changed entity's NEW
+   payload only: one 'add' postings row per partition of its new keys,
+   one entity-chain row (its key set and values, or a 'del' when it has
+   no keys) and a ``(bp, key, uri)`` row per new key. The merge tasks
+   run it while the changed payloads are in memory and hand the rows to
+   :func:`update_links` beside the epoch's change set
    (``merge.take_epoch_index``); on a miss (a new process, a crash
    catch-up, a merge run without the rule) it runs on the driver over
-   the epoch's change set (``merge.epoch_changes``). O(delta).
+   the epoch's change set (``merge.epoch_changes``). The driver then
+   reads the changed entities' OLD key sets from the committed entity
+   chain (``side, uri, keys`` only) and adds a key-less 'del' postings
+   row per partition an entity left and a ``(bp, key, uri)`` row per old
+   key, and keeps an entity 'del' only for an entity the index held
+   (:func:`_with_old_keys`). Nothing reads an old payload. O(delta).
 2. **delta write + compaction**: each touched chain's rows of the epoch
    are written once, by the driver, as ``delta-E`` (a deterministic
    name and content, so a replay rewrites the same bytes), so each
@@ -65,7 +71,8 @@ snapshot instead, see :func:`update_links`):
    uri), keep the affected blocks (vectorized ``is_in``), key-sub-split
    hot bps and dedupe entities by (uri, side) across the bucket's
    partitions; then read the entity chain once, only the rows of those
-   entities, and attach their values. The entities are scored with
+   entities, and attach their full key sets and values (a symmetric
+   rule's side-1 rows get a side-0 twin). The entities are scored with
    :meth:`PairScorer.score_entities`: candidate pairs
    are enumerated in numpy over the sorted block index — pairs need ≥1
    dirty side (clean∩clean pairs keep their stored links) and are
@@ -141,89 +148,82 @@ read_linkstate_at = ckpt.LINKS.read_at
 
 
 class DeltaIndexStage:
-    """Turn change rows (``merge.changes_table``) into link-index delta
-    rows: postings for both link sides and one entity-chain row per
-    entity. It writes nothing; ``update_links`` writes each touched
-    chain's rows of an epoch as one file.
+    """Turn change rows (``merge.changes_table``) into the link index's
+    delta rows of their NEW payloads; the old side is the driver's
+    (:func:`_with_old_keys`). It writes nothing; ``update_links`` writes
+    each touched chain's rows of an epoch as one file.
 
-    Per change row and side: one ``add`` postings row — the entity's
-    full sorted ``keys`` — in every block partition ``{k % B : k ∈ new
-    keys}``, and one key-less ``del`` row in every partition ``{k % B :
-    k ∈ old keys}`` the entity left. The entity's leaf values go once
-    into the entity chain: an ``add`` row while it has keys, a ``del``
-    row when it leaves the index; a symmetric rule writes side 1 alone.
+    Per change row and indexed side (side 1 alone for a symmetric rule,
+    whose rows play both link roles): one entity-chain row — ``add``
+    with the entity's full sorted ``keys`` and leaf values while it has
+    keys, else a key-less ``del`` — and one ``add`` postings row in
+    every block partition ``b`` of its keys, holding the keys ``k % B ==
+    b``. The rule runs once per row and side; the ``old_*`` columns are
+    not read.
 
     Returns ``(chains, touched)``: ``chains`` maps each touched chain —
     block partition ``0..B-1`` in :data:`POSTINGS`, the entity chain
-    :data:`ENT` in its values schema — to its rows; ``touched`` holds
-    one ``(bp, key, uri)`` row per old and new key and side
-    (:data:`TOUCHED`), whence the affected keys, dirty uris and
-    per-partition delta sizes. The merge emits one change row per key
-    per epoch, so the outputs of an epoch's calls touch disjoint uris
-    and concatenate per chain in any order."""
+    :data:`ENT` in :func:`_entity_schema` — to its rows; ``touched``
+    holds one ``(bp, key, uri)`` row per new key and link role
+    (:data:`TOUCHED`). The merge emits one change row per key per epoch,
+    so the outputs of an epoch's calls touch disjoint uris and
+    concatenate per chain in any order."""
 
     def __init__(self, rule_spec, n_block_partitions: int):
         self.rule = _compile_rule(rule_spec)
         self.nbp = n_block_partitions
         self.n_leaves = len(self.rule.leaf_comparisons())
-        # symmetric rules (every leaf's source == target spec): side-1
-        # and side-0 evaluations coincide, so transforms/index hashing
-        # run once per entity instead of per side, and side 1's values
-        # serve both roles
-        self.symmetric = _spec_symmetric(rule_spec)
-
-    def _payload_entity(self, row: dict, prefix: str) -> dict | None:
-        ent = {"repo": [row["repo"]], "path": [row["path"]]}
-        any_val = False
-        for k, v in row.items():
-            if k.startswith(prefix):
-                name = k[len(prefix):]
-                ent[name] = [] if v is None else [str(v)]
-                if v is not None:
-                    any_val = True
-        return ent if any_val else None
+        # a symmetric rule (every leaf's source == target spec) indexes
+        # side 1 alone: side 0's keys and values would be the same
+        self.sides = _index_sides(rule_spec)
 
     def __call__(self, batch: pa.Table) -> tuple[dict[int, pa.Table], pa.Table]:
         from silk_ray.cdc.generator import make_uri
 
         post: dict[int, list[tuple]] = {}  # bp -> (action, side, uri, keys)
-        ents = []  # (action, side, uri, *vals)
+        ents = []  # (action, side, uri, keys, *vals)
         sum_key, sum_uri = [], []
         rule, nbp = self.rule, self.nbp
         no_vals = [None] * self.n_leaves
-
-        for row in batch.to_pylist():
+        roles = 2 // len(self.sides)  # a symmetric rule's keys count for both roles
+        new = [c for c in batch.column_names if c.startswith("new_")]
+        for row in batch.select(["repo", "path", *new]).to_pylist():
             uri = make_uri(row["repo"], row["path"])
-            old_ent = self._payload_entity(row, "old_")
-            new_ent = self._payload_entity(row, "new_")
-            old_keys = new_keys = new_vals = None
-            for side in (1, 0):
-                sot = side == 1
-                if old_ent is not None and (old_keys is None or not self.symmetric):
-                    old_keys = sorted(rule.index_keys(old_ent, sot))
-                if new_ent is not None and (new_keys is None or not self.symmetric):
-                    new_keys, new_vals = rule.index_keys_and_values(new_ent, sot)
-                    new_keys = sorted(new_keys)
-                touched = (old_keys or []) + (new_keys or [])
-                sum_key.extend(touched)
-                sum_uri.extend([uri] * len(touched))
-                new_bps = {k % nbp for k in new_keys or ()}
-                for bp in new_bps:
-                    post.setdefault(bp, []).append(("add", side, uri, new_keys))
-                for bp in {k % nbp for k in old_keys or ()}.difference(new_bps):
-                    post.setdefault(bp, []).append(("del", side, uri, None))
-                if side == 1 or not self.symmetric:
-                    if new_keys:
-                        ents.append(("add", side, uri, *new_vals))
-                    elif old_keys:
-                        ents.append(("del", side, uri, *no_vals))
+            ent = {"repo": [row["repo"]], "path": [row["path"]]}
+            for c in new:
+                ent[c[4:]] = [] if row[c] is None else [str(row[c])]
+            has_payload = any(row[c] is not None for c in new)
+            for side in self.sides:
+                keys = vals = None
+                if has_payload:
+                    keys, vals = rule.index_keys_and_values(ent, side == 1)
+                    keys = sorted(keys)
+                if not keys:
+                    ents.append(("del", side, uri, None, *no_vals))
+                    continue
+                ents.append(("add", side, uri, keys, *vals))
+                local: dict[int, list[int]] = {}
+                for k in keys:
+                    local.setdefault(k % nbp, []).append(k)
+                for bp, part in local.items():
+                    post.setdefault(bp, []).append(("add", side, uri, part))
+                sum_key.extend(keys * roles)
+                sum_uri.extend([uri] * (len(keys) * roles))
         chains = {bp: _rows_table(rows, POSTINGS) for bp, rows in post.items()}
         if ents:
-            chains[ENT] = _rows_table(ents, _values_schema(self.n_leaves))
-        keys = np.asarray(sum_key, np.int64)
-        touched = pa.table([pa.array(keys % nbp, pa.int32()), pa.array(keys),
-                            pa.array(sum_uri, pa.string())], schema=TOUCHED)
-        return chains, touched
+            chains[ENT] = _rows_table(ents, _entity_schema(self.n_leaves))
+        return chains, _touched_table(np.asarray(sum_key, np.int64),
+                                      pa.array(sum_uri, pa.string()), nbp)
+
+
+def _index_sides(rule_spec) -> tuple[int, ...]:
+    """The link sides the index stores: side 1 alone for a symmetric
+    rule, whose side-1 rows play both roles, else sides 1 and 0."""
+    return (1,) if _spec_symmetric(rule_spec) else (1, 0)
+
+
+def _touched_table(keys: np.ndarray, uris: pa.Array, nbp: int) -> pa.Table:
+    return pa.table([pa.array(keys % nbp, pa.int32()), pa.array(keys), uris], schema=TOUCHED)
 
 
 def _rows_table(rows: list[tuple], schema: pa.Schema) -> pa.Table:
@@ -245,7 +245,8 @@ def _write_sorted(root: str, t: pa.Table, rel: str) -> str:
 SPLIT_ROWS = 1000  # delta rows per loader task before a bp is key-sub-split
 ENT = -1  # the entity chain's id beside the postings chains' bps 0..B-1
 
-# a postings row: link side, uri, the entity's full sorted blocking key set
+# a postings row: link side, uri, the entity's sorted blocking keys in
+# this block partition
 POSTINGS = pa.schema([
     pa.field("action", pa.string()),
     pa.field("side", pa.int8()),
@@ -260,10 +261,10 @@ TOUCHED = pa.schema([
 ])
 
 
-def _values_schema(n_leaves: int) -> pa.Schema:
-    """An entity-chain row: link side, uri and its leaf-comparison
-    values."""
-    return pa.schema(list(POSTINGS)[:3] + [
+def _entity_schema(n_leaves: int) -> pa.Schema:
+    """An entity-chain row: link side, uri, the entity's full sorted
+    blocking key set and its leaf-comparison values."""
+    return pa.schema(list(POSTINGS) + [
         pa.field(f"vals_{i}", pa.list_(pa.string())) for i in range(n_leaves)
     ])
 
@@ -282,7 +283,7 @@ def _chain_file(part: int, name: str) -> str:
 
 
 def _chain_schema(part: int, n_leaves: int) -> pa.Schema:
-    return _values_schema(n_leaves) if part == ENT else POSTINGS
+    return _entity_schema(n_leaves) if part == ENT else POSTINGS
 
 
 _REBUILD_HINT = (
@@ -293,12 +294,16 @@ _REBUILD_HINT = (
 
 
 def _read_link_files(root: str, files: list[str], schema: pa.Schema,
-                     uris: pa.Array | None = None) -> list[pa.Table]:
+                     uris: pa.Array | None = None,
+                     columns: list[str] | None = None) -> list[pa.Table]:
     """A link-index chain's tables in ``schema`` (a parquet read names
     list items ``element``, the schema ``item``), only the rows of
-    ``uris`` when given. A file in another layout — a per-key postings
-    file, a postings file that still carries ``vals_*``, an entity file
-    of another rule — is refused."""
+    ``uris`` and the ``columns`` when given. A file in another layout —
+    a per-key postings file, a postings file that still carries
+    ``vals_*``, an entity file without ``keys`` or of another rule — is
+    refused."""
+    names = schema.names if columns is None else list(columns)
+    out_schema = pa.schema([schema.field(n) for n in names])
     tables = []
     for f in files:
         pf = pq.ParquetFile(os.path.join(root, f))
@@ -307,10 +312,10 @@ def _read_link_files(root: str, files: list[str], schema: pa.Schema,
                 f"link-index file {f} has columns {pf.schema_arrow.names}, not this "
                 f"layout's {schema.names}; {_REBUILD_HINT}"
             )
-        t = pf.read()
+        t = pf.read(columns=names)
         if uris is not None:
             t = t.filter(pc.is_in(t["uri"], value_set=uris))
-        tables.append(t.cast(schema))
+        tables.append(t.cast(out_schema))
     return tables
 
 
@@ -324,21 +329,26 @@ def read_bp_reconciled(root: str, files: list[str]) -> pa.Table:
     return (POSTINGS.empty_table() if live is None else live).select(POSTINGS.names[1:])
 
 
-def read_entity_values(root: str, files: list[str], n_leaves: int, uris: pa.Array) -> pa.Table:
-    """The live entity-chain rows ``(side, uri, vals_*)`` of ``uris``."""
-    schema = _values_schema(n_leaves)
-    live = chain.reconcile(_read_link_files(root, files, schema, uris), chain.ENTITIES)
-    return (schema.empty_table() if live is None else live).select(schema.names[1:])
+def read_entity_values(root: str, files: list[str], n_leaves: int, uris: pa.Array,
+                       columns: list[str] | None = None) -> pa.Table:
+    """The live entity-chain rows ``(side, uri, keys, vals_*)`` of
+    ``uris``; with ``columns`` (the chain's own, ``action`` included),
+    only those."""
+    schema = _entity_schema(n_leaves)
+    live = chain.reconcile(_read_link_files(root, files, schema, uris, columns),
+                           chain.ENTITIES)
+    names = schema.names if columns is None else list(columns)
+    if live is None:
+        live = pa.schema([schema.field(n) for n in names]).empty_table()
+    return live.select(names[1:])
 
 
-def _attach_values(ents: pa.Table, vals: pa.Table, symmetric: bool) -> pa.Table:
-    """``ents`` (side, uri, keys) with each entity's ``vals_*`` from the
-    entity rows ``vals`` (a symmetric rule stores side 1 alone, which
-    plays both roles). An entity without values means a broken index:
-    it raises rather than score as missing values."""
+def _attach_values(ents: pa.Table, vals: pa.Table) -> pa.Table:
+    """``ents``' ``(side, uri)`` with each entity's full ``keys`` and
+    ``vals_*`` from its entity-chain row in ``vals``. An entity without
+    one means a broken index: it raises rather than score as missing
+    values."""
     side = ents["side"].to_numpy(zero_copy_only=False)
-    if symmetric:
-        side = np.ones_like(side)
     vside = vals["side"].to_numpy(zero_copy_only=False)
     pos = np.full(ents.num_rows, -1, np.int64)
     for s in (0, 1):
@@ -355,20 +365,89 @@ def _attach_values(ents: pa.Table, vals: pa.Table, symmetric: bool) -> pa.Table:
             f"postings but no values in the entity chain; {_REBUILD_HINT}"
         )
     take = pa.array(pos)
+    out = ents.select(["side", "uri"])
     for name in vals.column_names[2:]:
-        ents = ents.append_column(name, vals[name].take(take))
-    return ents
+        out = out.append_column(name, vals[name].take(take))
+    return out
+
+
+def _both_roles(ents: pa.Table, key: np.ndarray, ent: np.ndarray):
+    """A symmetric rule's side-1 entities and block index with a side-0
+    twin of each entity in the same blocks: one stored row plays both
+    link roles."""
+    n = ents.num_rows
+    twins = ents.set_column(0, "side", pa.array(np.zeros(n, np.int8)))
+    return (pa.concat_tables([ents, twins]), np.concatenate([key, key]),
+            np.concatenate([ent, ent + n]))
 
 
 def _bp_blocks(ents: pa.Table, bp: int, n_block_partitions: int):
     """The block index ``(key, entity row)`` of one partition's entity
     rows: an entity sits in its blocks ``k ∈ keys`` with ``k % B == bp``
-    (its other keys live in other partitions)."""
-    keys = ents["keys"].combine_chunks()
-    flat = pc.list_flatten(keys).to_numpy(zero_copy_only=False)
-    parent = pc.list_parent_indices(keys).to_numpy(zero_copy_only=False)
+    (a postings row holds only these; an entity-chain row all of the
+    entity's keys)."""
+    flat, parent = _flat_keys(ents)
     mine = flat % n_block_partitions == bp
     return flat[mine], parent[mine]
+
+
+def _with_old_keys(root: str, ent_files: list[str], rows: list, n_block_partitions: int,
+                   n_leaves: int, sides: tuple[int, ...]) -> tuple[dict[int, pa.Table], pa.Table]:
+    """An epoch's :class:`DeltaIndexStage` outputs ``rows`` completed
+    with the changed entities' old key sets, read from the committed
+    entity chain ``ent_files`` (``[]`` in full mode: an empty index):
+    returns ``(chains, touched)`` as the stage does, for the whole epoch.
+
+    Per changed (side, uri) the chain held: a key-less 'del' postings
+    row in every block partition of its old keys that its new keys left,
+    and a ``touched`` row per old key and link role. An entity-chain
+    'del' stays only for an entity the chain held."""
+    nbp = n_block_partitions
+    chains: dict = {}
+    for stage_chains, _touched in rows:
+        for part, t in stage_chains.items():
+            chains.setdefault(part, []).append(t)
+    chains = {part: pa.concat_tables(ts) for part, ts in chains.items()}
+    touched = [TOUCHED.empty_table()] + [t for _c, t in rows]
+    new = chains.pop(ENT, None)
+    if new is not None:
+        old = read_entity_values(root, ent_files, n_leaves, pc.unique(new["uri"]),
+                                 POSTINGS.names)
+        old_ids = _entity_ids(old)
+        new = new.filter(pc.or_(pc.equal(new["action"], "add"),
+                                pc.is_in(_entity_ids(new), value_set=old_ids)))
+        if new.num_rows:
+            chains[ENT] = new
+        o_key, o_row = _flat_keys(old)
+        roles = 2 // len(sides)  # as the stage counts them
+        uris = old["uri"].combine_chunks().take(pa.array(np.tile(o_row, roles)))
+        touched.append(_touched_table(np.tile(o_key, roles), uris, nbp))
+        # (old row, partition) pairs the entity's new keys no longer reach;
+        # a new entity's row is -1, so its pairs match none
+        n_key, n_row = _flat_keys(new)
+        n_old = pc.fill_null(pc.index_in(_entity_ids(new), value_set=old_ids), -1)
+        n_old = n_old.to_numpy(zero_copy_only=False).astype(np.int64)[n_row]
+        gone = np.setdiff1d(o_row * nbp + o_key % nbp, n_old * nbp + n_key % nbp)
+        at = pa.array(gone // nbp)
+        dels = pa.table([pa.array(["del"] * len(gone)), old["side"].take(at), old["uri"].take(at),
+                         pa.nulls(len(gone), POSTINGS.field("keys").type)], schema=POSTINGS)
+        for bp in np.unique(gone % nbp).tolist():
+            part = dels.filter(pa.array(gone % nbp == bp))
+            chains[bp] = pa.concat_tables([chains[bp], part]) if bp in chains else part
+    return chains, pa.concat_tables(touched)
+
+
+def _flat_keys(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """Every key of ``t``'s ``keys`` lists with its row."""
+    keys = t["keys"].combine_chunks()
+    return (pc.list_flatten(keys).to_numpy(zero_copy_only=False),
+            pc.list_parent_indices(keys).to_numpy(zero_copy_only=False))
+
+
+def _entity_ids(t: pa.Table) -> pa.Array:
+    """One ``side:uri`` identity per row of a link-index table."""
+    ids = pc.binary_join_element_wise(pc.cast(t["side"], pa.string()), t["uri"], ":")
+    return ids.combine_chunks() if isinstance(ids, pa.ChunkedArray) else ids
 
 
 def _index_snapshot_partition(files: list[str], rule_spec, n_block_partitions: int):
@@ -413,12 +492,12 @@ def _lrs_bundle(
     """One cost-balanced loader bucket: reconcile each postings chain
     once, keep the blocks that are affected (vectorized ``is_in``) and
     in the item's key sub-split, dedupe entities by (uri, side) across
-    the bucket's partitions — every partition's newest 'add' row for a
-    uri comes from the same write, so the keys are identical — then read
-    the entity chain (``bucket["entities"]``) once for those entities'
-    values and score (no shuffle — bp co-locates every row of a key;
-    see update_links). Returns ``({out: links}, the task's seconds per
-    step and pair counts)``."""
+    the bucket's partitions, then read the entity chain
+    (``bucket["entities"]``) once for those entities' full key sets and
+    values — a symmetric rule's side-1 entities play both roles — and
+    score (no shuffle — bp co-locates every row of a key; see
+    update_links). Returns ``({out: links}, the task's seconds per step
+    and pair counts)``."""
     import itertools
 
     from silk_ray.linking.pipeline import PairScorer
@@ -441,11 +520,11 @@ def _lrs_bundle(
             ents_in.append(parent[mine])
         key, parent = np.concatenate(keys_in), np.concatenate(ents_in)
         used, parent = np.unique(parent, return_inverse=True)
-        parts.append(ents.take(pa.array(used)))
+        parts.append(ents.take(pa.array(used)).select(["side", "uri"]))
         blk_key.append(key)
         blk_ent.append(parent + n_ents)
         n_ents += len(used)
-    ents = pa.concat_tables(parts) if parts else read_bp_reconciled(root, [])
+    ents = pa.concat_tables(parts) if parts else POSTINGS.empty_table().select(["side", "uri"])
     key = np.concatenate(blk_key) if blk_key else np.zeros(0, np.int64)
     ent = np.concatenate(blk_ent) if blk_ent else np.zeros(0, np.int64)
     if len(parts) > 1:
@@ -458,7 +537,9 @@ def _lrs_bundle(
         ent = inverse[ent]
     vals = read_entity_values(root, bucket["entities"] if ents.num_rows else [], n_leaves,
                               pc.unique(ents["uri"].combine_chunks()))
-    ents = _attach_values(ents, vals, _spec_symmetric(payload))
+    ents = _attach_values(ents, vals)
+    if _spec_symmetric(payload):
+        ents, key, ent = _both_roles(ents, key, ent)
     ents = ents.append_column("dirty", pc.is_in(ents["uri"], value_set=uri_arr))
     timings = {"load_s": time.perf_counter() - t0}
     scorer = PairScorer(payload, limit=limit, source_equals_target=True, dirty_col="dirty")
@@ -592,20 +673,22 @@ def update_links(
         rows = [stage(t) for t in epoch_changes(root, epoch)]
         _mark("delta_index")
 
+    # the old side: the changed entities' key sets in the committed
+    # entity chain (none in full mode: the index starts empty)
+    base = {"blockmap": {}, "links_files": []} if mode == "full" else state
+    chains, touched = _with_old_keys(root, list(base.get("entities", [])), rows,
+                                     n_block_partitions, n_leaves, _index_sides(payload))
+    del rows
+    _mark("old_keys")
+
     # -- stage 2: one delta file per touched chain -----------------------
     # the entity chain sits among the postings chains as part ENT
-    base = {"blockmap": {}, "links_files": []} if mode == "full" else state
     bm_files: dict[int, list[str]] = {ENT: list(base.get("entities", []))}
     bm_files.update((int(k), list(v)) for k, v in base["blockmap"].items())
-    by_chain: dict[int, list[pa.Table]] = {}
-    for chains, _touched in rows:
-        for part, t in chains.items():
-            by_chain.setdefault(part, []).append(t)
-    for part, tables in sorted(by_chain.items()):
+    for part, t in sorted(chains.items()):
         name = _chain_file(part, f"delta-{epoch:06d}.parquet")
-        bm_files.setdefault(part, []).append(_write_sorted(root, pa.concat_tables(tables), name))
-    touched = pa.concat_tables([TOUCHED.empty_table()] + [t for _c, t in rows])
-    del rows, by_chain
+        bm_files.setdefault(part, []).append(_write_sorted(root, t, name))
+    del chains
     affected_keys = set(pc.unique(touched["key"]).to_pylist())
     dirty_uris = set(pc.unique(touched["uri"]).to_pylist())
     # per-bp delta row counts: large bps are SUB-SPLIT by key so no
@@ -832,12 +915,14 @@ def _uri_bits(uris) -> set[int]:
 
 
 def _sketch_of_links(t: pa.Table) -> str:
+    """The uri bitset of a link table: each distinct source or target
+    uri hashed once."""
     import base64
 
+    uris = pc.unique(pa.chunked_array(t["source"].chunks + t["target"].chunks, pa.string()))
     bits = np.zeros(LINK_SKETCH_BITS // 8, dtype=np.uint8)
-    for col in ("source", "target"):
-        for b in _uri_bits(t[col].to_pylist()):
-            bits[b >> 3] |= 1 << (b & 7)
+    for b in _uri_bits(uris.to_pylist()):
+        bits[b >> 3] |= 1 << (b & 7)
     return base64.b64encode(bits.tobytes()).decode()
 
 

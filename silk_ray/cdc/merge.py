@@ -22,8 +22,9 @@ LSM-style so per-epoch cost is O(delta), not O(state):
      partition's delta chain: reads filtered on ``_kh`` so Parquet
      row-group statistics prune untouched row groups, then the chain
      reconcile of ``chain.py`` (newest file wins, tombstones drop out).
-     The payload columns are read only for a reader of the change
-     table (step 6);
+     The payload columns are read only when a store takes the change
+     table (the agg view, egress); the link index needs only which keys
+     were there (step 6);
   4. write ONE per-epoch **delta file**: net upserts (full payload +
      ``_offset``) and tombstones (``_deleted=true``) — never a rewrite
      of the whole partition. Steps 1, 2 and the file's row order run
@@ -33,9 +34,9 @@ LSM-style so per-epoch cost is O(delta), not O(state):
      compact file with ``chain.write_compact`` — the only
      O(partition-state) moment, amortized 1/COMPACT_AT per epoch;
   6. build the partition's change table for the stores that read it
-     and, given a link rule, run the link index's delta stage over it
-     (``incremental.DeltaIndexStage``), returning its rows — nothing
-     of either is written.
+     and, given a link rule, run the link index's delta stage over its
+     new side (``incremental.DeltaIndexStage``), returning its rows —
+     nothing of either is written.
 
   Deterministic bytes ⇒ task retries and epoch replays converge
   (exactly-once = idempotence + atomic manifest swap);
@@ -323,16 +324,19 @@ class MergePartition:
         payload_cols = _payload_columns(events.schema)
 
         # -- 3. pre-epoch rows of changed keys (pruned chain read) -------
-        # Only the change table reads their payload. Without a reader of
-        # it, the read is projected to the key and internal columns, and
-        # the state schema comes from the footers of the files whose
-        # filtered read had rows: the schema the full read unifies.
-        readers = self.hand_off or self.link_spec is not None
+        # Only a change table handed off reads their payload (the link
+        # index takes its old key sets from its own entity chain).
+        # Otherwise the read is projected to the key and internal
+        # columns, and the state schema comes from the footers of the
+        # files whose filtered read had rows: the schema the full read
+        # unifies.
         old = chain_schema = None
+        payload_read = False
         if net.num_rows and files:
+            payload_read = self.hand_off
             read = _read_files(
                 self.root, files, pc.unique(net["_kh"].combine_chunks()),
-                None if readers else [*KEY_COLS, *INTERNAL_COLS],
+                None if payload_read else [*KEY_COLS, *INTERNAL_COLS],
             )
             old = reconcile_tables([t for t, _schema in read])
             hit = [schema for t, schema in read if t.num_rows]
@@ -389,7 +393,7 @@ class MergePartition:
 
         # -- 6. change table and link-index rows, handed to the driver -
         changes = index = None
-        if readers:
+        if self.hand_off or self.link_spec is not None:
             changes = changes_table(delta_table, old)
         if self.link_spec is not None:
             from silk_ray.cdc.incremental import DeltaIndexStage
@@ -409,6 +413,7 @@ class MergePartition:
             "files": files,
             "dirty": delta_table.num_rows,  # one change row per delta row
             "bytes_written": bytes_written,
+            "payload_read": payload_read,
             "changes": changes if self.hand_off else None,
             "index": index,
         }
@@ -440,7 +445,9 @@ def changes_table(delta: pa.Table, old: pa.Table | None) -> pa.Table:
     within the epoch has none), sorted by key: D for a tombstone, U for
     a key the pre-epoch chain rows ``old`` hold, else I; ``new_*`` from
     the delta (null on a tombstone), ``old_*`` from ``old``, a pair per
-    payload column in the delta's order and types."""
+    payload column in the delta's order and types. An ``old`` read
+    without payload (keys and internal columns only) gives null
+    ``old_*``: enough for a reader of the new side, the link index."""
     delta = delta.sort_by([("repo", "ascending"), ("path", "ascending")])
     n = delta.num_rows
     if old is not None and old.num_rows:
@@ -1052,6 +1059,7 @@ def run_epoch(
     ckpt.commit_manifest(root, new_manifest, window=(lo, hi))
     changes = [r.pop("changes") for r in metrics_rows]
     index = [r.pop("index") for r in metrics_rows]
+    payload_reads = sum(r.pop("payload_read") for r in metrics_rows)
     _remember_changes(root, epoch, changes if merger.hand_off else None,
                       None if link_spec is None else (link_spec, n_block_partitions, index))
 
@@ -1072,6 +1080,8 @@ def run_epoch(
         "dirty_total": int(sum(r["dirty"] for r in metrics_rows)),
         # delta and compact files the merge tasks wrote, each sized in its task
         "bytes_written": int(sum(r["bytes_written"] for r in metrics_rows)),
+        # merge tasks whose pre-epoch chain read decoded payload columns
+        "payload_reads": payload_reads,
         "partitions_touched": len(metrics_rows),
         "skew_ratio": (max(events_per_part) / mean_ev) if mean_ev else 0.0,
         # tailing lag: offsets still unconsumed after this commit (an

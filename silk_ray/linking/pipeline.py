@@ -481,7 +481,7 @@ def _score_partitioned(exploded, scorer, score_partitions: int):
 
         ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
         blocks = min(score_partitions, 2 * ncpu)
-    return keyed_exchange(exploded, "key", scorer, blocks=blocks)
+    return keyed_exchange(exploded, "key", scorer, blocks=blocks, empty=_LINKS_SCHEMA.empty_table())
 
 
 def apply_link_filter(links, limit_per_source: int):
@@ -496,7 +496,8 @@ def apply_link_filter(links, limit_per_source: int):
         return _topk_per_source(df, limit_per_source)
 
     pruned = links.map_batches(topk, batch_format="pandas")
-    return keyed_exchange(pruned, "source", topk, batch_format="pandas")
+    return keyed_exchange(pruned, "source", topk, batch_format="pandas",
+                          empty=_LINKS_SCHEMA.empty_table())
 
 
 def _topk_per_source(df, k: int):
@@ -530,7 +531,8 @@ def apply_unambiguous_filter(links):
     def single_link(g):
         return g[g.groupby("source", sort=False)["target"].transform("size") == 1]
 
-    return keyed_exchange(links, "source", single_link, batch_format="pandas")
+    return keyed_exchange(links, "source", single_link, batch_format="pandas",
+                          empty=_LINKS_SCHEMA.empty_table())
 
 
 def include_reference_links(links, positive=None, negative=None):

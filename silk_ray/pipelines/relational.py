@@ -106,6 +106,7 @@ def broadcast_lookup_sorted(ds, key_col: str, keys, values, out_col: str, drop_m
 
 _NULL_HASH = np.int64(0x3C6EF372FE94F82B)  # the one tag of a null key
 _TAG = "__xkey"
+_MARK = "__xempty"  # keyed_exchange's marker row for a typed empty output
 
 
 def _key_hash(arr) -> np.ndarray:
@@ -149,7 +150,8 @@ def _keys_hash(b: pa.Table, keys: list[str]) -> np.ndarray:
     return h
 
 
-def keyed_exchange(ds, key: str | list[str], reduce, *, blocks: int | None = None, batch_format: str = "pyarrow"):
+def keyed_exchange(ds, key: str | list[str], reduce, *, blocks: int | None = None,
+                   batch_format: str = "pyarrow", empty: pa.Table | None = None):
     """The Ray Data keyed exchange: bring every row of one key into one
     block, then call ``reduce`` once per block. ``ds`` is a Dataset or
     a list of Datasets with one schema (the sides of a join), which are
@@ -180,29 +182,50 @@ def keyed_exchange(ds, key: str | list[str], reduce, *, blocks: int | None = Non
     skips it; a wholly empty exchange therefore has no schema. Pass
     ``blocks=1`` for a stream known to be small with fewer keys than
     blocks (e.g. a local pre-aggregation pruned it), where a range
-    split would make most partitions empty."""
+    split would make most partitions empty.
+
+    ``empty``, a zero-row table in ``reduce``'s output schema, gives
+    the output that schema whatever the input: one marker row rides the
+    exchange, and the block that holds it is reduced without it, or
+    becomes ``empty`` when the marker is all it holds."""
+
+    fmt = batch_format if empty is None else "pyarrow"  # the marker is dropped in Arrow
 
     def run(block):
         if not len(block):
             return block
+        if empty is not None and _MARK in block.column_names:
+            block = block.filter(pc.is_null(block[_MARK])).drop_columns([_MARK])
+            if not block.num_rows:
+                return empty
         if blocks != 1:
-            block = block.drop(columns=_TAG) if batch_format == "pandas" else block.drop_columns([_TAG])
-        return reduce(block)
+            block = block.drop(columns=_TAG) if fmt == "pandas" else block.drop_columns([_TAG])
+        return reduce(block if fmt == batch_format else block.to_pandas())
 
-    sides = ds if isinstance(ds, list) else [ds]
+    sides = list(ds) if isinstance(ds, list) else [ds]
+    marker = None
+    if empty is not None:
+        import ray.data as rd
+
+        marker = {_MARK: pa.array([True])}
+        if blocks != 1:
+            marker[_TAG] = pa.array([0], pa.int64())
+        marker = rd.from_arrow(pa.table(marker))
     if blocks == 1:
+        sides += [marker] if marker is not None else []
         whole = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-        return whole.repartition(1).map_batches(run, batch_format=batch_format, batch_size=None)
+        return whole.repartition(1).map_batches(run, batch_format=fmt, batch_size=None)
     keys = [key] if isinstance(key, str) else list(key)
 
     def tag(b: pa.Table) -> pa.Table:
         return b.append_column(_TAG, pa.array(_keys_hash(b, keys), pa.int64()))
 
     tagged = [side.map_batches(tag, batch_format="pyarrow") for side in sides]
+    tagged += [marker] if marker is not None else []
     tagged = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
     if blocks:
         tagged = tagged.repartition(blocks)
-    return tagged.sort(_TAG).map_batches(run, batch_format=batch_format, batch_size=None)
+    return tagged.sort(_TAG).map_batches(run, batch_format=fmt, batch_size=None)
 
 
 def _lookup_sides(ds, key_col: str, dim, dim_key: str, dim_val: str | None = None, out_col: str | None = None):

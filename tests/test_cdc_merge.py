@@ -4,6 +4,7 @@ exactly-once replay/resume, schema evolution (FIXTURES.md F5)."""
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from silk_ray.cdc import checkpoint as ckpt
@@ -227,6 +228,68 @@ def test_pre_epoch_read_skips_payload_without_a_reader(ray_session, changelog, t
             assert all(o["changes"] is None for o in outs)
         deltas[hand_off] = {f: b for f, b in _partition_bytes(r).items() if "epoch-000002" in f}
     assert len(deltas[False]) == 2 and deltas[False] == deltas[True]
+
+
+def test_link_index_reads_no_pre_epoch_payload(ray_session, changelog, tmp_path, monkeypatch):
+    """With the link index as the only reader of the change set, a merge
+    task's pre-epoch chain read asks for the key and internal columns
+    only, and its link-index stage evaluates the rule once per change
+    row with a new payload (never over an old payload); the engine's
+    epoch record counts no payload read, and counts every touched
+    partition's once egress takes the change set too."""
+    import json
+
+    import pyarrow.compute as pc
+
+    from silk_ray.cdc import merge
+    from silk_ray.cdc.engine import EngineConfig, run
+    from silk_ray.kernel.rule import LinkageRule
+    from silk_ray.pipelines.rules import BENCH_RULE
+
+    rule = {k: v for k, v in BENCH_RULE.items() if k != "filter_limit"}
+    root = str(tmp_path / "lake")
+    run_epoch(root, changelog, epoch_size=400, num_partitions=2)
+    m = ckpt.read_manifest(root)
+    window = changelog.filter(pc.and_(pc.greater_equal(changelog["offset"], m.next_offset),
+                                      pc.less(changelog["offset"], m.next_offset + 400)))
+    real, requested = merge._read_files, []
+
+    def spy(root, files, kh_filter=None, columns=None):
+        requested.append(columns)
+        return real(root, files, kh_filter, columns)
+
+    calls = {"index_keys": 0, "index_keys_and_values": 0}
+    for name in calls:
+        def counting(self, *a, _name=name, _real=getattr(LinkageRule, name), **kw):
+            calls[_name] += 1
+            return _real(self, *a, **kw)
+
+        monkeypatch.setattr(LinkageRule, name, counting)
+    monkeypatch.setattr(merge, "_read_files", spy)
+    merger = merge.MergePartition(
+        root, 2, {p: i["hwm"] for p, i in m.partitions.items()},
+        {p: i["files"] for p, i in m.partitions.items()},
+        {p: i["rows"] for p, i in m.partitions.items()},
+        link_spec=rule, n_block_partitions=4, compact=frozenset(), hand_off=False,
+    )
+    outs = [merger(g) for g in merge._split_by_pid(window, 2).values()]
+    assert len(requested) == 2 and all(
+        set(c) == {"repo", "path", "_offset", "_deleted", "_kh"} for c in requested)
+    assert not any(o["payload_read"] for o in outs)
+    deltas = [pq.read_table(os.path.join(root, o["files"][-1])) for o in outs]
+    changed = sum(d.num_rows for d in deltas)
+    upserts = sum(int(pc.sum(pc.invert(d["_deleted"])).as_py()) for d in deltas)
+    assert changed > upserts > 0  # updates, inserts and deletes
+    assert calls == {"index_keys": 0, "index_keys_and_values": upserts}
+
+    for egress in (False, True):
+        r = str(tmp_path / f"engine-{egress}")
+        run(r, changelog, EngineConfig(epoch_size=400, num_partitions=2, n_block_partitions=4,
+                                       rule_spec=rule, egress=egress))
+        for e in (2, 3):
+            with open(ckpt.metrics_path(r, e)) as f:
+                record = json.load(f)
+            assert record["payload_reads"] == (record["partitions_touched"] if egress else 0)
 
 
 def test_crash_between_merge_work_and_manifest_swap(

@@ -281,7 +281,9 @@ def test_cli_status_bytes_written(ray_session, tmp_path, capsys, monkeypatch):
 
 def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):
     """With links on, `status`'s last_epoch is the last MERGE record
-    (``_metrics/epoch-E.json``), not the link record written after it."""
+    (``_metrics/epoch-E.json``), not the link record written after it;
+    its ``payload_reads`` is 0, as the link index is the only reader of
+    the change set and takes no old payload."""
     import json
 
     from silk_ray.__main__ import main
@@ -300,7 +302,9 @@ def test_cli_status_last_epoch_with_links(ray_session, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["last_epoch"]["epoch"] == ms[-1]["epoch"]
     assert out["last_epoch"]["events_applied"] == ms[-1]["events_applied"]
+    assert out["last_epoch"]["payload_reads"] == 0
     assert out["stores"]["links"]["epoch"] == 2
+    assert "old_keys" in out["stores"]["links"]["phases"]
 
 
 def test_cli_status_reports_link_metrics(ray_session, tmp_path, capsys):

@@ -73,7 +73,8 @@ def test_link_phases_in_metrics_record(ray_session, tmp_path):
     and the phases account for the wall time of the call; its ``task_s``
     map carries the task-wave seconds, task counts and pair counts. The
     merge ran with the rule, so its index rows are written as handed
-    over (no ``delta_index`` phase)."""
+    over (no ``delta_index`` phase), after the ``old_keys`` read of the
+    entity chain."""
     import json
     import os
     import time
@@ -101,7 +102,7 @@ def test_link_phases_in_metrics_record(ray_session, tmp_path):
         record = json.load(f)
     phases = record["phases"]
     assert phases == metrics["phases"]
-    assert {"write_index", "plan_build", "score_and_write", "commit"} <= set(phases)
+    assert {"old_keys", "write_index", "plan_build", "score_and_write", "commit"} <= set(phases)
     assert not {"delta_index", "read_summaries", "consolidate"} & set(phases)
     assert all(v >= 0 for v in phases.values())
     assert abs(sum(phases.values()) - wall) <= 0.1 * wall
@@ -237,14 +238,18 @@ def _blockmap_files(root, prefix="bp="):
 
 def test_blockmap_has_one_row_per_entity(engine_run):
     """A postings file holds one row per (side, uri) — no per-key rows,
-    no ``key`` column and no values — sorted by (side, uri); an 'add'
-    row carries the entity's full sorted key set, of which at least one
-    key falls in the file's block partition. An entity-chain file holds
-    one row per changed uri with its leaf values, side 1 alone for this
-    symmetric rule, sorted by uri; a 'del' row has none."""
+    no ``key`` column and no values — sorted by (side, uri), and for
+    this symmetric rule side 1 alone; an 'add' row holds exactly the
+    entity's keys of the file's block partition. An entity-chain file
+    holds one row per changed uri with its full sorted key set and leaf
+    values, side 1 alone, sorted by uri; a 'del' row has neither. Each
+    live entity's postings across all partitions add up to the key set
+    its live entity-chain row holds."""
     import os
 
     import pyarrow.parquet as pq
+
+    from silk_ray.cdc import incremental
 
     root = engine_run[0]
     files = _blockmap_files(root)
@@ -252,12 +257,13 @@ def test_blockmap_has_one_row_per_entity(engine_run):
     for f in files:
         t = pq.read_table(f)
         assert t.column_names == ["action", "side", "uri", "keys"]
+        assert set(t["side"].to_pylist()) == {1}
         ids = list(zip(t["side"].to_pylist(), t["uri"].to_pylist()))
         assert ids == sorted(ids) and len(ids) == len(set(ids))
         bp = int(os.path.basename(os.path.dirname(f)).split("=")[1])
         for action, keys in zip(t["action"].to_pylist(), t["keys"].to_pylist()):
             if action == "add":
-                assert keys == sorted(keys) and any(k % 16 == bp for k in keys)
+                assert keys and keys == sorted(keys) and all(k % 16 == bp for k in keys)
             else:
                 assert keys is None
     ent_files = _blockmap_files(root, "ent=")
@@ -265,12 +271,23 @@ def test_blockmap_has_one_row_per_entity(engine_run):
         os.path.join(root, "blockmap", "ent=00000")}
     for f in ent_files:
         t = pq.read_table(f)
-        assert t.column_names == ["action", "side", "uri", "vals_0", "vals_1", "vals_2"]
+        assert t.column_names == ["action", "side", "uri", "keys", "vals_0", "vals_1", "vals_2"]
         assert set(t["side"].to_pylist()) == {1}
         uris = t["uri"].to_pylist()
         assert uris == sorted(uris) and len(uris) == len(set(uris))
         for r in t.to_pylist():
-            assert (r["vals_0"] is not None) == (r["action"] == "add")
+            assert (r["vals_0"] is not None) == (r["keys"] is not None) == (r["action"] == "add")
+            assert r["keys"] is None or (r["keys"] and r["keys"] == sorted(r["keys"]))
+    state = incremental.read_linkstate(root)
+    held: dict = {}
+    for files in state["blockmap"].values():
+        t = incremental.read_bp_reconciled(root, files)
+        for u, keys in zip(t["uri"].to_pylist(), t["keys"].to_pylist()):
+            held.setdefault(u, []).extend(keys)
+    ents = incremental.read_entity_values(root, state["entities"], 3, pa.array(sorted(held)))
+    assert sorted(ents["uri"].to_pylist()) == sorted(held)
+    for u, keys in zip(ents["uri"].to_pylist(), ents["keys"].to_pylist()):
+        assert sorted(held[u]) == keys
 
 
 def _embedded_schema(path):
@@ -346,6 +363,27 @@ def test_blockmap_rows_with_values_are_refused(tmp_path):
     })
 
 
+def test_entity_chain_without_keys_is_refused(tmp_path):
+    """An entity-chain file of the layout before the entity chain held
+    each key set (no ``keys`` column) raises the same error, for the
+    loader's value read and the driver's old-key read alike."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from silk_ray.cdc.incremental import POSTINGS, read_entity_values
+
+    rel = os.path.join("blockmap", "ent=00000", "delta-000002.parquet")
+    os.makedirs(os.path.dirname(tmp_path / rel))
+    pq.write_table(pa.table({
+        "action": ["add"], "side": pa.array([1], pa.int8()), "uri": ["r//a"],
+        "vals_0": pa.array([["a"]], pa.list_(pa.string())),
+    }), tmp_path / rel)
+    for columns in (None, POSTINGS.names):
+        with pytest.raises(ValueError, match=r"delta-000002\.parquet.*must be rebuilt"):
+            read_entity_values(str(tmp_path), [rel], 1, pa.array(["r//a"]), columns)
+
+
 def test_entity_without_values_is_refused(engine_run):
     """A loader entity whose values are missing from the entity chain
     raises instead of being scored as an entity without values."""
@@ -358,12 +396,13 @@ def test_entity_without_values_is_refused(engine_run):
     ents = incremental.read_bp_reconciled(root, next(iter(state["blockmap"].values())))
     uris = pc.unique(ents["uri"])
     vals = incremental.read_entity_values(root, state["entities"], 3, uris)
-    assert incremental._attach_values(ents, vals, True).num_rows == ents.num_rows
+    assert incremental._attach_values(ents, vals).num_rows == ents.num_rows
     with pytest.raises(ValueError, match=r"no values in the entity chain.*must be rebuilt"):
-        incremental._attach_values(ents, vals.slice(1), True)
-    # an asymmetric reading wants side-0 values, which a symmetric rule never writes
+        incremental._attach_values(ents, vals.slice(1))
+    # a side-0 posting wants a side-0 entity row, which a symmetric rule never writes
+    side0 = ents.set_column(0, "side", pa.array([0] * ents.num_rows, pa.int8()))
     with pytest.raises(ValueError, match=r"side 0"):
-        incremental._attach_values(ents, vals, False)
+        incremental._attach_values(side0, vals)
 
 
 def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
@@ -384,13 +423,15 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
     state = incremental.read_linkstate(root)
     bps = sorted(int(b) for b in state["blockmap"])
     chains = {int(b): v for b, v in state["blockmap"].items()}
-    # each partition's entities with their values from the entity chain
-    # (side 1's, which a symmetric rule's side 0 shares)
-    ents = {}
+    # each partition's entities with their key sets and values from the
+    # entity chain, and a side-0 twin of each (a symmetric rule stores
+    # side 1 alone, which plays both roles)
+    ents, blocks = {}, {}
     for b in bps:
         t = incremental.read_bp_reconciled(root, chains[b])
         vals = incremental.read_entity_values(root, state["entities"], 3, pc.unique(t["uri"]))
-        ents[b] = incremental._attach_values(t, vals, True)
+        t = incremental._attach_values(t, vals)
+        ents[b], *blocks[b] = incremental._both_roles(t, *incremental._bp_blocks(t, b, 16))
     all_keys = pa.array(sorted({k for t in ents.values() for ks in t["keys"].to_pylist() for k in ks}),
                         pa.int64())
     uris = pa.concat_tables(ents.values())["uri"]
@@ -430,7 +471,7 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
     # them): no value list may be prepared more often than entities hold it
     n_entities = len({(s, u) for t in ents.values()
                       for s, u in zip(t["side"].to_pylist(), t["uri"].to_pylist())})
-    n_blocks = sum(len(incremental._bp_blocks(t, b, 16)[0]) for b, t in ents.items())
+    n_blocks = sum(len(key) for key, _ent in blocks.values())
     for k in range(3):
         holders: dict[str, set] = {}
         for t in ents.values():
@@ -448,7 +489,7 @@ def test_loader_prepares_each_entity_once(engine_run, monkeypatch):
     # the same blocks as exploded rows, each row its own entity
     parts = []
     for b, t in ents.items():
-        key, ent = incremental._bp_blocks(t, b, 16)
+        key, ent = blocks[b]
         parts.append(t.take(pa.array(ent)).add_column(0, "key", pa.array(key)))
     exploded = pa.concat_tables(parts)
     exploded = exploded.append_column("dirty", pc.is_in(exploded["uri"], value_set=dirty))
@@ -465,9 +506,10 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
     crosses ``chain.COMPACT_AT`` (set low, so chains compact twice and later
     deltas stack on a compacted file) and runs with ``SPLIT_ROWS`` small
     enough that loader items are key-sub-split (``msplit > 1``). After
-    every epoch no postings file carries values, and the entity chain
-    holds exactly one row per live entity (side 1 alone: the rule is
-    symmetric) and none for an entity that left the index."""
+    every epoch no postings file carries values, the postings hold side
+    1 alone (the rule is symmetric: its side-1 rows play both roles),
+    and the entity chain holds exactly one row per live entity and none
+    for an entity that left the index."""
     import os
 
     import pyarrow.compute as pc
@@ -515,6 +557,7 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
     cfg = EngineConfig(epoch_size=24, num_partitions=2, n_block_partitions=16,
                        rule_spec=UNFILTERED_RULE, max_epochs=1)
     seen = {"tombstone": False, "compacted": False, "stacked": False, "msplit": False}
+    prev_entities = []  # the entity chain the epoch's old key sets come from
     for epoch in range(1, 8):
         assert run(root, log, cfg)
         links = links_table(root)
@@ -536,15 +579,15 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
                     for u, a in zip(t["uri"].to_pylist(), t["action"].to_pylist()):
                         actions.setdefault(u, set()).add(a)
         seen["tombstone"] |= any(a == {"add", "del"} for a in actions.values())
-        # postings carry no values; the entity chain holds one row per
-        # live entity, side 1 alone for this symmetric rule
+        # postings carry no values and no side-0 rows; the entity chain
+        # holds one row per live entity, side 1 alone
         live = set()
         for files in state["blockmap"].values():
             assert not any(n.startswith("vals_") for f in files
                            for n in pq.ParquetFile(os.path.join(root, f)).schema_arrow.names)
             t = incremental.read_bp_reconciled(root, files)
             live |= set(zip(t["side"].to_pylist(), t["uri"].to_pylist()))
-        assert live == {(side, u) for _s, u in live for side in (0, 1)}
+        assert live and {side for side, _u in live} == {1}
         uris = pc.unique(pa.chunked_array(
             [pq.read_table(os.path.join(root, f), columns=["uri"])["uri"].combine_chunks()
              for f in state["entities"]]))
@@ -554,10 +597,134 @@ def test_incremental_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch
         # the epoch's key rows per block partition, as update_links
         # counts them to sub-split a partition
         stage = incremental.DeltaIndexStage(UNFILTERED_RULE, 16)
-        touched = pa.concat_tables([stage(t)[1] for t in epoch_changes(root, epoch)])
+        _chains, touched = incremental._with_old_keys(
+            root, prev_entities, [stage(t) for t in epoch_changes(root, epoch)], 16, 3, (1,))
+        prev_entities = state["entities"]
         counts = touched.group_by("bp").aggregate([("bp", "count")])
         seen["msplit"] |= max(counts["bp_count"].to_pylist()) > incremental.SPLIT_ROWS
     assert all(seen.values()), seen
+
+
+def test_link_sketch_hashes_each_uri_once(monkeypatch):
+    """A link file's uri sketch hashes each distinct uri once and has
+    the bits of the per-row form: every source and target of every row
+    hashed."""
+    import base64
+    import zlib
+
+    import numpy as np
+
+    from silk_ray.cdc import incremental
+
+    uris = [f"repo-{i % 5}//src/f{i % 7}.py" for i in range(60)]
+    t = pa.table({"source": uris[:40], "target": uris[20:],
+                  "confidence": pa.array([0.5] * 40, pa.float64())})
+    bits = np.zeros(incremental.LINK_SKETCH_BITS // 8, np.uint8)
+    for u in t["source"].to_pylist() + t["target"].to_pylist():
+        b = zlib.crc32(u.encode()) % incremental.LINK_SKETCH_BITS
+        bits[b >> 3] |= 1 << (b & 7)
+    hashed = []
+    real = incremental._uri_bits
+    monkeypatch.setattr(incremental, "_uri_bits", lambda us: hashed.extend(us) or real(us))
+    assert incremental._sketch_of_links(t) == base64.b64encode(bits.tobytes()).decode()
+    assert sorted(hashed) == sorted(set(uris))
+
+
+def _lower_source(node):
+    """``node``'s input tree with a ``lowerCase`` around its path."""
+    if "path" in node:
+        return {"transform": "lowerCase", "inputs": [node]}
+    return {**node, "inputs": [_lower_source(i) for i in node["inputs"]]}
+
+
+def test_asymmetric_rule_equals_batch_every_epoch(ray_session, tmp_path, monkeypatch):
+    """A rule whose Jaccard leaf lower-cases its source side only:
+    incremental links equal batch ``generate_links`` after every epoch
+    of a changelog that upper-cases and restores contents, deletes and
+    re-inserts entities and crosses one compaction. The postings keep
+    both link sides, and the entity chain holds each side's own key set
+    — they differ for an upper-cased entity — whose old keys the
+    driver resolves per side."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from silk_ray.cdc import chain, incremental
+    from silk_ray.linking.pipeline import _spec_symmetric, add_uri_column, generate_links
+
+    rule = copy.deepcopy(UNFILTERED_RULE)
+    leaf = rule["operator"]["operators"][2]
+    leaf["source"] = _lower_source(leaf["source"])
+    assert not _spec_symmetric(rule)
+    monkeypatch.setattr(chain, "COMPACT_AT", 3)
+    base = make_base_table(24, seed=97, near_dup_frac=0.5).to_pylist()
+    assert len(base) == 36
+    events = []
+
+    def emit(op, row, content=None):
+        ev = {"offset": len(events), "op": op, "repo": row["repo"], "path": row["path"],
+              "commit": None, "lang": None, "content": None}
+        if op != "D":
+            ev.update(commit=f"c{len(events)}", lang=row["lang"],
+                      content=row["content"] if content is None else content)
+        events.append(ev)
+
+    for r in base:  # epochs 1-2: inserts
+        emit("I", r)
+    for r in base[:9]:  # epoch 3: upper-cased contents, nine deletes
+        emit("U", r, content=r["content"].upper())
+    for r in base[27:]:
+        emit("D", r)
+    for r in base[27:]:  # epoch 4: re-inserts, contents restored
+        emit("I", r)
+    for r in base[:9]:
+        emit("U", r)
+    for r in base[9:27]:  # epoch 5: upper-cased again
+        emit("U", r, content=r["content"].upper())
+    log = pa.Table.from_pylist(events, schema=pa.schema([
+        ("offset", pa.int64()), ("op", pa.string()), ("repo", pa.string()), ("path", pa.string()),
+        ("commit", pa.string()), ("lang", pa.string()), ("content", pa.string()),
+    ]))
+    root = str(tmp_path / "lake")
+    cfg = EngineConfig(epoch_size=18, num_partitions=2, n_block_partitions=8, rule_spec=rule,
+                       max_epochs=1)
+    seen = {"linked": False, "compacted": False, "sides_differ": False, "removed": False}
+    for epoch in range(1, 6):
+        assert run(root, log, cfg)
+        batch = generate_links(add_uri_column(snapshot_dataset(root)), None, rule,
+                               source_equals_target=True, link_limit=None).to_pandas()
+        links = links_table(root)
+        assert links.num_rows == len(_as_set(links))
+        assert _as_set(links) == _as_set(batch), epoch
+        seen["linked"] |= links.num_rows > 0
+        state = incremental.read_linkstate(root)
+        seen["compacted"] |= any(os.path.basename(fs[0]).startswith("compact-")
+                                 for fs in state["blockmap"].values())
+        seen["removed"] |= _links_removed(root, epoch) > 0
+        live: dict = {}
+        for files in state["blockmap"].values():
+            for f in files:  # one row per (side, uri) and file: an add or a del
+                ids = pq.read_table(os.path.join(root, f), columns=["side", "uri"]).to_pylist()
+                assert len(ids) == len({(r["side"], r["uri"]) for r in ids}), f
+            t = incremental.read_bp_reconciled(root, files)
+            for side, u, keys in zip(*(t[c].to_pylist() for c in ("side", "uri", "keys"))):
+                live.setdefault((side, u), []).extend(keys)
+        assert {side for side, _u in live} == {0, 1}
+        uris = pa.array(sorted({u for _s, u in live}))
+        ents = incremental.read_entity_values(root, state["entities"], 3, uris)
+        held = {(s, u): k for s, u, k in zip(*(ents[c].to_pylist() for c in ("side", "uri", "keys")))}
+        assert held == {i: sorted(k) for i, k in live.items()}
+        seen["sides_differ"] |= any(held.get((0, u)) != k for (s, u), k in held.items() if s == 1)
+    assert all(seen.values()), seen
+
+
+def _links_removed(root, epoch):
+    import json
+
+    from silk_ray.cdc import checkpoint as ckpt
+
+    with open(ckpt.metrics_path(root, epoch, kind="links")) as f:
+        return json.load(f)["links_removed"]
 
 
 def _hex_links(root):

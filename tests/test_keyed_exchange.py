@@ -269,3 +269,70 @@ def test_link_filters(ray_session, kind):
     n = df.groupby("source")["target"].transform("size")
     want = list(df[n == 1][cols].itertuples(index=False, name=None))
     assert want and _rows(apply_unambiguous_filter(ds), cols) == _sorted(want)
+
+
+def _table(ds) -> pa.Table:
+    """Every block of ``ds`` stacked: a zero-row block without a schema
+    adds no column."""
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
+
+
+@pytest.mark.parametrize("blocks", [None, 1])
+@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas"])
+def test_empty_gives_the_output_its_schema(ray_session, blocks, batch_format):
+    """With ``empty``, an exchange over zero rows still has the reduce's
+    output schema, and over real rows the marker row never reaches
+    ``reduce``, whose int column keeps its type (no null promotion)."""
+    from silk_ray.pipelines.relational import keyed_exchange
+
+    schema = pa.schema([("k", pa.string()), ("t", pa.int64()), ("v", pa.int64())])
+    out_schema = pa.schema([("k", pa.string()), ("n", pa.int64())])
+
+    def count(b):
+        if batch_format == "pandas":
+            assert list(b.columns) == ["k", "t", "v"] and b["v"].dtype == np.int64
+            return b.groupby("k", dropna=False).size().reset_index(name="n")
+        assert b.column_names == ["k", "t", "v"] and b.schema.field("v").type == pa.int64()
+        return b.group_by("k").aggregate([("v", "count")]).rename_columns(["k", "n"])
+
+    empty_in = _blocks([], schema)
+    out = keyed_exchange(empty_in, "k", count, blocks=blocks, batch_format=batch_format,
+                         empty=out_schema.empty_table())
+    assert out.schema().names == ["k", "n"] and list(out.schema().types) == [pa.string(), pa.int64()]
+    assert _table(out)["k"].to_pylist() == []
+
+    rows = [r for r in _fact_rows("str") if r["k"] is not None and r["t"] is not None]
+    out = keyed_exchange(_blocks(rows, schema), "k", count, blocks=blocks,
+                         batch_format=batch_format, empty=out_schema.empty_table())
+    got = {r["k"]: r["n"] for r in out.take_all()}
+    assert got == pd.DataFrame(rows).groupby("k").size().to_dict()
+
+
+def test_empty_link_runs_keep_the_link_schema(ray_session):
+    """``generate_links`` over no rows, and both link filters over no
+    links, return ``(source, target, confidence)``."""
+    import ray.data as rd
+
+    from silk_ray.cdc.generator import make_base_table
+    from silk_ray.linking.pipeline import (
+        add_uri_column,
+        apply_link_filter,
+        apply_unambiguous_filter,
+        generate_links,
+    )
+    from silk_ray.pipelines.rules import BENCH_RULE
+
+    names, types = ["source", "target", "confidence"], [pa.string(), pa.string(), pa.float64()]
+    base = rd.from_arrow(make_base_table(8, seed=1).slice(0, 0))
+    links = pa.schema(list(zip(names, types))).empty_table()
+    for out in (
+        generate_links(add_uri_column(base), None, BENCH_RULE, source_equals_target=True),
+        generate_links(add_uri_column(base), None, BENCH_RULE, source_equals_target=True,
+                       link_limit=None, score_partitions=1),
+        apply_link_filter(rd.from_arrow([links, links]), 1),
+        apply_unambiguous_filter(rd.from_arrow([links, links])),
+    ):
+        assert out.schema().names == names and list(out.schema().types) == types
+        assert _table(out)["source"].to_pylist() == []
