@@ -408,7 +408,7 @@ def cmd_status(args) -> int:
                       "skew_ratio", "dirty_total", "bytes_written", "payload_reads")
             if k in last
         }
-    from silk_ray.cdc.egress import consumer_lag
+    from silk_ray.cdc.egress import consumer_lag, egress_storage
 
     def links_extras(st: dict) -> dict:
         # the committed links epoch's phase, task-wave and index-bytes record
@@ -425,7 +425,8 @@ def cmd_status(args) -> int:
         "links": links_extras,
         "windows": lambda st: {"watermark_us": st.get("watermark_us")},
         "egress": lambda st: {"next_seq": st["next_seq"],
-                              "consumer_lag": consumer_lag(args.root)},
+                              "consumer_lag": consumer_lag(args.root),
+                              **egress_storage(args.root)},
     }
     stores: dict = {}
     for store in ckpt.STORES:

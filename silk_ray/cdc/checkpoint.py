@@ -4,22 +4,26 @@ every state store of the engine (:class:`EpochStore`).
 A store is a JSON state *pointer* swapped atomically once per epoch,
 optionally a per-epoch *snapshot* of that state (as-of-epoch reads),
 and *data dirs* whose files the committed states reference. GC keeps
-what the pointer, its one-epoch rollback set ("prev") and the retained
-snapshots reference (E = pointer epoch, K = ``retain_epochs`` ≥ 1)
-and trims snapshots at or below the floor E-K-1:
+what the pointer, its one-epoch rollback set ("prev"), the retained
+snapshots and the files other stores' states point into it (``pinned``)
+reference (E = pointer epoch, K = ``retain_epochs`` ≥ 1) and trims
+snapshots at or below the floor E-K-1:
 
 ========  ==================  ===========================  ===========  =======================================
 store     pointer             snapshots                    data dirs    GC keeps
 ========  ==================  ===========================  ===========  =======================================
 lake      _manifest.json      _manifests/manifest-E.json   partitions/  pointer, prev_files, snapshots E-K..E-1,
-                                                                        each kept epoch's own delta files
+                                                                        each kept epoch's own delta files,
+                                                                        files a committed egress epoch
+                                                                        points to
 links     _linkstate.json     _linkstates/state-E.json     links/,      pointer (links, postings and entity
                                                            blockmap/    chains), links_files_prev,
                                                                         blockmap_prev, snapshots
 clusters  _clusterstate.json  _clusterstates/state-E.json  clusters/    pointer, dir_prev, snapshots
 agg_view  _aggstate.json      _aggstates/state-E.json      aggview/     pointer, snapshots
 windows   _winstate.json      none                         windows/     pointer, files of epochs > E-K
-egress    _egressstate.json   none                         none         no sweep (consumers truncate)
+egress    _egressstate.json   none                         egress/      pointer, files of epochs > E-K
+                                                                        (consumers truncate the stream)
 ========  ==================  ===========================  ===========  =======================================
 
 The lake's ``partitions/`` and the link store's ``blockmap/`` hold LSM
@@ -33,8 +37,12 @@ epoch's change set and link-index rows pass in memory or are derived
 from the lake's retained delta files.
 
 Stores without snapshots answer as-of reads at the pointer epoch
-only. Windows declare the floor E-K (``floor_lag=0``); egress
-retention is consumer-driven (``egress.truncate_egress``).
+only. Windows and egress declare the floor E-K (``floor_lag=0``: they
+keep no rollback set); egress retention is consumer-driven
+(``egress.truncate_egress``), and its sweep removes only files a
+crashed truncate left behind. An egress file holds pointers into the
+lake, not images: ``egress.lake_refs`` names the lake files they
+resolve to.
 
 Commit order (exactly-once; SURVEY.md §7.1 step 5): the epoch's data
 files (deterministic content, so retries and re-runs are idempotent),
@@ -167,6 +175,9 @@ class EpochStore:
     prev_files: Callable[[dict], Iterable[str]] = lambda state: ()
     # gc floor = epoch − max(1, retain_epochs) − floor_lag
     floor_lag: int = 1
+    # files under this store's data dirs that other stores' committed
+    # states point to (root -> relative paths)
+    pinned: Callable[[str], Iterable[str]] = lambda root: ()
 
     def read(self, root: str) -> dict:
         return read_json(os.path.join(root, self.pointer), self.empty)
@@ -204,6 +215,21 @@ class EpochStore:
             atomic_write_json(self._snapshot_path(root, _state_epoch(state)), state)
         atomic_write_json(os.path.join(root, self.pointer), state)
 
+    def named(self, root: str, state: dict, floor: int = 0, pins: bool = True) -> set[str]:
+        """Every file the committed ``state`` keeps: its files and
+        rollback set, those of each snapshot above ``floor`` and, with
+        ``pins``, the files other stores point to (normalized paths)."""
+        live = {*self.live_files(state), *self.prev_files(state)}
+        if pins:
+            live.update(self.pinned(root))
+        if self.snapshot is not None:
+            for e in range(max(1, floor + 1), _state_epoch(state)):
+                try:
+                    live.update(self.live_files(self._read_snapshot(root, e)))
+                except FileNotFoundError:  # pre-snapshot state or already trimmed
+                    continue
+        return {os.path.normpath(f) for f in live if f}
+
     def gc(self, root: str, retain_epochs: int = 1, state: dict | None = None) -> int:
         """Delete data files no retained state references and trim
         snapshots at or below the floor. Run only after a commit (a
@@ -214,20 +240,14 @@ class EpochStore:
             state = self.read(root)
         epoch = _state_epoch(state)
         floor = epoch - max(1, retain_epochs) - self.floor_lag
-        live = {*self.live_files(state), *self.prev_files(state)}
+        live = self.named(root, state, floor)
         removed = 0
         if self.snapshot is not None:
-            for e in range(max(1, floor + 1), epoch):
-                try:
-                    live.update(self.live_files(self._read_snapshot(root, e)))
-                except FileNotFoundError:  # pre-snapshot state or already trimmed
-                    continue
             snap_dir, prefix = os.path.split(self.snapshot)
             for f in _listdir(os.path.join(root, snap_dir)):
                 e = f[len(prefix):-len(".json")]
                 if f.startswith(prefix) and f.endswith(".json") and e.isdigit() and int(e) <= floor:
                     removed += _remove(os.path.join(root, snap_dir, f))
-        live = {os.path.normpath(f) for f in live if f}
         for data_dir in self.data_dirs:
             removed += self._sweep(root, data_dir, live, floor)
         return removed
@@ -237,7 +257,8 @@ class EpochStore:
         path names (a live directory keeps its files); a store without
         snapshots cannot tell which files its window's states named, so
         it keeps every file an epoch above the floor wrote. Emptied
-        subdirectories go too."""
+        subdirectories go too; one holding other files (egress consumer
+        positions) stays."""
         base = os.path.join(root, data_dir)
         removed = 0
         for dirpath, subdirs, files in os.walk(base, topdown=False):
@@ -247,6 +268,7 @@ class EpochStore:
             left = 0
             for f in files:
                 if not f.endswith(".parquet"):
+                    left += 1
                     continue
                 e = file_epoch(f)
                 newer = self.snapshot is None and (e is None or e > floor)
@@ -281,6 +303,12 @@ def _agg_files(s: dict) -> list[str]:
     return out
 
 
+def _egress_pins(root: str) -> set[str]:
+    from silk_ray.cdc.egress import lake_refs
+
+    return lake_refs(root)
+
+
 LAKE = EpochStore(
     "lake", "_manifest.json", "_manifests/manifest-", Manifest(0, 0, {}).to_dict(),
     # the chain files plus the delta files the epoch wrote (a compaction
@@ -291,6 +319,8 @@ LAKE = EpochStore(
     ],
     ("partitions",),
     prev_files=lambda m: m.get("prev_files", []),
+    # the after- and before-images of the committed egress stream
+    pinned=_egress_pins,
 )
 LINKS = EpochStore(
     "links", "_linkstate.json", "_linkstates/state-",
@@ -322,8 +352,10 @@ WINDOWS = EpochStore(
 )
 EGRESS = EpochStore(
     "egress", "_egressstate.json", None,
-    {"epoch": 0, "next_seq": 0, "files": {}, "num_shards": None},
-    lambda s: [f for fs in s["files"].values() for f in fs], (),
+    {"epoch": 0, "next_seq": 0, "files": {}, "num_shards": None, "layouts": [],
+     "anchors": {}, "epochs": {}, "images": {}},
+    lambda s: [f for fs in s["files"].values() for f in fs], ("egress",),
+    floor_lag=0,
 )
 STORES = (LAKE, LINKS, CLUSTERS, AGG_VIEW, WINDOWS, EGRESS)
 
@@ -336,11 +368,17 @@ def read_manifest_at(root: str, epoch: int) -> Manifest:
     return Manifest.from_dict(LAKE.read_at(root, epoch))
 
 
+def offsets_path(root: str, epoch: int) -> str:
+    """Lake epoch ``epoch``'s offset-log entry: its window and the
+    ``next_offset`` it committed."""
+    return os.path.join(root, "_checkpoints", f"offsets-{epoch:06d}.json")
+
+
 def commit_manifest(root: str, manifest: Manifest, window: tuple[int, int]) -> None:
     """Atomic epoch commit: offset-log entry, then the lake store's
     snapshot + manifest swap."""
     atomic_write_json(
-        os.path.join(root, "_checkpoints", f"offsets-{manifest.epoch:06d}.json"),
+        offsets_path(root, manifest.epoch),
         {
             "epoch": manifest.epoch,
             "window": list(window),
@@ -465,14 +503,13 @@ def force_release_writer(root: str) -> bool:
         return False
 
 
-# Row-group size for lake files. Pyarrow's default (1 Mi rows) would
-# put a whole small-partition file into ONE row group, defeating the
-# ``_kh``-statistics pruning that the merge's pre-epoch chain read and
-# ``lookup_keys`` rely on: a pruned read is row-group-granular, so the
-# group size IS the read amplification of a point/delta lookup. 64 Ki
-# rows keeps footer statistics per ~tens of MB of source text while
-# adding negligible metadata (a 100 M-row partition carries ~1.5 K
-# row-group entries per column in its footer).
+# Row-group size of the engine's files. At 64 Ki rows every engine file
+# written so far is one row group, so no read skips a group: the keyed
+# reads (the merge's pre-epoch chain read, ``lookup_keys``) filter with
+# ``_kh`` ``is_in``, which pyarrow applies to decoded rows and never
+# tests against row-group statistics, so they decode whole files at any
+# group size. Smaller groups pay only with a filter that statistics can
+# use (``==``, or an OR of them).
 LAKE_ROW_GROUP = 64 * 1024
 
 
@@ -481,8 +518,8 @@ def atomic_write_parquet(table, path: str) -> None:
     so readers never observe a partial file; the dot-prefixed tmp name
     is never discovered as a dataset fragment. The content is
     deterministic, so concurrent/retried writers converge. Row groups
-    are capped at LAKE_ROW_GROUP so ``_kh`` statistics prune at useful
-    granularity (files are written key-hash-sorted).
+    are capped at LAKE_ROW_GROUP rows; no keyed read of the engine
+    prunes by their statistics (see LAKE_ROW_GROUP).
 
     The codec is zstd level 1: the payload is source text, whose
     entropy zstd halves where snappy's LZ matching finds little. On a

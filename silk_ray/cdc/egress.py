@@ -6,34 +6,74 @@ consumers of a CDC lake (replicas, caches, search indexes, other
 engines) want the lake's own change stream, not its snapshots. This
 module emits, per committed merge epoch, a **downstream changelog** of
 the lake's net state delta — one row per changed key carrying the
-change op (I/U/D), the full **after image** (``new_*``) and the full
-**before image** (``old_*``) — the Debezium-style envelope.
+change op (I/U/D), the **after image** (``new_*``) and the **before
+image** (``old_*``) — the Debezium-style envelope.
 
-The source material is cheap: every merge epoch has a *change set*
-with exactly this content (``merge.epoch_changes`` — change ∈ {I,U,D},
-typed old/new payload images, keys inserted-then-deleted within the
-epoch excluded), handed over in memory by the merge tasks or derived
-from the lake's delta chains. Egress is therefore an O(delta) reshape,
-never a state scan, done in one plain pyarrow pass on the driver with
-no Ray task:
+**Pointers, not images.** The lake already holds every image: epoch E's
+delta file holds the after-image of each key E changed, and a key's
+before-image is its row as the epoch of its previous write wrote it. So
+an egress file stores ``seq, epoch, op, repo, path, prev_epoch`` and no
+payload, as Delta Lake's log references immutable data files instead of
+copying them:
 
-- take each change table, rename ``change`` to ``op`` and split its rows
-  by key-hash shard (md5-lower-64 of ``repo\\x1fpath`` mod num_shards —
-  the interpreter-stable, *SQL-reproducible* hash the oracle suite
-  standardizes on);
-- per touched shard: concat the shard's parts, cast to the epoch's
-  canonical union schema, sort by key, assign the global sequence
-  number, atomic-write ``egress/shard-SSSSS-epoch-EEEEEE.parquet``.
+- the after-image is the key's row in the lake delta file written by
+  ``epoch`` (a D row has none);
+- the before-image is the key's row in the file written by
+  ``prev_epoch`` (an I row has none). The merge hands egress the old
+  row's ``_offset`` (``merge.changes_table``'s ``_old_offset``), and
+  the offset log's per-epoch windows (``_checkpoints/offsets-E.json``)
+  name the epoch that applied it. It is clamped to the latest *anchor*
+  (below).
 
-Every emitted row passes through the driver once; the epoch's change
-rows are delta-sized (a few tables of delta/P rows), so holding them
-costs less than starting a task wave per epoch would.
+A pointer is an epoch plus the key, never a file path, so the files are
+byte-identical across partition counts. A reader maps (epoch, key) to a
+file with the layout that wrote that epoch: ``pid = crc32 % N`` at that
+epoch, then ``checkpoint.partition_file``. An anchor epoch resolves
+through the lake chain it recorded instead. The egress state records
+what the lake cannot tell later:
+
+- ``layouts``: ``[epoch, N]`` from each epoch on whose layout differs
+  from the previous one (``repartition.repartition_lake`` changes it;
+  the stage records the change in the commit of the epoch that has it);
+- ``anchors``: epoch → the lake chain files per pid that
+  :func:`egress_resync` snapshotted, or that :func:`truncate_egress`
+  kept for the before-images of keys last written in truncated epochs;
+- ``epochs``: per egress epoch, the lake (epoch, pid) files its
+  pointers name (``refs``, after- and before-images both) and the key
+  of its image schema in ``images``: the payload columns, in canonical
+  order and types, from which readers rebuild the same ``new_*`` and
+  ``old_*`` columns. Epochs of one schema share one entry.
+
+``checkpoint.LAKE``'s GC keeps every lake file a committed egress epoch
+points to (:func:`lake_refs`, read from the state alone) and the latest
+anchor's chain; truncating egress epochs releases theirs.
+
+**Read cost.** A reader decodes every lake file its rows point to,
+whole: the keyed read is an ``is_in`` filter on ``_kh``, which prunes
+no row group (``checkpoint.LAKE_ROW_GROUP``). A before-image usually
+points at an old file, on a tailing lake at the bootstrap epoch's, so
+even a small :func:`consume_egress` batch costs O(referenced files),
+up to the size of the lake, where an image copy cost its own rows. On
+a tail_head window (bootstrap + 11 epochs, P = 4, 3.7 K egress rows;
+a 4-core host held to one CPU) a 50-row batch decoded 4.6-4.9 MB of
+Parquet in 104-131 ms against 0.2 MB in 21-32 ms for image copies, and
+one epoch's ``egress_table(from_epoch=e)`` 4.4-4.5 MB against 0.12 MB.
+
+The write is an O(delta) reshape on the driver, no Ray task: take the
+epoch's change tables (``merge.epoch_changes`` without old payload),
+split their rows by key-hash shard (md5-lower-64 of ``repo\\x1fpath``
+mod num_shards — the interpreter-stable, *SQL-reproducible* hash the
+oracle suite standardizes on), sort each touched shard by key, assign
+the global sequence number, atomic-write
+``egress/shard-SSSSS-epoch-EEEEEE.parquet``. Readers
+(:func:`egress_table`, :func:`egress_dataset`, :func:`consume_egress`)
+resolve the pointers with one keyed read per referenced lake file.
 
 **Determinism / exactly-once.** Egress output is byte-identical across
 partition counts, replays and crash recoveries:
 
 - shard assignment and intra-shard order (``repo, path``) depend only
-  on row content; the per-epoch column set is the union across *all*
+  on row content; the per-epoch image schema is the union across *all*
   change tables (partition-independent) in canonical order;
 - ``seq`` — the global position a consumer resumes from — numbers rows
   (epoch-major, then shard, then key) from a ``next_seq`` carried in
@@ -65,6 +105,8 @@ CDC tier, not a port.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import os
 
 import numpy as np
@@ -72,8 +114,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from silk_ray.cdc import chain
 from silk_ray.cdc import checkpoint as ckpt
-from silk_ray.cdc.merge import epoch_changes, inserts_table
+from silk_ray.cdc.merge import (
+    _as_array, _read_chain, epoch_changes, inserts_table, key_hash, reconcile_tables,
+)
 from silk_ray.kernel.index import md5_lower64_batch
 
 KEY_COLS = ("repo", "path")
@@ -83,12 +128,61 @@ _SEP = "\x1f"
 # ------------------------------------------------------------------ state
 
 
-read_egressstate = ckpt.EGRESS.read
+def read_egressstate(root: str) -> dict:
+    """The committed egress state. A stream written as image copies
+    (before egress files became pointers) has no ``layouts``: its files
+    cannot be resolved, so it is refused loudly."""
+    state = ckpt.EGRESS.read(root)
+    if "layouts" not in state:
+        raise RuntimeError(
+            f"the egress stream at {root!r} holds image copies, not pointers into the "
+            "lake: remove egress/ and _egressstate.json, then run egress_resync(root) "
+            "and have consumers re-snapshot"
+        )
+    return state
+
+
 commit_egressstate = ckpt.EGRESS.commit
 
 
 def _shard_rel(epoch: int, shard: int) -> str:
     return os.path.join("egress", f"shard-{shard:05d}-epoch-{epoch:06d}.parquet")
+
+
+def _with_layout(state: dict, epoch: int, num_partitions: int) -> dict:
+    """``state`` with the lake layout of ``epoch`` recorded (a new
+    ``layouts`` entry only when it differs from the latest)."""
+    layouts = [list(x) for x in state["layouts"]]
+    if not layouts or layouts[-1][1] != num_partitions:
+        layouts.append([epoch, num_partitions])
+    return {**state, "layouts": layouts}
+
+
+def _layout(state: dict, epoch: int) -> int:
+    """The lake's partition count at ``epoch``."""
+    n = None
+    for start, num in state["layouts"]:
+        if start > epoch:
+            break
+        n = num
+    if n is None:
+        raise RuntimeError(f"egress state records no lake layout at epoch {epoch}")
+    return n
+
+
+def _anchor_floor(state: dict) -> int:
+    """The latest anchor epoch (1 without one): no pointer written from
+    now on names an earlier epoch."""
+    return max((int(e) for e in state["anchors"]), default=1)
+
+
+def _with_anchor(root: str, state: dict, epoch: int) -> dict:
+    """``state`` with lake epoch ``epoch``'s chain recorded as an anchor."""
+    manifest = ckpt.read_manifest_at(root, epoch)
+    chains = {str(pid): list(info["files"])
+              for pid, info in sorted(manifest.partitions.items()) if info.get("files")}
+    anchors = {**state["anchors"], str(epoch): chains}
+    return _with_layout({**state, "anchors": anchors}, epoch, manifest.num_partitions)
 
 
 # --------------------------------------------------------------- reshape
@@ -102,74 +196,116 @@ def _shard_ids(t: pa.Table, num_shards: int) -> np.ndarray:
     return (md5_lower64_batch(keys) % np.uint64(num_shards)).astype(np.int64)
 
 
-def _canonical_fields(schemas: list[pa.Schema]) -> list[pa.Field]:
-    """Union of the epoch's change schemas in canonical (P-independent)
-    order: op, repo, path, new_* sorted, old_* sorted. The union over
-    ALL partitions' change tables depends only on what the lake state and
-    this epoch's payloads contain — not on the partition count."""
+def _image_fields(tables: list[pa.Table]) -> list[pa.Field]:
+    """The payload columns whose ``new_*``/``old_*`` pairs the epoch's
+    change tables carry, in canonical (P-independent) order: sorted by
+    name. The union over ALL partitions' change tables depends only on
+    what the lake state and this epoch's payloads contain — not on the
+    partition count. Both sides of a pair have the payload column's
+    type, so one list describes both."""
     merged: dict[str, pa.Field] = {}
-    for s in schemas:
-        for f in s:
-            prev = merged.get(f.name)
+    for t in tables:
+        for f in t.schema:
+            if not f.name.startswith("new_"):
+                continue
+            name = f.name[len("new_"):]
+            prev = merged.get(name)
             if prev is None or pa.types.is_null(prev.type):
-                merged[f.name] = f
-    news = sorted(n for n in merged if n.startswith("new_"))
-    olds = sorted(n for n in merged if n.startswith("old_"))
-    fields = [pa.field("op", pa.string())]
-    fields += [pa.field(k, pa.string()) for k in KEY_COLS]
-    fields += [merged[n] for n in news + olds]
-    return fields
+                merged[name] = f.with_name(name)
+    return [merged[n] for n in sorted(merged)]
 
 
-def _finalize_shard(
-    parts: list[pa.Table], fields: list[pa.Field], epoch: int, seq_base: int
-) -> pa.Table:
-    """Concat a shard's parts, cast to the canonical epoch schema
-    (missing columns → typed nulls), key-sort, stamp epoch + seq."""
-    merged = pa.concat_tables(parts, promote_options="default")
-    n = merged.num_rows
-    cols: dict[str, pa.Array] = {}
-    for f in fields:
-        if f.name in merged.column_names:
-            c = merged[f.name].combine_chunks()
-            cols[f.name] = c if c.type == f.type else pc.cast(c, f.type)
-        else:
-            cols[f.name] = pa.nulls(n, f.type)
-    out = pa.table(cols).sort_by([(k, "ascending") for k in KEY_COLS])
-    out = pa.table(
-        {
-            "seq": pa.array(seq_base + np.arange(n, dtype=np.int64), pa.int64()),
-            "epoch": pa.array(np.full(n, epoch, dtype=np.int64), pa.int64()),
-            **{c: out[c] for c in out.column_names},
-        }
-    )
-    return out
+def _offset_epochs(root: str, offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The epoch in ``[lo, hi]`` that applied each lake row offset: the
+    first whose committed ``next_offset`` (the offset log) exceeds it.
+    An offset applied before ``lo`` maps to ``lo``. Bisects the epochs
+    over the sorted offsets, reading each probed epoch's record once."""
+    order = np.argsort(offsets, kind="stable")
+    srt = offsets[order]
+    out = np.empty(len(srt), np.int64)
+    nxt: dict[int, int] = {}
+
+    def next_offset(e: int) -> int:
+        if e not in nxt:
+            nxt[e] = int(ckpt.read_json(ckpt.offsets_path(root, e))["next_offset"])
+        return nxt[e]
+
+    def split(a: int, b: int, i: int, j: int) -> None:
+        if i == j:
+            return
+        if a >= b:
+            out[i:j] = a
+            return
+        mid = (a + b) // 2
+        k = i + int(np.searchsorted(srt[i:j], next_offset(mid), side="left"))
+        split(a, mid, i, k)
+        split(mid + 1, b, k, j)
+
+    split(lo, hi, 0, len(srt))
+    res = np.empty_like(out)
+    res[order] = out
+    return res
+
+
+def _pointer_table(t: pa.Table, prev_epoch) -> pa.Table:
+    """One change table's pointer columns: ``change`` becomes ``op``,
+    ``_old_offset`` becomes ``prev_epoch`` via ``prev_epoch(offsets)``."""
+    off = t["_old_offset"].combine_chunks()
+    prev = pa.nulls(t.num_rows, pa.int64())
+    if off.null_count < len(off):  # an insert-only table names no old row
+        valid = pc.is_valid(off)
+        e = prev_epoch(off.filter(valid).to_numpy())
+        full = np.zeros(t.num_rows, np.int64)
+        full[valid.to_numpy(zero_copy_only=False)] = e
+        prev = pa.array(full, pa.int64(), mask=~valid.to_numpy(zero_copy_only=False))
+    return pa.table({"op": t["change"], "repo": t["repo"], "path": t["path"],
+                     "prev_epoch": prev})
 
 
 def _write_epoch(
-    root: str, epoch: int, tables: list[pa.Table], num_shards: int, seq: int
-) -> tuple[list[str], int]:
+    root: str, state: dict, epoch: int, tables: list[pa.Table], num_shards: int, prev_epoch
+) -> dict:
     """Split the epoch's change tables by key-hash shard and write one
-    key-sorted, seq-stamped file per touched shard (``change`` becomes
-    ``op``), numbering rows from ``seq`` in shard order. The column set
-    is the union over all ``tables``, empty ones included. Returns
-    (files written, next seq)."""
-    tables = [
-        t.rename_columns(["op" if c == "change" else c for c in t.column_names]) for t in tables
-    ]
+    key-sorted, seq-stamped pointer file per touched shard, numbering
+    rows from ``state["next_seq"]`` in shard order. Returns ``state``
+    advanced to ``epoch``: its files, and under ``epochs`` the lake
+    (epoch, pid) files its pointers name (``refs``) and its image
+    schema, kept once in ``images`` for every epoch that shares it (the
+    union of all ``tables``' payload columns, empty tables included)."""
     by_shard: dict[int, list[pa.Table]] = {}
     for t in tables:
-        sid = _shard_ids(t, num_shards)
+        if not t.num_rows:
+            continue
+        ptr = _pointer_table(t, prev_epoch)
+        sid = _shard_ids(ptr, num_shards)
         for s in np.unique(sid):
-            by_shard.setdefault(int(s), []).append(t.filter(pa.array(sid == s)))
-    fields = _canonical_fields([t.schema for t in tables])
-    rels = []
+            by_shard.setdefault(int(s), []).append(ptr.filter(pa.array(sid == s)))
+    seq = int(state["next_seq"])
+    rels, refs = [], {}
     for s in sorted(by_shard):
-        out = _finalize_shard(by_shard[s], fields, epoch, seq)
+        part = pa.concat_tables(by_shard[s]).sort_by([(k, "ascending") for k in KEY_COLS])
+        n = part.num_rows
+        out = pa.table({
+            "seq": pa.array(seq + np.arange(n, dtype=np.int64), pa.int64()),
+            "epoch": pa.array(np.full(n, epoch, dtype=np.int64), pa.int64()),
+            **{c: part[c] for c in part.column_names},
+        })
+        after, before, kh = _pointers(out)
+        for ptr in (after, before):
+            for e, p in _groups(state, ptr, kh):
+                refs.setdefault(str(e), set()).add(p)
         rels.append(_shard_rel(epoch, s))
         ckpt.atomic_write_parquet(out, os.path.join(root, rels[-1]))
-        seq += out.num_rows
-    return rels, seq
+        seq += n
+    state = {**state, "epoch": epoch, "next_seq": seq, "num_shards": num_shards}
+    if rels:
+        images = base64.b64encode(pa.schema(_image_fields(tables)).serialize().to_pybytes())
+        key = hashlib.sha256(images).hexdigest()[:16]
+        state["files"] = {**state["files"], str(epoch): rels}
+        state["images"] = {**state["images"], key: images.decode()}
+        state["epochs"] = {**state["epochs"], str(epoch): {
+            "images": key, "refs": {e: sorted(p) for e, p in sorted(refs.items())}}}
+    return state
 
 
 # ---------------------------------------------------------------- update
@@ -198,9 +334,10 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
     changes = None
     if epoch == int(state["epoch"]) + 1:
         try:
-            changes = epoch_changes(root, epoch)
+            changes = epoch_changes(root, epoch, old_payload=False)
+            layout = ckpt.read_manifest_at(root, epoch).num_partitions
         except FileNotFoundError:
-            pass  # the epoch's manifests were GC'd
+            changes = None  # the epoch's manifests were GC'd
     if changes is None:
         raise RuntimeError(
             f"egress at epoch {state['epoch']} cannot emit epoch {epoch}: the change set "
@@ -208,26 +345,26 @@ def update_egress(root: str, epoch: int, num_shards: int = 16) -> dict:
             "(EngineConfig.retain_epochs) — deltas are unrecoverable. Run "
             "egress_resync(root) and have consumers re-snapshot."
         )
+    state = _with_layout(state, epoch, layout)
+    floor = _anchor_floor(state)
     start = int(state["next_seq"])
-    rels, seq = _write_epoch(root, epoch, changes, num_shards, start)
-    new_files = dict(state["files"])
-    if rels:
-        new_files[str(epoch)] = rels
-    commit_egressstate(root, {
-        **state,
-        "epoch": epoch, "next_seq": seq, "files": new_files, "num_shards": num_shards,
-    })
+    state = _write_epoch(root, state, epoch, changes, num_shards,
+                         lambda offs: _offset_epochs(root, offs, floor, epoch - 1))
+    commit_egressstate(root, state)
+    seq = state["next_seq"]
     return {
         "epoch": epoch, "mode": "delta", "rows": seq - start,
-        "files": len(rels), "next_seq": seq,
+        "files": len(state["files"].get(str(epoch), [])), "next_seq": seq,
     }
 
 
 def egress_resync(root: str, num_shards: int = 16) -> dict:
     """Initial-snapshot epoch: every live lake row as an ``I`` with a
-    null before-image, stamped at the current merge epoch; the delta
+    null before-image, stamped at the current merge epoch R; the delta
     stream continues from there. The standard CDC-producer answer to
-    "the binlog was purged": consumers re-snapshot, then resume.
+    "the binlog was purged": consumers re-snapshot, then resume. R
+    becomes an anchor: its pointers, and every later before-image of a
+    key last written before R, resolve through the chain at R.
 
     Scale note: this is the ONE egress path that scans state — it runs
     as a streaming Dataset over the lake snapshot, reshaped per batch
@@ -245,21 +382,139 @@ def egress_resync(root: str, num_shards: int = 16) -> dict:
         t for t in scan.iter_batches(batch_format="pyarrow", batch_size=None)
         if t.num_rows
     ]
+    state = _with_anchor(root, state, merge_epoch)
     start = int(state["next_seq"])
-    rels, seq = _write_epoch(root, merge_epoch, parts, num_shards, start)
-    new_files = dict(state["files"])
-    new_files[str(merge_epoch)] = rels
-    commit_egressstate(
-        root,
-        {
-            "epoch": merge_epoch, "next_seq": seq, "files": new_files,
-            "num_shards": num_shards, "resync_epochs": sorted(
-                set(state.get("resync_epochs", [])) | {merge_epoch}
-            ),
-        },
-    )
-    return {"epoch": merge_epoch, "mode": "snapshot_resync",
-            "rows": seq - start, "files": len(rels), "next_seq": seq}
+    state = _write_epoch(root, state, merge_epoch, parts, num_shards, None)
+    state["resync_epochs"] = sorted(set(state.get("resync_epochs", [])) | {merge_epoch})
+    commit_egressstate(root, state)
+    seq = state["next_seq"]
+    return {"epoch": merge_epoch, "mode": "snapshot_resync", "rows": seq - start,
+            "files": len(state["files"].get(str(merge_epoch), [])), "next_seq": seq}
+
+
+# -------------------------------------------------------------- pointers
+
+
+def _pointers(t: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pointer table's after- and before-image epochs per row (-1
+    where the row has no such image) and its rows' key hashes."""
+    is_del = pc.equal(t["op"], "D").combine_chunks().to_numpy(zero_copy_only=False)
+    after = np.where(is_del, -1, t["epoch"].combine_chunks().to_numpy())
+    before = pc.fill_null(t["prev_epoch"], -1).combine_chunks().to_numpy()
+    return after, before, key_hash(t)
+
+
+def _lake_files(state: dict, epoch: int, pids) -> list[str]:
+    """The lake files (relative to the root) that hold epoch ``epoch``'s
+    images of keys in partitions ``pids``."""
+    anchor = state["anchors"].get(str(epoch))
+    if anchor is not None:
+        return [f for p in pids for f in anchor.get(str(p), [])]
+    return [ckpt.partition_file("", int(p), epoch) for p in pids]
+
+
+def _groups(state: dict, ptr: np.ndarray, kh: np.ndarray) -> dict[tuple, np.ndarray]:
+    """(epoch, pid) → the rows whose pointer resolves there."""
+    out = {}
+    for e in np.unique(ptr[ptr >= 0]):
+        rows = np.flatnonzero(ptr == e)
+        pids = kh[rows] % _layout(state, int(e))
+        for p in np.unique(pids):
+            out[(int(e), int(p))] = rows[pids == p]
+    return out
+
+
+def _resolve(root: str, state: dict, parts: list[tuple[str, pa.Table]]) -> list[pa.Table]:
+    """(egress file, pointer rows read from it) pairs → the egress rows
+    with their images: ``seq, epoch, op, repo, path`` and the epoch's
+    ``new_*``/``old_*`` columns. One keyed read per referenced lake
+    file (an anchor's chain is reconciled); each decodes the whole
+    file, so a read costs the referenced files, not its rows."""
+    sides = []  # per table: (after groups, before groups, rows)
+    want: dict[tuple, list[np.ndarray]] = {}
+    for _rel, t in parts:
+        after, before, kh = _pointers(t)
+        groups = (_groups(state, after, kh), _groups(state, before, kh), t.num_rows)
+        for side in groups[:2]:
+            for g, rows in side.items():
+                want.setdefault(g, []).append(kh[rows])
+        sides.append(groups)
+    images = {}
+    for (e, p), khs in sorted(want.items()):
+        kh_filter = pa.array(np.unique(np.concatenate(khs)), pa.int64())
+        img = reconcile_tables(_read_chain(root, _lake_files(state, e, [p]), kh_filter))
+        images[(e, p)] = img.append_column("_k", chain.LAKE.key(img))
+    out = []
+    for (rel, t), (after, before, n) in zip(parts, sides):
+        epoch = state["epochs"][str(ckpt.file_epoch(rel))]
+        fields = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(
+            state["images"][epoch["images"]])))
+        keys = chain.LAKE.key(t)
+        cols = {c: t[c].combine_chunks() for c in ("seq", "epoch", "op", *KEY_COLS)}
+        for prefix, groups in (("new_", after), ("old_", before)):
+            cols.update(_take_images(groups, n, keys, fields, prefix, images))
+        out.append(pa.table(cols))
+    return out
+
+
+def _take_images(groups, n, keys, fields, prefix, images) -> dict[str, pa.Array]:
+    """``prefix`` + each payload column of ``fields`` for the ``n``
+    rows, from the image each row's pointer names (``groups``); null
+    where a row has none."""
+    pieces: dict[str, list[pa.Array]] = {f.name: [] for f in fields}
+    order = []
+    for g, rows in groups.items():
+        img = images[g]
+        pos = pc.index_in(keys.take(pa.array(rows)), value_set=img["_k"])
+        if pos.null_count:
+            raise RuntimeError(
+                f"an egress pointer to epoch {g[0]}, partition {g[1]} names a key that "
+                "the lake file does not hold"
+            )
+        for f in fields:
+            col = (_as_array(img[f.name]).take(pos) if f.name in img.column_names
+                   else pa.nulls(len(rows), f.type))
+            pieces[f.name].append(col if col.type == f.type else pc.cast(col, f.type))
+        order.append(rows)
+    hit = np.zeros(n, bool)
+    for rows in order:
+        hit[rows] = True
+    rest = np.flatnonzero(~hit)
+    inverse = pa.array(np.argsort(np.concatenate([*order, rest]), kind="stable"))
+    return {
+        prefix + f.name:
+            pa.concat_arrays([*pieces[f.name], pa.nulls(len(rest), f.type)]).take(inverse)
+        for f in fields
+    }
+
+
+def lake_refs(root: str) -> set[str]:
+    """Every lake file (relative to the root) that a committed egress
+    epoch points to, through after- and before-images (each epoch's
+    ``refs`` in the state), plus the latest anchor's chain: later
+    before-images may still point there."""
+    state = read_egressstate(root)
+    out = {f for e in state["files"] for le, pids in state["epochs"][e]["refs"].items()
+           for f in _lake_files(state, int(le), pids)}
+    if state["anchors"]:
+        latest = state["anchors"][str(_anchor_floor(state))]
+        out.update(f for files in latest.values() for f in files)
+    return {os.path.normpath(f) for f in out}
+
+
+def egress_storage(root: str) -> dict:
+    """What the stream costs on disk: its files' bytes, and the lake
+    files (and bytes) that only its pointers keep — no lake state names
+    them, so truncating the stream would release them."""
+    def size(rel: str) -> int:
+        try:
+            return os.path.getsize(os.path.join(root, rel))
+        except OSError:  # removed by a concurrent GC
+            return 0
+
+    only = lake_refs(root) - ckpt.LAKE.named(root, ckpt.LAKE.read(root), pins=False)
+    return {"bytes": sum(size(r) for r in _live_rels(read_egressstate(root))),
+            "lake_pinned_files": len(only), "lake_pinned_bytes": sum(size(f) for f in only)}
 
 
 # --------------------------------------------------------------- readers
@@ -276,22 +531,34 @@ def _live_rels(state: dict, from_epoch: int | None = None) -> list[str]:
 
 def egress_dataset(root: str, from_epoch: int | None = None):
     """The downstream changelog as a streaming Dataset (the scale
-    path: consumers tail from a seq/epoch position)."""
+    path: consumers tail from a seq/epoch position), one resolving task
+    per egress file."""
     import ray.data as rd
 
     rels = _live_rels(read_egressstate(root), from_epoch)
     if not rels:
         return rd.from_arrow(pa.table({"seq": pa.array([], pa.int64())}))
-    return rd.read_parquet([os.path.join(root, r) for r in rels])
+
+    def load(batch: pa.Table) -> pa.Table:
+        # the state as the task runs, not as the Dataset was built: a
+        # truncate in between may re-anchor an epoch, and the lake GC
+        # keeps only the files the committed state points to
+        state = read_egressstate(root)
+        parts = [(r, pq.read_table(os.path.join(root, r))) for r in batch["rel"].to_pylist()]
+        return pa.concat_tables(_resolve(root, state, parts), promote_options="default")
+
+    return rd.from_items([{"rel": r} for r in rels]).map_batches(
+        load, batch_format="pyarrow", batch_size=1
+    )
 
 
 def egress_table(root: str, from_epoch: int | None = None) -> pa.Table:
     """Driver-side egress stream in seq order, schemas unified across
     epochs (early epochs may predate evolved columns). Test/small-lake
     helper — the streaming path is :func:`egress_dataset`."""
-    rels = _live_rels(read_egressstate(root), from_epoch)
-    parts = [pq.read_table(os.path.join(root, r)) for r in rels]
-    parts = [t for t in parts if t.num_rows]
+    state = read_egressstate(root)
+    parts = [(r, pq.read_table(os.path.join(root, r))) for r in _live_rels(state, from_epoch)]
+    parts = _resolve(root, state, [(r, t) for r, t in parts if t.num_rows])
     if not parts:
         return pa.table({})
     out = pa.concat_tables(parts, promote_options="default")
@@ -395,8 +662,10 @@ def consume_egress(root: str, group: str, max_rows: int | None = None) -> pa.Tab
     """Rows with seq > the group's committed position, in seq order.
 
     File selection is footer-pruned on the seq statistics: a caught-up
-    consumer touches no row data. ``max_rows`` caps the batch (rows are
-    never split mid-seq — seqs are unique, so any prefix is valid). The
+    consumer touches no row data. The batch's images are read from the
+    lake files its rows point to, each decoded whole (see "Read cost"
+    in the module docstring). ``max_rows`` caps the batch (rows are never
+    split mid-seq — seqs are unique, so any prefix is valid). The
     caller processes the batch, then ``commit_consumer(root, group,
     batch["seq"][-1])`` — crash before the commit and the same rows
     come back."""
@@ -410,15 +679,17 @@ def consume_egress(root: str, group: str, max_rows: int | None = None) -> pa.Tab
             continue
         t = pq.read_table(path, filters=[("seq", ">", committed)])
         if t.num_rows:
-            parts.append(t)
+            parts.append((rel, t))
     if not parts:
         return pa.table({"seq": pa.array([], pa.int64())})
-    out = pa.concat_tables(parts, promote_options="default").sort_by(
-        [("seq", "ascending")]
-    )
-    if max_rows is not None and out.num_rows > max_rows:
-        out = out.slice(0, max_rows)
-    return out
+    if max_rows is not None:
+        # the batch's last seq; a file past it still lends its columns
+        seqs = np.sort(np.concatenate([t["seq"].to_numpy() for _rel, t in parts]))
+        if len(seqs) > max_rows:
+            last = pa.scalar(int(seqs[max_rows - 1]) if max_rows else -1, pa.int64())
+            parts = [(rel, t.filter(pc.less_equal(t["seq"], last))) for rel, t in parts]
+    out = pa.concat_tables(_resolve(root, state, parts), promote_options="default")
+    return out.sort_by([("seq", "ascending")])
 
 
 def consumer_lag(root: str) -> dict[str, int]:
@@ -437,29 +708,45 @@ def truncate_egress(root: str, upto_epoch: int, force: bool = False) -> int:
     registered consumer group has not committed past is refused loudly
     (its footer max seq exceeds the group's position) unless ``force``
     — forcing strands that group and is the operator saying so.
-    Returns files removed."""
+
+    Every epoch is checked before anything changes; then the trimmed
+    state commits, and only then are the files deleted, so a refusal
+    or a crash never leaves the committed state naming a deleted file
+    (a crash leaves unreferenced files, which the egress GC sweeps).
+    The commit anchors the stream at its epoch: keys last written in a
+    truncated epoch keep their before-images in that epoch's lake chain,
+    and the lake files that only the dropped epochs pointed to are
+    released to the lake GC. Returns files removed."""
     state = read_egressstate(root)
-    floor = min(consumer_groups(root).values(), default=None)
-    removed = 0
-    files = dict(state["files"])
-    for e in list(files):
-        if int(e) <= upto_epoch:
-            if not force and floor is not None:
-                for rel in files[e]:
-                    rng = _file_seq_range(os.path.join(root, rel))
-                    if rng is not None and rng[1] > floor:
-                        slow = [g for g, s in consumer_groups(root).items() if s == floor]
-                        raise ValueError(
-                            f"truncating egress epoch {e} would drop seqs up to "
-                            f"{rng[1]} but consumer group(s) {slow} are committed "
-                            f"at {floor}; let them catch up or pass force=True to "
-                            "strand them"
-                        )
-            for rel in files.pop(e):
-                try:
-                    os.remove(os.path.join(root, rel))
-                    removed += 1
-                except OSError:
-                    pass
-    commit_egressstate(root, {**state, "files": files})
-    return removed
+    drop = {e: rels for e, rels in state["files"].items() if int(e) <= upto_epoch}
+    groups = consumer_groups(root)
+    floor = min(groups.values(), default=None)
+    if not force and floor is not None:
+        for e in sorted(drop, key=int):
+            for rel in drop[e]:
+                rng = _file_seq_range(os.path.join(root, rel))
+                if rng is not None and rng[1] > floor:
+                    slow = [g for g, s in groups.items() if s == floor]
+                    raise ValueError(
+                        f"truncating egress epoch {e} would drop seqs up to "
+                        f"{rng[1]} but consumer group(s) {slow} are committed "
+                        f"at {floor}; let them catch up or pass force=True to "
+                        "strand them"
+                    )
+    if not drop:
+        return 0
+    files = {e: rels for e, rels in state["files"].items() if e not in drop}
+    epochs = {e: v for e, v in state["epochs"].items() if e not in drop}
+    state = {**state, "files": files, "epochs": epochs,
+             "images": {k: v for k, v in state["images"].items()
+                        if any(x["images"] == k for x in epochs.values())}}
+    try:
+        state = _with_anchor(root, state, int(state["epoch"]))
+    except FileNotFoundError:
+        pass  # the stream's epoch fell out of retention: it resumes by a resync
+    # an anchor stays while a kept epoch points at it; the latest always
+    kept = {int(e) for x in epochs.values() for e in x["refs"]}
+    state["anchors"] = {e: a for e, a in state["anchors"].items()
+                        if int(e) in kept or int(e) == _anchor_floor(state)}
+    commit_egressstate(root, state)
+    return sum(ckpt._remove(os.path.join(root, rel)) for rels in drop.values() for rel in rels)

@@ -33,8 +33,11 @@ Storage GC (post-commit, after the crash catch-up and after each epoch;
 ``EngineConfig.gc``, off = no sweep at all): superseded lake and link
 index chain files and the files of crashed attempts are deleted — the
 lake's and the link store's (``links/`` + ``blockmap/``, via
-``gc_blockmap``) through one ``EpochStore.gc`` rule. A tailing engine
-keeps O(live state + in-flight epoch) files, not O(history). Every
+``gc_blockmap``) through one ``EpochStore.gc`` rule. The lake keeps
+every file the egress stream points to (its after- and before-images),
+and the egress stage sweeps the files a crashed truncate left behind.
+A tailing engine keeps O(live state + in-flight epoch) files, not
+O(history), apart from what egress consumers have not truncated. Every
 rule retains a one-epoch rollback window (``prev_files`` /
 ``links_files_prev`` + ``blockmap_prev``) and the lake keeps every
 retained epoch's delta files, so crash replay, a one-epoch checkpoint
@@ -180,7 +183,12 @@ def _stages(changelog, config: EngineConfig) -> list[tuple]:
         ),
         # egress and windows are sequential: a lagging store applies
         # each missed epoch in turn
-        (config.egress, "egress", egress_to, None),
+        (
+            config.egress,
+            "egress",
+            egress_to,
+            lambda root: ckpt.EGRESS.gc(root, retain_epochs=retain),
+        ),
         (
             config.window_spec is not None,
             "windows",

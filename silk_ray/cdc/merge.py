@@ -7,7 +7,8 @@ LSM-style so per-epoch cost is O(delta), not O(state):
 - events for epoch E = offset window ``[next_offset, next_offset+size)``
   read with Parquet row-group pushdown;
 - key partitioning: ``pid = crc32(repo \\x00 path) % P``; the crc is
-  also persisted as the ``_kh`` row key-hash used for row-group pruning.
+  also persisted as the ``_kh`` row key-hash, the chain files' sort key
+  and the filter of their keyed reads.
   A direct two-stage exchange (read-and-split tasks → per-pid
   object-store shards, see :func:`run_epoch`) co-locates every key's
   events in one merge task per touched partition;
@@ -19,12 +20,14 @@ LSM-style so per-epoch cost is O(delta), not O(state):
   2. reduce to the **net** last event per key (last-writer-wins within
      the epoch: sort by (key, offset), keep last per key);
   3. look up the pre-epoch rows of just the changed keys in the
-     partition's delta chain: reads filtered on ``_kh`` so Parquet
-     row-group statistics prune untouched row groups, then the chain
-     reconcile of ``chain.py`` (newest file wins, tombstones drop out).
-     The payload columns are read only when a store takes the change
-     table (the agg view, egress); the link index needs only which keys
-     were there (step 6);
+     partition's delta chain: each file is read with a ``_kh`` ``is_in``
+     filter, which drops rows after decoding and prunes no row group
+     (pyarrow never tests ``is_in`` against row-group statistics, and an
+     engine file is one row group), then the chain reconcile of
+     ``chain.py`` (newest file wins, tombstones drop out). The payload
+     columns are read only for the agg view, which takes the old
+     images; egress needs only the old rows' ``_offset`` and the link
+     index only which keys were there (step 6);
   4. write ONE per-epoch **delta file**: net upserts (full payload +
      ``_offset``) and tombstones (``_deleted=true``) — never a rewrite
      of the whole partition. Steps 1, 2 and the file's row order run
@@ -109,15 +112,20 @@ def _crc_keys(keys) -> np.ndarray:
     return np.fromiter((zlib.crc32(k) for k in keys), dtype=np.int64, count=len(keys))
 
 
+def key_hash(t: pa.Table) -> np.ndarray:
+    """The persisted ``_kh`` of each row: crc32 of ``repo \\x00 path``."""
+    return _crc_keys(pc.binary_join_element_wise(
+        pc.cast(t["repo"], pa.binary()), pc.cast(t["path"], pa.binary()), b"\x00"
+    ))
+
+
 def add_pid_column(num_partitions: int):
-    """Append ``_kh`` (stable key hash, persisted for row-group pruning)
-    and ``pid`` (= _kh % P, the merge shuffle key)."""
+    """Append ``_kh`` (stable key hash, persisted as the chain files'
+    sort and read-filter key) and ``pid`` (= _kh % P, the merge shuffle
+    key)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        joined = pc.binary_join_element_wise(
-            pc.cast(batch["repo"], pa.binary()), pc.cast(batch["path"], pa.binary()), b"\x00"
-        )
-        kh = _crc_keys(joined)
+        kh = key_hash(batch)
         batch = batch.append_column("_kh", pa.array(kh, pa.int64()))
         return batch.append_column("pid", pa.array(kh % num_partitions, pa.int32()))
 
@@ -191,12 +199,14 @@ def _read_chain(
     kh_filter: pa.Array | None = None,
     columns: list[str] | None = None,
 ) -> list[pa.Table]:
-    """Read a partition's delta chain; with ``kh_filter`` set, reads are
-    filtered on the persisted ``_kh`` key hash so Parquet row-group
-    statistics can prune row groups holding no changed key. With
-    ``columns`` set, only those columns (intersected with each file's
-    own schema — evolution means chains are ragged) leave storage;
-    callers must include the key/internal columns reconcile needs."""
+    """Read a partition's delta chain; with ``kh_filter`` set, only rows
+    whose persisted ``_kh`` key hash is in it are kept. The filter is
+    applied after each file is decoded: it is an ``is_in``, which
+    pyarrow never tests against row-group statistics, so it saves
+    memory, not reads. With ``columns`` set, only those columns
+    (intersected with each file's own schema — evolution means chains
+    are ragged) leave storage; callers must include the key/internal
+    columns reconcile needs."""
     return [t for t, _schema in _read_files(root, files, kh_filter, columns)]
 
 
@@ -240,6 +250,7 @@ class MergePartition:
         *,
         compact: frozenset,
         hand_off: bool,
+        old_payload: bool = True,
     ):
         self.root = root
         self.epoch = epoch
@@ -254,6 +265,9 @@ class MergePartition:
         self.n_block_partitions = n_block_partitions
         self.compact = compact  # pids whose chain this epoch compacts
         self.hand_off = hand_off  # return the change table to the driver
+        # the handed-off table carries the old payload images (else only
+        # the old rows' ``_offset``)
+        self.old_payload = old_payload
 
     def __call__(self, group: pa.Table) -> dict:
         """Merge one partition's events; returns its metrics, plus its
@@ -323,9 +337,10 @@ class MergePartition:
         net = ev.filter(_run_edge_mask(ev["_k"], last=True))
         payload_cols = _payload_columns(events.schema)
 
-        # -- 3. pre-epoch rows of changed keys (pruned chain read) -------
-        # Only a change table handed off reads their payload (the link
-        # index takes its old key sets from its own entity chain).
+        # -- 3. pre-epoch rows of changed keys (keyed chain read) -------
+        # Only a change table handed off with its old images reads their
+        # payload (egress points at old rows by their ``_offset``; the
+        # link index takes its old key sets from its own entity chain).
         # Otherwise the read is projected to the key and internal
         # columns, and the state schema comes from the footers of the
         # files whose filtered read had rows: the schema the full read
@@ -333,7 +348,7 @@ class MergePartition:
         old = chain_schema = None
         payload_read = False
         if net.num_rows and files:
-            payload_read = self.hand_off
+            payload_read = self.hand_off and self.old_payload
             read = _read_files(
                 self.root, files, pc.unique(net["_kh"].combine_chunks()),
                 None if payload_read else [*KEY_COLS, *INTERNAL_COLS],
@@ -440,14 +455,17 @@ class MergePartition:
 
 
 def changes_table(delta: pa.Table, old: pa.Table | None) -> pa.Table:
-    """One partition's change rows ``(repo, path, change, new_*, old_*)``,
-    one per row of its epoch delta file (a key inserted and deleted
-    within the epoch has none), sorted by key: D for a tombstone, U for
-    a key the pre-epoch chain rows ``old`` hold, else I; ``new_*`` from
-    the delta (null on a tombstone), ``old_*`` from ``old``, a pair per
-    payload column in the delta's order and types. An ``old`` read
-    without payload (keys and internal columns only) gives null
-    ``old_*``: enough for a reader of the new side, the link index."""
+    """One partition's change rows ``(repo, path, change, new_*, old_*,
+    _old_offset)``, one per row of its epoch delta file (a key inserted
+    and deleted within the epoch has none), sorted by key: D for a
+    tombstone, U for a key the pre-epoch chain rows ``old`` hold, else
+    I; ``new_*`` from the delta (null on a tombstone), ``old_*`` from
+    ``old``, a pair per payload column in the delta's order and types;
+    ``_old_offset`` is the old row's ``_offset`` (null on an I), which
+    names the epoch that wrote it. An ``old`` read without payload (keys
+    and internal columns only) gives null ``old_*``: enough for the
+    link index, which reads the new side, and for egress, which points
+    at the old row by its offset."""
     delta = delta.sort_by([("repo", "ascending"), ("path", "ascending")])
     n = delta.num_rows
     if old is not None and old.num_rows:
@@ -470,6 +488,10 @@ def changes_table(delta: pa.Table, old: pa.Table | None) -> pa.Table:
             cols[f"old_{f.name}"] = ocol.take(pos)
         else:
             cols[f"old_{f.name}"] = pa.nulls(n, f.type)
+    if old is not None and old.num_rows:
+        cols["_old_offset"] = pc.cast(old["_offset"].combine_chunks(), pa.int64()).take(pos)
+    else:
+        cols["_old_offset"] = pa.nulls(n, pa.int64())
     return pa.table(cols)
 
 
@@ -999,15 +1021,18 @@ def run_epoch(
 
     # the merge tasks hand the epoch's change tables to the driver only
     # when a store that reads them committed E-1 (an absent store reads
-    # as epoch 0, hence epoch > 1); the link store gets its index rows
-    # instead, or derives them from the lake
-    readers = [ckpt.AGG_VIEW, ckpt.EGRESS]
+    # as epoch 0, hence epoch > 1), with the old payload images only for
+    # the agg view (egress needs the old rows' offsets alone); the link
+    # store gets its index rows instead, or derives them from the lake
+    due = {s.name: epoch > 1 and int(s.read(root)["epoch"]) == epoch - 1
+           for s in (ckpt.AGG_VIEW, ckpt.EGRESS)}
     merger = MergePartition(
         root, epoch, hwm, part_files, part_rows, renames,
         link_spec=link_spec, n_block_partitions=n_block_partitions,
         # a touched partition's chain grows by this epoch's delta file
         compact=frozenset(p for p, fs in part_files.items() if chain.compact_due(len(fs) + 1)),
-        hand_off=epoch > 1 and any(int(s.read(root)["epoch"]) == epoch - 1 for s in readers),
+        hand_off=any(due.values()),
+        old_payload=due[ckpt.AGG_VIEW.name],
     )
 
     # a crashed attempt may have left DLQ shards for this epoch; clear
@@ -1061,7 +1086,8 @@ def run_epoch(
     index = [r.pop("index") for r in metrics_rows]
     payload_reads = sum(r.pop("payload_read") for r in metrics_rows)
     _remember_changes(root, epoch, changes if merger.hand_off else None,
-                      None if link_spec is None else (link_spec, n_block_partitions, index))
+                      None if link_spec is None else (link_spec, n_block_partitions, index),
+                      merger.old_payload)
 
     per_part = {
         int(r["pid"]): {k: int(v) for k, v in r.items() if k not in ("pid", "files")}
@@ -1134,28 +1160,33 @@ def _changes_key(root: str, epoch: int) -> tuple:
 
 
 def _remember_changes(root: str, epoch: int, tables: list[pa.Table] | None,
-                      index: tuple | None = None) -> None:
+                      index: tuple | None = None, old_payload: bool = True) -> None:
     """Remember ``tables`` (None: nothing) as the epoch's change set,
     ``[]`` when no table has a row (as :func:`epoch_changes` derives it),
+    ``old_payload`` telling whether their ``old_*`` images were read,
     and ``index`` (``(rule, n_block_partitions, rows)`` or None) as its
     link-index rows."""
     _CHANGES.clear()
     if tables is not None and not any(t.num_rows for t in tables):
         tables = []
-    _CHANGES[_changes_key(root, epoch)] = {"changes": tables, "index": index}
+    _CHANGES[_changes_key(root, epoch)] = {"changes": tables, "index": index,
+                                           "old_payload": old_payload}
 
 
-def epoch_changes(root: str, epoch: int) -> list[pa.Table]:
+def epoch_changes(root: str, epoch: int, old_payload: bool = True) -> list[pa.Table]:
     """Merge epoch ``epoch``'s change set: one :func:`changes_table` per
     touched partition in partition order, ``[]`` when no key changed.
     The merge tasks' in-memory tables when this process committed the
     epoch for a reader at ``epoch - 1``; otherwise derived (same rows,
     schema and order) from each touched partition's epoch delta file and
     its chain at manifest ``epoch - 1``, which raises FileNotFoundError
-    outside the retention window (``EngineConfig.retain_epochs``)."""
+    outside the retention window (``EngineConfig.retain_epochs``).
+    Without ``old_payload`` the ``old_*`` images may be null (only
+    ``_old_offset`` names the old rows), and a derived read skips the
+    old payload."""
     key = _changes_key(root, epoch)
     entry = _CHANGES.get(key) or {}
-    if entry.get("changes") is None:
+    if entry.get("changes") is None or (old_payload and not entry["old_payload"]):
         prev = ckpt.read_manifest_at(root, epoch - 1).partitions if epoch > 1 else {}
         tables = []
         if not epoch_changed_nothing(root, epoch):
@@ -1166,11 +1197,12 @@ def epoch_changes(root: str, epoch: int) -> list[pa.Table]:
                 files = (prev.get(pid) or {}).get("files")
                 old = None
                 if delta.num_rows and files:
-                    old = reconcile_tables(
-                        _read_chain(root, files, pc.unique(delta["_kh"].combine_chunks()))
-                    )
+                    old = reconcile_tables(_read_chain(
+                        root, files, pc.unique(delta["_kh"].combine_chunks()),
+                        None if old_payload else [*KEY_COLS, *INTERNAL_COLS],
+                    ))
                 tables.append(changes_table(delta, old))
-        _remember_changes(root, epoch, tables, entry.get("index"))
+        _remember_changes(root, epoch, tables, entry.get("index"), old_payload)
     return list(_CHANGES[key]["changes"])
 
 
@@ -1350,12 +1382,13 @@ def lookup_keys(
     (repo, path) keys WITHOUT a lake scan.
 
     Routing uses the pinned partition layout: key → crc32 → pid selects
-    the one chain to read, and the persisted ``_kh`` column lets Parquet
-    row-group statistics prune row groups holding no requested key — at
-    100 TB a k-key lookup touches k partitions' footers plus a handful
-    of row groups, not the lake. Keys are deduplicated; absent or
-    deleted keys simply produce no row. Driver-side by design (point
-    lookups are small); bulk key joins belong in the merge/link paths.
+    the one chain to read, so a k-key lookup reads at most k partitions'
+    chains, not the lake. Each chain file is decoded whole: the
+    persisted ``_kh`` filter is an ``is_in``, which pyarrow applies to
+    decoded rows and never to row-group statistics. Keys are
+    deduplicated; absent or deleted keys simply produce no row.
+    Driver-side by design (point lookups are small); bulk key joins
+    belong in the merge/link paths.
 
     ``num_partitions`` is only consulted for legacy lakes whose manifest
     predates layout pinning.

@@ -727,3 +727,14 @@ def generate_links(
     if link_limit is not None:
         links = links.limit(link_limit)
     return links
+
+
+def links_frame(links):
+    """A link Dataset (:func:`generate_links`) as a pandas frame. Ray
+    skips zero-row blocks, so an empty run's ``to_pandas()`` has no
+    columns; its frame is then built from the Dataset's schema."""
+    links = links.materialize()
+    df = links.to_pandas()
+    if len(df.columns) == 0:
+        df = links.schema().base_schema.empty_table().to_pandas()
+    return df

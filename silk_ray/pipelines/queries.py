@@ -1791,7 +1791,7 @@ def link_names(sf_dir: str):
     The q-gram blocking index is complete for d ≤ θ
     (tests/test_properties.py), so the MultiBlock link set equals the
     oracle's full cross product exactly."""
-    from silk_ray.linking.pipeline import add_uri_column, generate_links
+    from silk_ray.linking.pipeline import add_uri_column, generate_links, links_frame
 
     rule = {
         "operator": {
@@ -1807,7 +1807,7 @@ def link_names(sf_dir: str):
     supp = add_uri_column(_rp(sf_dir, "supplier", ["s_name"]), cols=("s_name",))
     # sequential ids share most q-grams → mega-blocks; salting splits
     # them (output unchanged — verified equal links with/without)
-    links = generate_links(cust, supp, rule, salt_threshold=500, n_salt=32).to_pandas()
+    links = links_frame(generate_links(cust, supp, rule, salt_threshold=500, n_salt=32))
     links["confidence"] = links["confidence"].round(6)
     return links.sort_values(["source", "target"]).reset_index(drop=True)
 
@@ -1830,7 +1830,7 @@ def link_documents(sf_dir: str):
     Every pipeline hash derives from md5-lower-64, so the full rule
     (kmv sketch order, 36 LSH signatures, 6x6 banding, weighted-average
     score, >=0 keep) has an exact SQL oracle."""
-    from silk_ray.linking.pipeline import add_uri_column, generate_links
+    from silk_ray.linking.pipeline import add_uri_column, generate_links, links_frame
 
     rule = {
         "operator": {
@@ -1851,7 +1851,7 @@ def link_documents(sf_dir: str):
     }
     ds = _rp(sf_dir, "documents", ["doc_id", "text", "lang"])
     ds = add_uri_column(ds, cols=("doc_id",), name="uri")
-    links = generate_links(ds, None, rule, source_equals_target=True).to_pandas()
+    links = links_frame(generate_links(ds, None, rule, source_equals_target=True))
     links["confidence"] = links["confidence"].round(6)
     return links.sort_values(["source", "target"]).reset_index(drop=True)
 

@@ -230,13 +230,70 @@ def test_pre_epoch_read_skips_payload_without_a_reader(ray_session, changelog, t
     assert len(deltas[False]) == 2 and deltas[False] == deltas[True]
 
 
+def test_hand_off_without_old_images_reads_no_payload(ray_session, changelog, tmp_path,
+                                                      monkeypatch):
+    """A change table handed off without its old images (egress is the
+    only reader) comes from a pre-epoch read of the key and internal
+    columns: its ``old_*`` are null, ``_old_offset`` holds each U and D
+    row's old offset, the rest equals the full hand-off, and the delta
+    files are the same bytes."""
+    import shutil
+
+    import pyarrow.compute as pc
+
+    from silk_ray.cdc import merge
+
+    root = str(tmp_path / "lake")
+    run_epoch(root, changelog, epoch_size=400, num_partitions=2)
+    m = ckpt.read_manifest(root)
+    window = changelog.filter(pc.and_(pc.greater_equal(changelog["offset"], m.next_offset),
+                                      pc.less(changelog["offset"], m.next_offset + 400)))
+    groups = merge._split_by_pid(window, 2)
+    real, requested = merge._read_files, []
+
+    def spy(root, files, kh_filter=None, columns=None):
+        requested.append(columns)
+        return real(root, files, kh_filter, columns)
+
+    monkeypatch.setattr(merge, "_read_files", spy)
+    outs, deltas = {}, {}
+    for old_payload in (False, True):
+        r = str(tmp_path / f"old_payload-{old_payload}")
+        shutil.copytree(root, r)
+        merger = merge.MergePartition(
+            r, 2, {p: i["hwm"] for p, i in m.partitions.items()},
+            {p: i["files"] for p, i in m.partitions.items()},
+            {p: i["rows"] for p, i in m.partitions.items()},
+            compact=frozenset(), hand_off=True, old_payload=old_payload,
+        )
+        del requested[:]
+        outs[old_payload] = [merger(g) for g in groups.values()]
+        assert [o["payload_read"] for o in outs[old_payload]] == [old_payload] * 2
+        if not old_payload:
+            assert all(set(c) == {"repo", "path", "_offset", "_deleted", "_kh"}
+                       for c in requested)
+        deltas[old_payload] = {f: b for f, b in _partition_bytes(r).items()
+                               if "epoch-000002" in f}
+    assert len(deltas[False]) == 2 and deltas[False] == deltas[True]
+    for lean, full in zip(outs[False], outs[True]):
+        lean, full = lean["changes"], full["changes"]
+        assert lean.num_rows and lean.column_names == full.column_names
+        for c in lean.column_names:
+            want = pa.nulls(full.num_rows, full[c].type) if c.startswith("old_") else full[c]
+            assert lean[c].combine_chunks().equals(pa.chunked_array([want]).combine_chunks()), c
+        old = pc.is_valid(lean["_old_offset"]).to_pylist()
+        assert old == [ch != "I" for ch in lean["change"].to_pylist()]
+        assert any(old) and not all(old)
+
+
 def test_link_index_reads_no_pre_epoch_payload(ray_session, changelog, tmp_path, monkeypatch):
     """With the link index as the only reader of the change set, a merge
     task's pre-epoch chain read asks for the key and internal columns
     only, and its link-index stage evaluates the rule once per change
     row with a new payload (never over an old payload); the engine's
-    epoch record counts no payload read, and counts every touched
-    partition's once egress takes the change set too."""
+    epoch record counts no payload read, also when egress takes the
+    change set (it points at the old rows), and counts every touched
+    partition's once the agg view takes it too."""
     import json
 
     import pyarrow.compute as pc
@@ -282,14 +339,19 @@ def test_link_index_reads_no_pre_epoch_payload(ray_session, changelog, tmp_path,
     assert changed > upserts > 0  # updates, inserts and deletes
     assert calls == {"index_keys": 0, "index_keys_and_values": upserts}
 
-    for egress in (False, True):
-        r = str(tmp_path / f"engine-{egress}")
+    from silk_ray.cdc.matview import AggViewSpec
+
+    spec = AggViewSpec(group_by=("lang",), count_col="n", num_shards=2)
+    for name, kw in {"links": {}, "egress": {"egress": True},
+                     "egress_agg": {"egress": True, "agg_spec": spec}}.items():
+        r = str(tmp_path / f"engine-{name}")
         run(r, changelog, EngineConfig(epoch_size=400, num_partitions=2, n_block_partitions=4,
-                                       rule_spec=rule, egress=egress))
+                                       rule_spec=rule, **kw))
         for e in (2, 3):
             with open(ckpt.metrics_path(r, e)) as f:
                 record = json.load(f)
-            assert record["payload_reads"] == (record["partitions_touched"] if egress else 0)
+            want = record["partitions_touched"] if "agg_spec" in kw else 0
+            assert record["payload_reads"] == want, (name, e)
 
 
 def test_crash_between_merge_work_and_manifest_swap(

@@ -385,3 +385,41 @@ def test_cli_status_schema(ray_session, tmp_path, capsys):
     hist = out.get("schema_history", {})
     assert "1" in hist
     assert "branch" not in [n for n, _ in hist["1"]]
+
+
+def test_cli_status_egress_cost(ray_session, tmp_path, capsys, monkeypatch):
+    """`status` prints the egress stream's bytes and the lake files and
+    bytes that only its pointers keep; truncating the whole stream
+    releases them."""
+    import json
+    import os
+
+    from silk_ray.__main__ import main
+    from silk_ray.cdc import chain, egress
+    from silk_ray.cdc import checkpoint as ckpt
+    from silk_ray.cdc.engine import EngineConfig, run
+    from silk_ray.cdc.generator import make_base_table, make_changelog
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)  # compaction supersedes pointed-to deltas
+    log = make_changelog(make_base_table(40, seed=33), 500, seed=34)
+    root = str(tmp_path / "lake")
+    cfg = EngineConfig(epoch_size=100, num_partitions=3, egress=True, egress_shards=2)
+    assert len(run(root, log, cfg)) == 5
+
+    def status() -> dict:
+        assert main(["status", "--root", root]) == 0
+        return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["stores"]["egress"]
+
+    st = status()
+    rels = egress._live_rels(egress.read_egressstate(root))
+    assert st["bytes"] == sum(os.path.getsize(os.path.join(root, r)) for r in rels) > 0
+    only = egress.lake_refs(root) - ckpt.LAKE.named(root, ckpt.LAKE.read(root), pins=False)
+    assert st["lake_pinned_files"] == len(only) > 0
+    assert st["lake_pinned_bytes"] == sum(os.path.getsize(os.path.join(root, f)) for f in only)
+    assert all(f.startswith("partitions") and "epoch-" in f for f in only)
+
+    egress.truncate_egress(root, egress.read_egressstate(root)["epoch"])
+    assert run(root, log, cfg) == []  # catch-up, then GC
+    st = status()
+    assert (st["bytes"], st["lake_pinned_files"], st["lake_pinned_bytes"]) == (0, 0, 0)
+    assert not any(os.path.exists(os.path.join(root, f)) for f in only)

@@ -430,3 +430,152 @@ def test_shard_ids_match_per_row_md5():
         got = _shard_ids(t, ns)
         assert got.dtype.kind == "i" and got.tolist() == want
     assert _shard_ids(t.slice(0, 0), 16).tolist() == []
+
+
+def test_egress_files_hold_pointers_not_images(lake, ray_session):
+    """An egress file holds the pointer columns only and no schema
+    metadata of its own; the state keeps each epoch's payload schema
+    once, and the images resolve from the lake."""
+    import base64
+
+    import pyarrow.parquet as pq
+
+    from silk_ray.cdc import egress
+
+    run(lake, _changelog(seed=55), _cfg())
+    st = read_egressstate(lake)
+    rels = egress._live_rels(st)
+    assert rels
+    for rel in rels:
+        schema = pq.read_schema(os.path.join(lake, rel))
+        assert schema.names == ["seq", "epoch", "op", "repo", "path", "prev_epoch"]
+        assert schema.metadata is None
+    assert len(st["images"]) == 1 and set(st["epochs"]) == set(st["files"])
+    images = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(*st["images"].values())))
+    assert {"commit", "content"} <= set(images.names)
+    stream = egress_table(lake)
+    ops = set(stream["op"].to_pylist())
+    assert ops == {"I", "U", "D"}
+    for r in stream.to_pylist():
+        assert (r["new_content"] is None) == (r["op"] == "D")
+        assert (r["old_content"] is None) == (r["op"] == "I")
+    # the streaming reader resolves the same rows, one task per file
+    blocks = egress.egress_dataset(lake).iter_batches(batch_format="pyarrow", batch_size=None)
+    streamed = pa.concat_tables(list(blocks), promote_options="default")
+    assert streamed.select(stream.column_names).sort_by("seq").equals(stream)
+
+
+def test_egress_alone_reads_no_old_payload(lake, ray_session, monkeypatch):
+    """Egress derives its change set with the pre-epoch chain read
+    projected to the key and internal columns: it needs only the old
+    rows' offsets."""
+    from silk_ray.cdc import merge
+
+    log = _changelog(seed=61)
+    run(lake, log, _cfg(max_epochs=2))
+    run(lake, log, _cfg(egress=False, max_epochs=1))
+    real, requested = merge._read_files, []
+
+    def spy(root, files, kh_filter=None, columns=None):
+        requested.append(columns)
+        return real(root, files, kh_filter, columns)
+
+    monkeypatch.setattr(merge, "_read_files", spy)
+    merge._CHANGES.clear()
+    assert update_egress(lake, 3, num_shards=8)["rows"] > 0
+    assert requested and all(
+        set(c) == {"repo", "path", "_offset", "_deleted", "_kh"} for c in requested)
+
+
+def test_truncate_refusal_leaves_the_stream_readable(lake, ray_session):
+    """A truncate refused on a later epoch changes nothing: the files of
+    the earlier epochs it checked first stay, and the state still names
+    only files on disk."""
+    from silk_ray.cdc.egress import _file_seq_range, _live_rels, commit_consumer
+
+    run(lake, _changelog(seed=57), _cfg())
+    st = read_egressstate(lake)
+    epochs = sorted(int(e) for e in st["files"])
+    assert len(epochs) >= 2
+    before = egress_table(lake)
+    last = max(_file_seq_range(os.path.join(lake, r))[1] for r in st["files"][str(epochs[0])])
+    commit_consumer(lake, "g", last)
+    with pytest.raises(ValueError, match="'g'"):
+        truncate_egress(lake, epochs[1])
+    assert read_egressstate(lake) == st
+    assert all(os.path.exists(os.path.join(lake, r)) for r in _live_rels(st))
+    assert egress_table(lake).equals(before)
+
+
+def test_truncate_crash_after_commit_leaves_only_garbage(lake, ray_session, monkeypatch):
+    """A crash between the truncate's state commit and its deletes
+    leaves the dropped files unreferenced: the stream reads as a
+    finished truncate's, and the engine's GC sweeps them."""
+    from silk_ray.cdc import egress
+
+    log = _changelog(seed=59)
+    run(lake, log, _cfg())
+    st = read_egressstate(lake)
+    epochs = sorted(int(e) for e in st["files"])
+    full = egress_table(lake)
+    real = egress.commit_egressstate
+
+    def commit_then_crash(root, state):
+        real(root, state)
+        raise RuntimeError("crash after the commit")
+
+    monkeypatch.setattr(egress, "commit_egressstate", commit_then_crash)
+    with pytest.raises(RuntimeError, match="crash"):
+        truncate_egress(lake, epochs[0])
+    monkeypatch.setattr(egress, "commit_egressstate", real)
+    dropped = [os.path.join(lake, r) for r in st["files"][str(epochs[0])]]
+    assert all(os.path.exists(p) for p in dropped)
+    assert str(epochs[0]) not in read_egressstate(lake)["files"]
+    kept = full.filter(pa.compute.greater(full["epoch"], epochs[0]))
+    assert egress_table(lake).equals(kept)
+    assert run(lake, log, _cfg(max_epochs=0)) == []  # catch-up, then GC
+    assert not any(os.path.exists(p) for p in dropped)
+    assert egress_table(lake).equals(kept)
+    assert os.path.isdir(os.path.join(lake, "egress"))
+
+
+def test_image_copy_stream_is_refused(lake, ray_session):
+    """A stream committed as image copies (a state without ``layouts``)
+    is refused by the writer, the readers and the lake GC's reference
+    set alike, with the way out."""
+    from silk_ray.cdc import checkpoint as ckpt
+
+    log = _changelog(seed=63)
+    run(lake, log, _cfg(egress=False, max_epochs=1))
+    ckpt.atomic_write_json(os.path.join(lake, "_egressstate.json"),
+                           {"epoch": 0, "next_seq": 0, "files": {}, "num_shards": 8})
+    for call in (lambda: update_egress(lake, 1, num_shards=8), lambda: egress_table(lake),
+                 lambda: ckpt.LAKE.gc(lake)):
+        with pytest.raises(RuntimeError, match="egress_resync"):
+            call()
+
+
+def test_dataset_built_before_a_truncate_reads_after_gc(lake, ray_session, monkeypatch):
+    """An egress Dataset resolves its pointers through the state its
+    tasks read, not the one it was built from: built before a truncate
+    that re-anchors the stream's epoch E, and run once E's delta files
+    have left the lake's retention (the GC deleted those that the
+    anchored chain does not hold), it reads the rows it was built over."""
+    from silk_ray.cdc import chain, egress
+    from silk_ray.cdc import checkpoint as ckpt
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)  # E compacts the chains it touches
+    log = _changelog(seed=65, n_events=1200)
+    run(lake, log, _cfg(max_epochs=3))
+    e = int(read_egressstate(lake)["epoch"])
+    want = egress_table(lake, from_epoch=e)
+    ds = egress.egress_dataset(lake, from_epoch=e)
+    truncate_egress(lake, e - 1)
+    deltas = [ckpt.partition_file("", p, e) for p in range(4)]
+    dropped = [f for f in deltas if os.path.exists(os.path.join(lake, f))]
+    run(lake, log, _cfg(max_epochs=3))  # retain_epochs + 1 epochs, each with GC
+    assert ckpt.read_manifest(lake).epoch == e + 3
+    assert any(not os.path.exists(os.path.join(lake, f)) for f in dropped)
+    got = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow", batch_size=None)),
+                           promote_options="default")
+    assert got.select(want.column_names).sort_by("seq").equals(want)

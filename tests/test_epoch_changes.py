@@ -7,7 +7,8 @@ One hand-built changelog covers inserts, updates (one to the same
 value), deletes, insert-then-delete and delete-then-reinsert within an
 epoch, a delete re-inserted in a later epoch, a column that appears
 mid-run, a promoted type (int32 → int64), epoch 1 and compaction
-epochs. Nothing is written under ``dirty/``.
+epochs. Nothing is written under ``dirty/``. A change set read without
+the old payload (egress's) is the same tables with null ``old_*``.
 """
 
 import os
@@ -63,7 +64,8 @@ def _oracle(root: str, epoch: int, events: pa.Table) -> list[dict]:
     def keyed(e):
         if e == 0:
             return {}
-        return {r["path"]: r for r in merge.state_table(root, at_epoch=e).to_pylist()}
+        t = merge.state_table(root, drop_offset=False, at_epoch=e)
+        return {r["path"]: r for r in t.to_pylist()}
 
     old, new = keyed(epoch - 1), keyed(epoch)
     net = {}
@@ -84,6 +86,7 @@ def _check_oracle(tables: list[pa.Table], want: list[dict]) -> None:
     got.sort(key=lambda r: r["path"])
     assert [(r["path"], r["change"]) for r in got] == [(w["path"], w["change"]) for w in want]
     for r, w in zip(got, want):
+        assert r["_old_offset"] == (w["old"] or {}).get("_offset"), r["path"]
         for c in PAYLOAD:
             for side in ("new", "old"):
                 image = w[side] or {}
@@ -92,7 +95,7 @@ def _check_oracle(tables: list[pa.Table], want: list[dict]) -> None:
 
 def _check_schema(root: str, epoch: int, tables: list[pa.Table]) -> None:
     """Each table is its delta file's payload, paired new_/old_ in file
-    order after (repo, path, change), key-sorted."""
+    order after (repo, path, change), then ``_old_offset``, key-sorted."""
     m = ckpt.read_manifest(root)
     touched = sorted(p for p, info in m.partitions.items() if info["epoch"] == epoch)
     assert len(tables) == len(touched)
@@ -102,18 +105,28 @@ def _check_schema(root: str, epoch: int, tables: list[pa.Table]) -> None:
         want = [delta.field("repo"), delta.field("path"), pa.field("change", pa.string())]
         for f in payload:
             want += [f.with_name(f"new_{f.name}"), f.with_name(f"old_{f.name}")]
+        want.append(pa.field("_old_offset", pa.int64()))
         assert t.schema == pa.schema(want)
         keys = list(zip(t["repo"].to_pylist(), t["path"].to_pylist()))
         assert keys == sorted(keys)
 
 
+def _without_old_images(t: pa.Table) -> pa.Table:
+    return pa.table({c: pa.nulls(t.num_rows, t[c].type) if c.startswith("old_") else t[c]
+                     for c in t.column_names})
+
+
 def test_derived_changes_equal_handed_off_tables(tmp_path, ray_session, monkeypatch):
+    from silk_ray.cdc.matview import AggViewSpec
+
     monkeypatch.setattr(chain, "COMPACT_AT", 2)
     log_dir = str(tmp_path / "log")
     segs = _write_segments(log_dir)
     root = str(tmp_path / "lake")
-    # egress reads the change set, so from epoch 2 on the merge hands it off
+    # the agg view reads the change set with its old images, so from
+    # epoch 2 on the merge hands it off with them
     cfg = EngineConfig(epoch_size=100, num_partitions=2, egress=True, egress_shards=2,
+                       agg_spec=AggViewSpec(group_by=("repo",), count_col="n", num_shards=2),
                        max_epochs=1)
     primed = []  # what each run_epoch hands to the memo
     remember = merge._remember_changes
@@ -128,7 +141,10 @@ def test_derived_changes_equal_handed_off_tables(tmp_path, ray_session, monkeypa
         handed = primed[0][1]
         assert (handed is None) == (epoch == 1)  # no reader before epoch 1
         merge._CHANGES.clear()  # as a new process would see it
-        derived = merge.epoch_changes(root, epoch)
+        keys_only = merge.epoch_changes(root, epoch, old_payload=False)
+        derived = merge.epoch_changes(root, epoch)  # re-derived with the old payload
+        for a, b in zip(keys_only, derived, strict=True):
+            assert a.equals(_without_old_images(b))
         for a, b in zip(derived if handed is None else handed, derived, strict=True):
             assert a.equals(b) and a.schema.metadata == b.schema.metadata
             # what a parquet round trip (the old on-disk copy) keeps

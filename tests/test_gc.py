@@ -135,9 +135,10 @@ def test_gc_resume(tmp_path, ray_session, changelog, nogc_run):
 
 def _named_by_retained_states(root, store, retain_epochs=1):
     """Every file a retained state of ``store`` names: the pointer's
-    files and rollback set, and each retained snapshot's files."""
+    files and rollback set, each retained snapshot's files, and the
+    files other stores point into it (the lake's egress references)."""
     state = store.read(root)
-    named = {*store.live_files(state), *store.prev_files(state)}
+    named = {*store.live_files(state), *store.prev_files(state), *store.pinned(root)}
     for e in range(max(1, state["epoch"] - retain_epochs), state["epoch"]):
         named.update(store.live_files(store.read_at(root, e)))
     return {os.path.normpath(f) for f in named if f}
@@ -204,3 +205,88 @@ def test_dirty_delta_written_only_for_its_readers(tmp_path, ray_session, changel
         assert len(per_epoch) == 6
         seen[name] = per_epoch
     assert seen["merge_only"] == seen["links"] == seen["aggview_egress"]
+
+
+def _check_egress_pointers(root, twin):
+    """Every lake file an egress pointer resolves to is on disk, every
+    lake file on disk is named by a retained state (egress pointers
+    included), and the stream reads as the GC-free twin's."""
+    from silk_ray.cdc import egress
+
+    refs = egress.lake_refs(root)
+    assert refs and all(os.path.exists(os.path.join(root, f)) for f in refs)
+    assert _files_under(root, "partitions") <= _named_by_retained_states(root, ckpt.LAKE)
+    assert egress.egress_table(root).equals(egress.egress_table(twin))
+
+
+@pytest.mark.parametrize("case", ["compaction", "crash_resume", "repartition", "resync",
+                                  "truncate"])
+def test_gc_keeps_every_file_egress_points_to(case, tmp_path, ray_session, changelog,
+                                              monkeypatch):
+    """After every epoch's GC, each lake file an egress pointer resolves
+    to (after- and before-images) exists and the stream equals a
+    GC-free twin's: across lake compactions, a crash resume,
+    ``repartition_lake`` (3 → 5), ``egress_resync`` and
+    ``truncate_egress``, whose released files the next GC sweeps."""
+    import pyarrow.compute as pc
+
+    from silk_ray.cdc import chain, egress
+    from silk_ray.cdc.repartition import repartition_lake
+
+    monkeypatch.setattr(chain, "COMPACT_AT", 2)
+    log = changelog.filter(pc.less(changelog["offset"], 900))
+    roots = {gc: str(tmp_path / f"gc-{gc}") for gc in (True, False)}
+    parts = {"n": 3}
+
+    def cfg(gc, **kw):
+        return EngineConfig(**{"epoch_size": 100, "num_partitions": parts["n"], "egress": True,
+                               "egress_shards": 4, "max_epochs": 1, "gc": gc, **kw})
+
+    def step(fn, check=True):
+        for gc, root in roots.items():
+            fn(gc, root)
+        if check:
+            _check_egress_pointers(roots[True], roots[False])
+
+    def epochs(n, check=True, **kw):
+        for _ in range(n):
+            step(lambda gc, root: run(root, log, cfg(gc, **kw)), check)
+
+    if case == "resync":
+        epochs(2, check=False, egress=False)
+        step(lambda gc, root: egress.egress_resync(root, num_shards=4))
+    else:
+        epochs(3)
+    if case == "crash_resume":
+        real = egress.update_egress
+
+        def crash(*a, **kw):
+            raise RuntimeError("egress crash")
+
+        monkeypatch.setattr(egress, "update_egress", crash)
+        with pytest.raises(RuntimeError, match="egress crash"):
+            run(roots[True], log, cfg(True))
+        monkeypatch.setattr(egress, "update_egress", real)
+        run(roots[True], log, cfg(True, max_epochs=0))  # catch-up, then GC
+        run(roots[False], log, cfg(False))
+        _check_egress_pointers(roots[True], roots[False])
+    elif case == "repartition":
+        step(lambda gc, root: repartition_lake(root, 5), check=False)
+        parts["n"] = 5
+        step(lambda gc, root: run(root, log, cfg(gc, max_epochs=0)))
+    elif case == "truncate":
+        # the whole stream: later before-images resolve through the
+        # anchor the truncate records
+        epochs(2)
+        pointed = egress.lake_refs(roots[True])
+        upto = egress.read_egressstate(roots[True])["epoch"]
+        step(lambda gc, root: egress.truncate_egress(root, upto), check=False)
+        step(lambda gc, root: run(root, log, cfg(gc, max_epochs=0)))
+        root = roots[True]
+        released = pointed - egress.lake_refs(root) - ckpt.LAKE.named(
+            root, ckpt.LAKE.read(root), ckpt.LAKE.read(root)["epoch"] - 2, pins=False)
+        assert released
+        assert not any(os.path.exists(os.path.join(root, f)) for f in released)
+    epochs(4)
+    m = ckpt.read_manifest(roots[True])
+    assert m.epoch >= 6 and any("compact-" in f for f in m.chain_files())

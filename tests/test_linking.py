@@ -628,3 +628,16 @@ def test_link_filters_empty_and_multi_block(ray_session, blocks):
         ("s1", "t1", 0.9), ("s1", "t4", 0.95), ("s2", "t3", 0.7), ("s3", "t1", 0.4)
     ]
     assert unamb == [("s2", "t3", 0.7), ("s3", "t1", 0.4)]
+
+
+def test_empty_link_run_keeps_its_columns(ray_session):
+    """An empty link run reads as a frame with the link columns: Ray
+    skips zero-row blocks, so its plain ``to_pandas()`` has none."""
+    import ray.data as rd
+
+    from silk_ray.linking.pipeline import add_uri_column, generate_links, links_frame
+
+    empty = add_uri_column(rd.from_arrow(make_base_table(20, seed=3).slice(0, 0)))
+    df = links_frame(generate_links(empty, None, CONFORMANCE_RULE, source_equals_target=True))
+    assert df["source"].tolist() == []
+    assert list(df.columns) == ["source", "target", "confidence"]
