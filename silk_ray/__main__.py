@@ -285,7 +285,7 @@ def cmd_repartition(args) -> int:
     from silk_ray.cdc.repartition import repartition_lake
 
     t0 = time.perf_counter()
-    metrics = repartition_lake(args.root, args.to, old_num_partitions=args.old)
+    metrics = repartition_lake(args.root, args.to)
     print(
         json.dumps(
             {"command": "repartition", "seconds": round(time.perf_counter() - t0, 3),
@@ -347,6 +347,32 @@ def _dir_storage(root: str) -> dict:
     return out
 
 
+def _compaction_status(root: str, manifest, records: list[dict]) -> dict:
+    """Per chain kind (the lake's, the link index's postings and entity
+    chains): the compactions the ``_metrics`` records hold (``records``,
+    the merge's; the link store's are read here), per kind (merges of the
+    deltas, base rewrites) with the bytes they wrote, and the live
+    chains' base against non-base bytes — how close they are to their
+    next base rewrite."""
+    from silk_ray.cdc import chain
+    from silk_ray.cdc import checkpoint as ckpt
+
+    done = {name: chain.count_compactions(()) for name in ("lake", "postings", "entities")}
+    recorded = [{"lake": r["compactions"]} for r in records if "compactions" in r] + [
+        r["compactions"] for r in ckpt.read_metrics(root, "links") if "compactions" in r]
+    for by_chain in recorded:
+        for chain_name, kinds in by_chain.items():
+            for kind, c in kinds.items():
+                done[chain_name][kind]["count"] += c["count"]
+                done[chain_name][kind]["bytes"] += c["bytes"]
+    links = ckpt.LINKS.read(root)
+    chains = {"lake": [info.get("files", []) for info in manifest.partitions.values()],
+              "postings": list(links["blockmap"].values()),
+              "entities": [links.get("entities", [])]}
+    return {name: {"compactions": done[name], **chain.chain_bytes(root, chains[name])}
+            for name in done}
+
+
 def cmd_status(args) -> int:
     """One health endpoint over every store: metadata reads only (no
     Ray session) — manifests, state pointers, file sizes, on-disk bytes
@@ -405,9 +431,12 @@ def cmd_status(args) -> int:
         out["last_epoch"] = {
             k: last[k]
             for k in ("epoch", "events_applied", "dead_lettered", "lag_offsets",
-                      "skew_ratio", "dirty_total", "bytes_written", "payload_reads")
+                      "skew_ratio", "dirty_total", "bytes_written", "payload_reads",
+                      "compactions")
             if k in last
         }
+    out["compaction"] = _compaction_status(args.root, manifest, metrics)
+
     from silk_ray.cdc.egress import consumer_lag, egress_storage
 
     def links_extras(st: dict) -> dict:
@@ -607,8 +636,6 @@ def main(argv=None) -> int:
     pr.add_argument("--root", required=True)
     pr.add_argument("--to", type=int, default=None, metavar="M",
                     help="new num_partitions; the next cdc run must pass this value")
-    pr.add_argument("--old", type=int, default=None, metavar="N",
-                    help="only for legacy lakes whose manifest predates layout pinning")
     pr.add_argument("--stats", action="store_true",
                     help="print per-layout health (rows/bytes/skew, metadata only) "
                          "and a suggested partition count; no rewrite")

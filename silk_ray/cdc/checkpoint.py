@@ -399,12 +399,13 @@ def write_metrics(root: str, epoch: int, metrics: dict, kind: str = "epoch") -> 
     atomic_write_json(metrics_path(root, epoch, kind), metrics)
 
 
-def read_metrics(root: str) -> list[dict]:
-    """The merge's per-epoch metrics records, oldest first."""
+def read_metrics(root: str, kind: str = "epoch") -> list[dict]:
+    """The per-epoch metrics records of ``kind`` (the merge's
+    ``epoch``, the link store's ``links``), oldest first."""
     d = os.path.join(root, "_metrics")
     out = []
     for name in sorted(_listdir(d)):
-        if name.startswith("epoch-") and name.endswith(".json"):
+        if name.startswith(f"{kind}-") and name.endswith(".json"):
             with open(os.path.join(d, name)) as f:
                 out.append(json.load(f))
     return out
@@ -526,8 +527,8 @@ def atomic_write_parquet(table, path: str) -> None:
     21k-row, 37 MB lake table snappy wrote 36.7 MB (60-75 ms CPU), zstd
     1 20.2 MB (175-255 ms) and zstd 2 16.3 MB (245 ms); zstd 1 reads as
     fast as snappy, and negative levels were 4-8% smaller than snappy.
-    Files of an older codec read as they are; compaction rewrites
-    them as zstd."""
+    Files of an older codec read as they are; a compaction rewrites
+    the ones it reads as zstd (a chain's base only at a base rewrite)."""
     import pyarrow.parquet as pq
 
     d, name = os.path.split(path)

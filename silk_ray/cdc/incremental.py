@@ -13,8 +13,9 @@ Persisted link state under ``lake_root/`` (LSM-style)::
                                            # its keys k of this partition
                                            # (k % n_bps == B), sorted by
                                            # (side, uri)
-    blockmap/bp={B}/compact-{E}.parquet    # compacted chain (all 'add';
-                                           # chain.py's LSM chain)
+    blockmap/bp={B}/compact-{E}.parquet    # compaction's file: the base
+                                           # rewritten (all 'add') or the
+                                           # deltas merged (chain.py)
     blockmap/ent=00000/delta-{E}.parquet   # entity chain: one row per
     blockmap/ent=00000/compact-{E}.parquet # changed (side, uri) entity:
                                            # (action, side, uri, keys,
@@ -62,9 +63,10 @@ snapshot instead, see :func:`update_links`):
    are written once, by the driver, as ``delta-E`` (a deterministic
    name and content, so a replay rewrites the same bytes), so each
    chain grows one file per epoch; a chain past ``chain.COMPACT_AT``
-   files is rewritten as one compact file by ``chain.write_compact``
-   (the lake's rule and writer; amortized O(index/COMPACT_AT) per
-   epoch). The entity chain is one more chain.
+   files is compacted by ``chain.compact``, the lake's policy and
+   writer: its deltas merged into one file while they hold fewer bytes
+   than its base, else the whole chain rewritten as one file. The
+   entity chain is one more chain.
 3. **delta re-score** (the map tasks of one :func:`silk_ray.cdc.exchange`
    with stage 4): per cost-balanced loader
    bucket, reconcile each postings chain once (newest-file-wins per
@@ -457,12 +459,14 @@ def _index_snapshot_partition(files: list[str], rule_spec, n_block_partitions: i
 
 
 def _compact_bundle(root: str, items: list[tuple[int, list[str]]], n_leaves: int, epoch: int):
-    """One compaction task: each ``(chain, files)`` item's compact file."""
+    """One compaction task: each ``(chain, files)`` item's
+    ``chain.compact`` as ``(chain, new files, kind, bytes)``."""
     out = []
     for part, files in items:
         fmt, n = _link_chain(part)
-        tables = _read_link_files(root, files, _chain_schema(part, n_leaves))
-        out.append((part, chain.write_compact(root, tables, fmt, n, epoch)))
+        schema = _chain_schema(part, n_leaves)
+        out.append((part, *chain.compact(root, files, fmt, n, epoch,
+                                         lambda fs: _read_link_files(root, fs, schema))))
     return out
 
 
@@ -705,6 +709,7 @@ def update_links(
     # maintenance op over a known small bp list; the streaming-executor
     # fixed cost (~0.5-1 s) was a measurable slice of every epoch
     to_compact = [(bp, fs) for bp, fs in bm_files.items() if chain.compact_due(len(fs))]
+    compactions = {"postings": [], "entities": []}
     if to_compact:
         task = remote(_compact_bundle)
         compacted = ray.get(
@@ -712,8 +717,9 @@ def update_links(
              for i in range(0, len(to_compact), 4)]
         )
         for bundle in compacted:
-            for bp, rel in bundle:
-                bm_files[int(bp)] = [rel]
+            for bp, files, kind, nbytes in bundle:
+                bm_files[int(bp)] = files
+                compactions["entities" if bp == ENT else "postings"].append((kind, nbytes))
         _mark("compaction")
 
     # -- stage 3: re-score affected blocks ------------------------------
@@ -893,6 +899,9 @@ def update_links(
         "affected_block_partitions": len(affected_bps),
         "links_total": _count_links(state),
         "index_bytes": _index_bytes(root, state, set(prev_blockmap)),
+        # the epoch's chain compactions per chain kind, as the merge's
+        "compactions": {name: chain.count_compactions(done)
+                        for name, done in compactions.items()},
     }
     _mark("metrics")
     metrics["phases"] = {name: round(sec, 6) for name, sec in _phases}

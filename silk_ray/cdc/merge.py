@@ -33,9 +33,12 @@ LSM-style so per-epoch cost is O(delta), not O(state):
      of the whole partition. Steps 1, 2 and the file's row order run
      on the key and meta columns; each payload column is copied once;
   5. when the driver marked the partition for compaction (its chain
-     outgrows ``chain.COMPACT_AT`` files), rewrite the chain as one
-     compact file with ``chain.write_compact`` — the only
-     O(partition-state) moment, amortized 1/COMPACT_AT per epoch;
+     outgrows ``chain.COMPACT_AT`` files), compact it with
+     ``chain.compact``: its files past the base merged into one file
+     while they hold fewer bytes than the base, else the whole chain
+     rewritten as one file — the only O(partition-state) moment, which
+     comes once the deltas outgrow the base, not every COMPACT_AT
+     epochs;
   6. build the partition's change table for the stores that read it
      and, given a link rule, run the link index's delta stage over its
      new side (``incremental.DeltaIndexStage``), returning its rows —
@@ -398,13 +401,14 @@ class MergePartition:
         files.append(os.path.relpath(delta_path, self.root))
 
         # -- 5. compaction, when the driver marked this partition ---------
+        compaction = None
         if pid in self.compact:
-            files = [
-                chain.write_compact(
-                    self.root, _read_chain(self.root, files), chain.LAKE, pid, self.epoch
-                )
-            ]
-            bytes_written += os.path.getsize(os.path.join(self.root, files[0]))
+            files, kind, nbytes = chain.compact(
+                self.root, files, chain.LAKE, pid, self.epoch,
+                lambda fs: _read_chain(self.root, fs),
+            )
+            bytes_written += nbytes
+            compaction = (kind, nbytes)
 
         # -- 6. change table and link-index rows, handed to the driver -
         changes = index = None
@@ -428,6 +432,7 @@ class MergePartition:
             "files": files,
             "dirty": delta_table.num_rows,  # one change row per delta row
             "bytes_written": bytes_written,
+            "compaction": compaction,  # (kind, bytes) or None
             "payload_read": payload_read,
             "changes": changes if self.hand_off else None,
             "index": index,
@@ -1085,6 +1090,7 @@ def run_epoch(
     changes = [r.pop("changes") for r in metrics_rows]
     index = [r.pop("index") for r in metrics_rows]
     payload_reads = sum(r.pop("payload_read") for r in metrics_rows)
+    compactions = [c for c in (r.pop("compaction") for r in metrics_rows) if c is not None]
     _remember_changes(root, epoch, changes if merger.hand_off else None,
                       None if link_spec is None else (link_spec, n_block_partitions, index),
                       merger.old_payload)
@@ -1106,6 +1112,9 @@ def run_epoch(
         "dirty_total": int(sum(r["dirty"] for r in metrics_rows)),
         # delta and compact files the merge tasks wrote, each sized in its task
         "bytes_written": int(sum(r["bytes_written"] for r in metrics_rows)),
+        # the epoch's chain compactions per kind: merges of the deltas
+        # and base rewrites, with the bytes each kind wrote
+        "compactions": chain.count_compactions(compactions),
         # merge tasks whose pre-epoch chain read decoded payload columns
         "payload_reads": payload_reads,
         "partitions_touched": len(metrics_rows),
@@ -1373,10 +1382,7 @@ def state_table(
 
 
 def lookup_keys(
-    root: str,
-    keys: list[tuple[str, str]],
-    at_epoch: int | None = None,
-    num_partitions: int | None = None,
+    root: str, keys: list[tuple[str, str]], at_epoch: int | None = None
 ) -> pa.Table:
     """Point lookup: the live (or as-of-epoch) rows for specific
     (repo, path) keys WITHOUT a lake scan.
@@ -1388,20 +1394,18 @@ def lookup_keys(
     decoded rows and never to row-group statistics. Keys are
     deduplicated; absent or deleted keys simply produce no row.
     Driver-side by design (point lookups are small); bulk key joins
-    belong in the merge/link paths.
-
-    ``num_partitions`` is only consulted for legacy lakes whose manifest
-    predates layout pinning.
+    belong in the merge/link paths. A manifest that predates layout
+    pinning (no ``num_partitions``) is refused.
     """
     manifest = (
         ckpt.read_manifest_at(root, at_epoch) if at_epoch is not None
         else ckpt.read_manifest(root)
     )
-    n = manifest.num_partitions or num_partitions
+    n = manifest.num_partitions
     if n is None:
         raise ValueError(
             f"manifest at {root!r} predates layout pinning and does not record "
-            "num_partitions; pass num_partitions= explicitly"
+            "num_partitions; its key routing is unknown"
         )
     per_pid: dict[int, dict] = {}
     for repo, path in keys:

@@ -133,19 +133,14 @@ def suggest_num_partitions(
     }
 
 
-def repartition_lake(
-    root: str, new_num_partitions: int, *, old_num_partitions: int | None = None
-) -> dict:
+def repartition_lake(root: str, new_num_partitions: int) -> dict:
     """Rewrite the lake from its pinned partition count to ``new_num_partitions``.
 
     Atomic (manifest swap is the sole commit point), idempotent under
     crash-rerun, O(live state) — one distributed compaction pass. The
     epoch counter advances by one (an eventless epoch); auxiliary
-    stores catch up as no-ops on the next engine run.
-
-    ``old_num_partitions`` is only consulted for legacy lakes whose
-    manifest predates layout pinning; a pinned manifest is
-    authoritative and a conflicting explicit value is an error.
+    stores catch up as no-ops on the next engine run. A manifest that
+    predates layout pinning (no ``num_partitions``) is refused.
     """
     new_n = int(new_num_partitions)
     if new_n < 1:
@@ -158,16 +153,9 @@ def repartition_lake(
         )
     old_n = manifest.num_partitions
     if old_n is None:
-        old_n = old_num_partitions
-        if old_n is None:
-            raise ValueError(
-                f"manifest at {root!r} predates layout pinning and does not record "
-                "num_partitions; pass old_num_partitions= explicitly"
-            )
-    elif old_num_partitions is not None and old_num_partitions != old_n:
         raise ValueError(
-            f"manifest pins num_partitions={old_n} but old_num_partitions="
-            f"{old_num_partitions} was passed — the manifest is authoritative"
+            f"manifest at {root!r} predates layout pinning and does not record "
+            "num_partitions; its key routing is unknown"
         )
     if new_n == old_n:
         return {

@@ -769,25 +769,39 @@ def test_unfused_delta_update_starts_no_ray_data(ray_session, tmp_path, monkeypa
     assert json.loads(linkstate(root)) == json.loads(linkstate(twin))
 
 
-def test_crash_before_linkstate_commit_resumes(ray_session, tmp_path, monkeypatch):
-    """A crash after the epoch's entity chain is written and compacted,
-    before ``commit_linkstate``: the run resumed as a new process would
-    (no rows in memory) ends with the straight run's links (by
-    ``float.hex``) and ``state_sha256``."""
+def _crash_before_linkstate_commit(tmp_path, monkeypatch, kind: str) -> None:
+    """A crash after epoch 3's entity chain is written and compacted
+    (``kind``: its base rewritten, or after a large first epoch only its
+    deltas merged), before ``commit_linkstate``. The run resumed as a new
+    process would (no rows in memory) rewrites the compact file byte for
+    byte and ends with the straight run's links (by ``float.hex``) and
+    ``state_sha256``."""
+    import json
     import os
 
     from silk_ray.cdc import chain, incremental, merge
+    from silk_ray.cdc import checkpoint as ckpt
     from silk_ray.cdc.merge import state_sha256
 
     monkeypatch.setattr(chain, "COMPACT_AT", 2)
-    log = make_changelog(make_base_table(60, seed=151, near_dup_frac=0.3), 400, seed=152)
-    cfg = EngineConfig(epoch_size=100, num_partitions=4, n_block_partitions=4,
+    rows, events, size, first_size = (60, 400, 100, 100) if kind == "rewrite" else (
+        200, 800, 50, 600)
+    log = make_changelog(make_base_table(rows, seed=151, near_dup_frac=0.3), events, seed=152)
+    cfg = EngineConfig(epoch_size=size, num_partitions=4, n_block_partitions=4,
                        rule_spec=UNFILTERED_RULE)
+    first = EngineConfig(**{**cfg.__dict__, "epoch_size": first_size, "max_epochs": 1})
+    one = EngineConfig(**{**cfg.__dict__, "max_epochs": 1})
     straight = str(tmp_path / "straight")
+    run(straight, log, first)
     run(straight, log, cfg)
+    with open(os.path.join(straight, "_metrics", "links-000003.json")) as f:
+        done = json.load(f)["compactions"]["entities"]
+    assert {k: v["count"] for k, v in done.items()} == {
+        "merge": int(kind == "merge"), "rewrite": int(kind == "rewrite")}
 
     root = str(tmp_path / "lake")
-    run(root, log, EngineConfig(**{**cfg.__dict__, "max_epochs": 2}))
+    run(root, log, first)
+    run(root, log, one)
     real = incremental.commit_linkstate
 
     def crash(*_a, **_k):
@@ -799,12 +813,35 @@ def test_crash_before_linkstate_commit_resumes(ray_session, tmp_path, monkeypatc
     assert incremental.read_linkstate(root)["epoch"] == 2
     ent_dir = os.path.join(root, "blockmap", "ent=00000")
     assert {"delta-000003.parquet", "compact-000003.parquet"} <= set(os.listdir(ent_dir))
+    compact = os.path.join(ent_dir, "compact-000003.parquet")
+    with open(compact, "rb") as f:
+        crashed = f.read()
     monkeypatch.setattr(incremental, "commit_linkstate", real)
     merge._CHANGES.clear()
+    run(root, log, one)  # the links catch-up of epoch 3, then epoch 4
+    entities = incremental.read_linkstate_at(root, 3)["entities"]
+    assert len(entities) == (2 if kind == "merge" else 1)
+    assert entities[-1] == os.path.join("blockmap", "ent=00000", "compact-000003.parquet")
+    with open(compact, "rb") as f:
+        assert f.read() == crashed
     run(root, log, cfg)
-    assert incremental.read_linkstate(root)["epoch"] == 4
+    assert incremental.read_linkstate(root)["epoch"] == ckpt.read_manifest(straight).epoch
     assert _hex_links(root) == _hex_links(straight)
     assert state_sha256(root) == state_sha256(straight)
+
+
+def test_crash_before_linkstate_commit_resumes(ray_session, tmp_path, monkeypatch):
+    """A crash after a base rewrite of the entity chain, before the
+    linkstate commit, resumes to the straight run
+    (:func:`_crash_before_linkstate_commit`)."""
+    _crash_before_linkstate_commit(tmp_path, monkeypatch, "rewrite")
+
+
+def test_crash_after_an_entity_merge_resumes(ray_session, tmp_path, monkeypatch):
+    """A crash after a merge-only compaction of the entity chain, before
+    the linkstate commit, resumes to the straight run
+    (:func:`_crash_before_linkstate_commit`)."""
+    _crash_before_linkstate_commit(tmp_path, monkeypatch, "merge")
 
 
 def _chain_bytes(root):

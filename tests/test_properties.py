@@ -267,6 +267,37 @@ def test_lsm_compacted_chain_reconciles_the_same(name, events, n_chunks, extra):
     assert compact.equals(compact.sort_by(list(fmt.order)))
 
 
+@pytest.mark.parametrize("name", list(CHAINS))
+@settings(max_examples=200, deadline=None)
+@given(events=event_lists, n_chunks=st.integers(2, 6), extra=extra_types)
+def test_lsm_merged_deltas_reconcile_the_same(name, events, n_chunks, extra):
+    """A merge-only compaction (``chain.merged`` of the non-base files)
+    changes no reconciled row: ``[base, merged(deltas)]`` reconciles as
+    the chain does, with the lake's ``extra`` column evolving across the
+    chain. The merged file is sorted in the chain's file order and holds
+    exactly each key's rows from its newest delta, tombstones included."""
+    build, fmt = CHAINS[name]
+    tables, _state, _rows = build(events, n_chunks, extra) if name == "lake" else build(
+        events, n_chunks
+    )
+    assume(len(tables) >= 2)
+    base, deltas = tables[0], tables[1:]
+    merged = chain.merged(deltas, fmt)
+    key = lambda r: tuple(sorted((k, str(v)) for k, v in r.items()))
+    assert sorted(_reconciled([base, merged], fmt).to_pylist(), key=key) == sorted(
+        _reconciled(tables, fmt).to_pylist(), key=key
+    )
+    assert merged.equals(merged.sort_by(list(fmt.order)))
+    newest = {}
+    for i, t in enumerate(deltas):
+        newest.update(dict.fromkeys(fmt.key(t).to_pylist(), i))
+    want = [r for i, t in enumerate(deltas)
+            for k, r in zip(fmt.key(t).to_pylist(),
+                            chain.pad_to_schema(t, merged.schema).to_pylist())
+            if newest[k] == i]
+    assert sorted(merged.to_pylist(), key=key) == sorted(want, key=key)
+
+
 # ---------------------------------------------------------------------------
 # sketch jaccard == exact jaccard
 # ---------------------------------------------------------------------------

@@ -102,8 +102,6 @@ def test_repartition_noop_and_preconditions(ray_session, log, tmp_path):
     assert ckpt.read_manifest(root).epoch == e  # no epoch burned
     with pytest.raises(ValueError, match=">= 1"):
         repartition_lake(root, 0)
-    with pytest.raises(ValueError, match="manifest is authoritative"):
-        repartition_lake(root, 8, old_num_partitions=16)
 
 
 def test_crash_before_manifest_swap_leaves_old_layout(ray_session, log, tmp_path, monkeypatch):
@@ -242,20 +240,21 @@ def test_lookup_keys_routes_through_pinned_layout(ray_session, log, tmp_path):
 
 
 def test_lookup_keys_legacy_manifest_requires_explicit_count(ray_session, log, tmp_path):
+    """A manifest that predates layout pinning is refused by
+    ``lookup_keys`` and ``repartition_lake`` alike: nothing can supply
+    its key routing."""
     root = str(tmp_path / "lake")
     run_epoch(root, log, epoch_size=EPOCH, num_partitions=4)
     # simulate a pre-pinning manifest
     m = ckpt.read_manifest(root)
     m.num_partitions = None
     ckpt.commit_manifest(root, m, window=(0, 0))
+    # no explicit count can stand in for the pinned layout: both refuse
     with pytest.raises(ValueError, match="predates layout pinning"):
         lookup_keys(root, [("r", "p")])
-    # explicit count restores routing
-    assert lookup_keys(root, [("r", "p")], num_partitions=4).num_rows == 0
     with pytest.raises(ValueError, match="predates layout pinning"):
         repartition_lake(root, 8)
-    repartition_lake(root, 8, old_num_partitions=4)
-    assert ckpt.read_manifest(root).num_partitions == 8
+    assert ckpt.read_manifest(root).num_partitions is None
 
 
 def test_lake_stats_and_advisor(ray_session, log, tmp_path, capsys):
